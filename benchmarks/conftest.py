@@ -34,13 +34,7 @@ def run_once(benchmark, fn):
 
 def pytest_sessionfinish(session, exitstatus):
     """When tracing is on (REPRO_TRACE=1 / run_all.sh --with-traces), dump
-    every live tracer's metrics tables at the end of the benchmark run.
-
-    With telemetry additionally armed (REPRO_TELEMETRY=1 / run_all.sh
-    --with-telemetry), also write a BENCH_anatomy.json sidecar holding
-    the merged critical-path phase breakdown — the input to
-    ``python -m repro.obs.benchdiff`` regression checks.
-    """
+    every live tracer's metrics tables at the end of the benchmark run."""
     if not os.environ.get("REPRO_TRACE"):
         return
     from repro.obs import all_tracers
@@ -56,28 +50,4 @@ def pytest_sessionfinish(session, exitstatus):
         write(f"-- repro.obs tracer {i} summary: {tracer.summary()}")
         for line in tracer.metrics.format_tables().splitlines():
             write(line)
-    if os.environ.get("REPRO_TELEMETRY"):
-        _write_anatomy_sidecar(tracers, write)
 
-
-def _write_anatomy_sidecar(tracers, write):
-    """Merge every tracer's critical-path report into BENCH_anatomy.json."""
-    import json
-
-    from repro.obs import analyze
-
-    merged = {"scale": SCALE, "tracers": []}
-    for tracer in tracers:
-        report = analyze(tracer, top_k=4)
-        entry = report.to_dict()
-        # The rendered span trees vary with timing noise across scales;
-        # keep the sidecar diff-friendly by dropping them.
-        for slow in entry.get("slow_requests", []):
-            slow.pop("tree", None)
-        merged["tracers"].append(entry)
-        write("")
-        for line in report.format_tables().splitlines():
-            write(line)
-    out = Path(__file__).parent / "BENCH_anatomy.json"
-    out.write_text(json.dumps(merged, indent=1, sort_keys=True))
-    write(f"repro.obs: wrote {out}")

@@ -20,6 +20,7 @@ import pytest
 from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
 from repro.metrics.report import format_table
+from repro.net.network import NetParams
 from repro.workloads.bulkio import dd_read, dd_write
 
 from conftest import SCALE, run_once
@@ -41,7 +42,7 @@ def build_cluster(mirror):
         num_storage_nodes=8,
         num_dir_servers=1,
         num_sf_servers=2,
-        verify_checksums=False,
+        net=NetParams(verify_checksums=False),
         mirror_files=mirror,
     )
     return SliceCluster(params=params)

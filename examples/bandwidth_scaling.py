@@ -12,6 +12,7 @@ Run:  python examples/bandwidth_scaling.py
 from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
 from repro.metrics.report import format_table
+from repro.net.network import NetParams
 from repro.workloads.bulkio import dd_read, dd_write
 
 
@@ -20,7 +21,8 @@ def measure(num_nodes: int, num_clients: int = 8, size: int = 8 << 20):
         num_storage_nodes=num_nodes,
         num_dir_servers=1,
         num_sf_servers=1,
-        verify_checksums=False,  # checksum offload, as on the paper's NICs
+        # checksum offload, as on the paper's NICs
+        net=NetParams(verify_checksums=False),
     )
     cluster = SliceCluster(params=params)
     clients = [

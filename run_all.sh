@@ -13,10 +13,7 @@
 #                   writes BENCH_reconfig.json (see docs/RECONFIG.md).
 #   --with-telemetry implies --with-traces and additionally runs the
 #                   telemetry suite (pytest -m telemetry: traced workload
-#                   runs with time-series sampling and exporter checks)
-#                   and writes the BENCH_anatomy.json phase-breakdown
-#                   sidecar from the benchmark session (diff two of them
-#                   with `python -m repro.obs.benchdiff`).
+#                   runs with time-series sampling and exporter checks).
 WITH_CHAOS=0
 WITH_RECONFIG=0
 WITH_TELEMETRY=0
@@ -36,8 +33,6 @@ for arg in "$@"; do
             WITH_TELEMETRY=1
             REPRO_TRACE=1
             export REPRO_TRACE
-            REPRO_TELEMETRY=1
-            export REPRO_TELEMETRY
             ;;
         *)
             echo "usage: $0 [--with-traces] [--with-chaos] [--with-reconfig] [--with-telemetry]" >&2

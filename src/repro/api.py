@@ -44,6 +44,7 @@ class ClusterSpec:
     #: behaviour knobs
     mirror_files: bool = False
     use_block_maps: bool = False
+    #: sets ``params.net.verify_checksums`` (off = NIC checksum offload)
     verify_checksums: bool = True
     #: observability: attach a Tracer (and run the TraceChecker afterwards)
     trace: bool = False
@@ -64,9 +65,9 @@ class ClusterSpec:
             num_coordinators=self.coordinators,
             storage_logical_sites=self.storage_sites,
             mirror_files=self.mirror_files,
-            verify_checksums=self.verify_checksums,
         )
         params.io.use_block_maps = self.use_block_maps
+        params.net.verify_checksums = self.verify_checksums
         return params
 
 

@@ -32,7 +32,7 @@ from repro.rpc.messages import CALL, CallHeader, ReplyHeader
 from repro.rpc.xdr import Decoder, XdrError
 from repro.smallfile.server import sf_site_for
 from repro.storage import coordproto as cp
-from repro.util.bytesim import ZeroData, concat
+from repro.util.bytesim import EMPTY, Data, ZeroData, concat
 from repro.util.hashing import md5_u64
 from .attrcache import AttrCache
 from .cost import CostModel
@@ -53,7 +53,6 @@ class ProxyParams:
     dirty_sites_capacity: int = 4096
     attr_writeback_interval: float = 3.0  # the NFS "three second window"
     intent_sync: bool = True  # force the intent log before commit fan-out
-    fill_checksums: bool = True
 
 
 class _Pending:
@@ -154,7 +153,6 @@ class UProxy(PacketFilter):
         self.client = RpcClient(
             host, self.params.proxy_port,
             retrans_timeout=0.5, max_tries=4,
-            fill_checksums=self.params.fill_checksums,
         )
         self.requests_routed = 0
         self.replies_returned = 0
@@ -516,18 +514,19 @@ class UProxy(PacketFilter):
             return None
         return NFS3ERR_ISDIR if fh.ftype == NF3DIR else NFS3ERR_INVAL
 
-    def _synthesize_reply(self, client_addr: Address, xid: int, res) -> None:
+    def _synthesize_reply(self, client_addr: Address, xid: int, res,
+                          body: Data = EMPTY, **trace_attrs) -> None:
         """Answer the client directly with a µproxy-built reply packet."""
         header = ReplyHeader(xid).encode().to_bytes() + res.encode()
-        reply = Packet(self.virtual, client_addr, header)
-        if self.params.fill_checksums:
+        reply = Packet(self.virtual, client_addr, header, body)
+        if self.host.network.params.verify_checksums:
             reply.fill_checksum()
         self.synthesized += 1
+        self.replies_returned += 1
         if self.tracer is not None:
             reply.trace_id = self.tracer.trace_id_of(client_addr, xid)
-            self.tracer.reply_sent(
-                client_addr, xid, self.host.clock(), synthesized=True
-            )
+            self.tracer.reply_sent(client_addr, xid, self.host.clock(),
+                                   synthesized=True, **trace_attrs)
         self.host.loopback(reply)
 
     # -- request splitting (unaligned I/O) ---------------------------------
@@ -624,17 +623,7 @@ class UProxy(PacketFilter):
             NFS3_OK, attrs, count=body.length,
             eof=start + body.length >= size,
         )
-        header = ReplyHeader(xid).encode().to_bytes() + res.encode()
-        reply = Packet(self.virtual, client_addr, header, body)
-        reply.trace_id = tid
-        if self.params.fill_checksums:
-            reply.fill_checksum()
-        self.synthesized += 1
-        self.replies_returned += 1
-        if tracer is not None:
-            tracer.reply_sent(client_addr, xid, self.host.clock(),
-                              synthesized=True, kind="split-read")
-        self.host.loopback(reply)
+        self._synthesize_reply(client_addr, xid, res, body, kind="split-read")
 
     def _split_write(self, client_addr: Address, xid: int, fh: FHandle,
                      segments, args, body):
@@ -681,17 +670,7 @@ class UProxy(PacketFilter):
             status, attrs, count=args.count if status == NFS3_OK else 0,
             committed=args.stable, verf=self.verf_epoch,
         )
-        header = ReplyHeader(xid).encode().to_bytes() + res.encode()
-        reply = Packet(self.virtual, client_addr, header)
-        reply.trace_id = tid
-        if self.params.fill_checksums:
-            reply.fill_checksum()
-        self.synthesized += 1
-        self.replies_returned += 1
-        if tracer is not None:
-            tracer.reply_sent(client_addr, xid, self.host.clock(),
-                              synthesized=True, kind="split-write")
-        self.host.loopback(reply)
+        self._synthesize_reply(client_addr, xid, res, kind="split-write")
 
     # -- bulk I/O routing ---------------------------------------------------
 
@@ -863,16 +842,7 @@ class UProxy(PacketFilter):
             yield from self._writeback_entry(entry)
         attrs = entry.attrs if entry is not None else None
         res = proto.CommitRes(NFS3_OK, attrs, verf=self.verf_epoch)
-        header = ReplyHeader(xid).encode().to_bytes() + res.encode()
-        reply = Packet(self.virtual, client_addr, header)
-        reply.trace_id = tid
-        if self.params.fill_checksums:
-            reply.fill_checksum()
-        self.synthesized += 1
-        if tracer is not None:
-            tracer.reply_sent(client_addr, xid, self.host.clock(),
-                              synthesized=True, kind="commit")
-        self.host.loopback(reply)
+        self._synthesize_reply(client_addr, xid, res, kind="commit")
 
     def _send_intent(self, coord: Address, intent: cp.Intent):
         try:
@@ -1206,18 +1176,7 @@ class UProxy(PacketFilter):
                     ) | 1
                     final.eof = False
                 break
-        header = ReplyHeader(xid).encode().to_bytes() + final.encode()
-        reply = Packet(self.virtual, client_addr, header)
-        if self.tracer is not None:
-            reply.trace_id = self.tracer.trace_id_of(client_addr, xid)
-        if self.params.fill_checksums:
-            reply.fill_checksum()
-        self.synthesized += 1
-        self.replies_returned += 1
-        if self.tracer is not None:
-            self.tracer.reply_sent(client_addr, xid, self.host.clock(),
-                                   synthesized=True, kind="readdir-chain")
-        self.host.loopback(reply)
+        self._synthesize_reply(client_addr, xid, final, kind="readdir-chain")
 
     # ------------------------------------------------------------------
     # attribute write-back & table refresh

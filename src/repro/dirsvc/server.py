@@ -77,7 +77,6 @@ class DirServerParams:
     # own NFS retransmission provides the unbounded outer loop.
     peer_retrans_timeout: float = 0.5
     peer_max_tries: int = 4
-    fill_checksums: bool = True
 
 
 class _Misdirected(Exception):
@@ -122,7 +121,7 @@ class DirectoryServer:
         self.port = port
         self.mirror_files = mirror_files
         self.tracer = tracer
-        self.server = RpcServer(host, port, fill_checksums=self.params.fill_checksums)
+        self.server = RpcServer(host, port)
         self.server.tracer = tracer
         self.server.trace_component = f"dirsvc:{host.name}"
         self.server.register(proto.NFS_PROGRAM, self._nfs_service)
@@ -131,7 +130,6 @@ class DirectoryServer:
             host, port + 1,
             retrans_timeout=self.params.peer_retrans_timeout,
             max_tries=self.params.peer_max_tries,
-            fill_checksums=self.params.fill_checksums,
         )
         self.sites: Dict[int, SiteState] = {}
         self.locks: Dict[int, KeyLocks] = {}

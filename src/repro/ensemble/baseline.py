@@ -49,7 +49,6 @@ class BaselineParams:
     cache_bytes: int = 200 << 20
     metadata_writes_per_update: int = 2  # FFS synchronous metadata updates
     sync_interval: float = 1.0
-    fill_checksums: bool = True
 
     def __post_init__(self):
         if self.mode not in ("ffs", "mfs"):
@@ -77,7 +76,7 @@ class MonolithicServer:
         self.host = host
         self.params = params or BaselineParams()
         self.fs = ModelFS()
-        self.server = RpcServer(host, port, fill_checksums=self.params.fill_checksums)
+        self.server = RpcServer(host, port)
         self.server.register(proto.NFS_PROGRAM, self._service)
         self.on_disk = self.params.mode == "ffs"
         if self.on_disk:

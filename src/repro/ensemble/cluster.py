@@ -144,10 +144,7 @@ class SliceCluster:
             ]
         )
         config_host = self.net.add_host("configsvc")
-        self.configsvc = ConfigService(
-            self.sim, config_host, fill_checksums=p.verify_checksums,
-            tracer=tracer,
-        )
+        self.configsvc = ConfigService(self.sim, config_host, tracer=tracer)
         self.configsvc.set_table("dir", self.dir_table)
         if self.sf_table is not None:
             self.configsvc.set_table("sf", self.sf_table)
@@ -254,8 +251,6 @@ class SliceCluster:
         """Attach a client host with an interposed µproxy; returns both."""
         name = name or f"client{len(self.clients)}"
         host = self.net.add_host(name)
-        pp = proxy_params or ProxyParams()
-        pp.fill_checksums = self.params.verify_checksums
         proxy = UProxy(
             self.sim, host, self.virtual, self.name_config, self.params.io,
             self.dir_table.copy(),
@@ -265,7 +260,7 @@ class SliceCluster:
             coordinators=self.coordinator_addrs,
             configsvc=self.configsvc.address,
             cost=cost,
-            params=pp,
+            params=proxy_params,
             proxy_id=len(self.clients) + 1,
             tracer=self.tracer,
         )

@@ -83,11 +83,11 @@ class ConfigService:
     """Authoritative registry of named routing tables."""
 
     def __init__(self, sim, host: Host, port: int = CONFIG_PORT,
-                 fill_checksums: bool = True, tracer=None):
+                 tracer=None):
         self.sim = sim
         self.host = host
         self.tables: Dict[str, RoutingTable] = {}
-        self.server = RpcServer(host, port, fill_checksums=fill_checksums)
+        self.server = RpcServer(host, port)
         self.server.register(SLICE_CONFIG_PROGRAM, self._service)
         self.fetches = 0
         self.not_modified = 0

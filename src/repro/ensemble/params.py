@@ -38,7 +38,6 @@ class ClusterParams:
     name_mode: str = MKDIR_SWITCHING
     mkdir_p: float = 0.25
     mirror_files: bool = False  # mint FLAG_MIRRORED into new regular files
-    verify_checksums: bool = True  # disable in bandwidth benchmarks (NIC offload)
     io: IoPolicy = field(default_factory=IoPolicy)
     net: NetParams = field(default_factory=NetParams)
     storage: StorageNodeParams = field(default_factory=StorageNodeParams)
@@ -53,11 +52,3 @@ class ClusterParams:
             num_logical_sites=self.dir_logical_sites,
             mkdir_p=self.mkdir_p,
         )
-
-    def __post_init__(self):
-        # One flag drives every component's checksum behaviour.
-        self.storage.fill_checksums = self.verify_checksums
-        self.dirsvc.fill_checksums = self.verify_checksums
-        self.smallfile.fill_checksums = self.verify_checksums
-        self.coordinator.fill_checksums = self.verify_checksums
-        self.client.fill_checksums = self.verify_checksums

@@ -29,6 +29,10 @@ class NetParams:
     frame_overhead: int = 42  # Ethernet + preamble + IFG per frame
     fabric_latency: float = 10e-6  # switch cut-through / forwarding decision
     propagation: float = 2e-6  # per link
+    #: The one checksum switch: endpoints and the µproxy fill packet
+    #: checksums only when set.  Bandwidth runs turn it off to model the
+    #: paper's NICs offloading the checksum.
+    verify_checksums: bool = True
 
 
 class Network:

@@ -40,7 +40,6 @@ class ClientParams:
     mirror_write_cpu_per_byte: float = 7e-9  # µproxy duplication, on-client
     retrans_timeout: float = 0.7
     max_tries: int = 10
-    fill_checksums: bool = True
 
 
 class NfsClient:
@@ -65,7 +64,6 @@ class NfsClient:
             cred=Credential(machine_name or host.name, uid=uid, gid=uid),
             retrans_timeout=self.params.retrans_timeout,
             max_tries=self.params.max_tries,
-            fill_checksums=self.params.fill_checksums,
             # A *stable* per-endpoint seed: the builtin hash() of a string
             # varies with PYTHONHASHSEED, which would make xid streams (and
             # with them retransmit jitter and every chaos-run digest) differ

@@ -2,15 +2,15 @@
 
 The observability subsystem for the Slice reproduction:
 
-- :class:`Tracer` — per-exchange span trees threaded through the µproxy,
-  the simulated fabric, the RPC servers, and the coordinator's intention
-  log (off by default; attach one to a :class:`~repro.ensemble.cluster.
-  SliceCluster` to enable).
-- :class:`MetricsRegistry` — per-component counters/histograms that dump
-  through the benchmark table formatter.
-- :class:`TraceChecker` — replays completed traces and asserts cross-site
-  protocol invariants, turning any end-to-end test into a correctness
-  oracle.
+- :mod:`repro.obs.trace` — :class:`Tracer`, per-exchange span trees
+  threaded through the µproxy, the simulated fabric, the RPC servers, and
+  the coordinator's intention log (off by default; attach one to a
+  :class:`~repro.ensemble.cluster.SliceCluster` to enable).
+- :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, per-component
+  counters/histograms that dump through the benchmark table formatter.
+- :mod:`repro.obs.checker` — :class:`TraceChecker`, which replays
+  completed traces and asserts cross-site protocol invariants, turning
+  any end-to-end test into a correctness oracle.
 
 The latency-anatomy layer builds on those primitives:
 
@@ -20,8 +20,11 @@ The latency-anatomy layer builds on those primitives:
   simulated-clock cadence.
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto),
   Prometheus text exposition, and a JSONL structured log.
-- ``python -m repro.obs.dash`` — terminal dashboard over either a live
-  cluster or exported files.
+- :mod:`repro.obs.dash` (``python -m repro.obs.dash``) — terminal
+  dashboard over either a live cluster or exported files.
+
+Run-to-run performance comparison is ``perfbench/`` at the repository
+root, not part of this package.
 
 See ``docs/OBSERVABILITY.md`` for the span schema and the invariant list.
 """

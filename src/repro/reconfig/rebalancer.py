@@ -103,9 +103,7 @@ class Rebalancer:
         self.tracer = cluster.tracer
         host = cluster.net.add_host("rebalancer")
         self.client = RpcClient(
-            host, port,
-            retrans_timeout=0.5, max_tries=4,
-            fill_checksums=cluster.params.verify_checksums,
+            host, port, retrans_timeout=0.5, max_tries=4
         )
         self.units_moved = 0
         self.bytes_moved = 0

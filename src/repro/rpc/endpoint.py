@@ -52,7 +52,6 @@ class RpcClient:
         max_retrans_timeout: float = 8.0,
         jitter: float = 0.1,
         max_tries: int = 8,
-        fill_checksums: bool = True,
         xid_seed: int = 0,
     ):
         """``max_retrans_timeout`` caps the exponential backoff so a
@@ -68,7 +67,6 @@ class RpcClient:
         self.max_retrans_timeout = max_retrans_timeout
         self.jitter = jitter
         self.max_tries = max_tries
-        self.fill_checksums = fill_checksums
         # Deterministic per-endpoint stream: jitter must not perturb (or be
         # perturbed by) any other randomness in the run.
         self._rng = random.Random(
@@ -128,7 +126,7 @@ class RpcClient:
 
         def fresh_packet() -> Packet:
             pkt = Packet(self.address, dst, header, body, trace_id=trace_id)
-            if self.fill_checksums:
+            if self.host.network.params.verify_checksums:
                 pkt.fill_checksum()
             return pkt
 
@@ -182,10 +180,9 @@ class RpcServer:
     DRC_CAPACITY = 2048
     _IN_PROGRESS = object()
 
-    def __init__(self, host: Host, port: int, fill_checksums: bool = True):
+    def __init__(self, host: Host, port: int):
         self.host = host
         self.port = port
-        self.fill_checksums = fill_checksums
         self.services: Dict[int, object] = {}
         self._drc: OrderedDict = OrderedDict()
         # (src, xid) keys whose service actually executed this boot epoch.
@@ -373,6 +370,6 @@ class RpcServer:
     def _reply_packet(self, dst: Address, header: bytes, body: Data,
                       trace_id: int = 0) -> Packet:
         pkt = Packet(self.address, dst, header, body, trace_id=trace_id)
-        if self.fill_checksums:
+        if self.host.network.params.verify_checksums:
             pkt.fill_checksum()
         return pkt

@@ -122,7 +122,6 @@ class SmallFileParams:
     map_records_per_block: int = 64
     peer_retrans_timeout: float = 0.5
     peer_max_tries: int = 4
-    fill_checksums: bool = True
 
 
 class SmallFileServer:
@@ -147,7 +146,7 @@ class SmallFileServer:
         self.num_logical_sites = num_logical_sites
         self.params = params or SmallFileParams()
         self.tracer = tracer
-        self.server = RpcServer(host, port, fill_checksums=self.params.fill_checksums)
+        self.server = RpcServer(host, port)
         self.server.tracer = tracer
         self.server.trace_component = f"sf:{host.name}"
         self.server.register(proto.NFS_PROGRAM, self._nfs_service)
@@ -156,7 +155,6 @@ class SmallFileServer:
             host, port + 1,
             retrans_timeout=self.params.peer_retrans_timeout,
             max_tries=self.params.peer_max_tries,
-            fill_checksums=self.params.fill_checksums,
         )
         from repro.storage.cache import BufferCache
         from repro.storage.disk import LogDevice

@@ -38,7 +38,6 @@ class CoordinatorParams:
     cpu_per_op: float = 20e-6
     probe_interval: float = 5.0
     intent_timeout: float = 10.0
-    fill_checksums: bool = True
 
 
 def _file_key(fh: bytes) -> bytes:
@@ -71,15 +70,11 @@ class Coordinator:
         self.num_storage_sites = num_storage_sites
         self.tracer = tracer
         self.log = WriteAheadLog(sim, write_cost=log_write_cost)
-        self.server = RpcServer(
-            host, port, fill_checksums=self.params.fill_checksums
-        )
+        self.server = RpcServer(host, port)
         self.server.tracer = tracer
         self.server.trace_component = f"coord:{host.name}"
         self.server.register(cp.SLICE_COORD_PROGRAM, self._service)
-        self.client = RpcClient(
-            host, port + 1, fill_checksums=self.params.fill_checksums
-        )
+        self.client = RpcClient(host, port + 1)
         self.pending: Dict[int, cp.Intent] = {}
         self.block_maps: Dict[bytes, Dict[int, int]] = {}
         self.recoveries = 0

@@ -82,7 +82,6 @@ class StorageNodeParams:
     # FFS write clustering: once this many dirty blocks accumulate for one
     # object, the node starts writing them back without waiting for commit.
     write_behind_blocks: int = 16
-    fill_checksums: bool = True
 
 
 class StorageNode:
@@ -108,9 +107,7 @@ class StorageNode:
         )
         self.cache = BufferCache(self.params.cache_bytes)
         self.store = ObjectStore(allocate_phys=self.array.allocate)
-        self.server = RpcServer(
-            host, port, fill_checksums=self.params.fill_checksums
-        )
+        self.server = RpcServer(host, port)
         self.server.tracer = tracer
         self.server.trace_component = f"storage:{host.name}"
         self.server.register(proto.NFS_PROGRAM, self._nfs_service)

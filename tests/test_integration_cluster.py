@@ -6,15 +6,20 @@ small-file servers, bulk I/O to storage nodes), attribute virtualization,
 write verifiers, mirroring, reconfiguration, and µproxy state loss.
 """
 
+import re
+
 import pytest
 
+from repro.api import ClusterSpec, build
 from repro.dirsvc.config import NAME_HASHING
 from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
+from repro.net import Host, NetParams
 from repro.nfs.errors import NFS3_OK
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import Sattr3
 from repro.util.bytesim import PatternData, RealData
+from repro.workloads.bulkio import dd_read, dd_write
 
 # Every cluster built in this module gets a tracer attached; the protocol
 # invariants are replay-checked at teardown (see tests/conftest.py).
@@ -138,6 +143,91 @@ def test_file_spanning_threshold():
     assert data == payload
     assert sum(s.writes for s in cluster.sf_servers) > 0
     assert sum(n.writes for n in cluster.storage_nodes) > 0
+
+
+def test_replies_returned_matches_ops_sent_and_tracer():
+    """Every NFS op the client sends gets exactly one reply back through the
+    µproxy, whether forwarded from a server or synthesized (commit replies,
+    attribute-cache getattrs); the µproxy counter and the tracer agree."""
+    cluster = small_cluster(num_storage_nodes=2)
+    client, proxy = cluster.add_client()
+    size = 1 << 20
+
+    def run():
+        fh, _ = yield from dd_write(client, cluster.root_fh, "dd.bin", size,
+                                    seed=3)
+        yield from dd_read(client, fh, size, verify_seed=3)
+        # An uncommitted append leaves the µproxy's attributes dirty, so it
+        # answers the next GETATTR itself.
+        yield from client.write(fh, size, RealData(b"tail"))
+        synthesized = proxy.synthesized
+        yield from client.getattr(fh)
+        assert proxy.synthesized == synthesized + 1
+        yield from client.commit(fh)
+
+    cluster.run(run())
+    assert proxy.commits_absorbed == 2
+    traced = cluster.tracer.metrics.snapshot()["uproxy"]["replies_returned"]
+    assert proxy.replies_returned == client.ops_sent == traced
+
+
+def _checksum_cluster(switch):
+    if switch == "cluster-spec":
+        return build(ClusterSpec(storage_nodes=2, dir_servers=1, sf_servers=1,
+                                 verify_checksums=False))
+    shape = dict(num_storage_nodes=2, num_dir_servers=1, num_sf_servers=1,
+                 dir_logical_sites=8, sf_logical_sites=8)
+    if switch == "net-params":
+        shape["net"] = NetParams(verify_checksums=False)
+    params = ClusterParams(**shape)
+    if switch == "set-after-build":
+        params.net.verify_checksums = False
+    return SliceCluster(params=params)
+
+
+@pytest.mark.parametrize("switch", ["default", "net-params",
+                                    "set-after-build", "cluster-spec"])
+def test_one_checksum_switch_covers_every_packet_source(switch, monkeypatch):
+    """``NetParams.verify_checksums`` alone decides whether packets carry a
+    checksum, for every server class and for µproxy-synthesized replies."""
+    delivered = []  # (sender class, checksum, checksum_ok())
+    deliver, loopback = Host.deliver, Host.loopback
+
+    def record(sender, pkt):
+        delivered.append(
+            (re.sub(r"\d+$", "", sender), pkt.cksum, pkt.checksum_ok())
+        )
+
+    def recording_deliver(self, pkt):
+        record(pkt.src.host, pkt)
+        deliver(self, pkt)
+
+    def recording_loopback(self, pkt, delay=0.0):
+        record("uproxy", pkt)
+        loopback(self, pkt, delay)
+
+    monkeypatch.setattr(Host, "deliver", recording_deliver)
+    monkeypatch.setattr(Host, "loopback", recording_loopback)
+    cluster = _checksum_cluster(switch)
+    client, proxy = cluster.add_client()
+
+    def run():
+        small = yield from client.create(cluster.root_fh, "small.txt")
+        yield from client.write_file(small.fh, RealData(b"small"))
+        fh, _ = yield from dd_write(client, cluster.root_fh, "dd.bin",
+                                    256 << 10, seed=5)
+        yield from dd_read(client, fh, 256 << 10, verify_seed=5)
+        proxy._refresh_tables()  # one configuration-service exchange
+        yield cluster.sim.timeout(1.0)
+
+    cluster.run(run())
+    assert cluster.configsvc.fetches + cluster.configsvc.not_modified > 0
+    senders = {sender for sender, _c, _ok in delivered}
+    assert {"store", "dir", "sf", "coord", "configsvc", "uproxy"} <= senders
+    if switch == "default":
+        assert all(cksum is not None and ok for _s, cksum, ok in delivered)
+    else:
+        assert [d for d in delivered if d[1] is not None] == []
 
 
 def test_commit_is_absorbed_by_uproxy():

@@ -1,5 +1,5 @@
-"""Exporter formats: Perfetto JSON shape, Prometheus grammar, JSONL
-round-trips, and the benchdiff regression flagger."""
+"""Exporter formats: Perfetto JSON shape, Prometheus grammar, and JSONL
+round-trips."""
 
 import json
 import re
@@ -17,7 +17,6 @@ from repro.obs import (
     read_jsonl,
     write_jsonl,
 )
-from repro.obs.benchdiff import diff, flatten
 from repro.workloads.untar import UntarSpec, UntarWorkload
 
 
@@ -179,45 +178,3 @@ def test_export_bundle_writes_everything(tmp_path, traced_run):
     from repro.obs.dash import render_file
 
     assert "critical-path anatomy" in render_file(str(out))
-
-
-# -- benchdiff -------------------------------------------------------------
-
-
-def test_flatten_paths():
-    leaves = dict(flatten({"a": {"b": [1, {"c": 2.5}]}, "d": "x"}))
-    assert leaves == {"a.b[0]": 1, "a.b[1].c": 2.5, "d": "x"}
-
-
-def test_benchdiff_flags_only_large_drift():
-    old = {"t": {"mean_s": 100.0, "p95_s": 10.0, "count": 50, "tag": "a"}}
-    new = {"t": {"mean_s": 115.0, "p95_s": 10.5, "count": 50, "tag": "b"}}
-    result = diff(old, new, threshold=0.10)
-    flagged_paths = [p for p, *_ in result["flagged"]]
-    assert flagged_paths == ["t.mean_s"]  # +15% > 10%
-    changed_paths = [p for p, *_ in result["changed"]]
-    assert changed_paths == ["t.p95_s"]  # +5% within budget
-    assert result["mismatched"] == [("t.tag", "a", "b")]
-
-
-def test_benchdiff_added_removed_and_zero_noise():
-    old = {"a": 0.0, "gone": 1}
-    new = {"a": 1e-15, "fresh": 2}
-    result = diff(old, new)
-    assert result["flagged"] == []  # sub-epsilon drift ignored
-    assert result["added"] == ["fresh"]
-    assert result["removed"] == ["gone"]
-
-
-def test_benchdiff_cli_exit_codes(tmp_path, capsys):
-    from repro.obs.benchdiff import main
-
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    a.write_text(json.dumps({"mean": 1.0}))
-    b.write_text(json.dumps({"mean": 1.05}))
-    assert main([str(a), str(b)]) == 0
-    b.write_text(json.dumps({"mean": 2.0}))
-    assert main([str(a), str(b)]) == 1
-    out = capsys.readouterr().out
-    assert "FLAGGED" in out and "+100.0%" in out

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Reproduce everything: full test suite, then every paper table/figure.
+# Reproduce everything: full test suite and the perfbench helper tests,
+# then every paper table/figure.
 #
 #   --with-traces   attach a repro.obs tracer to every cluster
 #                   (REPRO_TRACE=1): tests replay protocol invariants and
@@ -42,6 +43,7 @@ for arg in "$@"; do
 done
 set -x
 pytest tests/ 2>&1 | tee test_output.txt
+python3 -m pytest perfbench -q 2>&1 | tee perfbench_test_output.txt
 if [ "$WITH_TELEMETRY" = "1" ]; then
     pytest tests/ -m telemetry 2>&1 | tee telemetry_output.txt
 fi

@@ -107,12 +107,6 @@ class BlockMapCache:
             _fid, dropped = self._maps.popitem()
             self._size -= len(dropped)
 
-    def forget(self, fileid: int) -> None:
-        """Drop one file's cached map (e.g. after remove)."""
-        dropped = self._maps.pop(fileid, None)
-        if dropped:
-            self._size -= len(dropped)
-
     def drop_sites(self, sites) -> int:
         """Discard cached entries that point at moved storage sites.
 

@@ -167,22 +167,18 @@ class UProxy(PacketFilter):
     # telemetry
     # ------------------------------------------------------------------
 
-    def telemetry_gauges(self, scope) -> None:
-        """Register this µproxy's pull-gauges on a metrics scope."""
-        attr_cache = self.attr_cache
-        scope.gauge(
-            "attr_cache_hit_rate",
-            fn=lambda: (
-                attr_cache.hits / (attr_cache.hits + attr_cache.misses)
-                if (attr_cache.hits + attr_cache.misses) else 0.0
-            ),
-        )
-        scope.gauge("attr_cache_entries", fn=lambda: len(attr_cache))
-        scope.gauge("pending_ops", fn=lambda: len(self.pending))
-        scope.gauge("dirty_files", fn=lambda: len(self.dirty_sites))
-        cpu = self.host.cpu
-        scope.gauge("cpu_queue", fn=lambda: cpu.queue_length)
-        scope.gauge("cpu_util", fn=cpu.utilization)
+    def gauges(self) -> Dict[str, float]:
+        """Current load readings (levels, not cumulative counts)."""
+        cache = self.attr_cache
+        lookups = cache.hits + cache.misses
+        return {
+            "attr_cache_hit_rate": cache.hits / lookups if lookups else 0.0,
+            "attr_cache_entries": len(cache),
+            "pending_ops": len(self.pending),
+            "dirty_files": len(self.dirty_sites),
+            "cpu_queue": self.host.cpu.queue_length,
+            "cpu_util": self.host.cpu.utilization(),
+        }
 
     # ------------------------------------------------------------------
     # helpers
@@ -673,12 +669,6 @@ class UProxy(PacketFilter):
         self._synthesize_reply(client_addr, xid, res, kind="split-write")
 
     # -- bulk I/O routing ---------------------------------------------------
-
-    def _block_site(self, fh: FHandle, block: int) -> Optional[int]:
-        """Primary storage site for a block under the active policy."""
-        if not self.io.use_block_maps:
-            return self.placement.primary_site(fh, block)
-        return self.block_maps.get(fh.fileid, block)
 
     def _route_bulk_read(self, pkt, key, args, fh: FHandle, rec: _Pending):
         block = self.io.block_of(args.offset)

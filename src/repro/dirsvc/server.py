@@ -152,26 +152,17 @@ class DirectoryServer:
     # telemetry
     # ------------------------------------------------------------------
 
-    def telemetry_gauges(self, scope) -> None:
-        """Register this manager's pull-gauges on a metrics scope."""
-        scope.gauge("loaded_sites", fn=lambda: len(self.sites))
-        scope.gauge(
-            "wal_depth",
-            fn=lambda: sum(
-                self.backing.site("dir", sid).log.depth for sid in self.sites
-            ),
-        )
-        scope.gauge(
-            "wal_unsynced",
-            fn=lambda: sum(
-                self.backing.site("dir", sid).log.unsynced
-                for sid in self.sites
-            ),
-        )
-        scope.gauge("prepared_tx", fn=lambda: len(self.prepared))
-        cpu = self.host.cpu
-        scope.gauge("cpu_queue", fn=lambda: cpu.queue_length)
-        scope.gauge("cpu_util", fn=cpu.utilization)
+    def gauges(self) -> Dict[str, float]:
+        """Current load readings (levels, not cumulative counts)."""
+        logs = [self.backing.site("dir", sid).log for sid in self.sites]
+        return {
+            "loaded_sites": len(self.sites),
+            "wal_depth": sum(log.depth for log in logs),
+            "wal_unsynced": sum(log.unsynced for log in logs),
+            "prepared_tx": len(self.prepared),
+            "cpu_queue": self.host.cpu.queue_length,
+            "cpu_util": self.host.cpu.utilization(),
+        }
 
     # ------------------------------------------------------------------
     # site lifecycle
@@ -297,9 +288,6 @@ class DirectoryServer:
             return FHandle.unpack(raw)
         except ValueError:
             raise _OpError(NFS3ERR_STALE)
-
-    def _attrs_of(self, state: SiteState, fileid: int) -> Optional[AttrCell]:
-        return state.get_attr_cell(attr_key_for(fileid))
 
     def _new_txid(self) -> str:
         return f"{self.host.name}:{next(self._txid_counter)}"

@@ -9,7 +9,7 @@ interposed on the client host's network path to the virtual NFS server.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import CostModel, ProxyParams, RoutingTable, UProxy
 from repro.core.placement import StaticPlacement
@@ -157,30 +157,54 @@ class SliceCluster:
 
     # -- telemetry ----------------------------------------------------------
 
-    def start_telemetry(self, interval: float = 0.05, maxlen: int = 512):
-        """Arm time-series telemetry on this (traced) cluster.
+    def gauges(self) -> Dict[str, float]:
+        """Every component's current readings as ``"scope.name"`` keys.
 
-        Installs the standard gauge set for every component (see
-        :func:`repro.obs.timeseries.install_cluster_gauges`) and starts a
-        :class:`~repro.obs.timeseries.TimeSeriesSampler` ticking every
-        ``interval`` simulated seconds.  Idempotent; returns the sampler.
-        Components added later (clients, scale-out storage nodes) are
-        instrumented automatically.
+        Scopes are ``storage:<host>``, ``uproxy:<host>``, ``dirsvc:<host>``,
+        ``sf:<host>``, ``coord:<host>`` and ``net`` (per-host switch port
+        and NIC), plus ``coord.intents_open`` from the tracer's intent
+        ledger when there is one.  The component lists are walked on every
+        call, so whatever any ``add_*`` method brought up is included.
         """
-        if self.tracer is None:
-            raise ValueError(
-                "telemetry needs a traced cluster: "
-                "SliceCluster(tracer=Tracer()) or REPRO_TRACE=1"
-            )
-        from repro.obs.timeseries import (
-            TimeSeriesSampler,
-            install_cluster_gauges,
+        groups = (
+            ("storage", self.storage_nodes),
+            ("uproxy", [proxy for _client, proxy in self.clients]),
+            ("dirsvc", self.dir_servers),
+            ("sf", self.sf_servers),
+            ("coord", self.coordinators),
         )
+        out: Dict[str, float] = {}
+        for scope, components in groups:
+            for component in components:
+                prefix = f"{scope}:{component.host.name}."
+                for name, value in component.gauges().items():
+                    out[prefix + name] = value
+        if self.tracer is not None:
+            out["coord.intents_open"] = self.tracer.open_intent_count
+        for name, host in self.net.hosts.items():
+            port = self.net.output_port(name)
+            out[f"net.port_{name}_queue"] = port.queue_length
+            out[f"net.port_{name}_util"] = port.utilization()
+            out[f"net.nic_{name}_queue"] = (
+                host.nic_tx.queue_length + host.nic_tx.in_use
+            )
+        return out
 
-        install_cluster_gauges(self)
+    def start_telemetry(self, interval: float = 0.05, maxlen: int = 512):
+        """Arm time-series telemetry on this cluster, traced or not.
+
+        Starts a :class:`~repro.obs.timeseries.TimeSeriesSampler` that
+        records :meth:`gauges` every ``interval`` simulated seconds, plus
+        per-second rates of the tracer's counters when there is a tracer.
+        Idempotent; returns the sampler.
+        """
+        from repro.obs.timeseries import TimeSeriesSampler
+
         if self._telemetry is None:
+            tracer = self.tracer
+            registry = tracer.metrics if tracer is not None else None
             self._telemetry = TimeSeriesSampler(
-                self.sim, self.tracer.metrics,
+                self.sim, self.gauges, registry,
                 interval=interval, maxlen=maxlen,
             ).start()
         return self._telemetry
@@ -189,15 +213,6 @@ class SliceCluster:
     def telemetry(self):
         """The running sampler, or None before :meth:`start_telemetry`."""
         return self._telemetry
-
-    def _watch_new_component(self) -> None:
-        """Re-install gauges after topology growth (no-op when untraced)."""
-        # getattr: _new_storage_node runs during __init__, before the
-        # _telemetry attribute exists.
-        if getattr(self, "_telemetry", None) is not None:
-            from repro.obs.timeseries import install_cluster_gauges
-
-            install_cluster_gauges(self)
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -209,7 +224,6 @@ class SliceCluster:
         node = StorageNode(self.sim, host, self.params.storage,
                            tracer=self.tracer)
         self.storage_nodes.append(node)
-        self._watch_new_component()
         return node
 
     def _arm_site_checks(self) -> None:
@@ -267,7 +281,6 @@ class SliceCluster:
         cp = client_params or self.params.client
         client = NfsClient(self.sim, host, self.virtual, port=port, params=cp)
         self.clients.append((client, proxy))
-        self._watch_new_component()
         return client, proxy
 
     # -- reconfiguration ------------------------------------------------------

@@ -104,9 +104,6 @@ class ConfigService:
         table.epoch = self.epoch
         self.tables[name] = table
 
-    def get_table(self, name: str) -> RoutingTable:
-        return self.tables[name]
-
     def rebind(self, name: str, site: int, address) -> int:
         """Reconfiguration: point one logical site at a new server.
 

@@ -1,13 +1,11 @@
 """Measurement and reporting utilities."""
 
 from .report import banner, format_series, format_table
-from .stats import Counter, Gauge, LatencyRecorder, ThroughputWindow
+from .stats import Counter, LatencyRecorder
 
 __all__ = [
     "Counter",
-    "Gauge",
     "LatencyRecorder",
-    "ThroughputWindow",
     "banner",
     "format_series",
     "format_table",

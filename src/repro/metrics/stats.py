@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
-__all__ = ["LatencyRecorder", "Counter", "Gauge", "ThroughputWindow"]
+__all__ = ["LatencyRecorder", "Counter"]
 
 
 class LatencyRecorder:
@@ -111,87 +111,12 @@ class LatencyRecorder:
 
 
 class Counter:
-    """A named monotonic counter with snapshot deltas."""
+    """A named monotonic counter."""
 
     def __init__(self, name: str = ""):
         self.name = name
         self.value = 0
-        self._mark = 0
 
     def add(self, amount: int = 1) -> None:
         self.value += amount
 
-    def mark(self) -> None:
-        self._mark = self.value
-
-    def since_mark(self) -> int:
-        return self.value - self._mark
-
-
-class Gauge:
-    """A named instantaneous value: either set explicitly or computed.
-
-    Two styles, matching how telemetry is wired in practice::
-
-        g = Gauge("queue_depth")
-        g.set(3)                        # push style
-
-        g = Gauge("util", fn=lambda: cpu.utilization())   # pull style
-
-    ``value()`` evaluates the callback when one is attached, else returns
-    the last ``set()`` value.  A failing callback reads as 0.0 — telemetry
-    must never take the system down.
-    """
-
-    __slots__ = ("name", "fn", "_value")
-
-    def __init__(self, name: str = "",
-                 fn: Optional[Callable[[], Union[int, float]]] = None):
-        self.name = name
-        self.fn = fn
-        self._value: float = 0.0
-
-    def set(self, value: Union[int, float]) -> None:
-        self._value = value
-
-    def value(self) -> float:
-        if self.fn is not None:
-            try:
-                return float(self.fn())
-            except Exception:
-                return 0.0
-        return float(self._value)
-
-
-class ThroughputWindow:
-    """Computes rates over an explicit measurement window."""
-
-    def __init__(self):
-        self._start: Optional[float] = None
-        self._end: Optional[float] = None
-        self.events = 0
-        self.bytes = 0
-
-    def start(self, now: float) -> None:
-        self._start = now
-        self.events = 0
-        self.bytes = 0
-
-    def record(self, nbytes: int = 0) -> None:
-        self.events += 1
-        self.bytes += nbytes
-
-    def stop(self, now: float) -> None:
-        self._end = now
-
-    @property
-    def elapsed(self) -> float:
-        if self._start is None or self._end is None:
-            return 0.0
-        return self._end - self._start
-
-    def ops_per_second(self) -> float:
-        return self.events / self.elapsed if self.elapsed > 0 else 0.0
-
-    def bytes_per_second(self) -> float:
-        return self.bytes / self.elapsed if self.elapsed > 0 else 0.0

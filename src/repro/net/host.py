@@ -96,9 +96,6 @@ class Host:
             raise ValueError(f"{self.name}: port {port} already bound")
         self.handlers[port] = handler
 
-    def unbind(self, port: int) -> None:
-        self.handlers.pop(port, None)
-
     def send(self, packet: Packet) -> None:
         """Transmit via the egress filter chain and the network."""
         if not self.up:

@@ -65,11 +65,6 @@ class FHandle:
     def mirrored(self) -> bool:
         return bool(self.flags & FLAG_MIRRORED)
 
-    def with_flags(self, flags: int) -> "FHandle":
-        return FHandle(
-            self.volume, self.ftype, flags, self.fileid, self.home_site, self.key
-        )
-
     def __repr__(self):
         return (
             f"FHandle(vol={self.volume}, type={self.ftype}, fileid={self.fileid}, "

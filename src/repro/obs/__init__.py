@@ -16,8 +16,9 @@ The latency-anatomy layer builds on those primitives:
 
 - :mod:`repro.obs.anatomy` — critical-path decomposition of each
   exchange's latency into phases that tile the interval exactly.
-- :mod:`repro.obs.timeseries` — ring-buffered gauge/rate sampling on a
-  simulated-clock cadence.
+- :mod:`repro.obs.timeseries` — ring-buffered sampling, on a
+  simulated-clock cadence, of each component's ``gauges()`` reading and
+  of counter rates; no tracer is needed.
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto),
   Prometheus text exposition, and a JSONL structured log.
 - :mod:`repro.obs.dash` (``python -m repro.obs.dash``) — terminal
@@ -40,7 +41,7 @@ from .export import (
     write_jsonl,
 )
 from .metrics import MetricsRegistry, MetricsScope
-from .timeseries import RingBuffer, TimeSeriesSampler, install_cluster_gauges
+from .timeseries import RingBuffer, TimeSeriesSampler
 from .trace import ExchangeTrace, Span, Tracer, all_tracers
 
 __all__ = [
@@ -60,7 +61,6 @@ __all__ = [
     "analyze_exchange",
     "chrome_trace",
     "export_bundle",
-    "install_cluster_gauges",
     "jsonl_events",
     "prometheus_text",
     "read_jsonl",

@@ -7,8 +7,9 @@ Three interchange formats, all writable from one traced run:
   ``chrome://tracing``) and the whole cluster appears as one timeline,
   one process row per component, one track per exchange.
 - :func:`prometheus_text` renders a :class:`~repro.obs.metrics.MetricsRegistry`
-  in the Prometheus text exposition format (counters, gauges, and
-  histogram→summary families labelled by component).
+  and a ``{"scope.name": value}`` gauge reading in the Prometheus text
+  exposition format (counters, gauges, and histogram→summary families
+  labelled by component).
 - :func:`jsonl_events` / :func:`write_jsonl` / :func:`read_jsonl` give a
   structured event log that round-trips losslessly through JSON lines.
 
@@ -141,26 +142,30 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def prometheus_text(registry, prefix: str = "repro") -> str:
+def prometheus_text(registry, gauges: Optional[Dict[str, float]] = None,
+                    prefix: str = "repro") -> str:
     """Render a metrics registry in Prometheus text exposition format.
 
     Scopes become a ``component`` label; counters gain the conventional
     ``_total`` suffix; histograms are exposed as summaries (quantile
-    series plus ``_count``/``_sum``).
+    series plus ``_count``/``_sum``).  ``gauges`` (e.g.
+    ``cluster.gauges()``) maps ``"scope.name"`` to a reading; each name
+    becomes a gauge family labelled by its scope.
     """
     # Group per metric name so each family gets exactly one TYPE line.
     counters: Dict[str, List] = {}
-    gauges: Dict[str, List] = {}
+    gauge_families: Dict[str, List] = {}
     summaries: Dict[str, List] = {}
+    for key, value in (gauges or {}).items():
+        scope, _, name = key.rpartition(".")
+        gauge_families.setdefault(name, []).append(
+            (_escape_label(scope), float(value))
+        )
     for scope in sorted(registry.scopes.values(), key=lambda s: s.name):
         label = _escape_label(scope.name)
         for name in sorted(scope.counters):
             counters.setdefault(name, []).append(
                 (label, scope.counters[name].value)
-            )
-        for name in sorted(scope.gauges):
-            gauges.setdefault(name, []).append(
-                (label, scope.gauges[name].value())
             )
         for name in sorted(scope.histograms):
             summaries.setdefault(name, []).append(
@@ -172,10 +177,10 @@ def prometheus_text(registry, prefix: str = "repro") -> str:
         lines.append(f"# TYPE {metric} counter")
         for label, value in counters[name]:
             lines.append(f'{metric}{{component="{label}"}} {value}')
-    for name in sorted(gauges):
+    for name in sorted(gauge_families):
         metric = f"{prefix}_{_prom_name(name)}"
         lines.append(f"# TYPE {metric} gauge")
-        for label, value in gauges[name]:
+        for label, value in sorted(gauge_families[name]):
             lines.append(
                 f'{metric}{{component="{label}"}} {_prom_value(value)}'
             )
@@ -283,7 +288,8 @@ def export_bundle(tracer, out_dir: str, sampler=None,
     Files: ``trace.json`` (Perfetto), ``metrics.prom`` (Prometheus),
     ``events.jsonl`` (structured log), ``anatomy.json`` (critical-path
     report), and — when a :class:`~repro.obs.timeseries.TimeSeriesSampler`
-    is given — ``timeseries.json``.
+    is given — ``timeseries.json``.  ``metrics.prom`` carries gauges only
+    with a sampler: they are its current ``read()``.
     """
     from .anatomy import analyze
 
@@ -297,7 +303,8 @@ def export_bundle(tracer, out_dir: str, sampler=None,
 
     prom_path = os.path.join(out_dir, "metrics.prom")
     with open(prom_path, "w") as fh:
-        fh.write(prometheus_text(tracer.metrics))
+        gauges = sampler.read() if sampler is not None else None
+        fh.write(prometheus_text(tracer.metrics, gauges))
     paths["metrics"] = prom_path
 
     jsonl_path = os.path.join(out_dir, "events.jsonl")

@@ -1,4 +1,4 @@
-"""Per-component metrics: counters, histograms, and gauges behind one registry.
+"""Per-component metrics: counters and histograms behind one registry.
 
 The registry reuses the benchmark-harness primitives from
 :mod:`repro.metrics.stats` (so a counter is a counter everywhere in the
@@ -8,42 +8,38 @@ with.  Scopes give each component its own namespace::
 
     registry.scope("uproxy:client0").inc("requests_routed")
     registry.scope("storage:store1").observe("handle_s", 0.0023)
-    registry.scope("storage:store1").gauge("cpu_queue", fn=lambda: cpu.queue_length)
     print(registry.format_tables())
 
 Everything is zero-dependency and cheap: creating a metric is a dict
-insert, updating one is an attribute bump.  Gauges are *pull*-style by
-default (a callback evaluated at snapshot/sample time) so registering one
-costs nothing on the hot path.
+insert, updating one is an attribute bump.  Instantaneous levels (queue
+depths, utilisations) are not kept here: each component reports them
+from its own ``gauges()`` method when telemetry samples it.
 
-``snapshot()`` returns one complete view — counters, histogram summaries,
-and gauge readings — which is what the exporters
-(:mod:`repro.obs.export`), the time-series sampler
-(:mod:`repro.obs.timeseries`), and test assertions all consume.
+``snapshot()`` returns one view — counters and histogram summaries —
+which is what the exporters (:mod:`repro.obs.export`) and test
+assertions consume.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics.report import format_table
-from repro.metrics.stats import Counter, Gauge, LatencyRecorder
+from repro.metrics.stats import Counter, LatencyRecorder
 
 __all__ = ["MetricsScope", "MetricsRegistry"]
 
 
 class MetricsScope:
-    """One component's namespace of counters, histograms, and gauges."""
+    """One component's namespace of counters and histograms."""
 
-    __slots__ = ("name", "counters", "histograms", "gauges",
-                 "histogram_reservoir")
+    __slots__ = ("name", "counters", "histograms", "histogram_reservoir")
 
     def __init__(self, name: str, histogram_reservoir: Optional[int] = None):
         self.name = name
         self.histogram_reservoir = histogram_reservoir
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, LatencyRecorder] = {}
-        self.gauges: Dict[str, Gauge] = {}
 
     # -- counters ---------------------------------------------------------
 
@@ -73,26 +69,6 @@ class MetricsScope:
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).record(value)
-
-    # -- gauges -----------------------------------------------------------
-
-    def gauge(self, name: str,
-              fn: Optional[Callable[[], Union[int, float]]] = None) -> Gauge:
-        """Get or create a gauge; ``fn`` (when given) replaces the callback."""
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = Gauge(f"{self.name}.{name}", fn=fn)
-            self.gauges[name] = gauge
-        elif fn is not None:
-            gauge.fn = fn
-        return gauge
-
-    def set_gauge(self, name: str, value: Union[int, float]) -> None:
-        self.gauge(name).set(value)
-
-    def gauge_value(self, name: str) -> float:
-        gauge = self.gauges.get(name)
-        return gauge.value() if gauge is not None else 0.0
 
 
 class MetricsRegistry:
@@ -143,23 +119,10 @@ class MetricsRegistry:
                 ))
         return rows
 
-    def gauge_rows(self) -> List[Tuple[str, str, float]]:
-        rows = []
-        for scope_name in sorted(self.scopes):
-            scope = self.scopes[scope_name]
-            for name in sorted(scope.gauges):
-                rows.append((scope_name, name, scope.gauges[name].value()))
-        return rows
-
     def snapshot(self) -> Dict[str, Dict]:
-        """One complete view: counters (plain ints), histogram summaries
-        (``{"n", "mean", "p50", "p95", "max"}`` dicts), and gauge readings
-        (floats), merged per scope.
-
-        Counter entries keep their historical plain-int shape so existing
-        assertions (``snap["uproxy"]["calls_intercepted"] == 3``) are
-        unaffected; histograms and gauges — previously dropped entirely —
-        now appear alongside them.
+        """Counters (plain ints) and histogram summaries
+        (``{"n", "mean", "p50", "p95", "max"}`` dicts), merged per scope,
+        e.g. ``snap["uproxy"]["calls_intercepted"] == 3``.
         """
         snap: Dict[str, Dict] = {}
         for scope_name, scope in self.scopes.items():
@@ -169,8 +132,6 @@ class MetricsRegistry:
             }
             for name, hist in scope.histograms.items():
                 view[name] = hist.summary()
-            for name, gauge in scope.gauges.items():
-                view[name] = gauge.value()
             snap[scope_name] = view
         return snap
 
@@ -187,12 +148,6 @@ class MetricsRegistry:
             parts.append(format_table(
                 ["component", "histogram", "n", "mean", "p95", "max"],
                 hist_rows,
-            ))
-        gauge_rows = self.gauge_rows()
-        if gauge_rows:
-            parts.append(format_table(
-                ["component", "gauge", "value"],
-                [(s, n, f"{v:.6g}") for s, n, v in gauge_rows],
             ))
         if not parts:
             return "(no metrics recorded)"

@@ -8,28 +8,26 @@ interval into bounded ring buffers.
 
 Usage::
 
-    sampler = TimeSeriesSampler(sim, tracer.metrics, interval=0.05)
+    sampler = TimeSeriesSampler(sim, cluster.gauges, tracer.metrics,
+                                interval=0.05)
     sampler.start()
     ... run workload ...
     curves = sampler.series_dict()       # {"scope.gauge": [[t, v], ...]}
 
-Gauges are *pull*-style (callbacks registered on
-:class:`~repro.obs.metrics.MetricsScope`), so components pay nothing on
-their hot paths: the sampler evaluates every callback once per tick.
-Counters are differentiated into per-second rates (``name:rate`` series)
+``read`` is any callable returning ``{"scope.name": value}``, such as
+:meth:`SliceCluster.gauges <repro.ensemble.cluster.SliceCluster.gauges>`.
+It runs once per tick and components only compute their readings then,
+so the hot paths pay nothing.  When a metrics registry is given, its
+counters are differentiated into per-second rates (``name:rate`` series)
 so throughput curves come for free.
-
-:func:`install_cluster_gauges` wires the standard gauge set for a
-:class:`~repro.ensemble.cluster.SliceCluster` by calling each component's
-``telemetry_gauges(scope)`` hook plus the fabric's per-port stats.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["RingBuffer", "TimeSeriesSampler", "install_cluster_gauges"]
+__all__ = ["RingBuffer", "TimeSeriesSampler"]
 
 
 class RingBuffer:
@@ -74,47 +72,49 @@ class RingBuffer:
 
 
 class TimeSeriesSampler:
-    """Samples a :class:`~repro.obs.metrics.MetricsRegistry` periodically.
+    """Samples ``read()`` (and a registry's counter rates) periodically.
 
-    Each tick records every gauge's current reading and every counter's
-    per-second rate (first difference over the interval) into per-metric
-    ring buffers.  The sampling loop is an ordinary sim process, so the
-    cadence is *simulated* seconds — deterministic across runs.
+    Each tick records every reading and, when ``registry`` is given, every
+    counter's per-second rate (first difference over the interval) into
+    per-metric ring buffers.  The sampling loop is an ordinary sim
+    process, so the cadence is *simulated* seconds — deterministic across
+    runs.
     """
 
-    def __init__(self, sim, registry, interval: float = 0.05,
-                 maxlen: int = 512, include_rates: bool = True):
+    def __init__(self, sim, read: Callable[[], Dict[str, float]],
+                 registry=None, interval: float = 0.05, maxlen: int = 512):
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval}")
         self.sim = sim
+        self.read = read
         self.registry = registry
         self.interval = interval
         self.maxlen = maxlen
-        self.include_rates = include_rates
         self.series: Dict[str, RingBuffer] = {}
         self.samples_taken = 0
         self._prev_counters: Dict[str, int] = {}
-        self._proc = None
-        self._stopped = False
+        self._run_token: Optional[object] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "TimeSeriesSampler":
         """Begin sampling (idempotent)."""
-        if self._proc is None:
-            self._stopped = False
-            self._proc = self.sim.process(self._run(), name="telemetry-sampler")
+        if self._run_token is None:
+            self._run_token = object()
+            self.sim.process(self._run(self._run_token),
+                             name="telemetry-sampler")
         return self
 
     def stop(self) -> None:
-        """Stop after the current tick (the process exits on its next wake)."""
-        self._stopped = True
-        self._proc = None
+        """Stop sampling; the process exits on its next wake."""
+        self._run_token = None
 
-    def _run(self):
-        while not self._stopped:
+    def _run(self, token):
+        # Exit once superseded: a stop() then start() within one interval
+        # must not leave the old loop ticking beside the new one.
+        while True:
             yield self.sim.timeout(self.interval)
-            if self._stopped:
+            if self._run_token is not token:
                 return
             self.sample()
 
@@ -128,22 +128,21 @@ class TimeSeriesSampler:
         return buf
 
     def sample(self) -> None:
-        """Take one sample of every gauge (and counter rate) right now."""
+        """Take one sample of every reading (and counter rate) right now."""
         now = self.sim.now
-        for scope in self.registry:
-            for gname, gauge in scope.gauges.items():
-                self._buf(f"{scope.name}.{gname}").append(now, gauge.value())
-            if not self.include_rates:
-                continue
-            for cname, counter in scope.counters.items():
-                key = f"{scope.name}.{cname}"
-                value = counter.value
-                prev = self._prev_counters.get(key)
-                self._prev_counters[key] = value
-                if prev is None:
-                    continue  # no interval to differentiate over yet
-                rate = (value - prev) / self.interval
-                self._buf(f"{key}:rate").append(now, rate)
+        for name, value in self.read().items():
+            self._buf(name).append(now, float(value))
+        if self.registry is not None:
+            for scope in self.registry:
+                for cname, counter in scope.counters.items():
+                    key = f"{scope.name}.{cname}"
+                    value = counter.value
+                    prev = self._prev_counters.get(key)
+                    self._prev_counters[key] = value
+                    if prev is None:
+                        continue  # no interval to differentiate over yet
+                    rate = (value - prev) / self.interval
+                    self._buf(f"{key}:rate").append(now, rate)
         self.samples_taken += 1
 
     # -- export ------------------------------------------------------------
@@ -161,61 +160,3 @@ class TimeSeriesSampler:
             "samples_taken": self.samples_taken,
             "series": self.series_dict(),
         }
-
-
-# ---------------------------------------------------------------------------
-# Standard gauge wiring
-# ---------------------------------------------------------------------------
-
-
-def _resource_gauges(scope, prefix: str, resource) -> None:
-    scope.gauge(f"{prefix}_queue", fn=lambda r=resource: r.queue_length)
-    scope.gauge(f"{prefix}_util", fn=lambda r=resource: r.utilization())
-
-
-def install_network_gauges(registry, network, hosts=None) -> None:
-    """Per-destination switch-port occupancy gauges under scope ``net``.
-
-    ``hosts`` limits instrumentation to the named hosts (default: all).
-    """
-    scope = registry.scope("net")
-    wanted = set(hosts) if hosts is not None else None
-    for name in sorted(network.hosts):
-        if wanted is not None and name not in wanted:
-            continue
-        port = network.output_port(name)
-        _resource_gauges(scope, f"port_{name}", port)
-        host = network.hosts[name]
-        scope.gauge(
-            f"nic_{name}_queue",
-            fn=lambda h=host: h.nic_tx.queue_length + h.nic_tx.in_use,
-        )
-
-
-def install_cluster_gauges(cluster, hosts=None) -> None:
-    """Wire the standard gauge set for every component of a SliceCluster.
-
-    Idempotent: re-registering a gauge just replaces its callback, so it
-    is safe to call again after adding clients or storage nodes.  Requires
-    the cluster to have a tracer (the gauges live in ``tracer.metrics``).
-    """
-    tracer = cluster.tracer
-    if tracer is None:
-        raise ValueError("install_cluster_gauges needs a traced cluster "
-                         "(SliceCluster(tracer=Tracer()))")
-    registry = tracer.metrics
-    for node in cluster.storage_nodes:
-        node.telemetry_gauges(registry.scope(f"storage:{node.host.name}"))
-    for _client, proxy in cluster.clients:
-        proxy.telemetry_gauges(registry.scope(f"uproxy:{proxy.host.name}"))
-    for server in cluster.dir_servers:
-        server.telemetry_gauges(registry.scope(f"dirsvc:{server.host.name}"))
-    for server in cluster.sf_servers:
-        server.telemetry_gauges(registry.scope(f"sf:{server.host.name}"))
-    for coord in cluster.coordinators:
-        coord.telemetry_gauges(registry.scope(f"coord:{coord.host.name}"))
-    # Tracer-wide view of the intent ledger (logged-but-not-closed ops).
-    registry.scope("coord").gauge(
-        "intents_open", fn=lambda t=tracer: t.open_intent_count
-    )
-    install_network_gauges(registry, cluster.net, hosts=hosts)

@@ -56,10 +56,6 @@ class MigrationUnit:
     ranges: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
-    def bytes_total(self) -> int:
-        return sum(hi - lo for lo, hi in self.ranges)
-
-    @property
     def span(self) -> Tuple[int, int]:
         """Covering range logged in the K_MIGRATE intention."""
         if not self.ranges:

@@ -8,7 +8,7 @@ group list — one of the variable-length fields the paper blames for the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .xdr import Decoder, Encoder, XdrError
 
@@ -163,11 +163,3 @@ class ReplyHeader:
         _decode_verf(dec)
         accept_stat = dec.u32()
         return cls(xid, accept_stat)
-
-
-def peek_message_type(data: bytes) -> Tuple[int, int]:
-    """Return (xid, msg_type) without consuming the buffer."""
-    dec = Decoder(data)
-    xid = dec.u32()
-    msg_type = dec.u32()
-    return xid, msg_type

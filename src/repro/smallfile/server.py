@@ -188,30 +188,19 @@ class SmallFileServer:
 
     # -- telemetry ----------------------------------------------------------
 
-    def telemetry_gauges(self, scope) -> None:
-        """Register this server's pull-gauges on a metrics scope."""
-        scope.gauge("loaded_sites", fn=lambda: len(self.zones))
-        scope.gauge(
-            "wal_depth",
-            fn=lambda: sum(
-                self.backing.site("sf", sid).log.depth for sid in self.zones
-            ),
-        )
-        scope.gauge(
-            "wal_unsynced",
-            fn=lambda: sum(
-                self.backing.site("sf", sid).log.unsynced
-                for sid in self.zones
-            ),
-        )
-        scope.gauge("pending_overlays", fn=lambda: len(self.pending))
-        cache = self.cache
-        scope.gauge("cache_used_frac",
-                    fn=lambda: cache.used / cache.capacity)
-        scope.gauge("cache_hit_rate", fn=cache.hit_ratio)
-        cpu = self.host.cpu
-        scope.gauge("cpu_queue", fn=lambda: cpu.queue_length)
-        scope.gauge("cpu_util", fn=cpu.utilization)
+    def gauges(self) -> Dict[str, float]:
+        """Current load readings (levels, not cumulative counts)."""
+        logs = [self.backing.site("sf", sid).log for sid in self.zones]
+        return {
+            "loaded_sites": len(self.zones),
+            "wal_depth": sum(log.depth for log in logs),
+            "wal_unsynced": sum(log.unsynced for log in logs),
+            "pending_overlays": len(self.pending),
+            "cache_used_frac": self.cache.used / self.cache.capacity,
+            "cache_hit_rate": self.cache.hit_ratio(),
+            "cpu_queue": self.host.cpu.queue_length,
+            "cpu_util": self.host.cpu.utilization(),
+        }
 
     def _new_verf(self) -> int:
         digest = hashlib.md5(

@@ -82,9 +82,6 @@ class BufferCache:
         if entry is not None:
             self.used -= entry[0]
 
-    def dirty_keys(self) -> List[Hashable]:
-        return [k for k, (_s, d) in self._entries.items() if d]
-
     def clear(self) -> None:
         self._entries.clear()
         self.used = 0

@@ -87,15 +87,16 @@ class Coordinator:
 
     # -- telemetry ----------------------------------------------------------
 
-    def telemetry_gauges(self, scope) -> None:
-        """Register this coordinator's pull-gauges on a metrics scope."""
-        scope.gauge("pending_intents", fn=lambda: len(self.pending))
-        scope.gauge("wal_depth", fn=lambda: self.log.depth)
-        scope.gauge("wal_unsynced", fn=lambda: self.log.unsynced)
-        scope.gauge("block_maps", fn=lambda: len(self.block_maps))
-        cpu = self.host.cpu
-        scope.gauge("cpu_queue", fn=lambda: cpu.queue_length)
-        scope.gauge("cpu_util", fn=cpu.utilization)
+    def gauges(self) -> Dict[str, float]:
+        """Current load readings (levels, not cumulative counts)."""
+        return {
+            "pending_intents": len(self.pending),
+            "wal_depth": self.log.depth,
+            "wal_unsynced": self.log.unsynced,
+            "block_maps": len(self.block_maps),
+            "cpu_queue": self.host.cpu.queue_length,
+            "cpu_util": self.host.cpu.utilization(),
+        }
 
     # -- placement policy ---------------------------------------------------
 

@@ -172,14 +172,3 @@ class DiskArray:
         disk = self.disk_for(phys)
         yield from disk.access(phys, nbytes, write)
         yield from self.channel.use(nbytes / self.channel_bandwidth)
-
-    # -- stats -------------------------------------------------------------
-
-    def total_reads(self) -> int:
-        return sum(d.reads for d in self.disks)
-
-    def total_writes(self) -> int:
-        return sum(d.writes for d in self.disks)
-
-    def total_bytes(self) -> int:
-        return sum(d.bytes_moved for d in self.disks)

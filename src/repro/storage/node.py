@@ -151,42 +151,23 @@ class StorageNode:
 
     # -- telemetry ---------------------------------------------------------
 
-    def telemetry_gauges(self, scope) -> None:
-        """Register this node's pull-gauges on a metrics scope.
+    def gauges(self) -> Dict[str, float]:
+        """Current load readings (levels, not cumulative counts).
 
-        All gauges are callbacks evaluated at sample time, so the data
-        path pays nothing for them (see :mod:`repro.obs.timeseries`).
-        """
-        cpu = self.host.cpu
-        scope.gauge("cpu_queue", fn=lambda: cpu.queue_length)
-        scope.gauge("cpu_util", fn=cpu.utilization)
-        array = self.array
-        scope.gauge(
-            "disk_queue",
-            fn=lambda: sum(
-                d.arm.queue_length + d.arm.in_use for d in array.disks
-            ),
-        )
-        scope.gauge(
-            "disk_util",
-            fn=lambda: (
-                sum(d.arm.utilization() for d in array.disks)
-                / len(array.disks)
-            ),
-        )
-        scope.gauge(
-            "channel_queue",
-            fn=lambda: array.channel.queue_length + array.channel.in_use,
-        )
-        scope.gauge("channel_util", fn=array.channel.utilization)
-        cache = self.cache
-        scope.gauge("cache_used_frac",
-                    fn=lambda: cache.used / cache.capacity)
-        scope.gauge("cache_hit_rate", fn=cache.hit_ratio)
-        scope.gauge(
-            "dirty_blocks",
-            fn=lambda: sum(len(blocks) for blocks in self._dirty.values()),
-        )
+        Read only when sampled, so the data path pays nothing for them."""
+        arms = [d.arm for d in self.array.disks]
+        channel = self.array.channel
+        return {
+            "cpu_queue": self.host.cpu.queue_length,
+            "cpu_util": self.host.cpu.utilization(),
+            "disk_queue": sum(arm.queue_length + arm.in_use for arm in arms),
+            "disk_util": sum(arm.utilization() for arm in arms) / len(arms),
+            "channel_queue": channel.queue_length + channel.in_use,
+            "channel_util": channel.utilization(),
+            "cache_used_frac": self.cache.used / self.cache.capacity,
+            "cache_hit_rate": self.cache.hit_ratio(),
+            "dirty_blocks": sum(len(b) for b in self._dirty.values()),
+        }
 
     def _new_verf(self) -> int:
         digest = hashlib.md5(

@@ -104,7 +104,7 @@ _SAMPLE_RE = re.compile(
 
 
 def test_prometheus_text_parses_line_by_line(traced_run):
-    text = prometheus_text(traced_run.tracer.metrics)
+    text = prometheus_text(traced_run.tracer.metrics, traced_run.gauges())
     lines = text.splitlines()
     assert lines, "no metrics rendered"
     types_seen = set()
@@ -174,6 +174,11 @@ def test_export_bundle_writes_everything(tmp_path, traced_run):
     with open(paths["anatomy"]) as fh:
         anatomy = json.load(fh)
     assert anatomy["exchanges"] > 0
+    # With a sampler, metrics.prom carries the cluster's gauge readings.
+    with open(paths["metrics"]) as fh:
+        prom = fh.read()
+    assert '# TYPE repro_disk_util gauge' in prom
+    assert 'repro_disk_util{component="storage:store0"}' in prom
     # The dash CLI renders the bundle without raising.
     from repro.obs.dash import render_file
 

@@ -41,11 +41,13 @@ def test_tracing_and_telemetry_add_no_simulated_overhead():
     baseline = _run_workload(tracer=None, telemetry=False)
     traced = _run_workload(tracer=Tracer(), telemetry=False)
     telemetered = _run_workload(tracer=Tracer(), telemetry=True)
+    untraced_telemetry = _run_workload(tracer=None, telemetry=True)
     assert baseline > 0.0
     assert abs(traced - baseline) / baseline < OVERHEAD_BUDGET
     assert abs(telemetered - baseline) / baseline < OVERHEAD_BUDGET
     # The stronger property actually holds: identical to the float.
     assert traced == pytest.approx(baseline, rel=1e-12)
+    assert untraced_telemetry == baseline
 
 
 def test_untraced_cluster_has_no_tracer_state():

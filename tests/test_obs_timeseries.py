@@ -1,12 +1,12 @@
 """Time-series telemetry: ring buffers, the sampler's sim-clock cadence,
-gauge wiring across cluster components, reservoir-capped histograms, and
-the enriched registry snapshot."""
+cluster gauge readings across components (traced or not), reservoir-capped
+histograms, and the registry snapshot."""
 
 import pytest
 
 from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
-from repro.metrics.stats import Gauge, LatencyRecorder
+from repro.metrics.stats import LatencyRecorder
 from repro.obs import RingBuffer, TimeSeriesSampler, Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
@@ -46,7 +46,6 @@ def test_sampler_cadence_and_counter_rates():
     registry = MetricsRegistry()
     scope = registry.scope("comp")
     state = {"v": 0.0}
-    scope.gauge("level", fn=lambda: state["v"])
 
     def workload():
         for _ in range(20):
@@ -54,7 +53,10 @@ def test_sampler_cadence_and_counter_rates():
             state["v"] += 1.0
             scope.inc("ops", 5)
 
-    sampler = TimeSeriesSampler(sim, registry, interval=0.1, maxlen=8)
+    sampler = TimeSeriesSampler(
+        sim, lambda: {"comp.level": state["v"]}, registry,
+        interval=0.1, maxlen=8,
+    )
     sampler.start()
     sampler.start()  # idempotent: one process, not two
     sim.process(workload(), name="load")
@@ -76,9 +78,7 @@ def test_sampler_cadence_and_counter_rates():
 
 def test_sampler_stop_halts_sampling():
     sim = Simulator()
-    registry = MetricsRegistry()
-    registry.scope("c").gauge("g", fn=lambda: 1.0)
-    sampler = TimeSeriesSampler(sim, registry, interval=0.1)
+    sampler = TimeSeriesSampler(sim, lambda: {"c.g": 1.0}, interval=0.1)
     sampler.start()
     sim.run(until=0.55)
     taken = sampler.samples_taken
@@ -86,18 +86,29 @@ def test_sampler_stop_halts_sampling():
     sampler.stop()
     sim.run(until=2.0)
     assert sampler.samples_taken == taken
+    # Restart within one interval: the superseded loop must exit, so the
+    # next simulated second holds exactly ten evenly spaced ticks.
+    sampler.start()
+    sim.run(until=2.25)
+    sampler.stop()
+    sampler.start()
+    sim.run(until=3.3)
+    ticks = [t for t in sampler.series["c.g"].times() if t > 2.25]
+    assert len(ticks) == 10
+    for a, b in zip(ticks, ticks[1:]):
+        assert b - a == pytest.approx(0.1)
 
 
 def test_sampler_rejects_bad_interval():
     with pytest.raises(ValueError):
-        TimeSeriesSampler(Simulator(), MetricsRegistry(), interval=0.0)
+        TimeSeriesSampler(Simulator(), dict, interval=0.0)
 
 
 def test_sampler_to_dict_shape():
     sim = Simulator()
-    registry = MetricsRegistry()
-    registry.scope("c").gauge("g", fn=lambda: 2.5)
-    sampler = TimeSeriesSampler(sim, registry, interval=0.05, maxlen=16)
+    sampler = TimeSeriesSampler(
+        sim, lambda: {"c.g": 2.5}, interval=0.05, maxlen=16
+    )
     sampler.start()
     sim.run(until=0.3)
     d = sampler.to_dict()
@@ -107,7 +118,89 @@ def test_sampler_to_dict_shape():
     assert all(v == 2.5 for _t, v in d["series"]["c.g"])
 
 
-# -- cluster wiring: non-trivial curves ------------------------------------
+# -- cluster readings: non-trivial curves ----------------------------------
+
+# Every gauge series the sampled_cluster fixture records.
+SAMPLED_CLUSTER_GAUGES = {
+    "coord.intents_open",
+    "coord:coord0.block_maps",
+    "coord:coord0.cpu_queue",
+    "coord:coord0.cpu_util",
+    "coord:coord0.pending_intents",
+    "coord:coord0.wal_depth",
+    "coord:coord0.wal_unsynced",
+    "dirsvc:dir0.cpu_queue",
+    "dirsvc:dir0.cpu_util",
+    "dirsvc:dir0.loaded_sites",
+    "dirsvc:dir0.prepared_tx",
+    "dirsvc:dir0.wal_depth",
+    "dirsvc:dir0.wal_unsynced",
+    "net.nic_client0_queue",
+    "net.nic_configsvc_queue",
+    "net.nic_coord0_queue",
+    "net.nic_dir0_queue",
+    "net.nic_sf0_queue",
+    "net.nic_sf1_queue",
+    "net.nic_store0_queue",
+    "net.nic_store1_queue",
+    "net.port_client0_queue",
+    "net.port_client0_util",
+    "net.port_configsvc_queue",
+    "net.port_configsvc_util",
+    "net.port_coord0_queue",
+    "net.port_coord0_util",
+    "net.port_dir0_queue",
+    "net.port_dir0_util",
+    "net.port_sf0_queue",
+    "net.port_sf0_util",
+    "net.port_sf1_queue",
+    "net.port_sf1_util",
+    "net.port_store0_queue",
+    "net.port_store0_util",
+    "net.port_store1_queue",
+    "net.port_store1_util",
+    "sf:sf0.cache_hit_rate",
+    "sf:sf0.cache_used_frac",
+    "sf:sf0.cpu_queue",
+    "sf:sf0.cpu_util",
+    "sf:sf0.loaded_sites",
+    "sf:sf0.pending_overlays",
+    "sf:sf0.wal_depth",
+    "sf:sf0.wal_unsynced",
+    "sf:sf1.cache_hit_rate",
+    "sf:sf1.cache_used_frac",
+    "sf:sf1.cpu_queue",
+    "sf:sf1.cpu_util",
+    "sf:sf1.loaded_sites",
+    "sf:sf1.pending_overlays",
+    "sf:sf1.wal_depth",
+    "sf:sf1.wal_unsynced",
+    "storage:store0.cache_hit_rate",
+    "storage:store0.cache_used_frac",
+    "storage:store0.channel_queue",
+    "storage:store0.channel_util",
+    "storage:store0.cpu_queue",
+    "storage:store0.cpu_util",
+    "storage:store0.dirty_blocks",
+    "storage:store0.disk_queue",
+    "storage:store0.disk_util",
+    "storage:store1.cache_hit_rate",
+    "storage:store1.cache_used_frac",
+    "storage:store1.channel_queue",
+    "storage:store1.channel_util",
+    "storage:store1.cpu_queue",
+    "storage:store1.cpu_util",
+    "storage:store1.dirty_blocks",
+    "storage:store1.disk_queue",
+    "storage:store1.disk_util",
+    "uproxy:client0.attr_cache_entries",
+    "uproxy:client0.attr_cache_hit_rate",
+    "uproxy:client0.cpu_queue",
+    "uproxy:client0.cpu_util",
+    "uproxy:client0.dirty_files",
+    "uproxy:client0.pending_ops",
+}
+
 
 
 @pytest.fixture(scope="module")
@@ -166,10 +259,45 @@ def test_uproxy_and_dirsvc_gauges_present(sampled_cluster):
     assert "coord.intents_open" in series
 
 
-def test_start_telemetry_requires_tracer():
+def test_sampled_cluster_gauge_series_names(sampled_cluster):
+    series = sampled_cluster.telemetry.series
+    gauges = {name for name in series if not name.endswith(":rate")}
+    assert gauges == SAMPLED_CLUSTER_GAUGES
+
+
+def test_untraced_cluster_samples_gauges_without_rates():
     cluster = SliceCluster(params=ClusterParams(num_storage_nodes=1))
-    with pytest.raises(ValueError):
-        cluster.start_telemetry()
+    assert cluster.tracer is None
+    cluster.start_telemetry(interval=0.005)
+    client, _proxy = cluster.add_client()
+    untar = UntarWorkload(
+        client, cluster.root_fh, UntarSpec(total_entries=10), seed=3
+    )
+    cluster.run(untar.run(), name="untar")
+    series = cluster.telemetry.series
+    assert any(name.startswith("storage:") for name in series)
+    assert any(name.startswith("net.port_") for name in series)
+    assert "coord.intents_open" not in series
+    assert not [name for name in series if name.endswith(":rate")]
+
+
+def test_servers_added_after_start_telemetry_are_sampled():
+    cluster = SliceCluster(
+        params=ClusterParams(num_storage_nodes=2, num_dir_servers=1),
+        tracer=Tracer(),
+    )
+    client, _proxy = cluster.add_client()
+    cluster.start_telemetry(interval=0.005)
+    cluster.add_dir_server()
+    cluster.add_sf_server()
+    untar = UntarWorkload(
+        client, cluster.root_fh, UntarSpec(total_entries=20), seed=5
+    )
+    cluster.run(untar.run(), name="untar")
+    series = cluster.telemetry.series
+    for name in ("dirsvc:dir1.cpu_util", "sf:sf2.wal_depth",
+                 "net.port_dir1_util"):
+        assert name in series and len(series[name]) > 0, name
 
 
 def test_start_telemetry_idempotent(sampled_cluster):
@@ -238,18 +366,7 @@ def test_tracer_registry_histograms_are_capped():
     assert hist.count == cap + 500
 
 
-# -- Gauge + snapshot ------------------------------------------------------
-
-
-def test_gauge_push_and_pull_styles():
-    g = Gauge("push")
-    g.set(7)
-    assert g.value() == 7
-    box = {"v": 1.0}
-    g2 = Gauge("pull", fn=lambda: box["v"])
-    assert g2.value() == 1.0
-    box["v"] = 3.5
-    assert g2.value() == 3.5
+# -- registry snapshot -----------------------------------------------------
 
 
 def test_registry_snapshot_merges_all_metric_kinds():
@@ -258,7 +375,6 @@ def test_registry_snapshot_merges_all_metric_kinds():
     scope.inc("calls_intercepted", 3)
     scope.observe("route_s", 0.010)
     scope.observe("route_s", 0.030)
-    scope.gauge("pending_ops", fn=lambda: 4)
     snap = registry.snapshot()
     view = snap["uproxy"]
     # Counters keep their historical plain-int shape.
@@ -268,5 +384,3 @@ def test_registry_snapshot_merges_all_metric_kinds():
     assert view["route_s"]["mean"] == pytest.approx(0.020)
     assert view["route_s"]["max"] == pytest.approx(0.030)
     assert set(view["route_s"]) == {"n", "mean", "p50", "p95", "max"}
-    # Gauges appear as plain readings.
-    assert view["pending_ops"] == 4

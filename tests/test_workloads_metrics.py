@@ -5,7 +5,7 @@ import pytest
 from repro.ensemble.baseline import BaselineParams, MonolithicServer
 from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
-from repro.metrics.stats import LatencyRecorder, ThroughputWindow
+from repro.metrics.stats import LatencyRecorder
 from repro.net import NetParams, Network
 from repro.nfs.client import ClientParams, NfsClient
 from repro.sim import Simulator
@@ -63,16 +63,6 @@ def test_latency_recorder_percentile_edge_cases():
     # Out-of-range p clamps rather than raising.
     assert rec.percentile(-0.5) == 1.0
     assert rec.percentile(2.0) == 5.0
-
-
-def test_throughput_window():
-    win = ThroughputWindow()
-    win.start(10.0)
-    for _ in range(50):
-        win.record(1000)
-    win.stop(15.0)
-    assert win.ops_per_second() == pytest.approx(10.0)
-    assert win.bytes_per_second() == pytest.approx(10000.0)
 
 
 # -- tree plan / size distribution -----------------------------------------

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Reproduce everything: full test suite and the perfbench helper tests,
-# then every paper table/figure.
+# then every paper table/figure.  Exits non-zero when any step fails.
 #
 #   --with-traces   attach a repro.obs tracer to every cluster
 #                   (REPRO_TRACE=1): tests replay protocol invariants and
@@ -41,18 +41,29 @@ for arg in "$@"; do
             ;;
     esac
 done
+# Run one step, tee its output to a file, and remember a failure: dash
+# has no pipefail, so the exit status of a "cmd | tee" pipe is tee's.
+STATUS=0
+step() {
+    out=$1
+    shift
+    { "$@" 2>&1; echo $? > "$out.rc"; } | tee "$out"
+    [ "$(cat "$out.rc")" = 0 ] || STATUS=1
+    rm -f "$out.rc"
+}
 set -x
-pytest tests/ 2>&1 | tee test_output.txt
-python3 -m pytest perfbench -q 2>&1 | tee perfbench_test_output.txt
+step test_output.txt pytest tests/
+step perfbench_test_output.txt python3 -m pytest perfbench -q
 if [ "$WITH_TELEMETRY" = "1" ]; then
-    pytest tests/ -m telemetry 2>&1 | tee telemetry_output.txt
+    step telemetry_output.txt pytest tests/ -m telemetry
 fi
 if [ "$WITH_CHAOS" = "1" ]; then
-    pytest tests/ -m chaos 2>&1 | tee chaos_output.txt
+    step chaos_output.txt pytest tests/ -m chaos
 fi
 if [ "$WITH_RECONFIG" = "1" ]; then
-    pytest tests/ -m reconfig 2>&1 | tee reconfig_output.txt
-    pytest benchmarks/test_reconfig_scaleout.py --benchmark-only -s 2>&1 \
-        | tee reconfig_bench_output.txt
+    step reconfig_output.txt pytest tests/ -m reconfig
+    step reconfig_bench_output.txt \
+        pytest benchmarks/test_reconfig_scaleout.py --benchmark-only -s
 fi
-pytest benchmarks/ --benchmark-only -s 2>&1 | tee bench_output.txt
+step bench_output.txt pytest benchmarks/ --benchmark-only -s
+exit $STATUS

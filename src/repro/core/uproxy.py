@@ -319,7 +319,7 @@ class UProxy(PacketFilter):
 
         if proc in (proto.PROC_GETATTR, proto.PROC_ACCESS, proto.PROC_READLINK,
                     proto.PROC_FSSTAT, proto.PROC_FSINFO, proto.PROC_PATHCONF):
-            fh = self._unpack_fh(proto.decode_fh_args(dec))
+            fh = self._unpack_fh(proto.FhArgs.decode(dec).fh)
             if proc == proto.PROC_GETATTR and fh is not None:
                 entry = self.attr_cache.peek(fh.fileid)
                 if entry is not None and entry.dirty:
@@ -339,7 +339,7 @@ class UProxy(PacketFilter):
             )
 
         if proc == proto.PROC_SETATTR:
-            args = proto.decode_setattr_args(dec)
+            args = proto.SetattrArgs.decode(dec)
             fh = self._unpack_fh(args.fh)
             if fh is not None and args.sattr.size is not None:
                 self.attr_cache.note_truncate(fh, args.sattr.size, now)
@@ -351,7 +351,7 @@ class UProxy(PacketFilter):
             )
 
         if proc in (proto.PROC_LOOKUP, proto.PROC_REMOVE, proto.PROC_RMDIR):
-            args = proto.decode_diropargs(dec)
+            args = proto.DirOpArgs.decode(dec)
             fh = self._unpack_fh(args.dir_fh)
             site = self.name_config.entry_site(fh, args.name) if fh else 0
             return redirect(
@@ -361,8 +361,8 @@ class UProxy(PacketFilter):
 
         if proc in (proto.PROC_CREATE, proto.PROC_SYMLINK, proto.PROC_MKNOD):
             # First two fields are (dir fh, name) for this family.
-            dir_fh_raw = dec.opaque_var(64)
-            name = dec.string(255)
+            dir_fh_raw = proto.FH.get(dec)
+            name = proto.NAME.get(dec)
             fh = self._unpack_fh(dir_fh_raw)
             site = self.name_config.entry_site(fh, name) if fh else 0
             return redirect(
@@ -371,8 +371,8 @@ class UProxy(PacketFilter):
             )
 
         if proc == proto.PROC_MKDIR:
-            dir_fh_raw = dec.opaque_var(64)
-            name = dec.string(255)
+            dir_fh_raw = proto.FH.get(dec)
+            name = proto.NAME.get(dec)
             fh = self._unpack_fh(dir_fh_raw)
             site = self.name_config.mkdir_site(fh, name) if fh else 0
             return redirect(
@@ -381,7 +381,7 @@ class UProxy(PacketFilter):
             )
 
         if proc == proto.PROC_RENAME:
-            args = proto.decode_rename_args(dec)
+            args = proto.RenameArgs.decode(dec)
             to_fh = self._unpack_fh(args.to_dir)
             site = (
                 self.name_config.entry_site(to_fh, args.to_name) if to_fh else 0
@@ -393,7 +393,7 @@ class UProxy(PacketFilter):
             )
 
         if proc == proto.PROC_LINK:
-            args = proto.decode_link_args(dec)
+            args = proto.LinkArgs.decode(dec)
             dir_fh = self._unpack_fh(args.dir_fh)
             site = (
                 self.name_config.entry_site(dir_fh, args.name) if dir_fh else 0
@@ -407,9 +407,9 @@ class UProxy(PacketFilter):
         if proc in (proto.PROC_READDIR, proto.PROC_READDIRPLUS):
             plus = proc == proto.PROC_READDIRPLUS
             if plus:
-                args = proto.decode_readdirplus_args(dec)
+                args = proto.ReaddirplusArgs.decode(dec)
             else:
-                args = proto.decode_readdir_args(dec)
+                args = proto.ReaddirArgs.decode(dec)
             fh = self._unpack_fh(args.dir_fh)
             if fh is None:
                 return ()
@@ -424,7 +424,7 @@ class UProxy(PacketFilter):
             )
 
         if proc == proto.PROC_READ:
-            args = proto.decode_read_args(dec)
+            args = proto.ReadArgs.decode(dec)
             fh = self._unpack_fh(args.fh)
             if fh is None:
                 return ()
@@ -451,7 +451,7 @@ class UProxy(PacketFilter):
             return self._route_bulk_read(pkt, key, args, fh, rec)
 
         if proc == proto.PROC_WRITE:
-            args = proto.decode_write_args(dec)
+            args = proto.WriteArgs.decode(dec)
             fh = self._unpack_fh(args.fh)
             if fh is None:
                 return ()
@@ -484,7 +484,7 @@ class UProxy(PacketFilter):
             return self._route_bulk_write(pkt, key, args, fh, rec)
 
         if proc == proto.PROC_COMMIT:
-            args = proto.decode_commit_args(dec)
+            args = proto.CommitArgs.decode(dec)
             fh = self._unpack_fh(args.fh)
             if fh is None:
                 return ()
@@ -574,7 +574,7 @@ class UProxy(PacketFilter):
                 dec, body = yield from self.client.call(
                     targets[0], proto.NFS_PROGRAM, proto.NFS_V3,
                     proto.PROC_READ,
-                    proto.encode_read_args(fh.pack(), seg_off, seg_len),
+                    proto.ReadArgs(fh.pack(), seg_off, seg_len).encode(),
                     trace_id=tid,
                 )
                 res = proto.ReadRes.decode(dec)
@@ -638,9 +638,9 @@ class UProxy(PacketFilter):
                     dec, _ = yield from self.client.call(
                         addr, proto.NFS_PROGRAM, proto.NFS_V3,
                         proto.PROC_WRITE,
-                        proto.encode_write_args(
+                        proto.WriteArgs(
                             fh.pack(), seg_off, seg_len, args.stable
-                        ),
+                        ).encode(),
                         data,
                         trace_id=tid,
                     )
@@ -762,12 +762,12 @@ class UProxy(PacketFilter):
                     dec, _ = yield from self.client.call(
                         coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
                         cp.COORD_GET_MAP,
-                        cp.encode_get_map_args(fh.pack(), block, 16, True),
+                        cp.GetMapArgs(fh.pack(), block, 16, True).encode(),
                     )
-                    sites = cp.decode_map_res(dec)
+                    sites = cp.MapRes.decode(dec).sites
                     self.block_maps.put_range(fh.fileid, block, sites)
                     self.cost.softstate()
-                except (RpcTimeout, ValueError):
+                except (RpcTimeout, XdrError):
                     pass
             else:
                 # No coordinator: fall back to static placement for good.
@@ -810,7 +810,7 @@ class UProxy(PacketFilter):
                 try:
                     yield from self.client.call(
                         coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                        cp.COORD_INTENT, cp.encode_intent_args(intent),
+                        cp.COORD_INTENT, intent.encode(),
                         trace_id=tid,
                     )
                 except RpcTimeout:
@@ -838,7 +838,7 @@ class UProxy(PacketFilter):
         try:
             yield from self.client.call(
                 coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                cp.COORD_INTENT, cp.encode_intent_args(intent),
+                cp.COORD_INTENT, intent.encode(),
             )
         except RpcTimeout:
             pass
@@ -847,7 +847,7 @@ class UProxy(PacketFilter):
         try:
             yield from self.client.call(
                 coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                cp.COORD_COMPLETE, cp.encode_complete_args(op_id),
+                cp.COORD_COMPLETE, cp.CompleteArgs(op_id).encode(),
             )
         except RpcTimeout:
             pass
@@ -857,7 +857,7 @@ class UProxy(PacketFilter):
             # Commits flush disk queues; give them a generous timer.
             dec, _ = yield from self.client.call(
                 addr, proto.NFS_PROGRAM, proto.NFS_V3, proto.PROC_COMMIT,
-                proto.encode_commit_args(fh.pack(), 0, 0),
+                proto.CommitArgs(fh.pack(), 0, 0).encode(),
                 retrans_timeout=3.0, max_tries=5, trace_id=trace_id,
             )
             res = proto.CommitRes.decode(dec)
@@ -1029,7 +1029,7 @@ class UProxy(PacketFilter):
             dec, _ = yield from self.client.call(
                 self.dir_table.lookup(fh.home_site), proto.NFS_PROGRAM,
                 proto.NFS_V3, proto.PROC_GETATTR,
-                proto.encode_fh_args(fh.pack()),
+                proto.FhArgs(fh.pack()).encode(),
             )
             gres = proto.GetattrRes.decode(dec)
         except RpcTimeout:
@@ -1142,11 +1142,11 @@ class UProxy(PacketFilter):
                 proto.PROC_READDIRPLUS if rec.plus else proto.PROC_READDIR
             )
             if rec.plus:
-                args = proto.encode_readdirplus_args(
+                args = proto.ReaddirplusArgs(
                     rec.fh.pack(), cookie, 1, 4096, 32768
-                )
+                ).encode()
             else:
-                args = proto.encode_readdir_args(rec.fh.pack(), cookie, 1, 4096)
+                args = proto.ReaddirArgs(rec.fh.pack(), cookie, 1, 4096).encode()
             try:
                 dec, _ = yield from self.client.call(
                     self.dir_table.lookup(site), proto.NFS_PROGRAM,
@@ -1191,7 +1191,7 @@ class UProxy(PacketFilter):
             dec, _ = yield from self.client.call(
                 self.dir_table.lookup(fh.home_site), proto.NFS_PROGRAM,
                 proto.NFS_V3, proto.PROC_SETATTR,
-                proto.encode_setattr_args(fh.pack(), sattr),
+                proto.SetattrArgs(fh.pack(), sattr).encode(),
             )
             res = proto.SetattrRes.decode(dec)
         except RpcTimeout:
@@ -1226,14 +1226,14 @@ class UProxy(PacketFilter):
                 CONFIG_GET,
                 CONFIG_V1,
                 SLICE_CONFIG_PROGRAM,
+                ConfigGetArgs,
                 decode_tables,
-                encode_config_get,
             )
 
             try:
                 dec, _ = yield from self.client.call(
                     self.configsvc, SLICE_CONFIG_PROGRAM, CONFIG_V1,
-                    CONFIG_GET, encode_config_get("*", self.config_epoch),
+                    CONFIG_GET, ConfigGetArgs("*", self.config_epoch).encode(),
                 )
                 fetch = decode_tables(dec)
                 if fetch.modified:

@@ -14,10 +14,10 @@ clients never see it.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, NamedTuple
+from typing import Any, Dict, List, NamedTuple
 
-from repro.rpc.xdr import Decoder, Encoder
+from repro.rpc import xdr
+from repro.rpc.xdr import Decoder, Encoder, XdrError
 
 __all__ = [
     "SLICE_PEER_PROGRAM",
@@ -36,20 +36,13 @@ __all__ = [
     "RESOLVE_COMMITTED",
     "RESOLVE_ABORTED",
     "RESOLVE_UNKNOWN",
-    "encode_json",
-    "decode_json",
-    "encode_key_args",
-    "decode_key_args",
-    "encode_entry_args",
-    "decode_entry_args",
-    "encode_count_args",
-    "decode_count_args",
-    "encode_touch_args",
-    "decode_touch_args",
-    "encode_prepare_args",
-    "decode_prepare_args",
-    "encode_txid_args",
-    "decode_txid_args",
+    "PeerReply",
+    "KeyArgs",
+    "EntryArgs",
+    "CountArgs",
+    "TouchArgs",
+    "PrepareArgs",
+    "TxidArgs",
 ]
 
 SLICE_PEER_PROGRAM = 395902
@@ -72,89 +65,70 @@ RESOLVE_COMMITTED = 0
 RESOLVE_ABORTED = 1
 RESOLVE_UNKNOWN = 2
 
-
-def encode_json(document) -> bytes:
-    return Encoder().string(json.dumps(document, separators=(",", ":"))).to_bytes()
+TXID = xdr.string(64)
 
 
-def decode_json(dec: Decoder):
-    return json.loads(dec.string(1 << 20))
+def _get_key(dec: Decoder) -> bytes:
+    text = dec.string(64)
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        raise XdrError(f"bad hex key: {text!r}") from None
 
 
+#: An attribute-cell key, hex-encoded on the wire.
+KEY = xdr.Field(lambda enc, key: enc.string(key.hex()), _get_key)
+
+
+@xdr.record(xdr.JSON)
+class PeerReply(NamedTuple):
+    """Every peer procedure answers with one JSON document."""
+
+    doc: Any
+
+
+@xdr.record(xdr.U32, KEY)
 class KeyArgs(NamedTuple):
     site: int
-    key_hex: str
+    key: bytes
 
 
-def encode_key_args(site: int, key: bytes) -> bytes:
-    enc = Encoder()
-    enc.u32(site)
-    enc.string(key.hex())
-    return enc.to_bytes()
-
-
-def decode_key_args(dec: Decoder) -> KeyArgs:
-    return KeyArgs(dec.u32(), dec.string(64))
-
-
+@xdr.record(xdr.U32, xdr.U64, xdr.string(255))
 class EntryArgs(NamedTuple):
     site: int
     parent_fileid: int
     name: str
 
 
-def encode_entry_args(site: int, parent_fileid: int, name: str) -> bytes:
-    enc = Encoder()
-    enc.u32(site)
-    enc.u64(parent_fileid)
-    enc.string(name)
-    return enc.to_bytes()
-
-
-def decode_entry_args(dec: Decoder) -> EntryArgs:
-    return EntryArgs(dec.u32(), dec.u64(), dec.string(255))
-
-
+@xdr.record(xdr.U64, xdr.array(xdr.U32))
 class CountArgs(NamedTuple):
+    """Count entries of a directory across several logical sites hosted by
+    one physical server (batched so an rmdir emptiness check costs one RPC
+    per server, not one per logical site)."""
+
     dir_fileid: int
     sites: List[int]
 
 
-def encode_count_args(dir_fileid: int, sites: List[int]) -> bytes:
-    """Count entries of a directory across several logical sites hosted by
-    one physical server (batched so an rmdir emptiness check costs one RPC
-    per server, not one per logical site)."""
-    enc = Encoder()
-    enc.u64(dir_fileid)
-    enc.array(sites, lambda e, s: e.u32(s))
-    return enc.to_bytes()
-
-
-def decode_count_args(dec: Decoder) -> CountArgs:
-    return CountArgs(dec.u64(), dec.array(lambda d: d.u32()))
-
-
 class TouchArgs(NamedTuple):
+    """Remote parent mtime update; the mtime travels in whole µs."""
+
     site: int
-    key_hex: str
+    key: bytes
     mtime: float
 
+    def encode(self) -> bytes:
+        enc = Encoder().u32(self.site)
+        KEY.put(enc, self.key)
+        enc.u64(int(self.mtime * 1e6))
+        return enc.to_bytes()
 
-def encode_touch_args(site: int, key: bytes, mtime: float) -> bytes:
-    enc = Encoder()
-    enc.u32(site)
-    enc.string(key.hex())
-    enc.u64(int(mtime * 1e6))
-    return enc.to_bytes()
-
-
-def decode_touch_args(dec: Decoder) -> TouchArgs:
-    site = dec.u32()
-    key_hex = dec.string(64)
-    mtime = dec.u64() / 1e6
-    return TouchArgs(site, key_hex, mtime)
+    @classmethod
+    def decode(cls, dec: Decoder) -> "TouchArgs":
+        return cls(dec.u32(), KEY.get(dec), dec.u64() / 1e6)
 
 
+@xdr.record(TXID, xdr.U32, xdr.U32, xdr.JSON)
 class PrepareArgs(NamedTuple):
     txid: str
     site: int  # target logical site at the remote server
@@ -162,32 +136,7 @@ class PrepareArgs(NamedTuple):
     ops: List[Dict]
 
 
-def encode_prepare_args(txid: str, site: int, coord_site: int, ops: List[Dict]) -> bytes:
-    enc = Encoder()
-    enc.string(txid)
-    enc.u32(site)
-    enc.u32(coord_site)
-    enc.string(json.dumps(ops, separators=(",", ":")))
-    return enc.to_bytes()
-
-
-def decode_prepare_args(dec: Decoder) -> PrepareArgs:
-    return PrepareArgs(
-        dec.string(64), dec.u32(), dec.u32(), json.loads(dec.string(1 << 20))
-    )
-
-
+@xdr.record(TXID, xdr.U32)
 class TxidArgs(NamedTuple):
     txid: str
     site: int
-
-
-def encode_txid_args(txid: str, site: int) -> bytes:
-    enc = Encoder()
-    enc.string(txid)
-    enc.u32(site)
-    return enc.to_bytes()
-
-
-def decode_txid_args(dec: Decoder) -> TxidArgs:
-    return TxidArgs(dec.string(64), dec.u32())

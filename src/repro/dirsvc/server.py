@@ -342,7 +342,7 @@ class DirectoryServer:
     # -- reads ------------------------------------------------------------
 
     def _op_getattr(self, dec):
-        fh = self._fh(proto.decode_fh_args(dec))
+        fh = self._fh(proto.FhArgs.decode(dec).fh)
         state = self._state(fh.home_site)
         cell = state.get_attr_cell(fh.key)
         if cell is None:
@@ -351,7 +351,7 @@ class DirectoryServer:
         return proto.GetattrRes(NFS3_OK, cell.to_fattr())
 
     def _op_access(self, dec):
-        args = proto.decode_access_args(dec)
+        args = proto.AccessArgs.decode(dec)
         fh = self._fh(args.fh)
         state = self._state(fh.home_site)
         cell = state.get_attr_cell(fh.key)
@@ -361,7 +361,7 @@ class DirectoryServer:
         return proto.AccessRes(NFS3_OK, cell.to_fattr(), args.access)
 
     def _op_readlink(self, dec):
-        fh = self._fh(proto.decode_fh_args(dec))
+        fh = self._fh(proto.FhArgs.decode(dec).fh)
         state = self._state(fh.home_site)
         cell = state.get_attr_cell(fh.key)
         if cell is None:
@@ -372,7 +372,7 @@ class DirectoryServer:
         return proto.ReadlinkRes(NFS3_OK, cell.to_fattr(), cell.symlink_target)
 
     def _op_lookup(self, dec):
-        args = proto.decode_diropargs(dec)
+        args = proto.DirOpArgs.decode(dec)
         dir_fh = self._fh(args.dir_fh)
         if dir_fh.ftype != NF3DIR:
             raise _OpError(NFS3ERR_NOTDIR)
@@ -423,11 +423,11 @@ class DirectoryServer:
         try:
             dec, _ = yield from self.client.call(
                 self.peer_lookup(site), pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                pp.PEER_GET_ATTRS, pp.encode_key_args(site, key),
+                pp.PEER_GET_ATTRS, pp.KeyArgs(site, key).encode(),
             )
         except RpcTimeout:
             return None
-        doc = pp.decode_json(dec)
+        doc = pp.PeerReply.decode(dec).doc
         if doc.get("status") != 0:
             return None
         return AttrCell(**doc["cell"])
@@ -435,14 +435,14 @@ class DirectoryServer:
     # -- readdir -----------------------------------------------------------
 
     def _op_readdir(self, dec):
-        args = proto.decode_readdir_args(dec)
+        args = proto.ReaddirArgs.decode(dec)
         res = yield from self._readdir_common(
             args.dir_fh, args.cookie, args.count, plus=False
         )
         return res
 
     def _op_readdirplus(self, dec):
-        args = proto.decode_readdirplus_args(dec)
+        args = proto.ReaddirplusArgs.decode(dec)
         res = yield from self._readdir_common(
             args.dir_fh, args.cookie, args.maxcount, plus=True
         )
@@ -507,7 +507,7 @@ class DirectoryServer:
     # -- attribute updates ---------------------------------------------------
 
     def _op_setattr(self, dec):
-        args = proto.decode_setattr_args(dec)
+        args = proto.SetattrArgs.decode(dec)
         fh = self._fh(args.fh)
         state = self._state(fh.home_site)
         cell = state.get_attr_cell(fh.key)
@@ -545,7 +545,7 @@ class DirectoryServer:
             yield from self.client.call(
                 self.coordinator, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
                 cp.COORD_RECLAIM,
-                cp.encode_reclaim_args(fh.pack(), truncate_to, remove),
+                cp.ReclaimArgs(fh.pack(), remove, truncate_to).encode(),
             )
         except RpcTimeout:
             pass  # coordinator recovers the reclaim from its own log
@@ -553,14 +553,14 @@ class DirectoryServer:
     # -- create-family --------------------------------------------------------
 
     def _op_create(self, dec):
-        args = proto.decode_create_args(dec)
+        args = proto.CreateArgs.decode(dec)
         res = yield from self._create_common(
             args.dir_fh, args.name, NF3REG, args.sattr, args.mode, ""
         )
         return res
 
     def _op_symlink(self, dec):
-        args = proto.decode_symlink_args(dec)
+        args = proto.SymlinkArgs.decode(dec)
         res = yield from self._create_common(
             args.dir_fh, args.name, NF3LNK, args.sattr, 0, args.path
         )
@@ -649,13 +649,13 @@ class DirectoryServer:
             yield from self.client.call(
                 self.peer_lookup(dir_fh.home_site), pp.SLICE_PEER_PROGRAM,
                 pp.PEER_V1, pp.PEER_TOUCH,
-                pp.encode_touch_args(dir_fh.home_site, dir_fh.key, now),
+                pp.TouchArgs(dir_fh.home_site, dir_fh.key, now).encode(),
             )
         except RpcTimeout:
             pass
 
     def _op_mkdir(self, dec):
-        args = proto.decode_mkdir_args(dec)
+        args = proto.MkdirArgs.decode(dec)
         dir_fh = self._fh(args.dir_fh)
         if dir_fh.ftype != NF3DIR:
             raise _OpError(NFS3ERR_NOTDIR)
@@ -734,12 +734,12 @@ class DirectoryServer:
     # -- remove-family --------------------------------------------------------
 
     def _op_remove(self, dec):
-        args = proto.decode_diropargs(dec)
+        args = proto.DirOpArgs.decode(dec)
         res = yield from self._remove_common(args.dir_fh, args.name, rmdir=False)
         return res
 
     def _op_rmdir(self, dec):
-        args = proto.decode_diropargs(dec)
+        args = proto.DirOpArgs.decode(dec)
         res = yield from self._remove_common(args.dir_fh, args.name, rmdir=True)
         return res
 
@@ -851,18 +851,18 @@ class DirectoryServer:
             try:
                 dec, _ = yield from self.client.call(
                     addr, pp.SLICE_PEER_PROGRAM, pp.PEER_V1, pp.PEER_COUNT,
-                    pp.encode_count_args(dir_fileid, remote_sites),
+                    pp.CountArgs(dir_fileid, remote_sites).encode(),
                 )
             except RpcTimeout:
                 raise _OpError(NFS3ERR_JUKEBOX)
-            if pp.decode_json(dec).get("count", 0):
+            if pp.PeerReply.decode(dec).doc.get("count", 0):
                 return False
         return True
 
     # -- link & rename ------------------------------------------------------
 
     def _op_link(self, dec):
-        args = proto.decode_link_args(dec)
+        args = proto.LinkArgs.decode(dec)
         file_fh = self._fh(args.fh)
         dir_fh = self._fh(args.dir_fh)
         if dir_fh.ftype != NF3DIR:
@@ -919,7 +919,7 @@ class DirectoryServer:
 
     def _op_rename(self, dec):
         """Rename, implemented as link-then-remove across sites (§4.3)."""
-        args = proto.decode_rename_args(dec)
+        args = proto.RenameArgs.decode(dec)
         from_dir = self._fh(args.from_dir)
         to_dir = self._fh(args.to_dir)
         if from_dir.ftype != NF3DIR or to_dir.ftype != NF3DIR:
@@ -1070,11 +1070,11 @@ class DirectoryServer:
         try:
             dec, _ = yield from self.client.call(
                 self.peer_lookup(site), pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                pp.PEER_GET_ENTRY, pp.encode_entry_args(site, parent_fileid, name),
+                pp.PEER_GET_ENTRY, pp.EntryArgs(site, parent_fileid, name).encode(),
             )
         except RpcTimeout:
             raise _OpError(NFS3ERR_JUKEBOX)
-        doc = pp.decode_json(dec)
+        doc = pp.PeerReply.decode(dec).doc
         if doc.get("status") != 0:
             return None
         return NameCell(**doc["cell"])
@@ -1082,7 +1082,7 @@ class DirectoryServer:
     # -- fs info ------------------------------------------------------------
 
     def _op_fsstat(self, dec):
-        fh = self._fh(proto.decode_fh_args(dec))
+        fh = self._fh(proto.FhArgs.decode(dec).fh)
         attr = self._local_dir_attr(fh) or Fattr3(ftype=NF3DIR, fileid=fh.fileid)
         total_cells = sum(s.cell_count() for s in self.sites.values())
         yield from ()
@@ -1095,12 +1095,12 @@ class DirectoryServer:
         )
 
     def _op_fsinfo(self, dec):
-        fh = self._fh(proto.decode_fh_args(dec))
+        fh = self._fh(proto.FhArgs.decode(dec).fh)
         yield from ()
         return proto.FsinfoRes(NFS3_OK, self._local_dir_attr(fh))
 
     def _op_pathconf(self, dec):
-        fh = self._fh(proto.decode_fh_args(dec))
+        fh = self._fh(proto.FhArgs.decode(dec).fh)
         yield from ()
         return proto.PathconfRes(NFS3_OK, self._local_dir_attr(fh))
 
@@ -1127,11 +1127,11 @@ class DirectoryServer:
                 dec, _ = yield from self.client.call(
                     remote_addr, pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
                     pp.PEER_PREPARE,
-                    pp.encode_prepare_args(txid, remote_site, local_site, ops),
+                    pp.PrepareArgs(txid, remote_site, local_site, ops).encode(),
                 )
             except RpcTimeout:
                 return NFS3ERR_JUKEBOX
-            doc = pp.decode_json(dec)
+            doc = pp.PeerReply.decode(dec).doc
             if doc["status"] == pp.PREPARE_CONFLICT:
                 yield self.sim.timeout(self.params.retry_backoff * (attempt + 1))
                 continue
@@ -1145,7 +1145,7 @@ class DirectoryServer:
             try:
                 yield from self.client.call(
                     remote_addr, pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                    pp.PEER_COMMIT, pp.encode_txid_args(txid, remote_site),
+                    pp.PEER_COMMIT, pp.TxidArgs(txid, remote_site).encode(),
                 )
             except RpcTimeout:
                 pass  # participant resolves with us after it recovers
@@ -1159,63 +1159,63 @@ class DirectoryServer:
     def _peer_service(self, procnum: int, dec: Decoder, body, src):
         yield from self.host.cpu_work(self.params.cpu_per_op)
         if procnum == pp.PEER_GET_ATTRS:
-            args = pp.decode_key_args(dec)
+            args = pp.KeyArgs.decode(dec)
             state = self.sites.get(args.site)
-            cell = state.get_attr_cell(bytes.fromhex(args.key_hex)) if state else None
+            cell = state.get_attr_cell(args.key) if state else None
             if cell is None:
-                return pp.encode_json({"status": 1}), EMPTY
+                return pp.PeerReply({"status": 1}).encode(), EMPTY
             from dataclasses import asdict
 
-            return pp.encode_json({"status": 0, "cell": asdict(cell)}), EMPTY
+            return pp.PeerReply({"status": 0, "cell": asdict(cell)}).encode(), EMPTY
         if procnum == pp.PEER_GET_ENTRY:
-            args = pp.decode_entry_args(dec)
+            args = pp.EntryArgs.decode(dec)
             state = self.sites.get(args.site)
             cell = (
                 state.get_name_cell(args.parent_fileid, args.name)
                 if state else None
             )
             if cell is None:
-                return pp.encode_json({"status": 1}), EMPTY
+                return pp.PeerReply({"status": 1}).encode(), EMPTY
             from dataclasses import asdict
 
-            return pp.encode_json({"status": 0, "cell": asdict(cell)}), EMPTY
+            return pp.PeerReply({"status": 0, "cell": asdict(cell)}).encode(), EMPTY
         if procnum == pp.PEER_COUNT:
-            args = pp.decode_count_args(dec)
+            args = pp.CountArgs.decode(dec)
             count = sum(
                 self.sites[s].count_entries(args.dir_fileid)
                 for s in args.sites
                 if s in self.sites
             )
-            return pp.encode_json({"count": count}), EMPTY
+            return pp.PeerReply({"count": count}).encode(), EMPTY
         if procnum == pp.PEER_TOUCH:
-            args = pp.decode_touch_args(dec)
+            args = pp.TouchArgs.decode(dec)
             state = self.sites.get(args.site)
             if state is not None:
-                cell = state.get_attr_cell(bytes.fromhex(args.key_hex))
+                cell = state.get_attr_cell(args.key)
                 if cell is not None and args.mtime > cell.mtime:
                     cell.mtime = args.mtime
                     cell.ctime = max(cell.ctime, args.mtime)
                     state.put_attr_cell(cell)  # journaled lazily at checkpoint
-            return pp.encode_json({"status": 0}), EMPTY
+            return pp.PeerReply({"status": 0}).encode(), EMPTY
         if procnum == pp.PEER_PREPARE:
-            result = yield from self._peer_prepare(pp.decode_prepare_args(dec))
+            result = yield from self._peer_prepare(pp.PrepareArgs.decode(dec))
             return result, EMPTY
         if procnum == pp.PEER_COMMIT:
-            args = pp.decode_txid_args(dec)
+            args = pp.TxidArgs.decode(dec)
             result = yield from self._peer_commit(args.txid, args.site)
             return result, EMPTY
         if procnum == pp.PEER_ABORT:
-            args = pp.decode_txid_args(dec)
+            args = pp.TxidArgs.decode(dec)
             self._peer_release(args.txid, args.site)
             self._log(args.site).append({"op": "tx_abort", "txid": args.txid})
-            return pp.encode_json({"status": 0}), EMPTY
+            return pp.PeerReply({"status": 0}).encode(), EMPTY
         if procnum == pp.PEER_RESOLVE:
-            args = pp.decode_txid_args(dec)
+            args = pp.TxidArgs.decode(dec)
             outcome = self.tx_outcomes.get(args.txid)
             code = {
                 "c": pp.RESOLVE_COMMITTED, "a": pp.RESOLVE_ABORTED,
             }.get(outcome, pp.RESOLVE_UNKNOWN)
-            return pp.encode_json({"outcome": code}), EMPTY
+            return pp.PeerReply({"outcome": code}).encode(), EMPTY
         from repro.rpc.endpoint import RpcAcceptError
         from repro.rpc.messages import PROC_UNAVAIL
 
@@ -1254,9 +1254,9 @@ class DirectoryServer:
     def _peer_prepare(self, args: pp.PrepareArgs):
         state = self.sites.get(args.site)
         if state is None:
-            return pp.encode_json(
+            return pp.PeerReply(
                 {"status": pp.PREPARE_REJECT, "nfs_status": SLICEERR_MISDIRECTED}
-            )
+            ).encode()
         locks = self.locks[args.site]
         keys = self._op_lock_keys(args.site, args.ops)
         acquired = []
@@ -1265,19 +1265,19 @@ class DirectoryServer:
                 acquired.append(("tx", key))
             else:
                 locks.release_all(acquired)
-                return pp.encode_json({"status": pp.PREPARE_CONFLICT})
+                return pp.PeerReply({"status": pp.PREPARE_CONFLICT}).encode()
         nfs_status = self._validate_ops(state, args.ops)
         if nfs_status is not None:
             locks.release_all(acquired)
-            return pp.encode_json(
+            return pp.PeerReply(
                 {"status": pp.PREPARE_REJECT, "nfs_status": nfs_status}
-            )
+            ).encode()
         self.prepared[args.txid] = (args.site, args.ops)
         yield from self._journal(args.site, [{
             "op": "tx_prepare", "txid": args.txid, "coord_site": args.coord_site,
             "ops": args.ops,
         }])
-        return pp.encode_json({"status": pp.PREPARE_OK})
+        return pp.PeerReply({"status": pp.PREPARE_OK}).encode()
 
     def _peer_commit(self, txid: str, site: int):
         entry = self.prepared.pop(txid, None)
@@ -1292,7 +1292,7 @@ class DirectoryServer:
             self._peer_release_keys(site, ops)
         log.append({"op": "tx_commit", "txid": txid})
         yield from ()
-        return pp.encode_json({"status": 0})
+        return pp.PeerReply({"status": 0}).encode()
 
     def _peer_release(self, txid: str, site: int) -> None:
         entry = self.prepared.pop(txid, None)
@@ -1365,9 +1365,9 @@ class DirectoryServer:
         try:
             dec, _ = yield from self.client.call(
                 self.peer_lookup(coord_site), pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                pp.PEER_RESOLVE, pp.encode_txid_args(txid, coord_site),
+                pp.PEER_RESOLVE, pp.TxidArgs(txid, coord_site).encode(),
             )
-            outcome = pp.decode_json(dec).get("outcome")
+            outcome = pp.PeerReply.decode(dec).doc.get("outcome")
         except RpcTimeout:
             outcome = pp.RESOLVE_UNKNOWN
         if outcome == pp.RESOLVE_COMMITTED:

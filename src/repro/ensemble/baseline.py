@@ -209,23 +209,23 @@ class MonolithicServer:
         if procnum == proto.PROC_NULL:
             return b"", EMPTY
         if procnum == proto.PROC_GETATTR:
-            return fs.getattr(proto.decode_fh_args(dec)).encode(), EMPTY
+            return fs.getattr(proto.FhArgs.decode(dec).fh).encode(), EMPTY
         if procnum == proto.PROC_SETATTR:
-            args = proto.decode_setattr_args(dec)
+            args = proto.SetattrArgs.decode(dec)
             res = fs.setattr(args.fh, args.sattr, args.guard_ctime, now)
             if self.on_disk and res.status == 0:
                 yield from self._metadata_write()
             return res.encode(), EMPTY
         if procnum == proto.PROC_LOOKUP:
-            args = proto.decode_diropargs(dec)
+            args = proto.DirOpArgs.decode(dec)
             return fs.lookup(args.dir_fh, args.name).encode(), EMPTY
         if procnum == proto.PROC_ACCESS:
-            args = proto.decode_access_args(dec)
+            args = proto.AccessArgs.decode(dec)
             return fs.access(args.fh, args.access).encode(), EMPTY
         if procnum == proto.PROC_READLINK:
-            return fs.readlink(proto.decode_fh_args(dec)).encode(), EMPTY
+            return fs.readlink(proto.FhArgs.decode(dec).fh).encode(), EMPTY
         if procnum == proto.PROC_READ:
-            args = proto.decode_read_args(dec)
+            args = proto.ReadArgs.decode(dec)
             yield from self.host.cpu_work(p.cpu_per_byte * args.count)
             if self.on_disk:
                 yield from self._inode_read(args.fh)
@@ -233,7 +233,7 @@ class MonolithicServer:
             res, data = fs.read(args.fh, args.offset, args.count, now)
             return res.encode(), data
         if procnum == proto.PROC_WRITE:
-            args = proto.decode_write_args(dec)
+            args = proto.WriteArgs.decode(dec)
             yield from self.host.cpu_work(p.cpu_per_byte * args.count)
             res = fs.write(
                 args.fh, args.offset, body.slice(0, args.count),
@@ -246,37 +246,37 @@ class MonolithicServer:
                     yield from self._flush_range(args.fh, args.offset, args.count)
             return res.encode(), EMPTY
         if procnum == proto.PROC_CREATE:
-            args = proto.decode_create_args(dec)
+            args = proto.CreateArgs.decode(dec)
             res = fs.create(args.dir_fh, args.name, args.mode, args.sattr, now)
             if self.on_disk and res.status == 0:
                 yield from self._metadata_write()
             return res.encode(), EMPTY
         if procnum == proto.PROC_MKDIR:
-            args = proto.decode_mkdir_args(dec)
+            args = proto.MkdirArgs.decode(dec)
             res = fs.mkdir(args.dir_fh, args.name, args.sattr, now)
             if self.on_disk and res.status == 0:
                 yield from self._metadata_write()
             return res.encode(), EMPTY
         if procnum == proto.PROC_SYMLINK:
-            args = proto.decode_symlink_args(dec)
+            args = proto.SymlinkArgs.decode(dec)
             res = fs.symlink(args.dir_fh, args.name, args.path, now)
             if self.on_disk and res.status == 0:
                 yield from self._metadata_write()
             return res.encode(), EMPTY
         if procnum == proto.PROC_REMOVE:
-            args = proto.decode_diropargs(dec)
+            args = proto.DirOpArgs.decode(dec)
             res = fs.remove(args.dir_fh, args.name, now)
             if self.on_disk and res.status == 0:
                 yield from self._metadata_write()
             return res.encode(), EMPTY
         if procnum == proto.PROC_RMDIR:
-            args = proto.decode_diropargs(dec)
+            args = proto.DirOpArgs.decode(dec)
             res = fs.rmdir(args.dir_fh, args.name, now)
             if self.on_disk and res.status == 0:
                 yield from self._metadata_write()
             return res.encode(), EMPTY
         if procnum == proto.PROC_RENAME:
-            args = proto.decode_rename_args(dec)
+            args = proto.RenameArgs.decode(dec)
             res = fs.rename(
                 args.from_dir, args.from_name, args.to_dir, args.to_name, now
             )
@@ -284,16 +284,16 @@ class MonolithicServer:
                 yield from self._metadata_write()
             return res.encode(), EMPTY
         if procnum == proto.PROC_LINK:
-            args = proto.decode_link_args(dec)
+            args = proto.LinkArgs.decode(dec)
             res = fs.link(args.fh, args.dir_fh, args.name, now)
             if self.on_disk and res.status == 0:
                 yield from self._metadata_write()
             return res.encode(), EMPTY
         if procnum in (proto.PROC_READDIR, proto.PROC_READDIRPLUS):
-            args = proto.decode_readdir_args(dec)
+            args = proto.ReaddirArgs.decode(dec)
             return fs.readdir(args.dir_fh, args.cookie).encode(), EMPTY
         if procnum == proto.PROC_FSSTAT:
-            fh = proto.decode_fh_args(dec)
+            fh = proto.FhArgs.decode(dec).fh
             attrs = fs.getattr(fh).attr
             nodes = fs.node_count()
             return proto.FsstatRes(
@@ -302,13 +302,13 @@ class MonolithicServer:
                 ffiles=(1 << 20) - nodes, afiles=(1 << 20) - nodes,
             ).encode(), EMPTY
         if procnum == proto.PROC_FSINFO:
-            fh = proto.decode_fh_args(dec)
+            fh = proto.FhArgs.decode(dec).fh
             return proto.FsinfoRes(0, fs.getattr(fh).attr).encode(), EMPTY
         if procnum == proto.PROC_PATHCONF:
-            fh = proto.decode_fh_args(dec)
+            fh = proto.FhArgs.decode(dec).fh
             return proto.PathconfRes(0, fs.getattr(fh).attr).encode(), EMPTY
         if procnum == proto.PROC_COMMIT:
-            args = proto.decode_commit_args(dec)
+            args = proto.CommitArgs.decode(dec)
             if self.on_disk:
                 yield from self._flush_file(args.fh)
             return fs.commit(args.fh, self.verf).encode(), EMPTY

@@ -15,12 +15,12 @@ every table on every fetch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.net import Address, Host
 from repro.rpc import RpcServer
+from repro.rpc import xdr
 from repro.rpc.xdr import Decoder, Encoder
 from repro.core.routing import RoutingTable
 from repro.util.bytesim import EMPTY
@@ -29,7 +29,7 @@ __all__ = [
     "ConfigService",
     "ConfigFetch",
     "decode_tables",
-    "encode_config_get",
+    "ConfigGetArgs",
     "SLICE_CONFIG_PROGRAM",
     "CONFIG_GET",
     "CONFIG_PORT",
@@ -51,8 +51,9 @@ CONFIG_NOT_MODIFIED = 1
 ALL_TABLES = "*"
 
 
-def encode_config_get(table: str = ALL_TABLES, min_version: int = 0) -> bytes:
-    """Encode a CONFIG_GET request body.
+@xdr.record(xdr.string(256), xdr.U64)
+class ConfigGetArgs(NamedTuple):
+    """CONFIG_GET arguments.
 
     ``table`` names a single routing table, or ``"*"`` for all of them.
     ``min_version`` makes the fetch conditional: the service answers
@@ -60,10 +61,9 @@ def encode_config_get(table: str = ALL_TABLES, min_version: int = 0) -> bytes:
     the cluster epoch) is still <= ``min_version``.  ``0`` fetches
     unconditionally.
     """
-    enc = Encoder()
-    enc.string(table)
-    enc.u64(min_version)
-    return enc.to_bytes()
+
+    table: str = ALL_TABLES
+    min_version: int = 0
 
 
 @dataclass
@@ -150,12 +150,7 @@ class ConfigService:
 
             raise RpcAcceptError(PROC_UNAVAIL)
         self.fetches += 1
-        # Legacy unconditional fetch: empty body == get("*", 0).
-        if dec.remaining == 0:
-            name, min_version = ALL_TABLES, 0
-        else:
-            name = dec.string(256)
-            min_version = dec.u64()
+        name, min_version = ConfigGetArgs.decode(dec)
         enc = Encoder()
         if name == ALL_TABLES:
             fresh = min_version >= self.epoch
@@ -176,7 +171,7 @@ class ConfigService:
             return enc.to_bytes(), EMPTY
         enc.u32(CONFIG_OK)
         enc.u64(self.epoch)
-        enc.string(json.dumps(doc, separators=(",", ":")))
+        xdr.JSON.put(enc, doc)
         return enc.to_bytes(), EMPTY
 
 
@@ -189,7 +184,7 @@ def decode_tables(dec: Decoder) -> ConfigFetch:
     epoch = dec.u64()
     if status == CONFIG_NOT_MODIFIED:
         return ConfigFetch(status, epoch)
-    doc = json.loads(dec.string(1 << 20))
+    doc = xdr.JSON.get(dec)
     return ConfigFetch(
         status, epoch,
         {name: RoutingTable.from_wire(w) for name, w in doc.items()},

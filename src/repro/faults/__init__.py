@@ -9,8 +9,7 @@ modes are actually exercised.  This package turns adversity into data:
   (packet loss/dup/reorder/delay, partitions, crash/restart windows, slow
   disks, torn journal tails) that fully determines a chaos run.
 - :mod:`repro.faults.injector` — :class:`FaultInjector`, the per-packet
-  hook a :class:`~repro.net.network.Network` consults (also hosts the
-  legacy ``drop_fn`` callable).
+  hook a :class:`~repro.net.network.Network` consults.
 - :mod:`repro.faults.harness` — :class:`FaultController` executes timed
   faults against a cluster; :class:`ChaosHarness` runs a scenario under a
   plan and replays every trace invariant.

@@ -7,17 +7,12 @@ partitions and packet-fault rules against the packet and the simulated
 clock, draws from its own dedicated seeded RNG, and returns a
 :class:`FaultDecision` telling the network to drop the packet or to launch
 one or more (possibly delayed) copies.
-
-The legacy ``Network.drop_fn`` callable survives as a field here: setting
-``network.drop_fn`` wraps the callable in a plan-less injector, so the
-many existing hand-rolled fault hooks keep working unchanged while new
-code speaks :class:`~repro.faults.plan.FaultPlan`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .plan import FaultPlan
 
@@ -44,7 +39,7 @@ _DROP_PARTITION = FaultDecision(drop=True, reason="partition")
 
 
 class FaultInjector:
-    """Evaluates a fault plan (and/or a legacy drop callable) per packet.
+    """Evaluates a fault plan per packet.
 
     One injector per network.  All sampling uses ``self.rng`` — a stream
     dedicated to packet faults, derived from the plan seed — so runs are
@@ -54,21 +49,19 @@ class FaultInjector:
 
     def __init__(
         self,
-        plan: Optional[FaultPlan] = None,
+        plan: FaultPlan,
         rng: Optional[random.Random] = None,
         epoch: float = 0.0,
         tracer=None,
-        legacy_drop_fn: Optional[Callable] = None,
     ):
         self.plan = plan
-        seed = plan.seed if plan is not None else 0
         # Dedicated stream: never touch the global RNG.
-        self.rng = rng or random.Random((seed * 2654435761 + 97) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(
+            (plan.seed * 2654435761 + 97) & 0xFFFFFFFF
+        )
         self.epoch = epoch
         self.tracer = tracer
-        self.legacy_drop_fn = legacy_drop_fn
         # -- statistics -----------------------------------------------------
-        self.drops_legacy = 0
         self.drops_loss = 0
         self.drops_partition = 0
         self.duplicates = 0
@@ -77,14 +70,8 @@ class FaultInjector:
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def is_pure_legacy(self) -> bool:
-        """True when this injector only exists to host a drop_fn."""
-        return self.plan is None
-
     def counters(self) -> Dict[str, int]:
         return {
-            "drops_legacy": self.drops_legacy,
             "drops_loss": self.drops_loss,
             "drops_partition": self.drops_partition,
             "duplicates": self.duplicates,
@@ -115,13 +102,7 @@ class FaultInjector:
 
     def on_transmit(self, pkt, now: float) -> FaultDecision:
         """Decide the fate of one packet at simulated time ``now``."""
-        fn = self.legacy_drop_fn
-        if fn is not None and fn(pkt):
-            self.drops_legacy += 1
-            return _DROP_FAULT
         plan = self.plan
-        if plan is None:
-            return _PASS
         rel = now - self.epoch
         src_host = pkt.src.host
         dst_host = pkt.dst.host

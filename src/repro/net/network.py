@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.sim import Resource, Simulator
 from .host import Host
@@ -45,8 +45,8 @@ class Network:
         self.tracer = tracer
         self.hosts: Dict[str, Host] = {}
         self._output_ports: Dict[str, Resource] = {}
-        # Structured fault hook (see repro.faults): consulted per transmit.
-        # The legacy ``drop_fn`` callable is a view onto it (property below).
+        # Fault hook (see repro.faults): anything with
+        # ``on_transmit(packet, now) -> FaultDecision``, consulted per transmit.
         self.fault_injector = None
         self.packets_delivered = 0
         self.packets_dropped_fault = 0
@@ -61,32 +61,6 @@ class Network:
     def packets_dropped(self) -> int:
         """Total drops (legacy aggregate of fault + no-route)."""
         return self.packets_dropped_fault + self.packets_dropped_noroute
-
-    @property
-    def drop_fn(self) -> Optional[Callable[[Packet], bool]]:
-        """Legacy fault hook: a callable returning True to drop a packet.
-
-        Kept for back-compatibility with hand-rolled fault tests; stored
-        on the structured :class:`~repro.faults.injector.FaultInjector`.
-        """
-        injector = self.fault_injector
-        return injector.legacy_drop_fn if injector is not None else None
-
-    @drop_fn.setter
-    def drop_fn(self, fn: Optional[Callable[[Packet], bool]]) -> None:
-        if fn is None:
-            injector = self.fault_injector
-            if injector is not None:
-                injector.legacy_drop_fn = None
-                if injector.is_pure_legacy:
-                    self.fault_injector = None
-            return
-        if self.fault_injector is None:
-            from repro.faults.injector import FaultInjector
-
-            self.fault_injector = FaultInjector(legacy_drop_fn=fn)
-        else:
-            self.fault_injector.legacy_drop_fn = fn
 
     # -- topology --------------------------------------------------------
 

@@ -114,82 +114,82 @@ class NfsClient:
         return None
 
     def getattr(self, fh: bytes):
-        dec, _ = yield from self._call(proto.PROC_GETATTR, proto.encode_fh_args(fh))
+        dec, _ = yield from self._call(proto.PROC_GETATTR, proto.FhArgs(fh).encode())
         return proto.GetattrRes.decode(dec)
 
     def setattr(self, fh: bytes, sattr: Sattr3, guard: Optional[float] = None):
         dec, _ = yield from self._call(
-            proto.PROC_SETATTR, proto.encode_setattr_args(fh, sattr, guard)
+            proto.PROC_SETATTR, proto.SetattrArgs(fh, sattr, guard).encode()
         )
         return proto.SetattrRes.decode(dec)
 
     def lookup(self, dir_fh: bytes, name: str):
         dec, _ = yield from self._call(
-            proto.PROC_LOOKUP, proto.encode_diropargs(dir_fh, name)
+            proto.PROC_LOOKUP, proto.DirOpArgs(dir_fh, name).encode()
         )
         return proto.LookupRes.decode(dec)
 
     def access(self, fh: bytes, bits: int = 0x3F):
         dec, _ = yield from self._call(
-            proto.PROC_ACCESS, proto.encode_access_args(fh, bits)
+            proto.PROC_ACCESS, proto.AccessArgs(fh, bits).encode()
         )
         return proto.AccessRes.decode(dec)
 
     def readlink(self, fh: bytes):
-        dec, _ = yield from self._call(proto.PROC_READLINK, proto.encode_fh_args(fh))
+        dec, _ = yield from self._call(proto.PROC_READLINK, proto.FhArgs(fh).encode())
         return proto.ReadlinkRes.decode(dec)
 
     def create(self, dir_fh: bytes, name: str, mode: int = 1,
                sattr: Optional[Sattr3] = None):
         dec, _ = yield from self._call(
             proto.PROC_CREATE,
-            proto.encode_create_args(dir_fh, name, mode, sattr or Sattr3()),
+            proto.CreateArgs(dir_fh, name, mode, sattr or Sattr3()).encode(),
         )
         return proto.CreateRes.decode(dec)
 
     def mkdir(self, dir_fh: bytes, name: str, sattr: Optional[Sattr3] = None):
         dec, _ = yield from self._call(
             proto.PROC_MKDIR,
-            proto.encode_mkdir_args(dir_fh, name, sattr or Sattr3()),
+            proto.MkdirArgs(dir_fh, name, sattr or Sattr3()).encode(),
         )
         return proto.MkdirRes.decode(dec)
 
     def symlink(self, dir_fh: bytes, name: str, path: str):
         dec, _ = yield from self._call(
             proto.PROC_SYMLINK,
-            proto.encode_symlink_args(dir_fh, name, Sattr3(), path),
+            proto.SymlinkArgs(dir_fh, name, Sattr3(), path).encode(),
         )
         return proto.SymlinkRes.decode(dec)
 
     def remove(self, dir_fh: bytes, name: str):
         dec, _ = yield from self._call(
-            proto.PROC_REMOVE, proto.encode_diropargs(dir_fh, name)
+            proto.PROC_REMOVE, proto.DirOpArgs(dir_fh, name).encode()
         )
         return proto.RemoveRes.decode(dec)
 
     def rmdir(self, dir_fh: bytes, name: str):
         dec, _ = yield from self._call(
-            proto.PROC_RMDIR, proto.encode_diropargs(dir_fh, name)
+            proto.PROC_RMDIR, proto.DirOpArgs(dir_fh, name).encode()
         )
         return proto.RemoveRes.decode(dec)
 
     def rename(self, from_dir: bytes, from_name: str, to_dir: bytes, to_name: str):
         dec, _ = yield from self._call(
             proto.PROC_RENAME,
-            proto.encode_rename_args(from_dir, from_name, to_dir, to_name),
+            proto.RenameArgs(from_dir, from_name, to_dir, to_name).encode(),
         )
         return proto.RenameRes.decode(dec)
 
     def link(self, fh: bytes, dir_fh: bytes, name: str):
         dec, _ = yield from self._call(
-            proto.PROC_LINK, proto.encode_link_args(fh, dir_fh, name)
+            proto.PROC_LINK, proto.LinkArgs(fh, dir_fh, name).encode()
         )
         return proto.LinkRes.decode(dec)
 
     def readdir_page(self, dir_fh: bytes, cookie: int = 0, count: int = 4096):
         dec, _ = yield from self._call(
             proto.PROC_READDIR,
-            proto.encode_readdir_args(dir_fh, cookie, 0, count),
+            proto.ReaddirArgs(dir_fh, cookie, 0, count).encode(),
         )
         return proto.ReaddirRes.decode(dec)
 
@@ -197,7 +197,7 @@ class NfsClient:
                          maxcount: int = 32768):
         dec, _ = yield from self._call(
             proto.PROC_READDIRPLUS,
-            proto.encode_readdirplus_args(dir_fh, cookie, 0, 4096, maxcount),
+            proto.ReaddirplusArgs(dir_fh, cookie, 0, 4096, maxcount).encode(),
         )
         return proto.ReaddirRes.decode(dec, plus=True)
 
@@ -219,7 +219,7 @@ class NfsClient:
 
     def commit(self, fh: bytes, offset: int = 0, count: int = 0):
         dec, _ = yield from self._call(
-            proto.PROC_COMMIT, proto.encode_commit_args(fh, offset, count)
+            proto.PROC_COMMIT, proto.CommitArgs(fh, offset, count).encode()
         )
         return proto.CommitRes.decode(dec)
 
@@ -227,7 +227,7 @@ class NfsClient:
 
     def read(self, fh: bytes, offset: int, count: int):
         dec, body = yield from self._call(
-            proto.PROC_READ, proto.encode_read_args(fh, offset, count)
+            proto.PROC_READ, proto.ReadArgs(fh, offset, count).encode()
         )
         res = proto.ReadRes.decode(dec)
         if res.status == 0:
@@ -247,7 +247,7 @@ class NfsClient:
             )
         dec, _ = yield from self._call(
             proto.PROC_WRITE,
-            proto.encode_write_args(fh, offset, data.length, stable),
+            proto.WriteArgs(fh, offset, data.length, stable).encode(),
             data,
         )
         res = proto.WriteRes.decode(dec)

@@ -1,11 +1,12 @@
 """NFS V3 procedure codec (RFC 1813).
 
-Argument encoders/decoders produce the bytes that follow the RPC call
-header; result classes encode/decode the bytes that follow the RPC reply
-header.  Bulk data (READ results, WRITE arguments) travels in the packet
-*body*, after these headers — matching the header-splitting NICs of the
-paper's testbed — and conveniently NFS V3 puts opaque file data last in
-both messages.
+Argument messages declare their wire layout once, with
+:func:`repro.rpc.xdr.record`, and encode to / decode from the bytes that
+follow the RPC call header; result classes encode/decode the bytes that
+follow the RPC reply header.  Bulk data (READ results, WRITE arguments)
+travels in the packet *body*, after these headers — matching the
+header-splitting NICs of the paper's testbed — and conveniently NFS V3
+puts opaque file data last in both messages.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
+from repro.rpc import xdr
 from repro.rpc.xdr import Decoder, Encoder
 from .types import (
     DirEntry,
@@ -52,6 +54,20 @@ __all__ = [
     "PROC_NAMES",
     "NAME_OPS",
     "IO_OPS",
+    "FhArgs",
+    "SetattrArgs",
+    "DirOpArgs",
+    "AccessArgs",
+    "ReadArgs",
+    "WriteArgs",
+    "CreateArgs",
+    "MkdirArgs",
+    "SymlinkArgs",
+    "RenameArgs",
+    "LinkArgs",
+    "ReaddirArgs",
+    "ReaddirplusArgs",
+    "CommitArgs",
 ]
 
 NFS_PROGRAM = 100003
@@ -116,13 +132,9 @@ IO_OPS = {PROC_READ, PROC_WRITE, PROC_COMMIT}
 
 FH_MAX = 64
 
-
-def _enc_fh(enc: Encoder, fh: bytes) -> None:
-    enc.opaque_var(fh)
-
-
-def _dec_fh(dec: Decoder) -> bytes:
-    return dec.opaque_var(FH_MAX)
+FH = xdr.opaque(FH_MAX)
+NAME = xdr.string(255)
+SATTR = xdr.nested(Sattr3)
 
 
 def _enc_wcc(enc: Encoder, post: Optional[Fattr3]) -> int:
@@ -140,171 +152,108 @@ def _dec_wcc(dec: Decoder) -> Tuple[Optional[Fattr3], int]:
 
 
 # ---------------------------------------------------------------------------
-# Argument codecs
+# Argument messages: one declared wire layout each
 # ---------------------------------------------------------------------------
 
 
-class DirOpArgs(NamedTuple):
-    dir_fh: bytes
-    name: str
-
-
-def encode_fh_args(fh: bytes) -> bytes:
+@xdr.record(FH)
+class FhArgs(NamedTuple):
     """GETATTR, READLINK, FSSTAT, FSINFO, PATHCONF: a bare file handle."""
-    enc = Encoder()
-    _enc_fh(enc, fh)
-    return enc.to_bytes()
 
-
-def decode_fh_args(dec: Decoder) -> bytes:
-    return _dec_fh(dec)
-
-
-def encode_setattr_args(fh: bytes, sattr: Sattr3, guard_ctime: Optional[float] = None) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, fh)
-    sattr.encode(enc)
-    if guard_ctime is None:
-        enc.boolean(False)
-    else:
-        enc.boolean(True)
-        encode_time(enc, guard_ctime)
-    return enc.to_bytes()
+    fh: bytes
 
 
 class SetattrArgs(NamedTuple):
     fh: bytes
     sattr: Sattr3
-    guard_ctime: Optional[float]
+    guard_ctime: Optional[float] = None
+
+    def encode(self) -> bytes:
+        enc = Encoder()
+        FH.put(enc, self.fh)
+        self.sattr.encode(enc)
+        if self.guard_ctime is None:
+            enc.boolean(False)
+        else:
+            enc.boolean(True)
+            encode_time(enc, self.guard_ctime)
+        return enc.to_bytes()
+
+    @classmethod
+    def decode(cls, dec: Decoder) -> "SetattrArgs":
+        fh = FH.get(dec)
+        sattr = Sattr3.decode(dec)
+        guard = decode_time(dec) if dec.boolean() else None
+        return cls(fh, sattr, guard)
 
 
-def decode_setattr_args(dec: Decoder) -> SetattrArgs:
-    fh = _dec_fh(dec)
-    sattr = Sattr3.decode(dec)
-    guard = decode_time(dec) if dec.boolean() else None
-    return SetattrArgs(fh, sattr, guard)
-
-
-def encode_diropargs(dir_fh: bytes, name: str) -> bytes:
+@xdr.record(FH, NAME)
+class DirOpArgs(NamedTuple):
     """LOOKUP, REMOVE, RMDIR."""
-    enc = Encoder()
-    _enc_fh(enc, dir_fh)
-    enc.string(name)
-    return enc.to_bytes()
+
+    dir_fh: bytes
+    name: str
 
 
-def decode_diropargs(dec: Decoder) -> DirOpArgs:
-    return DirOpArgs(_dec_fh(dec), dec.string(255))
-
-
-def encode_access_args(fh: bytes, access: int) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, fh)
-    enc.u32(access)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, xdr.U32)
 class AccessArgs(NamedTuple):
     fh: bytes
     access: int
 
 
-def decode_access_args(dec: Decoder) -> AccessArgs:
-    return AccessArgs(_dec_fh(dec), dec.u32())
-
-
-def encode_read_args(fh: bytes, offset: int, count: int) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, fh)
-    enc.u64(offset)
-    enc.u32(count)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, xdr.U64, xdr.U32)
 class ReadArgs(NamedTuple):
     fh: bytes
     offset: int
     count: int
 
 
-def decode_read_args(dec: Decoder) -> ReadArgs:
-    return ReadArgs(_dec_fh(dec), dec.u64(), dec.u32())
-
-
-def encode_write_args(fh: bytes, offset: int, count: int, stable: int) -> bytes:
-    """WRITE arguments; the data itself rides in the packet body."""
-    enc = Encoder()
-    _enc_fh(enc, fh)
-    enc.u64(offset)
-    enc.u32(count)
-    enc.u32(stable)
-    enc.u32(count)  # opaque<> length prefix for the body that follows
-    return enc.to_bytes()
-
-
 class WriteArgs(NamedTuple):
+    """WRITE arguments; the data itself rides in the packet body."""
+
     fh: bytes
     offset: int
     count: int
     stable: int
 
+    def encode(self) -> bytes:
+        enc = Encoder()
+        FH.put(enc, self.fh)
+        enc.u64(self.offset)
+        enc.u32(self.count)
+        enc.u32(self.stable)
+        enc.u32(self.count)  # opaque<> length prefix for the body that follows
+        return enc.to_bytes()
 
-def decode_write_args(dec: Decoder) -> WriteArgs:
-    fh = _dec_fh(dec)
-    offset = dec.u64()
-    count = dec.u32()
-    stable = dec.u32()
-    dec.u32()  # body length prefix
-    return WriteArgs(fh, offset, count, stable)
+    @classmethod
+    def decode(cls, dec: Decoder) -> "WriteArgs":
+        fh = FH.get(dec)
+        offset = dec.u64()
+        count = dec.u32()
+        stable = dec.u32()
+        dec.u32()  # body length prefix
+        return cls(fh, offset, count, stable)
 
 
-def encode_create_args(dir_fh: bytes, name: str, mode: int, sattr: Sattr3) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, dir_fh)
-    enc.string(name)
-    enc.u32(mode)
-    sattr.encode(enc)  # (EXCLUSIVE verf not modeled; mode kept for shape)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, NAME, xdr.U32, SATTR)
 class CreateArgs(NamedTuple):
+    """CREATE; the EXCLUSIVE verifier is not modeled, ``mode`` keeps the
+    createhow discriminant in place."""
+
     dir_fh: bytes
     name: str
     mode: int
     sattr: Sattr3
 
 
-def decode_create_args(dec: Decoder) -> CreateArgs:
-    return CreateArgs(_dec_fh(dec), dec.string(255), dec.u32(), Sattr3.decode(dec))
-
-
-def encode_mkdir_args(dir_fh: bytes, name: str, sattr: Sattr3) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, dir_fh)
-    enc.string(name)
-    sattr.encode(enc)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, NAME, SATTR)
 class MkdirArgs(NamedTuple):
     dir_fh: bytes
     name: str
     sattr: Sattr3
 
 
-def decode_mkdir_args(dec: Decoder) -> MkdirArgs:
-    return MkdirArgs(_dec_fh(dec), dec.string(255), Sattr3.decode(dec))
-
-
-def encode_symlink_args(dir_fh: bytes, name: str, sattr: Sattr3, path: str) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, dir_fh)
-    enc.string(name)
-    sattr.encode(enc)
-    enc.string(path)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, NAME, SATTR, xdr.string(1024))
 class SymlinkArgs(NamedTuple):
     dir_fh: bytes
     name: str
@@ -312,21 +261,7 @@ class SymlinkArgs(NamedTuple):
     path: str
 
 
-def decode_symlink_args(dec: Decoder) -> SymlinkArgs:
-    return SymlinkArgs(
-        _dec_fh(dec), dec.string(255), Sattr3.decode(dec), dec.string(1024)
-    )
-
-
-def encode_rename_args(from_dir: bytes, from_name: str, to_dir: bytes, to_name: str) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, from_dir)
-    enc.string(from_name)
-    _enc_fh(enc, to_dir)
-    enc.string(to_name)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, NAME, FH, NAME)
 class RenameArgs(NamedTuple):
     from_dir: bytes
     from_name: str
@@ -334,41 +269,14 @@ class RenameArgs(NamedTuple):
     to_name: str
 
 
-def decode_rename_args(dec: Decoder) -> RenameArgs:
-    return RenameArgs(
-        _dec_fh(dec), dec.string(255), _dec_fh(dec), dec.string(255)
-    )
-
-
-def encode_link_args(fh: bytes, dir_fh: bytes, name: str) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, fh)
-    _enc_fh(enc, dir_fh)
-    enc.string(name)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, FH, NAME)
 class LinkArgs(NamedTuple):
     fh: bytes
     dir_fh: bytes
     name: str
 
 
-def decode_link_args(dec: Decoder) -> LinkArgs:
-    return LinkArgs(_dec_fh(dec), _dec_fh(dec), dec.string(255))
-
-
-def encode_readdir_args(
-    dir_fh: bytes, cookie: int, cookieverf: int, count: int
-) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, dir_fh)
-    enc.u64(cookie)
-    enc.u64(cookieverf)
-    enc.u32(count)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, xdr.U64, xdr.U64, xdr.U32)
 class ReaddirArgs(NamedTuple):
     dir_fh: bytes
     cookie: int
@@ -376,22 +284,7 @@ class ReaddirArgs(NamedTuple):
     count: int
 
 
-def decode_readdir_args(dec: Decoder) -> ReaddirArgs:
-    return ReaddirArgs(_dec_fh(dec), dec.u64(), dec.u64(), dec.u32())
-
-
-def encode_readdirplus_args(
-    dir_fh: bytes, cookie: int, cookieverf: int, dircount: int, maxcount: int
-) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, dir_fh)
-    enc.u64(cookie)
-    enc.u64(cookieverf)
-    enc.u32(dircount)
-    enc.u32(maxcount)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, xdr.U64, xdr.U64, xdr.U32, xdr.U32)
 class ReaddirplusArgs(NamedTuple):
     dir_fh: bytes
     cookie: int
@@ -400,28 +293,11 @@ class ReaddirplusArgs(NamedTuple):
     maxcount: int
 
 
-def decode_readdirplus_args(dec: Decoder) -> ReaddirplusArgs:
-    return ReaddirplusArgs(
-        _dec_fh(dec), dec.u64(), dec.u64(), dec.u32(), dec.u32()
-    )
-
-
-def encode_commit_args(fh: bytes, offset: int, count: int) -> bytes:
-    enc = Encoder()
-    _enc_fh(enc, fh)
-    enc.u64(offset)
-    enc.u32(count)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, xdr.U64, xdr.U32)
 class CommitArgs(NamedTuple):
     fh: bytes
     offset: int
     count: int
-
-
-def decode_commit_args(dec: Decoder) -> CommitArgs:
-    return CommitArgs(_dec_fh(dec), dec.u64(), dec.u32())
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +367,7 @@ class LookupRes:
         enc = Encoder()
         enc.u32(self.status)
         if self.status == 0:
-            _enc_fh(enc, self.fh)
+            FH.put(enc, self.fh)
             self.attr_offset = encode_post_op_attr(enc, self.attr)
         encode_post_op_attr(enc, self.dir_attr)
         return enc.to_bytes()
@@ -502,7 +378,7 @@ class LookupRes:
         fh = attr = None
         offset = -1
         if status == 0:
-            fh = _dec_fh(dec)
+            fh = FH.get(dec)
             attr, offset = decode_post_op_attr(dec)
         dir_attr, _ = decode_post_op_attr(dec)
         return cls(status, fh, attr, dir_attr, offset)
@@ -632,7 +508,7 @@ class CreateRes:
                 enc.boolean(False)
             else:
                 enc.boolean(True)
-                _enc_fh(enc, self.fh)
+                FH.put(enc, self.fh)
             encode_post_op_attr(enc, self.attr)
         _enc_wcc(enc, self.dir_attr)
         return enc.to_bytes()
@@ -643,7 +519,7 @@ class CreateRes:
         fh = attr = None
         if status == 0:
             if dec.boolean():
-                fh = _dec_fh(dec)
+                fh = FH.get(dec)
             attr, _ = decode_post_op_attr(dec)
         dir_attr, _ = _dec_wcc(dec)
         return cls(status, fh, attr, dir_attr)
@@ -724,7 +600,7 @@ class ReaddirRes:
                     enc.boolean(False)
                 else:
                     enc.boolean(True)
-                    _enc_fh(enc, entry.fh)
+                    FH.put(enc, entry.fh)
         enc.boolean(False)
         enc.boolean(self.eof)
         return enc.to_bytes()
@@ -739,13 +615,13 @@ class ReaddirRes:
         entries = []
         while dec.boolean():
             fileid = dec.u64()
-            name = dec.string(255)
+            name = NAME.get(dec)
             cookie = dec.u64()
             attr = fh = None
             if plus:
                 attr, _ = decode_post_op_attr(dec)
                 if dec.boolean():
-                    fh = _dec_fh(dec)
+                    fh = FH.get(dec)
             entries.append(DirEntry(fileid, name, cookie, attr, fh))
         eof = dec.boolean()
         return cls(status, dir_attr, cookieverf, entries, eof, plus)

@@ -201,7 +201,6 @@ class Tracer:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
                  capacity: int = 1 << 18, keep_component_events: int = 4096):
-        self.enabled = True
         self.metrics = metrics or MetricsRegistry(
             histogram_reservoir=self.HISTOGRAM_RESERVOIR
         )
@@ -278,8 +277,6 @@ class Tracer:
                          size: int = 0) -> int:
         """The µproxy intercepted a client CALL; returns the trace id to
         stamp onto the packet."""
-        if not self.enabled:
-            return 0
         exchange = self._get_or_create(client, xid, ts)
         exchange.proc = proc
         exchange.new_call(ts, proc=proc, size=size)
@@ -289,8 +286,6 @@ class Tracer:
     def route(self, client, xid: int, ts: float, dst, reason: str,
               site: Optional[int] = None, **attrs) -> None:
         """Route decision: where this request is being redirected and why."""
-        if not self.enabled:
-            return
         exchange = self.exchanges.get(self._key(client, xid))
         if exchange is None:
             return
@@ -302,8 +297,6 @@ class Tracer:
 
     def absorb(self, client, xid: int, ts: float, what: str, **attrs) -> None:
         """The µproxy absorbed the request (it will synthesize the reply)."""
-        if not self.enabled:
-            return
         exchange = self.exchanges.get(self._key(client, xid))
         if exchange is None:
             return
@@ -314,8 +307,6 @@ class Tracer:
     def split(self, client, xid: int, ts: float, kind: str, offset: int,
               count: int, segments: List[Tuple[int, int]]) -> Optional[Span]:
         """A straddling READ/WRITE was split into per-owner segments."""
-        if not self.enabled:
-            return None
         exchange = self.exchanges.get(self._key(client, xid))
         if exchange is None:
             return None
@@ -331,8 +322,6 @@ class Tracer:
     def segment(self, client, xid: int, ts: float, offset: int, length: int,
                 target, status: int, parent: Optional[Span] = None) -> None:
         """One scattered segment of a split I/O completed."""
-        if not self.enabled:
-            return
         exchange = self.exchanges.get(self._key(client, xid))
         if exchange is None:
             return
@@ -343,8 +332,6 @@ class Tracer:
     def reply_sent(self, client, xid: int, ts: float,
                    synthesized: bool = False, **attrs) -> None:
         """A reply left the µproxy toward the original client."""
-        if not self.enabled:
-            return
         exchange = self.exchanges.get(self._key(client, xid))
         if exchange is None:
             return
@@ -358,8 +345,6 @@ class Tracer:
             exchange.root.finish(ts)
 
     def misdirected(self, client, xid: int, ts: float) -> None:
-        if not self.enabled:
-            return
         exchange = self.exchanges.get(self._key(client, xid))
         if exchange is not None:
             exchange.add("uproxy", "misdirected", ts,
@@ -369,7 +354,7 @@ class Tracer:
     def rewrite_check(self, pkt, where: str) -> None:
         """Record a rewritten packet's incremental checksum next to a full
         recomputation — the checker asserts they agree."""
-        if not self.enabled or pkt.cksum is None:
+        if pkt.cksum is None:
             return
         key = self._by_tid.get(pkt.trace_id)
         if key is None:
@@ -387,8 +372,6 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def packet_delivered(self, pkt, ts: float) -> None:
-        if not self.enabled:
-            return
         scope = self.metrics.scope("net")
         scope.inc("packets_delivered")
         scope.inc("bytes_delivered", pkt.size)
@@ -408,8 +391,6 @@ class Tracer:
                              size=pkt.size)
 
     def packet_dropped(self, pkt, ts: float, reason: str = "fault") -> None:
-        if not self.enabled:
-            return
         self.metrics.scope("net").inc(f"packets_dropped.{reason}")
         key = self._by_tid.get(pkt.trace_id)
         if key is not None:
@@ -424,8 +405,6 @@ class Tracer:
 
     def server_begin(self, component: str, trace_id: int, proc: int,
                      ts: float) -> Optional[Span]:
-        if not self.enabled:
-            return None
         self.metrics.scope(component).inc("requests_handled")
         key = self._by_tid.get(trace_id)
         if key is None:
@@ -436,7 +415,7 @@ class Tracer:
         return exchange.add(component, "handle", ts, proc=proc)
 
     def server_end(self, span: Optional[Span], ts: float, **attrs) -> None:
-        if span is None or not self.enabled:
+        if span is None:
             return
         span.finish(ts, **attrs)
         self.metrics.scope(span.component).observe("handle_s", span.duration)
@@ -446,8 +425,6 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def intent_logged(self, op_id: int, kind: int, ts: float) -> None:
-        if not self.enabled:
-            return
         prev = self.intents.get(op_id)
         if prev is None or prev[0] != INTENT_OPEN:
             self.open_intent_count += 1
@@ -476,14 +453,10 @@ class Tracer:
                 )
 
     def intent_completed(self, op_id: int, ts: float) -> None:
-        if not self.enabled:
-            return
         self._close_intent(op_id, INTENT_COMPLETED, ts)
         self.metrics.scope("coord").inc("intents_completed")
 
     def intent_recovered(self, op_id: int, ts: float) -> None:
-        if not self.enabled:
-            return
         self._close_intent(op_id, INTENT_RECOVERED, ts)
         self.metrics.scope("coord").inc("intents_recovered")
 
@@ -497,8 +470,6 @@ class Tracer:
 
     def fault_injected(self, name: str, ts: float, **attrs) -> None:
         """A chaos-engine fault fired (drop/dup/reorder/crash/...)."""
-        if not self.enabled:
-            return
         self.metrics.scope("faults").inc(name)
         self.faults_injected.append(
             (ts, name, tuple(sorted(attrs.items())))
@@ -508,8 +479,6 @@ class Tracer:
                   appended: int, ts: float) -> None:
         """A write-ahead log crashed: record the stable/survivor/appended
         counts so the checker can assert prefix consistency."""
-        if not self.enabled:
-            return
         self.wal_crashes.append(
             (log_name, stable_before, survivors, appended, ts)
         )
@@ -521,8 +490,6 @@ class Tracer:
     def duplicate_execution(self, component: str, key, ts: float) -> None:
         """An RPC server ran the same (client, xid) twice in one boot epoch
         — a violation of at-most-once execution the checker will flag."""
-        if not self.enabled:
-            return
         self.duplicate_executions.append((component, key, ts))
         self.metrics.scope(component).inc("duplicate_executions")
 
@@ -533,8 +500,6 @@ class Tracer:
     def rebind_installed(self, epoch: int, ts: float = 0.0,
                          moves=()) -> None:
         """The config service installed a new binding generation."""
-        if not self.enabled:
-            return
         self.epochs_installed.append((ts, epoch, tuple(moves)))
         scope = self.metrics.scope("reconfig")
         scope.inc("rebinds_installed")
@@ -543,16 +508,12 @@ class Tracer:
     def migration_started(self, object_id: bytes, site: int, src, dst,
                           ts: float) -> None:
         """The rebalancer began moving one (object, site) placement."""
-        if not self.enabled:
-            return
         self.migrations[(object_id.hex(), site)] = "open"
         self.metrics.scope("reconfig").inc("migrations_started")
 
     def migration_finished(self, object_id: bytes, site: int, ts: float,
                            bytes_moved: int = 0) -> None:
         """One (object, site) placement finished moving."""
-        if not self.enabled:
-            return
         self.migrations[(object_id.hex(), site)] = "done"
         scope = self.metrics.scope("reconfig")
         scope.inc("migrations_finished")
@@ -563,8 +524,6 @@ class Tracer:
         """A data server served a WRITE for a site it no longer hosts —
         that write is stranded on a server the routing tables no longer
         name, i.e. a lost write.  Must never happen."""
-        if not self.enabled:
-            return
         self.stale_writes.append((component, object_id.hex(), site, ts))
         self.metrics.scope("reconfig").inc("stale_writes_accepted")
 
@@ -579,8 +538,6 @@ class Tracer:
     def event(self, component: str, name: str, ts: float = 0.0,
               **attrs) -> None:
         """Counter bump plus a bounded ring entry for debugging."""
-        if not self.enabled:
-            return
         self.metrics.scope(component).inc(name)
         self.component_events.append((ts, component, name, attrs))
 

@@ -246,7 +246,7 @@ class Rebalancer:
             try:
                 yield from self.client.call(
                     coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                    cp.COORD_INTENT, cp.encode_intent_args(intent),
+                    cp.COORD_INTENT, intent.encode(),
                 )
                 return
             except RpcTimeout:
@@ -260,7 +260,7 @@ class Rebalancer:
             try:
                 yield from self.client.call(
                     coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                    cp.COORD_COMPLETE, cp.encode_complete_args(op_id),
+                    cp.COORD_COMPLETE, cp.CompleteArgs(op_id).encode(),
                 )
                 return
             except RpcTimeout:
@@ -287,19 +287,19 @@ class Rebalancer:
                 dec, data = yield from self.client.call(
                     unit.src, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
                     ctrlproto.CTRL_OBJ_READ,
-                    ctrlproto.encode_range_args(unit.fh, offset, count),
+                    ctrlproto.RangeArgs(unit.fh, offset, count).encode(),
                 )
             except RpcTimeout:
                 yield self.sim.timeout(self.RETRY_DELAY)
                 continue
-            res = ctrlproto.decode_read_res(dec)
+            res = ctrlproto.ReadRes.decode(dec)
             if not res.exists or data.length == 0:
                 return 0  # hole (or the object vanished): nothing to copy
             try:
                 yield from self.client.call(
                     unit.dst, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
                     ctrlproto.CTRL_MIGRATE_WRITE,
-                    ctrlproto.encode_range_args(unit.fh, offset, data.length),
+                    ctrlproto.RangeArgs(unit.fh, offset, data.length).encode(),
                     data,
                 )
                 return data.length

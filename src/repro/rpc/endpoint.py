@@ -17,12 +17,13 @@ from typing import Dict, Optional, Tuple
 from repro.net import Address, Host, Packet
 from repro.util.bytesim import EMPTY, Data
 from .messages import (
+    GARBAGE_ARGS,
     SUCCESS,
     CallHeader,
     Credential,
     ReplyHeader,
 )
-from .xdr import Decoder
+from .xdr import Decoder, XdrError
 
 __all__ = ["RpcClient", "RpcServer", "RpcTimeout", "RpcAcceptError"]
 
@@ -270,14 +271,12 @@ class RpcServer:
             else:
                 result = yield from gen
         except RpcAcceptError as exc:
-            header = ReplyHeader(call.xid, exc.accept_stat).encode().to_bytes()
-            self._drc_put(key, (header, EMPTY))
-            if tracer is not None:
-                tracer.server_end(span, self.host.clock(),
-                                  accept_stat=exc.accept_stat)
-            self.host.send(
-                self._reply_packet(pkt.src, header, EMPTY, pkt.trace_id)
-            )
+            self._reject(pkt, call.xid, key, span, exc.accept_stat)
+            return
+        except XdrError:
+            # Undecodable arguments (RFC 5531); the cached rejection also
+            # answers retransmissions instead of dropping them.
+            self._reject(pkt, call.xid, key, span, GARBAGE_ARGS)
             return
         if result is None:
             # Service chose to drop (e.g. simulated failure window): no
@@ -295,6 +294,18 @@ class RpcServer:
             tracer.server_end(span, self.host.clock())
         self.host.send(
             self._reply_packet(pkt.src, header, reply_body, pkt.trace_id)
+        )
+
+    def _reject(self, pkt: Packet, xid: int, key, span,
+                accept_stat: int) -> None:
+        """Reply with a non-SUCCESS accept status and cache it."""
+        header = ReplyHeader(xid, accept_stat).encode().to_bytes()
+        self._drc_put(key, (header, EMPTY))
+        if self.tracer is not None:
+            self.tracer.server_end(span, self.host.clock(),
+                                   accept_stat=accept_stat)
+        self.host.send(
+            self._reply_packet(pkt.src, header, EMPTY, pkt.trace_id)
         )
 
     def _traced_service(self, gen, span):

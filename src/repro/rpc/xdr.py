@@ -7,10 +7,27 @@ to decoding the variable-length RPC/NFS headers (Table 3).
 
 from __future__ import annotations
 
+import json
 import struct
-from typing import Callable, List, Sequence
+from typing import Any, Callable, List, NamedTuple, Sequence
 
-__all__ = ["Encoder", "Decoder", "XdrError"]
+__all__ = [
+    "Encoder",
+    "Decoder",
+    "XdrError",
+    "Field",
+    "U32",
+    "U64",
+    "I32",
+    "BOOL",
+    "JSON",
+    "opaque",
+    "string",
+    "array",
+    "nested",
+    "tuple_of",
+    "record",
+]
 
 
 class XdrError(Exception):
@@ -133,7 +150,11 @@ class Decoder:
         return self.opaque_fixed(length)
 
     def string(self, max_length: int = 0xFFFFFFFF) -> str:
-        return self.opaque_var(max_length).decode("utf-8")
+        data = self.opaque_var(max_length)
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise XdrError(f"string is not UTF-8: {exc}") from None
 
     def array(self, decode_item: Callable) -> list:
         count = self.u32()
@@ -147,3 +168,114 @@ class Decoder:
 
     def done(self) -> bool:
         return self.offset >= len(self.data)
+
+
+# ---------------------------------------------------------------------------
+# Declared message layouts
+# ---------------------------------------------------------------------------
+
+
+class Field(NamedTuple):
+    """One XDR field kind: ``put(enc, value)`` appends a value and
+    ``get(dec)`` reads one back, with the same range and bound checks."""
+
+    put: Callable[[Encoder, Any], Any]
+    get: Callable[[Decoder], Any]
+
+
+U32 = Field(lambda enc, v: enc.u32(v), lambda dec: dec.u32())
+U64 = Field(lambda enc, v: enc.u64(v), lambda dec: dec.u64())
+I32 = Field(lambda enc, v: enc.i32(v), lambda dec: dec.i32())
+BOOL = Field(lambda enc, v: enc.boolean(v), lambda dec: dec.boolean())
+
+
+def opaque(max_length: int) -> Field:
+    """``opaque<max_length>``: longer input is rejected on decode."""
+    return Field(lambda enc, v: enc.opaque_var(v),
+                 lambda dec: dec.opaque_var(max_length))
+
+
+def string(max_length: int) -> Field:
+    """``string<max_length>`` holding UTF-8 text."""
+    return Field(lambda enc, v: enc.string(v),
+                 lambda dec: dec.string(max_length))
+
+
+def array(kind: Field) -> Field:
+    """Counted array of ``kind``, decoded as a list."""
+    return Field(lambda enc, v: enc.array(v, kind.put),
+                 lambda dec: dec.array(kind.get))
+
+
+def nested(codec) -> Field:
+    """A value with ``encode(enc)`` and a ``decode(dec)`` classmethod,
+    such as :class:`~repro.nfs.types.Sattr3`."""
+    return Field(lambda enc, v: v.encode(enc), lambda dec: codec.decode(dec))
+
+
+def tuple_of(*kinds: Field) -> Field:
+    """An XDR struct of ``kinds`` in order, decoded as a plain tuple."""
+    puts = tuple(kind.put for kind in kinds)
+    gets = tuple(kind.get for kind in kinds)
+
+    def put(enc: Encoder, values) -> None:
+        for put_one, value in zip(puts, values):
+            put_one(enc, value)
+
+    def get(dec: Decoder) -> tuple:
+        return tuple([get_one(dec) for get_one in gets])
+
+    return Field(put, get)
+
+
+#: Largest JSON document a :data:`JSON` field accepts.
+JSON_MAX = 1 << 20
+
+
+def _json_get(dec: Decoder):
+    text = dec.string(JSON_MAX)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: a deeply nested document exhausts the parser.
+        raise XdrError(f"bad JSON document: {exc!r}") from None
+
+
+#: A JSON document carried in an XDR string (compact separators).
+JSON = Field(
+    lambda enc, v: enc.string(json.dumps(v, separators=(",", ":"))),
+    _json_get,
+)
+
+
+def record(*kinds: Field):
+    """Class decorator declaring a NamedTuple's wire layout.
+
+    ``kinds`` gives one :class:`Field` per NamedTuple field, in order.
+    The class gets ``encode(self) -> bytes`` and a ``decode(dec)``
+    classmethod that reads the fields back from a :class:`Decoder`.
+    """
+    layout = tuple_of(*kinds)
+
+    def install(cls):
+        if len(cls._fields) != len(kinds):
+            raise TypeError(
+                f"{cls.__name__} has {len(cls._fields)} fields "
+                f"but {len(kinds)} XDR kinds"
+            )
+
+        def encode(self) -> bytes:
+            enc = Encoder()
+            layout.put(enc, self)
+            return enc.to_bytes()
+
+        def decode(cls, dec: Decoder):
+            return cls._make(layout.get(dec))
+
+        encode.__qualname__ = f"{cls.__qualname__}.encode"
+        decode.__qualname__ = f"{cls.__qualname__}.decode"
+        cls.encode = encode
+        cls.decode = classmethod(decode)
+        return cls
+
+    return install

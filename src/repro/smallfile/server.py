@@ -285,7 +285,7 @@ class SmallFileServer:
                 try:
                     dec, data = yield from self.client.call(
                         self._node_for(pos), proto.NFS_PROGRAM, proto.NFS_V3,
-                        proto.PROC_READ, proto.encode_read_args(fh, pos, step),
+                        proto.PROC_READ, proto.ReadArgs(fh, pos, step).encode(),
                     )
                     self.backing_reads += 1
                     if data.length:
@@ -315,7 +315,7 @@ class SmallFileServer:
                 yield from self.client.call(
                     self._node_for(pos), proto.NFS_PROGRAM, proto.NFS_V3,
                     proto.PROC_WRITE,
-                    proto.encode_write_args(fh, pos, step, FILE_SYNC),
+                    proto.WriteArgs(fh, pos, step, FILE_SYNC).encode(),
                     data.slice(pos - offset, pos - offset + step),
                 )
                 self.backing_writes += 1
@@ -335,7 +335,7 @@ class SmallFileServer:
             try:
                 yield from self.client.call(
                     self._node_for(offset), proto.NFS_PROGRAM, proto.NFS_V3,
-                    proto.PROC_READ, proto.encode_read_args(fh, offset, BLOCK),
+                    proto.PROC_READ, proto.ReadArgs(fh, offset, BLOCK).encode(),
                 )
                 self.backing_reads += 1
             except RpcTimeout:
@@ -376,7 +376,7 @@ class SmallFileServer:
             result = yield from self._do_commit(dec)
             return result
         if procnum == proto.PROC_GETATTR:
-            fh = FHandle.unpack(proto.decode_fh_args(dec))
+            fh = FHandle.unpack(proto.FhArgs.decode(dec).fh)
             yield from self.host.cpu_work(self.params.cpu_per_op)
             zone = self._site_of(fh)
             if zone is None:
@@ -392,7 +392,7 @@ class SmallFileServer:
         return proto.GetattrRes(NFS3ERR_NOTSUPP).encode(), EMPTY
 
     def _do_read(self, dec: Decoder):
-        args = proto.decode_read_args(dec)
+        args = proto.ReadArgs.decode(dec)
         fh = FHandle.unpack(args.fh)
         yield from self.host.cpu_work(
             self.params.cpu_per_op + self.params.cpu_per_byte * args.count
@@ -432,7 +432,7 @@ class SmallFileServer:
         return res.encode(), payload
 
     def _do_write(self, dec: Decoder, body):
-        args = proto.decode_write_args(dec)
+        args = proto.WriteArgs.decode(dec)
         fh = FHandle.unpack(args.fh)
         yield from self.host.cpu_work(
             self.params.cpu_per_op + self.params.cpu_per_byte * args.count
@@ -460,7 +460,7 @@ class SmallFileServer:
         return res.encode(), EMPTY
 
     def _do_commit(self, dec: Decoder):
-        args = proto.decode_commit_args(dec)
+        args = proto.CommitArgs.decode(dec)
         fh = FHandle.unpack(args.fh)
         yield from self.host.cpu_work(self.params.cpu_per_op)
         zone = self._site_of(fh)
@@ -571,12 +571,12 @@ class SmallFileServer:
     def _ctrl_service(self, procnum: int, dec: Decoder, body, src):
         yield from self.host.cpu_work(self.params.cpu_per_op)
         if procnum == ctrlproto.CTRL_PING:
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         if procnum == ctrlproto.CTRL_OBJ_REMOVE:
-            fh = FHandle.unpack(ctrlproto.decode_obj_args(dec))
+            fh = FHandle.unpack(ctrlproto.ObjArgs.decode(dec).fh)
             zone = self._site_of(fh)
             if zone is None:
-                return ctrlproto.encode_status_res(1), EMPTY
+                return ctrlproto.StatusRes(1).encode(), EMPTY
             self.pending.pop((zone.site_id, fh.fileid), None)
             rec = zone.maps.pop(fh.fileid, None)
             if rec is not None:
@@ -585,13 +585,13 @@ class SmallFileServer:
                 log = self.backing.site("sf", zone.site_id).log
                 log.append({"op": "del", "fileid": fh.fileid})
                 yield from log.sync()
-            return ctrlproto.encode_status_res(0 if rec else 1), EMPTY
+            return ctrlproto.StatusRes(0 if rec else 1).encode(), EMPTY
         if procnum == ctrlproto.CTRL_OBJ_TRUNCATE:
-            args = ctrlproto.decode_truncate_args(dec)
+            args = ctrlproto.TruncateArgs.decode(dec)
             fh = FHandle.unpack(args.fh)
             zone = self._site_of(fh)
             if zone is None:
-                return ctrlproto.encode_status_res(1), EMPTY
+                return ctrlproto.StatusRes(1).encode(), EMPTY
             overlay = self.pending.get((zone.site_id, fh.fileid))
             if overlay is not None:
                 overlay.truncate(min(overlay.size, args.size))
@@ -604,18 +604,16 @@ class SmallFileServer:
                 log = self.backing.site("sf", zone.site_id).log
                 log.append(rec.to_journal(fh.fileid))
                 yield from log.sync()
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         if procnum == ctrlproto.CTRL_OBJ_STAT:
-            fh = FHandle.unpack(ctrlproto.decode_obj_args(dec))
+            fh = FHandle.unpack(ctrlproto.ObjArgs.decode(dec).fh)
             zone = self._site_of(fh)
             rec = zone.maps.get(fh.fileid) if zone else None
             overlay = self.pending.get((zone.site_id, fh.fileid)) if zone else None
             exists = rec is not None or overlay is not None
             size = self._file_size(zone, fh.fileid, rec) if zone else 0
             unstable = overlay.stored_bytes() if overlay else 0
-            return ctrlproto.encode_stat_res(
-                ctrlproto.ObjStat(exists, size, unstable)
-            ), EMPTY
+            return ctrlproto.ObjStat(exists, size, unstable).encode(), EMPTY
         from repro.rpc.endpoint import RpcAcceptError
         from repro.rpc.messages import PROC_UNAVAIL
 

@@ -111,9 +111,9 @@ class Coordinator:
     def _service(self, proc: int, dec: Decoder, body, src):
         yield from self.host.cpu_work(self.params.cpu_per_op)
         if proc == cp.COORD_PING:
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == cp.COORD_INTENT:
-            intent = cp.decode_intent_args(dec)
+            intent = cp.Intent.decode(dec)
             self.pending[intent.op_id] = intent
             self.intents_logged += 1
             if self.tracer is not None:
@@ -122,23 +122,23 @@ class Coordinator:
             yield from self.log.append_sync(
                 {"type": "intent", **intent._asdict(), "at": self.sim.now}
             )
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == cp.COORD_COMPLETE:
-            op_id = cp.decode_complete_args(dec)
+            op_id = cp.CompleteArgs.decode(dec).op_id
             self.pending.pop(op_id, None)
             # Completions clear intentions asynchronously (no sync stall).
             self.log.append({"type": "complete", "op_id": op_id})
             if self.tracer is not None:
                 self.tracer.intent_completed(op_id, self.sim.now)
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == cp.COORD_GET_MAP:
-            args = cp.decode_get_map_args(dec)
+            args = cp.GetMapArgs.decode(dec)
             sites, newly_allocated = self._map_lookup(args)
             if newly_allocated:
                 yield from self.log.sync()  # placements must be durable
-            return cp.encode_map_res(sites), EMPTY
+            return cp.MapRes(sites).encode(), EMPTY
         if proc == cp.COORD_RECLAIM:
-            args = cp.decode_reclaim_args(dec)
+            args = cp.ReclaimArgs.decode(dec)
             op_id = self._internal_op_id(args.fh, args.truncate_to)
             intent = cp.Intent(
                 op_id,
@@ -163,7 +163,7 @@ class Coordinator:
                 self.tracer.intent_completed(intent.op_id, self.sim.now)
             if args.remove:
                 self.block_maps.pop(_file_key(args.fh), None)
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         from repro.rpc.endpoint import RpcAcceptError
         from repro.rpc.messages import PROC_UNAVAIL
 
@@ -212,13 +212,13 @@ class Coordinator:
             if intent.kind == cp.K_REMOVE:
                 yield from self.client.call(
                     site, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                    ctrlproto.CTRL_OBJ_REMOVE, ctrlproto.encode_obj_args(intent.fh),
+                    ctrlproto.CTRL_OBJ_REMOVE, ctrlproto.ObjArgs(intent.fh).encode(),
                 )
             else:
                 yield from self.client.call(
                     site, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
                     ctrlproto.CTRL_OBJ_TRUNCATE,
-                    ctrlproto.encode_truncate_args(intent.fh, intent.offset),
+                    ctrlproto.TruncateArgs(intent.fh, intent.offset).encode(),
                 )
         except RpcTimeout:
             pass  # site down: the watchdog retries on the next pass
@@ -245,7 +245,7 @@ class Coordinator:
                 yield from self.client.call(
                     Address(host, port), proto.NFS_PROGRAM, proto.NFS_V3,
                     proto.PROC_COMMIT,
-                    proto.encode_commit_args(intent.fh, 0, 0),
+                    proto.CommitArgs(intent.fh, 0, 0).encode(),
                 )
             except RpcTimeout:
                 pass
@@ -260,9 +260,9 @@ class Coordinator:
             try:
                 dec, _ = yield from self.client.call(
                     addr, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                    ctrlproto.CTRL_OBJ_STAT, ctrlproto.encode_obj_args(intent.fh),
+                    ctrlproto.CTRL_OBJ_STAT, ctrlproto.ObjArgs(intent.fh).encode(),
                 )
-                stats.append((addr, ctrlproto.decode_stat_res(dec)))
+                stats.append((addr, ctrlproto.ObjStat.decode(dec)))
             except RpcTimeout:
                 stats.append((addr, None))
         donors = [a for a, s in stats if s is not None and s.exists and s.size >= end]
@@ -276,9 +276,9 @@ class Coordinator:
         dec, data = yield from self.client.call(
             donor, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
             ctrlproto.CTRL_OBJ_READ,
-            ctrlproto.encode_range_args(intent.fh, intent.offset, intent.count),
+            ctrlproto.RangeArgs(intent.fh, intent.offset, intent.count).encode(),
         )
-        read = ctrlproto.decode_read_res(dec)
+        read = ctrlproto.ReadRes.decode(dec)
         if not read.exists:
             return
         for addr, stat in stats:
@@ -290,9 +290,9 @@ class Coordinator:
                 yield from self.client.call(
                     addr, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
                     ctrlproto.CTRL_MIGRATE_WRITE,
-                    ctrlproto.encode_range_args(
+                    ctrlproto.RangeArgs(
                         intent.fh, intent.offset, data.length
-                    ),
+                    ).encode(),
                     data,
                 )
             except RpcTimeout:
@@ -313,22 +313,22 @@ class Coordinator:
             dec, data = yield from self.client.call(
                 src, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
                 ctrlproto.CTRL_OBJ_READ,
-                ctrlproto.encode_range_args(
+                ctrlproto.RangeArgs(
                     intent.fh, intent.offset, intent.count
-                ),
+                ).encode(),
             )
         except RpcTimeout:
             return  # source down: the watchdog retries on the next pass
-        read = ctrlproto.decode_read_res(dec)
+        read = ctrlproto.ReadRes.decode(dec)
         if not read.exists or data.length == 0:
             return  # source already dropped it: copy must have completed
         try:
             yield from self.client.call(
                 dst, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
                 ctrlproto.CTRL_MIGRATE_WRITE,
-                ctrlproto.encode_range_args(
+                ctrlproto.RangeArgs(
                     intent.fh, intent.offset, data.length
-                ),
+                ).encode(),
                 data,
             )
         except RpcTimeout:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple
 
-from repro.rpc.xdr import Decoder, Encoder
+from repro.nfs.proto import FH
+from repro.rpc import xdr
+from repro.rpc.xdr import Decoder, Encoder, XdrError
 
 __all__ = [
     "SLICE_COORD_PROGRAM",
@@ -26,16 +28,10 @@ __all__ = [
     "K_MIRROR_WRITE",
     "K_MIGRATE",
     "Intent",
-    "encode_intent_args",
-    "decode_intent_args",
-    "encode_complete_args",
-    "decode_complete_args",
-    "encode_get_map_args",
-    "decode_get_map_args",
-    "encode_map_res",
-    "decode_map_res",
-    "encode_reclaim_args",
-    "decode_reclaim_args",
+    "CompleteArgs",
+    "GetMapArgs",
+    "MapRes",
+    "ReclaimArgs",
 ]
 
 SLICE_COORD_PROGRAM = 395901
@@ -58,6 +54,10 @@ K_MIRROR_WRITE = 4
 K_MIGRATE = 5
 
 
+@xdr.record(
+    xdr.U64, xdr.U32, FH, xdr.U64, xdr.U32,
+    xdr.array(xdr.tuple_of(xdr.string(255), xdr.U32)),
+)
 class Intent(NamedTuple):
     """One multi-site operation the coordinator guards."""
 
@@ -69,55 +69,12 @@ class Intent(NamedTuple):
     sites: List[Tuple[str, int]]  # participant (host, port) pairs
 
 
-def _encode_sites(enc: Encoder, sites) -> None:
-    enc.u32(len(sites))
-    for host, port in sites:
-        enc.string(host)
-        enc.u32(port)
+@xdr.record(xdr.U64)
+class CompleteArgs(NamedTuple):
+    op_id: int
 
 
-def _decode_sites(dec: Decoder) -> List[Tuple[str, int]]:
-    count = dec.u32()
-    return [(dec.string(255), dec.u32()) for _ in range(count)]
-
-
-def encode_intent_args(intent: Intent) -> bytes:
-    enc = Encoder()
-    enc.u64(intent.op_id)
-    enc.u32(intent.kind)
-    enc.opaque_var(intent.fh)
-    enc.u64(intent.offset)
-    enc.u32(intent.count)
-    _encode_sites(enc, intent.sites)
-    return enc.to_bytes()
-
-
-def decode_intent_args(dec: Decoder) -> Intent:
-    return Intent(
-        dec.u64(), dec.u32(), dec.opaque_var(64), dec.u64(), dec.u32(),
-        _decode_sites(dec),
-    )
-
-
-def encode_complete_args(op_id: int) -> bytes:
-    return Encoder().u64(op_id).to_bytes()
-
-
-def decode_complete_args(dec: Decoder) -> int:
-    return dec.u64()
-
-
-def encode_get_map_args(
-    fh: bytes, first_block: int, count: int, allocate: bool
-) -> bytes:
-    enc = Encoder()
-    enc.opaque_var(fh)
-    enc.u64(first_block)
-    enc.u32(count)
-    enc.boolean(allocate)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, xdr.U64, xdr.U32, xdr.BOOL)
 class GetMapArgs(NamedTuple):
     fh: bytes
     first_block: int
@@ -125,37 +82,31 @@ class GetMapArgs(NamedTuple):
     allocate: bool
 
 
-def decode_get_map_args(dec: Decoder) -> GetMapArgs:
-    return GetMapArgs(dec.opaque_var(64), dec.u64(), dec.u32(), dec.boolean())
+SITES = xdr.array(xdr.I32)
 
 
-def encode_map_res(sites: List[int]) -> bytes:
-    enc = Encoder()
-    enc.u32(0)  # status OK
-    enc.array(sites, lambda e, s: e.i32(s))
-    return enc.to_bytes()
+class MapRes(NamedTuple):
+    """GET_MAP result: a status word (always OK on the wire) gating the
+    site of each block, ``-1`` for a hole."""
+
+    sites: List[int]
+
+    def encode(self) -> bytes:
+        enc = Encoder()
+        enc.u32(0)  # status OK
+        SITES.put(enc, self.sites)
+        return enc.to_bytes()
+
+    @classmethod
+    def decode(cls, dec: Decoder) -> "MapRes":
+        status = dec.u32()
+        if status != 0:
+            raise XdrError(f"get_map failed: {status}")
+        return cls(SITES.get(dec))
 
 
-def decode_map_res(dec: Decoder) -> List[int]:
-    status = dec.u32()
-    if status != 0:
-        raise ValueError(f"get_map failed: {status}")
-    return dec.array(lambda d: d.i32())
-
-
-def encode_reclaim_args(fh: bytes, truncate_to: int = 0, remove: bool = True) -> bytes:
-    enc = Encoder()
-    enc.opaque_var(fh)
-    enc.boolean(remove)
-    enc.u64(truncate_to)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, xdr.BOOL, xdr.U64)
 class ReclaimArgs(NamedTuple):
     fh: bytes
-    remove: bool
-    truncate_to: int
-
-
-def decode_reclaim_args(dec: Decoder) -> ReclaimArgs:
-    return ReclaimArgs(dec.opaque_var(64), dec.boolean(), dec.u64())
+    remove: bool = True
+    truncate_to: int = 0

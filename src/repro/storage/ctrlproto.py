@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.rpc.xdr import Decoder, Encoder
+from repro.nfs.proto import FH
+from repro.rpc import xdr
 
 __all__ = [
     "SLICE_CTRL_PROGRAM",
@@ -21,20 +22,11 @@ __all__ = [
     "CTRL_OBJ_STAT",
     "CTRL_OBJ_READ",
     "CTRL_MIGRATE_WRITE",
-    "encode_obj_args",
-    "decode_obj_args",
-    "encode_truncate_args",
-    "decode_truncate_args",
-    "encode_stat_res",
-    "decode_stat_res",
-    "encode_status_res",
-    "decode_status_res",
-    "encode_range_args",
-    "decode_range_args",
-    "encode_read_res",
-    "decode_read_res",
+    "ObjArgs",
+    "TruncateArgs",
     "ObjStat",
     "RangeArgs",
+    "StatusRes",
     "ReadRes",
 ]
 
@@ -53,83 +45,37 @@ CTRL_OBJ_READ = 4
 CTRL_MIGRATE_WRITE = 5
 
 
-def encode_obj_args(fh: bytes) -> bytes:
-    return Encoder().opaque_var(fh).to_bytes()
+@xdr.record(FH)
+class ObjArgs(NamedTuple):
+    fh: bytes
 
 
-def decode_obj_args(dec: Decoder) -> bytes:
-    return dec.opaque_var(64)
-
-
-def encode_truncate_args(fh: bytes, size: int) -> bytes:
-    enc = Encoder().opaque_var(fh)
-    enc.u64(size)
-    return enc.to_bytes()
-
-
+@xdr.record(FH, xdr.U64)
 class TruncateArgs(NamedTuple):
     fh: bytes
     size: int
 
 
-def decode_truncate_args(dec: Decoder) -> TruncateArgs:
-    return TruncateArgs(dec.opaque_var(64), dec.u64())
-
-
+@xdr.record(xdr.BOOL, xdr.U64, xdr.U64)
 class ObjStat(NamedTuple):
     exists: bool
     size: int
     unstable_bytes: int
 
 
-def encode_stat_res(stat: ObjStat) -> bytes:
-    enc = Encoder()
-    enc.boolean(stat.exists)
-    enc.u64(stat.size)
-    enc.u64(stat.unstable_bytes)
-    return enc.to_bytes()
-
-
-def decode_stat_res(dec: Decoder) -> ObjStat:
-    return ObjStat(dec.boolean(), dec.u64(), dec.u64())
-
-
+@xdr.record(FH, xdr.U64, xdr.U32)
 class RangeArgs(NamedTuple):
     fh: bytes
     offset: int
     count: int
 
 
-def encode_range_args(fh: bytes, offset: int, count: int) -> bytes:
-    enc = Encoder().opaque_var(fh)
-    enc.u64(offset)
-    enc.u32(count)
-    return enc.to_bytes()
+@xdr.record(xdr.U32)
+class StatusRes(NamedTuple):
+    status: int
 
 
-def decode_range_args(dec: Decoder) -> RangeArgs:
-    return RangeArgs(dec.opaque_var(64), dec.u64(), dec.u32())
-
-
-def encode_status_res(status: int) -> bytes:
-    return Encoder().u32(status).to_bytes()
-
-
-def decode_status_res(dec: Decoder) -> int:
-    return dec.u32()
-
-
+@xdr.record(xdr.BOOL, xdr.U32)
 class ReadRes(NamedTuple):
     exists: bool
     count: int
-
-
-def encode_read_res(exists: bool, count: int) -> bytes:
-    enc = Encoder()
-    enc.boolean(exists)
-    enc.u32(count)
-    return enc.to_bytes()
-
-
-def decode_read_res(dec: Decoder) -> ReadRes:
-    return ReadRes(dec.boolean(), dec.u32())

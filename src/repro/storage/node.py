@@ -408,7 +408,7 @@ class StorageNode:
             result = yield from self._do_commit(dec)
             return result
         if proc == proto.PROC_GETATTR:
-            fh = proto.decode_fh_args(dec)
+            fh = proto.FhArgs.decode(dec).fh
             obj = self.store.get(object_id_for_fh(fh))
             yield from self.host.cpu_work(self.params.cpu_per_op)
             if obj is None:
@@ -423,7 +423,7 @@ class StorageNode:
         return proto.GetattrRes(NFS3ERR_NOTSUPP).encode(), EMPTY
 
     def _do_read(self, dec: Decoder):
-        args = proto.decode_read_args(dec)
+        args = proto.ReadArgs.decode(dec)
         oid = object_id_for_fh(args.fh)
         misdirected, my_sites = self._hosted_check(args.fh, args.offset)
         if misdirected:
@@ -508,7 +508,7 @@ class StorageNode:
         yield self.sim.all_of(fills)
 
     def _do_write(self, dec: Decoder, body):
-        args = proto.decode_write_args(dec)
+        args = proto.WriteArgs.decode(dec)
         oid = object_id_for_fh(args.fh)
         misdirected, my_sites = self._hosted_check(args.fh, args.offset)
         if misdirected:
@@ -564,7 +564,7 @@ class StorageNode:
         return res.encode(), EMPTY
 
     def _do_commit(self, dec: Decoder):
-        args = proto.decode_commit_args(dec)
+        args = proto.CommitArgs.decode(dec)
         oid = object_id_for_fh(args.fh)
         yield from self.host.cpu_work(self.params.cpu_per_op)
         obj = self.store.get(oid)
@@ -586,9 +586,9 @@ class StorageNode:
     def _ctrl_service(self, proc: int, dec: Decoder, body, src):
         yield from self.host.cpu_work(self.params.cpu_per_op)
         if proc == ctrlproto.CTRL_PING:
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == ctrlproto.CTRL_OBJ_REMOVE:
-            fh = ctrlproto.decode_obj_args(dec)
+            fh = ctrlproto.ObjArgs.decode(dec).fh
             oid = object_id_for_fh(fh)
             removed = self.store.remove(oid)
             self.fh_of.pop(oid, None)
@@ -597,9 +597,9 @@ class StorageNode:
                 self.cache.discard((oid, block))
             self._last_local.pop(oid, None)
             self._prefetched_local.pop(oid, None)
-            return ctrlproto.encode_status_res(0 if removed else 1), EMPTY
+            return ctrlproto.StatusRes(0 if removed else 1).encode(), EMPTY
         if proc == ctrlproto.CTRL_OBJ_TRUNCATE:
-            args = ctrlproto.decode_truncate_args(dec)
+            args = ctrlproto.TruncateArgs.decode(dec)
             oid = object_id_for_fh(args.fh)
             obj = self.store.get(oid)
             if obj is not None:
@@ -611,16 +611,16 @@ class StorageNode:
                         dirty.discard(block)
                         self.cache.discard((oid, block))
                 self._prefetched_local.pop(oid, None)
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == ctrlproto.CTRL_OBJ_STAT:
-            fh = ctrlproto.decode_obj_args(dec)
+            fh = ctrlproto.ObjArgs.decode(dec).fh
             obj = self.store.get(object_id_for_fh(fh))
             if obj is None:
                 stat = ctrlproto.ObjStat(False, 0, 0)
             else:
                 unstable = sum(hi - lo for lo, hi in obj.unstable_ranges)
                 stat = ctrlproto.ObjStat(True, obj.size, unstable)
-            return ctrlproto.encode_stat_res(stat), EMPTY
+            return stat.encode(), EMPTY
         if proc == ctrlproto.CTRL_OBJ_READ:
             # Migration data plane: read a byte range as the *source* of a
             # rebalance copy.  Deliberately bypasses the hosted-site check
@@ -628,14 +628,14 @@ class StorageNode:
             # source has already relinquished the site, yet it is the only
             # holder of the bytes.  Merges the unstable overlay so writes
             # not yet committed still travel with the object.
-            args = ctrlproto.decode_range_args(dec)
+            args = ctrlproto.RangeArgs.decode(dec)
             oid = object_id_for_fh(args.fh)
             yield from self.host.cpu_work(
                 self.params.cpu_read_per_byte * args.count
             )
             obj = self.store.get(oid)
             if obj is None:
-                return ctrlproto.encode_read_res(False, 0), EMPTY
+                return ctrlproto.ReadRes(False, 0).encode(), EMPTY
             if args.count:
                 fills = [
                     self.sim.process(self._fill_block(oid, obj, block))
@@ -645,14 +645,14 @@ class StorageNode:
             data = obj.read(args.offset, args.count)
             self.migrate_reads += 1
             self.bytes_read += data.length
-            return ctrlproto.encode_read_res(True, data.length), data
+            return ctrlproto.ReadRes(True, data.length).encode(), data
         if proc == ctrlproto.CTRL_MIGRATE_WRITE:
             # Migration ingest: a stable write issued by the rebalancer (or
             # a coordinator recovering a torn migration) into the *target*
             # node.  Bypasses site checks and barriers by construction —
             # the barrier exists precisely to hold client traffic while
             # these writes land.  FILE_SYNC semantics: durable on reply.
-            args = ctrlproto.decode_range_args(dec)
+            args = ctrlproto.RangeArgs.decode(dec)
             oid = object_id_for_fh(args.fh)
             yield from self.host.cpu_work(
                 self.params.cpu_write_per_byte * args.count
@@ -667,7 +667,7 @@ class StorageNode:
             obj.commit(args.offset, args.count)
             self.migrate_writes += 1
             self.bytes_written += args.count
-            return ctrlproto.encode_status_res(0), EMPTY
+            return ctrlproto.StatusRes(0).encode(), EMPTY
         from repro.rpc.endpoint import RpcAcceptError
         from repro.rpc.messages import PROC_UNAVAIL
 

@@ -270,6 +270,6 @@ class SfsRun:
         from repro.nfs import proto
 
         dec, _ = yield from client._call(
-            proto.PROC_FSSTAT, proto.encode_fh_args(self.root_fh)
+            proto.PROC_FSSTAT, proto.FhArgs(self.root_fh).encode()
         )
         return proto.FsstatRes.decode(dec).status

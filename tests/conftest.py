@@ -7,6 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from drops import DropWhen  # noqa: E402
+
 
 @pytest.fixture
 def trace_invariants(monkeypatch):
@@ -38,7 +40,9 @@ def trace_invariants(monkeypatch):
     yield clusters
     for cluster in clusters:
         # Let in-flight async work land: intent completions, attribute
-        # write-backs, watchdog recovery (probe 5 s, timeout 10 s).
-        cluster.net.drop_fn = None
+        # write-backs, watchdog recovery (probe 5 s, timeout 10 s).  A
+        # test's drop predicate is lifted; an armed fault plan stays.
+        if isinstance(cluster.net.fault_injector, DropWhen):
+            cluster.net.fault_injector = None
         cluster.sim.run(until=cluster.sim.now + 60.0)
         TraceChecker(cluster.tracer).check(require_replies=False)

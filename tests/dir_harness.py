@@ -85,7 +85,7 @@ class DirHarness:
     def lookup(self, dir_fh: FHandle, name: str):
         site = self.config.entry_site(dir_fh, name)
         dec = yield from self.call(
-            site, proto.PROC_LOOKUP, proto.encode_diropargs(dir_fh.pack(), name)
+            site, proto.PROC_LOOKUP, proto.DirOpArgs(dir_fh.pack(), name).encode()
         )
         return proto.LookupRes.decode(dec)
 
@@ -93,7 +93,7 @@ class DirHarness:
         site = self.config.entry_site(dir_fh, name)
         dec = yield from self.call(
             site, proto.PROC_CREATE,
-            proto.encode_create_args(dir_fh.pack(), name, mode, sattr or Sattr3()),
+            proto.CreateArgs(dir_fh.pack(), name, mode, sattr or Sattr3()).encode(),
         )
         return proto.CreateRes.decode(dec)
 
@@ -101,7 +101,7 @@ class DirHarness:
         site = self.config.mkdir_site(dir_fh, name)
         dec = yield from self.call(
             site, proto.PROC_MKDIR,
-            proto.encode_mkdir_args(dir_fh.pack(), name, sattr or Sattr3()),
+            proto.MkdirArgs(dir_fh.pack(), name, sattr or Sattr3()).encode(),
         )
         return proto.MkdirRes.decode(dec)
 
@@ -109,27 +109,27 @@ class DirHarness:
         site = self.config.entry_site(dir_fh, name)
         dec = yield from self.call(
             site, proto.PROC_SYMLINK,
-            proto.encode_symlink_args(dir_fh.pack(), name, Sattr3(), path),
+            proto.SymlinkArgs(dir_fh.pack(), name, Sattr3(), path).encode(),
         )
         return proto.SymlinkRes.decode(dec)
 
     def readlink(self, fh: FHandle):
         dec = yield from self.call(
-            fh.home_site, proto.PROC_READLINK, proto.encode_fh_args(fh.pack())
+            fh.home_site, proto.PROC_READLINK, proto.FhArgs(fh.pack()).encode()
         )
         return proto.ReadlinkRes.decode(dec)
 
     def remove(self, dir_fh: FHandle, name: str):
         site = self.config.entry_site(dir_fh, name)
         dec = yield from self.call(
-            site, proto.PROC_REMOVE, proto.encode_diropargs(dir_fh.pack(), name)
+            site, proto.PROC_REMOVE, proto.DirOpArgs(dir_fh.pack(), name).encode()
         )
         return proto.RemoveRes.decode(dec)
 
     def rmdir(self, dir_fh: FHandle, name: str):
         site = self.config.entry_site(dir_fh, name)
         dec = yield from self.call(
-            site, proto.PROC_RMDIR, proto.encode_diropargs(dir_fh.pack(), name)
+            site, proto.PROC_RMDIR, proto.DirOpArgs(dir_fh.pack(), name).encode()
         )
         return proto.RemoveRes.decode(dec)
 
@@ -137,9 +137,9 @@ class DirHarness:
         site = self.config.entry_site(to_dir, to_name)
         dec = yield from self.call(
             site, proto.PROC_RENAME,
-            proto.encode_rename_args(
+            proto.RenameArgs(
                 from_dir.pack(), from_name, to_dir.pack(), to_name
-            ),
+            ).encode(),
         )
         return proto.RenameRes.decode(dec)
 
@@ -147,20 +147,20 @@ class DirHarness:
         site = self.config.entry_site(dir_fh, name)
         dec = yield from self.call(
             site, proto.PROC_LINK,
-            proto.encode_link_args(fh.pack(), dir_fh.pack(), name),
+            proto.LinkArgs(fh.pack(), dir_fh.pack(), name).encode(),
         )
         return proto.LinkRes.decode(dec)
 
     def getattr(self, fh: FHandle):
         dec = yield from self.call(
-            fh.home_site, proto.PROC_GETATTR, proto.encode_fh_args(fh.pack())
+            fh.home_site, proto.PROC_GETATTR, proto.FhArgs(fh.pack()).encode()
         )
         return proto.GetattrRes.decode(dec)
 
     def setattr(self, fh: FHandle, sattr: Sattr3, guard=None):
         dec = yield from self.call(
             fh.home_site, proto.PROC_SETATTR,
-            proto.encode_setattr_args(fh.pack(), sattr, guard),
+            proto.SetattrArgs(fh.pack(), sattr, guard).encode(),
         )
         return proto.SetattrRes.decode(dec)
 
@@ -181,7 +181,7 @@ class DirHarness:
             while True:
                 dec = yield from self.call(
                     site, proto.PROC_READDIR,
-                    proto.encode_readdir_args(dir_fh.pack(), cookie, 0, 4096),
+                    proto.ReaddirArgs(dir_fh.pack(), cookie, 0, 4096).encode(),
                 )
                 res = proto.ReaddirRes.decode(dec)
                 if res.status != 0:

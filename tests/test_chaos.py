@@ -223,7 +223,7 @@ class _AbandonedIntentScenario:
                 yield from rpc.call(
                     node.address, proto.NFS_PROGRAM, proto.NFS_V3,
                     proto.PROC_WRITE,
-                    proto.encode_write_args(self.fh, 0, 8, UNSTABLE),
+                    proto.WriteArgs(self.fh, 0, 8, UNSTABLE).encode(),
                     RealData(self.payload),
                 )
             intent = cp.Intent(4711, cp.K_COMMIT, self.fh, 0, 0, sites)
@@ -233,14 +233,14 @@ class _AbandonedIntentScenario:
             yield from rpc.call(
                 nodes[0].address, proto.NFS_PROGRAM, proto.NFS_V3,
                 proto.PROC_WRITE,
-                proto.encode_write_args(self.fh, 0, 8, FILE_SYNC),
+                proto.WriteArgs(self.fh, 0, 8, FILE_SYNC).encode(),
                 RealData(self.payload),
             )
             intent = cp.Intent(4712, cp.K_MIRROR_WRITE, self.fh, 0, 8, sites)
         coord = cluster.coordinators[0]
         yield from rpc.call(
             coord.address, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-            cp.COORD_INTENT, cp.encode_intent_args(intent),
+            cp.COORD_INTENT, intent.encode(),
         )
         # ... the requester vanishes; wait out watchdog recovery, the
         # mid-recovery crash, the replay, and the partition (ends t=60).

@@ -3,6 +3,7 @@ reclaim fan-out, and crash recovery of multi-site operations."""
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, PacketFaultRule
 from repro.net import NetParams, Network
 from repro.nfs import proto
 from repro.nfs.fhandle import FHandle
@@ -18,6 +19,13 @@ from repro.util.bytesim import EMPTY, RealData
 
 def make_fh(fileid=7):
     return FHandle(1, NF3REG, 0, fileid, 0, bytes(16)).pack()
+
+
+def silence_coordinator():
+    """Lose every packet the ``coord`` host sends (the only host so named)."""
+    return FaultInjector(
+        FaultPlan(packet_faults=[PacketFaultRule(src="coord", loss=1.0)])
+    )
 
 
 def build(num_nodes=3, tracer=None):
@@ -47,7 +55,7 @@ def coord_call(client, coord, proc, args):
 
 
 def write_to_node(client, node, fh, offset, data, stable=UNSTABLE):
-    args = proto.encode_write_args(fh, offset, data.length, stable)
+    args = proto.WriteArgs(fh, offset, data.length, stable).encode()
     return client.call(
         node.address, proto.NFS_PROGRAM, proto.NFS_V3, proto.PROC_WRITE,
         args, data,
@@ -57,7 +65,7 @@ def write_to_node(client, node, fh, offset, data, stable=UNSTABLE):
 def read_from_node(client, node, fh, offset, count):
     return client.call(
         node.address, proto.NFS_PROGRAM, proto.NFS_V3, proto.PROC_READ,
-        proto.encode_read_args(fh, offset, count),
+        proto.ReadArgs(fh, offset, count).encode(),
     )
 
 
@@ -68,14 +76,14 @@ def test_get_map_allocates_deterministic_sites():
     def run():
         dec, _ = yield from coord_call(
             client, coord, cp.COORD_GET_MAP,
-            cp.encode_get_map_args(fh, 0, 8, allocate=True),
+            cp.GetMapArgs(fh, 0, 8, allocate=True).encode(),
         )
-        first = cp.decode_map_res(dec)
+        first = cp.MapRes.decode(dec).sites
         dec, _ = yield from coord_call(
             client, coord, cp.COORD_GET_MAP,
-            cp.encode_get_map_args(fh, 0, 8, allocate=True),
+            cp.GetMapArgs(fh, 0, 8, allocate=True).encode(),
         )
-        second = cp.decode_map_res(dec)
+        second = cp.MapRes.decode(dec).sites
         return first, second
 
     first, second = sim.run_process(run())
@@ -91,9 +99,9 @@ def test_get_map_without_allocate_reports_unmapped():
     def run():
         dec, _ = yield from coord_call(
             client, coord, cp.COORD_GET_MAP,
-            cp.encode_get_map_args(make_fh(6), 0, 4, allocate=False),
+            cp.GetMapArgs(make_fh(6), 0, 4, allocate=False).encode(),
         )
-        return cp.decode_map_res(dec)
+        return cp.MapRes.decode(dec).sites
 
     assert sim.run_process(run()) == [-1, -1, -1, -1]
 
@@ -105,17 +113,17 @@ def test_block_maps_survive_coordinator_crash():
     def run():
         dec, _ = yield from coord_call(
             client, coord, cp.COORD_GET_MAP,
-            cp.encode_get_map_args(fh, 0, 8, allocate=True),
+            cp.GetMapArgs(fh, 0, 8, allocate=True).encode(),
         )
-        before = cp.decode_map_res(dec)
+        before = cp.MapRes.decode(dec).sites
         coord.crash()
         yield sim.timeout(0.5)
         coord.restart()
         dec, _ = yield from coord_call(
             client, coord, cp.COORD_GET_MAP,
-            cp.encode_get_map_args(fh, 0, 8, allocate=False),
+            cp.GetMapArgs(fh, 0, 8, allocate=False).encode(),
         )
-        return before, cp.decode_map_res(dec)
+        return before, cp.MapRes.decode(dec).sites
 
     before, after = sim.run_process(run())
     assert before == after  # durable: no -1 entries after recovery
@@ -129,9 +137,9 @@ def test_reclaim_removes_object_from_all_nodes():
         for node in nodes:
             yield from write_to_node(client, node, fh, 0, RealData(b"shard"))
         dec, _ = yield from coord_call(
-            client, coord, cp.COORD_RECLAIM, cp.encode_reclaim_args(fh)
+            client, coord, cp.COORD_RECLAIM, cp.ReclaimArgs(fh).encode()
         )
-        return ctrlproto.decode_status_res(dec)
+        return ctrlproto.StatusRes.decode(dec).status
 
     assert sim.run_process(run()) == 0
     oid = object_id_for_fh(fh)
@@ -147,7 +155,7 @@ def test_reclaim_truncate_cuts_all_nodes():
             yield from write_to_node(client, node, fh, 0, RealData(b"0123456789"))
         yield from coord_call(
             client, coord, cp.COORD_RECLAIM,
-            cp.encode_reclaim_args(fh, truncate_to=4, remove=False),
+            cp.ReclaimArgs(fh, truncate_to=4, remove=False).encode(),
         )
 
     sim.run_process(run())
@@ -165,10 +173,10 @@ def test_intent_complete_normal_path_no_recovery():
             [(n.address.host, n.address.port) for n in nodes],
         )
         yield from coord_call(
-            client, coord, cp.COORD_INTENT, cp.encode_intent_args(intent)
+            client, coord, cp.COORD_INTENT, intent.encode()
         )
         yield from coord_call(
-            client, coord, cp.COORD_COMPLETE, cp.encode_complete_args(1234)
+            client, coord, cp.COORD_COMPLETE, cp.CompleteArgs(1234).encode()
         )
         yield sim.timeout(10)  # let the watchdog run several passes
 
@@ -191,7 +199,7 @@ def test_watchdog_recovers_abandoned_commit():
             [(n.address.host, n.address.port) for n in nodes],
         )
         yield from coord_call(
-            client, coord, cp.COORD_INTENT, cp.encode_intent_args(intent)
+            client, coord, cp.COORD_INTENT, intent.encode()
         )
         # ... requester vanishes without completing ...
         yield sim.timeout(10)  # watchdog fires
@@ -220,7 +228,7 @@ def test_coordinator_crash_recovers_pending_intent_from_log():
             [(n.address.host, n.address.port) for n in nodes],
         )
         yield from coord_call(
-            client, coord, cp.COORD_INTENT, cp.encode_intent_args(intent)
+            client, coord, cp.COORD_INTENT, intent.encode()
         )
         coord.crash()
         yield sim.timeout(0.2)
@@ -249,7 +257,7 @@ def test_mirror_write_recovery_repairs_lagging_replica():
             [(n.address.host, n.address.port) for n in nodes],
         )
         yield from coord_call(
-            client, coord, cp.COORD_INTENT, cp.encode_intent_args(intent)
+            client, coord, cp.COORD_INTENT, intent.encode()
         )
         yield sim.timeout(10)  # watchdog repairs
         dec, body = yield from read_from_node(client, nodes[1], fh, 0, 8)
@@ -275,17 +283,17 @@ def test_crash_during_recovery_replays_intent_idempotently():
             [(n.address.host, n.address.port) for n in nodes],
         )
         yield from coord_call(
-            client, coord, cp.COORD_INTENT, cp.encode_intent_args(intent)
+            client, coord, cp.COORD_INTENT, intent.encode()
         )
         # Recovery stalls: everything the coordinator sends vanishes, so
         # the watchdog (probe 1 s, timeout 2 s) is parked mid-recovery
         # retransmitting its COMMIT when the crash hits.
-        net.drop_fn = lambda pkt: pkt.src.host == "coord"
+        net.fault_injector = silence_coordinator()
         yield sim.timeout(3.5)
         assert coord.recoveries == 1  # first replay began, never finished
         coord.crash()  # "complete" was never logged
         yield sim.timeout(0.2)
-        net.drop_fn = None
+        net.fault_injector = None
         coord.restart()  # replays intent 55 from the stable log
         yield sim.timeout(5.0)
 
@@ -319,15 +327,15 @@ def test_recoveries_counter_matches_tracer_ledger():
             [(n.address.host, n.address.port) for n in nodes],
         )
         yield from coord_call(
-            client, coord, cp.COORD_INTENT, cp.encode_intent_args(intent)
+            client, coord, cp.COORD_INTENT, intent.encode()
         )
         # Stall the first replay so the crash lands before its completion
         # is logged (otherwise the restart would find nothing pending).
-        net.drop_fn = lambda pkt: pkt.src.host == "coord"
+        net.fault_injector = silence_coordinator()
         yield sim.timeout(3.5)  # watchdog begins recovering
         coord.crash()
         yield sim.timeout(0.2)
-        net.drop_fn = None
+        net.fault_injector = None
         coord.restart()  # second replay of the same intention
         yield sim.timeout(5.0)
 
@@ -354,7 +362,7 @@ def test_mirror_write_recovery_with_no_donor_is_noop():
             [(n.address.host, n.address.port) for n in nodes],
         )
         yield from coord_call(
-            client, coord, cp.COORD_INTENT, cp.encode_intent_args(intent)
+            client, coord, cp.COORD_INTENT, intent.encode()
         )
         yield sim.timeout(10)
 

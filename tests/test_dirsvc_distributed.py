@@ -16,6 +16,7 @@ from repro.nfs.fhandle import FHandle
 from repro.nfs.types import Sattr3
 
 from dir_harness import DirHarness
+from drops import DropWhen
 
 
 def test_name_hashing_distributes_entries():
@@ -204,7 +205,7 @@ def test_misdirected_request_reports_error():
         dec, _ = yield from h.client.call(
             wrong_server.address, proto.NFS_PROGRAM, proto.NFS_V3,
             proto.PROC_LOOKUP,
-            proto.encode_diropargs(h.root_fh.pack(), "anything"),
+            proto.DirOpArgs(h.root_fh.pack(), "anything").encode(),
         )
         return proto.LookupRes.decode(dec)
 
@@ -328,7 +329,7 @@ def test_in_doubt_transaction_resolved_after_participant_crash():
             call.prog == pp.SLICE_PEER_PROGRAM and call.proc == pp.PEER_COMMIT
         )
 
-    h.net.drop_fn = drop_peer_commit
+    h.net.fault_injector = DropWhen(drop_peer_commit)
 
     def phase1():
         res = yield from h.mkdir(h.root_fh, name)
@@ -336,7 +337,7 @@ def test_in_doubt_transaction_resolved_after_participant_crash():
 
     res = h.run(phase1())
     assert res.status == NFS3_OK  # coordinator decided commit
-    h.net.drop_fn = None
+    h.net.fault_injector = None
 
     def lookup_now():
         res = yield from h.lookup(h.root_fh, name)

@@ -111,22 +111,34 @@ def test_config_service_serves_tables():
         CONFIG_GET,
         CONFIG_V1,
         SLICE_CONFIG_PROGRAM,
+        ConfigGetArgs,
         decode_tables,
     )
-    from repro.rpc import RpcClient
+    from repro.rpc import RpcAcceptError, RpcClient
+    from repro.rpc.messages import GARBAGE_ARGS
 
     cluster = map_cluster()
     prober = RpcClient(cluster.net.add_host("prober"), 950)
 
-    def run():
-        # Empty body = the legacy unconditional fetch of every table.
+    def fetch_all():
         dec, _ = yield from prober.call(
             cluster.configsvc.address, SLICE_CONFIG_PROGRAM, CONFIG_V1,
-            CONFIG_GET, b"",
+            CONFIG_GET, ConfigGetArgs().encode(),
         )
         return decode_tables(dec)
 
-    fetch = cluster.run(run())
+    def fetch_empty_body():
+        try:
+            yield from prober.call(
+                cluster.configsvc.address, SLICE_CONFIG_PROGRAM, CONFIG_V1,
+                CONFIG_GET, b"",
+            )
+        except RpcAcceptError as exc:
+            return exc.accept_stat
+        return None
+
+    assert cluster.run(fetch_empty_body()) == GARBAGE_ARGS
+    fetch = cluster.run(fetch_all())
     assert fetch.modified
     assert fetch.epoch == cluster.configsvc.epoch
     tables = fetch.tables

@@ -7,10 +7,10 @@ together.  These tests inject those faults while work is in flight.
 
 All injection here goes through the declarative chaos engine
 (:mod:`repro.faults`): packet loss comes from a seeded
-:class:`FaultPlan`/:class:`FaultInjector` pair instead of hand-rolled
-``drop_fn`` lambdas, and crash/restart schedules run through a
-:class:`FaultController` so the component wiring (which journals die,
-which sites to hand back on restart) lives in one place.
+:class:`FaultPlan`/:class:`FaultInjector` pair, and crash/restart
+schedules run through a :class:`FaultController` so the component wiring
+(which journals die, which sites to hand back on restart) lives in one
+place.
 """
 
 import pytest

@@ -2,8 +2,7 @@
 
 Plan validation and (de)serialization, packet-fault rule matching,
 partition semantics, injector determinism and statistics, network
-integration (duplicate clones, delayed copies, split drop counters), and
-the legacy ``drop_fn`` compatibility shim.
+integration (duplicate clones, delayed copies, split drop counters).
 """
 
 import random
@@ -232,10 +231,12 @@ def test_network_splits_drop_counters():
     sim, net, a, b = build_net()
     got = []
     b.bind(1, got.append)
-    net.drop_fn = lambda pkt: True
+    net.fault_injector = FaultInjector(
+        FaultPlan(packet_faults=[PacketFaultRule(loss=1.0)])
+    )
     a.send(Packet(a.address(9), b.address(1), b"x"))
     sim.run()
-    net.drop_fn = None
+    net.fault_injector = None
     # No route: destination host does not exist.
     a.send(Packet(a.address(9), Address("ghost", 1), b"y"))
     sim.run()
@@ -243,31 +244,6 @@ def test_network_splits_drop_counters():
     assert net.packets_dropped_noroute == 1
     assert net.packets_dropped == 2  # legacy aggregate view
     assert got == []
-
-
-def test_legacy_drop_fn_round_trip():
-    sim, net, a, b = build_net()
-    assert net.drop_fn is None
-    fn = lambda pkt: False  # noqa: E731
-    net.drop_fn = fn
-    assert net.drop_fn is fn
-    assert net.fault_injector is not None
-    assert net.fault_injector.is_pure_legacy
-    net.drop_fn = None
-    assert net.drop_fn is None
-    assert net.fault_injector is None  # pure-legacy injector removed
-
-
-def test_legacy_drop_fn_coexists_with_plan():
-    sim, net, a, b = build_net()
-    plan = FaultPlan(seed=2)
-    net.fault_injector = FaultInjector(plan)
-    fn = lambda pkt: True  # noqa: E731
-    net.drop_fn = fn
-    assert net.fault_injector.plan is plan  # not clobbered
-    net.drop_fn = None
-    assert net.fault_injector is not None  # plan injector survives
-    assert net.fault_injector.legacy_drop_fn is None
 
 
 def test_duplicated_packets_are_clones():

@@ -6,6 +6,8 @@ from repro.net import Address, NetParams, Network, Packet, PacketFilter
 from repro.sim import Simulator
 from repro.util.bytesim import RealData, ZeroData
 
+from drops import DropWhen
+
 
 def build(params=None):
     sim = Simulator()
@@ -132,13 +134,13 @@ def test_drop_fn_injects_loss():
         count[0] += 1
         return count[0] % 2 == 1
 
-    net.drop_fn = drop_every_other
+    net.fault_injector = DropWhen(drop_every_other)
     for _ in range(4):
         a.send(Packet(a.address(1), b.address(1), b""))
     sim.run()
     assert len(got) == 2
     assert net.packets_dropped == 2
-    # drop_fn losses are *fault* drops, distinct from routing failures.
+    # Injected losses are *fault* drops, distinct from routing failures.
     assert net.packets_dropped_fault == 2
     assert net.packets_dropped_noroute == 0
 

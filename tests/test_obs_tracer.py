@@ -92,16 +92,6 @@ def test_capacity_eviction():
     assert tracer.trace_id_of(CLIENT, 9) != 0
 
 
-def test_disabled_tracer_records_nothing():
-    tracer = Tracer()
-    tracer.enabled = False
-    assert make_exchange(tracer) == 0
-    tracer.route(CLIENT, 7, 1.0, Address("dir0", 3049), "name-entry")
-    tracer.reply_sent(CLIENT, 7, 1.1)
-    assert not tracer.exchanges
-    assert tracer.summary()["exchanges"] == 0
-
-
 # -- packet-facing hooks -----------------------------------------------------
 
 

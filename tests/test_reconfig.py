@@ -31,8 +31,8 @@ from repro.ensemble.configsvc import (
     CONFIG_NOT_MODIFIED,
     CONFIG_V1,
     SLICE_CONFIG_PROGRAM,
+    ConfigGetArgs,
     decode_tables,
-    encode_config_get,
 )
 from repro.ensemble.params import ClusterParams
 from repro.net import Address
@@ -337,7 +337,7 @@ def test_config_get_named_and_not_modified():
     def probe(table, min_version):
         dec, _ = yield from rpc.call(
             svc.address, SLICE_CONFIG_PROGRAM, CONFIG_V1,
-            CONFIG_GET, encode_config_get(table, min_version),
+            CONFIG_GET, ConfigGetArgs(table, min_version).encode(),
         )
         return decode_tables(dec)
 

@@ -3,10 +3,14 @@ suppression, checksum validation, loss recovery."""
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, PacketFaultRule
 from repro.net import NetParams, Network, Packet
 from repro.rpc import Decoder, Encoder, RpcAcceptError, RpcClient, RpcServer, RpcTimeout
+from repro.rpc.messages import GARBAGE_ARGS
 from repro.sim import Simulator
 from repro.util.bytesim import EMPTY, RealData
+
+from drops import DropWhen
 
 PROG = 200100
 
@@ -19,6 +23,11 @@ def build():
     client = RpcClient(client_host, 700)
     server = RpcServer(server_host, 2049)
     return sim, net, client, server, server_host
+
+
+def blackout():
+    """A fault plan that loses every packet."""
+    return FaultInjector(FaultPlan(packet_faults=[PacketFaultRule(loss=1.0)]))
 
 
 def echo_service(proc, dec, body, src):
@@ -69,7 +78,7 @@ def test_retransmission_on_loss():
             return True
         return False
 
-    net.drop_fn = drop_first_two
+    net.fault_injector = DropWhen(drop_first_two)
 
     def run():
         dec, _ = yield from client.call(
@@ -81,10 +90,40 @@ def test_retransmission_on_loss():
     assert client.retransmissions == 2
 
 
+def test_undecodable_arguments_get_garbage_args():
+    """An argument decode that raises XdrError is answered GARBAGE_ARGS
+    (RFC 5531); the answer is cached, so a retransmission replays it
+    instead of being dropped as a duplicate of a call still in progress."""
+    sim, net, client, server, _h = build()
+    server.register(PROG, echo_service)
+    state = {"dropped": 0}
+
+    def drop_first_reply(pkt):
+        if pkt.src.host == "server" and state["dropped"] < 1:
+            state["dropped"] += 1
+            return True
+        return False
+
+    net.fault_injector = DropWhen(drop_first_reply)
+    client.max_tries = 3
+
+    def run():
+        try:
+            yield from client.call(server.address, PROG, 1, 0, b"")
+        except RpcAcceptError as exc:
+            return exc.accept_stat
+        return None
+
+    assert sim.run_process(run()) == GARBAGE_ARGS
+    assert client.retransmissions == 1
+    assert server.duplicates_replayed == 1
+    assert server.duplicates_dropped == 0
+
+
 def test_timeout_after_max_tries():
     sim, net, client, server, _h = build()
     server.register(PROG, echo_service)
-    net.drop_fn = lambda pkt: True  # total blackout
+    net.fault_injector = blackout()
     client.max_tries = 3
 
     def run():
@@ -120,7 +159,7 @@ def test_duplicate_requests_not_reexecuted():
             return True
         return False
 
-    net.drop_fn = drop_first_reply
+    net.fault_injector = DropWhen(drop_first_reply)
 
     def run():
         dec, _ = yield from client.call(
@@ -283,7 +322,7 @@ def test_retransmit_backoff_is_capped():
     reaches ``max_retrans_timeout`` every further wait uses the cap."""
     sim, net, client, server, _h = build()
     server.register(PROG, echo_service)
-    net.drop_fn = lambda pkt: True  # total blackout
+    net.fault_injector = blackout()
     client.retrans_timeout = 1.0
     client.backoff = 2.0
     client.max_retrans_timeout = 4.0
@@ -314,7 +353,7 @@ def test_retransmit_jitter_bounded_and_from_private_stream():
 
     sim, net, client, server, _h = build()
     server.register(PROG, echo_service)
-    net.drop_fn = lambda pkt: True
+    net.fault_injector = blackout()
     client.retrans_timeout = 1.0
     client.max_retrans_timeout = 1.0
     client.jitter = 0.1

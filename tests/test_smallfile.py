@@ -130,7 +130,7 @@ def make_fh(fileid):
 
 
 def sf_write(client, server, fh, offset, data, stable=UNSTABLE):
-    args = proto.encode_write_args(fh, offset, data.length, stable)
+    args = proto.WriteArgs(fh, offset, data.length, stable).encode()
     dec, _ = yield from client.call(
         server.address, proto.NFS_PROGRAM, proto.NFS_V3, proto.PROC_WRITE,
         args, data,
@@ -141,7 +141,7 @@ def sf_write(client, server, fh, offset, data, stable=UNSTABLE):
 def sf_read(client, server, fh, offset, count):
     dec, body = yield from client.call(
         server.address, proto.NFS_PROGRAM, proto.NFS_V3, proto.PROC_READ,
-        proto.encode_read_args(fh, offset, count),
+        proto.ReadArgs(fh, offset, count).encode(),
     )
     return proto.ReadRes.decode(dec), body
 
@@ -149,7 +149,7 @@ def sf_read(client, server, fh, offset, count):
 def sf_commit(client, server, fh):
     dec, _ = yield from client.call(
         server.address, proto.NFS_PROGRAM, proto.NFS_V3, proto.PROC_COMMIT,
-        proto.encode_commit_args(fh, 0, 0),
+        proto.CommitArgs(fh, 0, 0).encode(),
     )
     return proto.CommitRes.decode(dec)
 
@@ -287,9 +287,9 @@ def test_ctrl_remove_frees_space():
         allocated_before = zone.alloc.allocated_bytes
         dec, _ = yield from client.call(
             server.address, ctrlproto.SLICE_CTRL_PROGRAM, 1,
-            ctrlproto.CTRL_OBJ_REMOVE, ctrlproto.encode_obj_args(fh),
+            ctrlproto.CTRL_OBJ_REMOVE, ctrlproto.ObjArgs(fh).encode(),
         )
-        status = ctrlproto.decode_status_res(dec)
+        status = ctrlproto.StatusRes.decode(dec).status
         rres, body = yield from sf_read(client, server, fh, 0, 100)
         return status, allocated_before, zone.alloc.allocated_bytes, body.length
 
@@ -308,7 +308,7 @@ def test_ctrl_truncate_shrinks():
         yield from sf_write(client, server, fh, 0, PatternData(20000, seed=4), stable=FILE_SYNC)
         dec, _ = yield from client.call(
             server.address, ctrlproto.SLICE_CTRL_PROGRAM, 1,
-            ctrlproto.CTRL_OBJ_TRUNCATE, ctrlproto.encode_truncate_args(fh, 5000),
+            ctrlproto.CTRL_OBJ_TRUNCATE, ctrlproto.TruncateArgs(fh, 5000).encode(),
         )
         rres, body = yield from sf_read(client, server, fh, 0, 20000)
         return rres, body

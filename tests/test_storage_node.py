@@ -38,19 +38,19 @@ def nfs_call(client, node, proc, args, body=None):
 
 
 def write(client, node, fh, offset, data, stable=UNSTABLE):
-    args = proto.encode_write_args(fh, offset, data.length, stable)
+    args = proto.WriteArgs(fh, offset, data.length, stable).encode()
     dec, _ = yield from nfs_call(client, node, proto.PROC_WRITE, args, data)
     return proto.WriteRes.decode(dec)
 
 
 def read(client, node, fh, offset, count):
-    args = proto.encode_read_args(fh, offset, count)
+    args = proto.ReadArgs(fh, offset, count).encode()
     dec, body = yield from nfs_call(client, node, proto.PROC_READ, args)
     return proto.ReadRes.decode(dec), body
 
 
 def commit(client, node, fh, offset=0, count=0):
-    args = proto.encode_commit_args(fh, offset, count)
+    args = proto.CommitArgs(fh, offset, count).encode()
     dec, _ = yield from nfs_call(client, node, proto.PROC_COMMIT, args)
     return proto.CommitRes.decode(dec)
 
@@ -213,9 +213,9 @@ def test_ctrl_remove_object():
         yield from write(client, node, fh, 0, RealData(b"doomed"))
         dec, _ = yield from client.call(
             node.address, ctrlproto.SLICE_CTRL_PROGRAM, 1,
-            ctrlproto.CTRL_OBJ_REMOVE, ctrlproto.encode_obj_args(fh),
+            ctrlproto.CTRL_OBJ_REMOVE, ctrlproto.ObjArgs(fh).encode(),
         )
-        status = ctrlproto.decode_status_res(dec)
+        status = ctrlproto.StatusRes.decode(dec).status
         rres, body = yield from read(client, node, fh, 0, 6)
         return status, body.length
 
@@ -233,7 +233,7 @@ def test_ctrl_truncate_object():
         yield from write(client, node, fh, 0, RealData(b"0123456789"))
         dec, _ = yield from client.call(
             node.address, ctrlproto.SLICE_CTRL_PROGRAM, 1,
-            ctrlproto.CTRL_OBJ_TRUNCATE, ctrlproto.encode_truncate_args(fh, 4),
+            ctrlproto.CTRL_OBJ_TRUNCATE, ctrlproto.TruncateArgs(fh, 4).encode(),
         )
         rres, body = yield from read(client, node, fh, 0, 10)
         return body.to_bytes()
@@ -249,15 +249,15 @@ def test_ctrl_stat_reports_unstable_bytes():
         yield from write(client, node, fh, 0, RealData(b"x" * 100))
         dec, _ = yield from client.call(
             node.address, ctrlproto.SLICE_CTRL_PROGRAM, 1,
-            ctrlproto.CTRL_OBJ_STAT, ctrlproto.encode_obj_args(fh),
+            ctrlproto.CTRL_OBJ_STAT, ctrlproto.ObjArgs(fh).encode(),
         )
-        before = ctrlproto.decode_stat_res(dec)
+        before = ctrlproto.ObjStat.decode(dec)
         yield from commit(client, node, fh)
         dec, _ = yield from client.call(
             node.address, ctrlproto.SLICE_CTRL_PROGRAM, 1,
-            ctrlproto.CTRL_OBJ_STAT, ctrlproto.encode_obj_args(fh),
+            ctrlproto.CTRL_OBJ_STAT, ctrlproto.ObjArgs(fh).encode(),
         )
-        after = ctrlproto.decode_stat_res(dec)
+        after = ctrlproto.ObjStat.decode(dec)
         return before, after
 
     before, after = sim.run_process(run())
@@ -280,7 +280,7 @@ def test_getattr_on_object():
     def run():
         yield from write(client, node, fh, 0, RealData(b"z" * 77))
         dec, _ = yield from nfs_call(
-            client, node, proto.PROC_GETATTR, proto.encode_fh_args(fh)
+            client, node, proto.PROC_GETATTR, proto.FhArgs(fh).encode()
         )
         return proto.GetattrRes.decode(dec)
 

@@ -19,6 +19,8 @@ from repro.sim.rand import RandomStreams
 from repro.util.bytesim import PatternData, RealData
 from repro.workloads.untar import UntarSpec, UntarWorkload
 
+from drops import DropWhen
+
 pytestmark = pytest.mark.trace
 
 
@@ -148,14 +150,14 @@ def test_untar_under_packet_loss_still_passes():
     )
 
     def run():
-        cluster.net.drop_fn = lambda pkt: rng.random() < 0.03
+        cluster.net.fault_injector = DropWhen(lambda pkt: rng.random() < 0.03)
         result = yield from workload.run()
-        cluster.net.drop_fn = None
+        cluster.net.fault_injector = None
         return result
 
     entries, _ops, _elapsed = cluster.run(run())
     assert entries == 40
-    cluster.net.drop_fn = None
+    cluster.net.fault_injector = None
     summary = drain_and_check(cluster, tracer)
     assert summary["exchanges"] > 100
     # Loss-induced retransmissions mean some exchanges carry multiple calls.

@@ -15,7 +15,12 @@
 #   --with-telemetry implies --with-traces and additionally runs the
 #                   telemetry suite (pytest -m telemetry: traced workload
 #                   runs with time-series sampling and exporter checks).
+#   --with-perfbench additionally runs the repository benchmark once per
+#                   workload (untar, bulk, sfs; seed 1, 5 s, untraced):
+#                   a failed correctness check or determinism guard fails
+#                   the script (see perfbench/README.md).
 WITH_CHAOS=0
+WITH_PERFBENCH=0
 WITH_RECONFIG=0
 WITH_TELEMETRY=0
 for arg in "$@"; do
@@ -30,13 +35,16 @@ for arg in "$@"; do
         --with-reconfig)
             WITH_RECONFIG=1
             ;;
+        --with-perfbench)
+            WITH_PERFBENCH=1
+            ;;
         --with-telemetry)
             WITH_TELEMETRY=1
             REPRO_TRACE=1
             export REPRO_TRACE
             ;;
         *)
-            echo "usage: $0 [--with-traces] [--with-chaos] [--with-reconfig] [--with-telemetry]" >&2
+            echo "usage: $0 [--with-traces] [--with-chaos] [--with-reconfig] [--with-telemetry] [--with-perfbench]" >&2
             exit 2
             ;;
     esac
@@ -64,6 +72,12 @@ if [ "$WITH_RECONFIG" = "1" ]; then
     step reconfig_output.txt pytest tests/ -m reconfig
     step reconfig_bench_output.txt \
         pytest benchmarks/test_reconfig_scaleout.py --benchmark-only -s
+fi
+if [ "$WITH_PERFBENCH" = "1" ]; then
+    for workload in untar bulk sfs; do
+        step "perfbench_${workload}_output.txt" python3 perfbench/run.py \
+            --workload "$workload" --seed 1 --seconds 5 --trace 0
+    done
 fi
 step bench_output.txt pytest benchmarks/ --benchmark-only -s
 exit $STATUS

@@ -11,10 +11,9 @@ and the tests verify they always agree.
 
 from __future__ import annotations
 
-import struct
-
 __all__ = [
     "ones_sum",
+    "fold",
     "ones_add",
     "swap16",
     "combine",
@@ -38,14 +37,24 @@ def swap16(value: int) -> int:
     return ((value & 0xFF) << 8) | (value >> 8)
 
 
+def fold(total: int) -> int:
+    """Fold a non-negative sum of 16-bit words into one's complement.
+
+    Because 2**16 == 1 (mod 0xFFFF), end-around-carry folding of any sum is
+    its residue mod 0xFFFF, except that a non-zero multiple of 0xFFFF folds
+    to 0xFFFF, never to 0: only an all-zero sum is 0.
+    """
+    return (total - 1) % _MOD + 1 if total else 0
+
+
 def ones_sum(data: bytes) -> int:
-    """RFC 1071 one's-complement sum of ``data`` (odd tail padded with 0)."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & _MOD) + (total >> 16)
-    return total
+    """RFC 1071 one's-complement sum of ``data`` (odd tail padded with 0).
+
+    Read as one big-endian integer, ``data`` weights each 16-bit word by a
+    power of 2**16 == 1 (mod 0xFFFF), so folding that integer sums the
+    words.  An odd length is padded with a zero byte by shifting left 8 bits.
+    """
+    return fold(int.from_bytes(data, "big") << ((len(data) & 1) << 3))
 
 
 def combine(sum_a: int, len_a: int, sum_b: int) -> int:
@@ -66,10 +75,7 @@ def finalize(total: int) -> int:
     (where a transmitted 0 means "no checksum"), a computed 0 is sent as
     0xFFFF so all code paths agree on a canonical representation.
     """
-    folded = total
-    while folded >> 16:
-        folded = (folded & _MOD) + (folded >> 16)
-    result = (~folded) & _MOD
+    result = (~fold(total)) & _MOD
     return result if result != 0 else _MOD
 
 

@@ -68,15 +68,18 @@ class Packet:
 
     # -- checksum ------------------------------------------------------------
 
-    def _pseudo_header(self) -> bytes:
-        return self.src.packed + self.dst.packed
+    def _ones_total(self) -> int:
+        """One's-complement sum of pseudo-header, header and body."""
+        total = ones_sum(self.src.packed + self.dst.packed + self.header)
+        if self.body.length:
+            total = combine(
+                total, PSEUDO_HEADER_LEN + len(self.header),
+                self.body.checksum16(),
+            )
+        return total
 
     def compute_checksum(self) -> int:
-        total = ones_sum(self._pseudo_header() + self.header)
-        length = PSEUDO_HEADER_LEN + len(self.header)
-        if self.body.length:
-            total = combine(total, length, self.body.checksum16())
-        return finalize(total)
+        return finalize(self._ones_total())
 
     def fill_checksum(self) -> "Packet":
         self.cksum = self.compute_checksum()
@@ -86,11 +89,7 @@ class Packet:
         """Validate the checksum; packets without one (None) pass."""
         if self.cksum is None:
             return True
-        total = ones_sum(self._pseudo_header() + self.header)
-        length = PSEUDO_HEADER_LEN + len(self.header)
-        if self.body.length:
-            total = combine(total, length, self.body.checksum16())
-        return ones_add(total, self.cksum) == 0xFFFF
+        return ones_add(self._ones_total(), self.cksum) == 0xFFFF
 
     # -- rewriting (µproxy fast paths) ----------------------------------------
 

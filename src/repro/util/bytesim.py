@@ -9,6 +9,13 @@ a :class:`Data` body that materializes lazily.
 ``Data`` objects are immutable, sliceable, comparable, and know their
 Internet checksum, so functional tests can verify content end-to-end while
 bandwidth benchmarks ship multi-gigabyte payloads without allocating them.
+
+The checksum never builds the payload either: zeros sum to 0, real bytes
+are summed once and cached, a composite folds its parts' sums, and a
+pattern -- periodic with an even period -- sums a head, ``k`` whole periods
+(``k`` times one cached per-seed sum) and a tail, so its cost is bounded by
+the period, not the payload size.  Every byte sum goes through
+:func:`repro.net.checksum.ones_sum`.
 """
 
 from __future__ import annotations
@@ -78,10 +85,11 @@ class Data:
         return md5.digest()
 
     def checksum16(self) -> int:
-        """16-bit one's-complement sum of the content (not complemented)."""
-        from repro.net.checksum import ones_sum
+        """16-bit one's-complement sum of the content (not complemented).
 
-        return ones_sum(self.to_bytes())
+        Each kind computes it without materializing the payload.
+        """
+        raise NotImplementedError
 
     def _check_materialize(self) -> None:
         if self.length > MATERIALIZE_LIMIT:
@@ -93,12 +101,13 @@ class Data:
 class RealData(Data):
     """A payload backed by actual bytes."""
 
-    __slots__ = ("_bytes",)
+    __slots__ = ("_bytes", "_sum")
 
     def __init__(self, content: bytes = b""):
         if not isinstance(content, (bytes, bytearray, memoryview)):
             raise TypeError(f"RealData requires bytes, got {type(content)!r}")
         self._bytes = bytes(content)
+        self._sum = None
 
     @property
     def length(self) -> int:
@@ -119,6 +128,13 @@ class RealData(Data):
 
     def fingerprint(self) -> bytes:
         return hashlib.md5(self._bytes).digest()
+
+    def checksum16(self) -> int:
+        if self._sum is None:
+            from repro.net.checksum import ones_sum
+
+            self._sum = ones_sum(self._bytes)
+        return self._sum
 
     def __repr__(self):
         preview = self._bytes[:16]
@@ -172,10 +188,29 @@ class PatternData(Data):
         if self._length <= MATERIALIZE_LIMIT:
             return super().fingerprint()
         # For huge payloads, identity-of-definition stands in for content;
-        # two pattern payloads with equal (seed, offset, length) are equal.
+        # two pattern payloads with equal seed, length and offset modulo the
+        # period are equal.
         return hashlib.md5(
-            f"pattern:{self.seed}:{self.offset}:{self._length}".encode()
+            f"pattern:{self.seed}:{self.offset % _PATTERN_PERIOD}:"
+            f"{self._length}".encode()
         ).digest()
+
+    def checksum16(self) -> int:
+        # A head up to the next period boundary, whole periods, then a tail.
+        # The period is even, so whole periods leave the tail's byte parity
+        # where the head left it, and k periods sum to k times one period.
+        from repro.net.checksum import combine, fold, ones_sum
+
+        block = self._block()
+        start = self.offset % _PATTERN_PERIOD
+        head = min(self._length, -start % _PATTERN_PERIOD)
+        periods, tail = divmod(self._length - head, _PATTERN_PERIOD)
+        total = ones_sum(block[start : start + head]) if head else 0
+        if periods:
+            total = combine(total, head, fold(_pattern_sum(self.seed) * periods))
+        if tail:
+            total = combine(total, head, ones_sum(block[:tail]))
+        return total
 
     def __repr__(self):
         return f"PatternData(len={self._length}, seed={self.seed}, offset={self.offset})"
@@ -266,6 +301,15 @@ class CompositeData(Data):
                 break
         return concat(picked)
 
+    def checksum16(self) -> int:
+        from repro.net.checksum import combine
+
+        total = pos = 0
+        for part in self.parts:
+            total = combine(total, pos, part.checksum16())
+            pos += part.length
+        return total
+
     def __repr__(self):
         return f"CompositeData(len={self._length}, parts={len(self.parts)})"
 
@@ -286,6 +330,19 @@ def _pattern_block(seed: int) -> bytes:
         block = b"".join(chunks)
         _pattern_blocks[seed] = block
     return block
+
+
+_pattern_sums: dict = {}
+
+
+def _pattern_sum(seed: int) -> int:
+    """One's-complement sum of one period of the ``seed`` stream."""
+    total = _pattern_sums.get(seed)
+    if total is None:
+        from repro.net.checksum import ones_sum
+
+        total = _pattern_sums[seed] = ones_sum(_pattern_block(seed))
+    return total
 
 
 def concat(parts: Iterable[Data]) -> Data:

@@ -81,6 +81,16 @@ def test_huge_pattern_not_materialized():
     assert p != PatternData(1 << 31, seed=2)
 
 
+def test_huge_pattern_equality_ignores_whole_periods():
+    """Above the materialization limit, offsets a whole period apart name
+    the same content, so they compare and hash equal."""
+    n = (1 << 26) + 2
+    assert PatternData(n, 3, 0) == PatternData(n, 3, 4096)
+    assert hash(PatternData(n, 3, 1)) == hash(PatternData(n, 3, 4096 * 7 + 1))
+    assert PatternData(n, 3, 0) != PatternData(n, 3, 1)
+    assert PatternData(n, 3, 0).checksum16() == PatternData(n, 3, 4096).checksum16()
+
+
 def test_concat_basics():
     d = concat([RealData(b"ab"), RealData(b"cd"), ZeroData(2)])
     assert d.to_bytes() == b"abcd\x00\x00"

@@ -15,10 +15,14 @@
 #   --with-telemetry implies --with-traces and additionally runs the
 #                   telemetry suite (pytest -m telemetry: traced workload
 #                   runs with time-series sampling and exporter checks).
-#   --with-perfbench additionally runs the repository benchmark once per
-#                   workload (untar, bulk, sfs; seed 1, 5 s, untraced):
-#                   a failed correctness check or determinism guard fails
-#                   the script (see perfbench/README.md).
+#   --with-perfbench additionally runs the repository benchmark twice per
+#                   workload (untar, bulk, sfs; seed 1, 5 s): once
+#                   untraced (--trace 0) and once with the per-layer
+#                   wrappers (--trace 1), which wrap encode/decode of every
+#                   NFS codec class, replay the TraceChecker invariants and
+#                   run the three-way determinism check.  A failed
+#                   correctness check or determinism guard fails the
+#                   script (see perfbench/README.md).
 WITH_CHAOS=0
 WITH_PERFBENCH=0
 WITH_RECONFIG=0
@@ -77,6 +81,8 @@ if [ "$WITH_PERFBENCH" = "1" ]; then
     for workload in untar bulk sfs; do
         step "perfbench_${workload}_output.txt" python3 perfbench/run.py \
             --workload "$workload" --seed 1 --seconds 5 --trace 0
+        step "perfbench_${workload}_trace_output.txt" python3 perfbench/run.py \
+            --workload "$workload" --seed 1 --seconds 5 --trace 1
     done
 fi
 step bench_output.txt pytest benchmarks/ --benchmark-only -s

@@ -19,6 +19,7 @@ from repro.nfs.types import (
     FATTR3_OFF_MTIME,
     FATTR3_OFF_SIZE,
     Fattr3,
+    nfstime3,
 )
 
 __all__ = ["patch_fattr", "patch_u32", "patch_u64", "time_bytes"]
@@ -26,12 +27,7 @@ __all__ = ["patch_fattr", "patch_u32", "patch_u64", "time_bytes"]
 
 def time_bytes(seconds: float) -> bytes:
     """Encode a timestamp as the 8-byte NFS (seconds, nanoseconds) pair."""
-    whole = int(seconds)
-    nanos = int(round((seconds - whole) * 1e9))
-    if nanos >= 10**9:
-        whole += 1
-        nanos -= 10**9
-    return struct.pack("!II", whole & 0xFFFFFFFF, nanos)
+    return struct.pack("!II", *nfstime3(seconds))
 
 
 def patch_u32(pkt: Packet, offset: int, value: int) -> int:

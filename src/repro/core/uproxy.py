@@ -510,13 +510,20 @@ class UProxy(PacketFilter):
             return None
         return NFS3ERR_ISDIR if fh.ftype == NF3DIR else NFS3ERR_INVAL
 
+    def _reply_packet(self, src: Address, dst: Address, xid: int, res,
+                      body: Data = EMPTY, trace_id: int = 0) -> Packet:
+        """A reply to ``xid`` carrying ``res``, checksummed when the network
+        verifies checksums."""
+        header = ReplyHeader(xid).encode().to_bytes() + res.encode()
+        reply = Packet(src, dst, header, body, trace_id=trace_id)
+        if self.host.network.params.verify_checksums:
+            reply.fill_checksum()
+        return reply
+
     def _synthesize_reply(self, client_addr: Address, xid: int, res,
                           body: Data = EMPTY, **trace_attrs) -> None:
         """Answer the client directly with a µproxy-built reply packet."""
-        header = ReplyHeader(xid).encode().to_bytes() + res.encode()
-        reply = Packet(self.virtual, client_addr, header, body)
-        if self.host.network.params.verify_checksums:
-            reply.fill_checksum()
+        reply = self._reply_packet(self.virtual, client_addr, xid, res, body)
         self.synthesized += 1
         self.replies_returned += 1
         if self.tracer is not None:
@@ -1013,11 +1020,9 @@ class UProxy(PacketFilter):
             NFS3_OK, entry.attrs.copy(), count=expected, eof=eof
         )
         xid = int.from_bytes(pkt.header[:4], "big")
-        header = ReplyHeader(xid).encode().to_bytes() + new_res.encode()
-        rebuilt = Packet(pkt.src, pkt.dst, header, body, trace_id=pkt.trace_id)
-        if pkt.cksum is not None:
-            rebuilt.fill_checksum()
-        self.cost.rewrite(len(header))
+        rebuilt = self._reply_packet(pkt.src, pkt.dst, xid, new_res, body,
+                                     pkt.trace_id)
+        self.cost.rewrite(len(rebuilt.header))
         self.synthesized += 1
         return self._finish(rebuilt, key)
 
@@ -1051,11 +1056,8 @@ class UProxy(PacketFilter):
             eof=rec.offset + expected >= size,
         )
         xid = int.from_bytes(pkt.header[:4], "big")
-        header = ReplyHeader(xid).encode().to_bytes() + new_res.encode()
-        reply = Packet(self.virtual, pkt.dst, header, body,
-                       trace_id=pkt.trace_id)
-        if pkt.cksum is not None:
-            reply.fill_checksum()
+        reply = self._reply_packet(self.virtual, pkt.dst, xid, new_res, body,
+                                   pkt.trace_id)
         self.synthesized += 1
         self.replies_returned += 1
         if self.tracer is not None:
@@ -1114,11 +1116,9 @@ class UProxy(PacketFilter):
             res.entries[-1].cookie = next_cookie
             res.eof = False
             xid = int.from_bytes(pkt.header[:4], "big")
-            header = ReplyHeader(xid).encode().to_bytes() + res.encode()
-            rebuilt = Packet(pkt.src, pkt.dst, header, trace_id=pkt.trace_id)
-            if pkt.cksum is not None:
-                rebuilt.fill_checksum()
-            self.cost.rewrite(len(header))
+            rebuilt = self._reply_packet(pkt.src, pkt.dst, xid, res,
+                                         trace_id=pkt.trace_id)
+            self.cost.rewrite(len(rebuilt.header))
             self.synthesized += 1
             return self._finish(rebuilt, key)
         # Empty page at this site: chase the remaining sites ourselves.

@@ -1,9 +1,11 @@
 """NFS V3 procedure codec (RFC 1813).
 
-Argument messages declare their wire layout once, with
-:func:`repro.rpc.xdr.record`, and encode to / decode from the bytes that
-follow the RPC call header; result classes encode/decode the bytes that
-follow the RPC reply header.  Bulk data (READ results, WRITE arguments)
+Messages declare their wire layout once, with :func:`repro.rpc.xdr.record`:
+arguments encode to / decode from the bytes that follow the RPC call
+header, results the bytes that follow the RPC reply header.  Only
+``WriteArgs`` and ``ReadRes`` (which repeat the body length word) and
+``ReaddirRes`` (an entry list the µproxy rewrites) are written by hand,
+from the same field kinds.  Bulk data (READ results, WRITE arguments)
 travels in the packet *body*, after these headers — matching the
 header-splitting NICs of the paper's testbed — and conveniently NFS V3
 puts opaque file data last in both messages.
@@ -12,19 +14,11 @@ puts opaque file data last in both messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from repro.rpc import xdr
-from repro.rpc.xdr import Decoder, Encoder
-from .types import (
-    DirEntry,
-    Fattr3,
-    Sattr3,
-    decode_post_op_attr,
-    decode_time,
-    encode_post_op_attr,
-    encode_time,
-)
+from repro.rpc.xdr import Decoder, Encoder, ok
+from .types import TIME, DirEntry, Fattr3, Sattr3
 
 __all__ = [
     "NFS_PROGRAM",
@@ -134,21 +128,44 @@ FH_MAX = 64
 
 FH = xdr.opaque(FH_MAX)
 NAME = xdr.string(255)
+OPTIONAL_FH = xdr.optional(FH)
 SATTR = xdr.nested(Sattr3)
 
 
-def _enc_wcc(enc: Encoder, post: Optional[Fattr3]) -> int:
-    """wcc_data with absent pre-op attributes; returns fattr3 offset."""
+def _fattr_locate(dec: Decoder):
+    offset = dec.offset
+    return Fattr3.decode(dec), offset
+
+
+#: fattr3, reporting where its 84 bytes start for in-place patching.
+FATTR = xdr.Field(lambda enc, v: v.encode(enc),
+                  lambda dec: Fattr3.decode(dec), _fattr_locate)
+POST_OP_ATTR = xdr.optional(FATTR)
+
+
+def _skip_pre_op_attr(dec: Decoder) -> None:
+    if dec.boolean():
+        dec.opaque_fixed(24)  # wcc_attr: size, mtime, ctime
+
+
+def _wcc_put(enc: Encoder, post: Optional[Fattr3]) -> None:
     enc.boolean(False)  # pre_op_attr: not given
-    return encode_post_op_attr(enc, post)
+    POST_OP_ATTR.put(enc, post)
 
 
-def _dec_wcc(dec: Decoder) -> Tuple[Optional[Fattr3], int]:
-    if dec.boolean():  # pre_op_attr present: size + mtime + ctime
-        dec.u64()
-        decode_time(dec)
-        decode_time(dec)
-    return decode_post_op_attr(dec)
+def _wcc_get(dec: Decoder) -> Optional[Fattr3]:
+    _skip_pre_op_attr(dec)
+    return POST_OP_ATTR.get(dec)
+
+
+def _wcc_locate(dec: Decoder):
+    _skip_pre_op_attr(dec)
+    return POST_OP_ATTR.locate(dec)
+
+
+#: wcc_data as its post-op attributes: written with no pre_op_attr, and a
+#: pre_op_attr present on decode is skipped.
+WCC = xdr.Field(_wcc_put, _wcc_get, _wcc_locate)
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +180,11 @@ class FhArgs(NamedTuple):
     fh: bytes
 
 
+@xdr.record(FH, SATTR, xdr.optional(TIME))
 class SetattrArgs(NamedTuple):
     fh: bytes
     sattr: Sattr3
     guard_ctime: Optional[float] = None
-
-    def encode(self) -> bytes:
-        enc = Encoder()
-        FH.put(enc, self.fh)
-        self.sattr.encode(enc)
-        if self.guard_ctime is None:
-            enc.boolean(False)
-        else:
-            enc.boolean(True)
-            encode_time(enc, self.guard_ctime)
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "SetattrArgs":
-        fh = FH.get(dec)
-        sattr = Sattr3.decode(dec)
-        guard = decode_time(dec) if dec.boolean() else None
-        return cls(fh, sattr, guard)
 
 
 @xdr.record(FH, NAME)
@@ -301,35 +301,22 @@ class CommitArgs(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Result codecs
+# Results: one declared wire layout each, except READ and READDIR
 # ---------------------------------------------------------------------------
+#
+# ``attr_offset`` is the decoder offset of the fattr3 the µproxy patches in
+# place, or -1 when it is absent; encoding leaves it alone.
 
 
+@xdr.record(xdr.U32, ok(FATTR))
 @dataclass
 class GetattrRes:
     status: int
     attr: Optional[Fattr3] = None
     attr_offset: int = field(default=-1, compare=False)
 
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        if self.status == 0:
-            self.attr_offset = enc.position
-            self.attr.encode(enc)
-        return enc.to_bytes()
 
-    @classmethod
-    def decode(cls, dec: Decoder) -> "GetattrRes":
-        status = dec.u32()
-        attr = None
-        offset = -1
-        if status == 0:
-            offset = dec.offset
-            attr = Fattr3.decode(dec)
-        return cls(status, attr, offset)
-
-
+@xdr.record(xdr.U32, WCC)
 @dataclass
 class AttrOnlyRes:
     """SETATTR and REMOVE/RMDIR results: status + wcc/post-op attributes."""
@@ -338,23 +325,12 @@ class AttrOnlyRes:
     attr: Optional[Fattr3] = None
     attr_offset: int = field(default=-1, compare=False)
 
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        self.attr_offset = _enc_wcc(enc, self.attr)
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "AttrOnlyRes":
-        status = dec.u32()
-        attr, offset = _dec_wcc(dec)
-        return cls(status, attr, offset)
-
 
 SetattrRes = AttrOnlyRes
 RemoveRes = AttrOnlyRes
 
 
+@xdr.record(xdr.U32, ok(FH), ok(POST_OP_ATTR), POST_OP_ATTR)
 @dataclass
 class LookupRes:
     status: int
@@ -363,69 +339,21 @@ class LookupRes:
     dir_attr: Optional[Fattr3] = None
     attr_offset: int = field(default=-1, compare=False)
 
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        if self.status == 0:
-            FH.put(enc, self.fh)
-            self.attr_offset = encode_post_op_attr(enc, self.attr)
-        encode_post_op_attr(enc, self.dir_attr)
-        return enc.to_bytes()
 
-    @classmethod
-    def decode(cls, dec: Decoder) -> "LookupRes":
-        status = dec.u32()
-        fh = attr = None
-        offset = -1
-        if status == 0:
-            fh = FH.get(dec)
-            attr, offset = decode_post_op_attr(dec)
-        dir_attr, _ = decode_post_op_attr(dec)
-        return cls(status, fh, attr, dir_attr, offset)
-
-
+@xdr.record(xdr.U32, POST_OP_ATTR, ok(xdr.U32))
 @dataclass
 class AccessRes:
     status: int
     attr: Optional[Fattr3] = None
     access: int = 0
 
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        encode_post_op_attr(enc, self.attr)
-        if self.status == 0:
-            enc.u32(self.access)
-        return enc.to_bytes()
 
-    @classmethod
-    def decode(cls, dec: Decoder) -> "AccessRes":
-        status = dec.u32()
-        attr, _ = decode_post_op_attr(dec)
-        access = dec.u32() if status == 0 else 0
-        return cls(status, attr, access)
-
-
+@xdr.record(xdr.U32, POST_OP_ATTR, ok(xdr.string(1024)))
 @dataclass
 class ReadlinkRes:
     status: int
     attr: Optional[Fattr3] = None
     path: str = ""
-
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        encode_post_op_attr(enc, self.attr)
-        if self.status == 0:
-            enc.string(self.path)
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "ReadlinkRes":
-        status = dec.u32()
-        attr, _ = decode_post_op_attr(dec)
-        path = dec.string(1024) if status == 0 else ""
-        return cls(status, attr, path)
 
 
 @dataclass
@@ -441,7 +369,7 @@ class ReadRes:
     def encode(self) -> bytes:
         enc = Encoder()
         enc.u32(self.status)
-        self.attr_offset = encode_post_op_attr(enc, self.attr)
+        POST_OP_ATTR.put(enc, self.attr)
         if self.status == 0:
             enc.u32(self.count)
             enc.boolean(self.eof)
@@ -451,7 +379,7 @@ class ReadRes:
     @classmethod
     def decode(cls, dec: Decoder) -> "ReadRes":
         status = dec.u32()
-        attr, offset = decode_post_op_attr(dec)
+        attr, offset = POST_OP_ATTR.locate(dec)
         count = eof = 0
         if status == 0:
             count = dec.u32()
@@ -460,6 +388,7 @@ class ReadRes:
         return cls(status, attr, count, bool(eof), offset)
 
 
+@xdr.record(xdr.U32, WCC, ok(xdr.U32), ok(xdr.U32), ok(xdr.U64))
 @dataclass
 class WriteRes:
     status: int
@@ -469,28 +398,8 @@ class WriteRes:
     verf: int = 0
     attr_offset: int = field(default=-1, compare=False)
 
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        self.attr_offset = _enc_wcc(enc, self.attr)
-        if self.status == 0:
-            enc.u32(self.count)
-            enc.u32(self.committed)
-            enc.u64(self.verf)
-        return enc.to_bytes()
 
-    @classmethod
-    def decode(cls, dec: Decoder) -> "WriteRes":
-        status = dec.u32()
-        attr, offset = _dec_wcc(dec)
-        count = committed = verf = 0
-        if status == 0:
-            count = dec.u32()
-            committed = dec.u32()
-            verf = dec.u64()
-        return cls(status, attr, count, committed, verf, offset)
-
-
+@xdr.record(xdr.U32, ok(OPTIONAL_FH), ok(POST_OP_ATTR), WCC)
 @dataclass
 class CreateRes:
     """CREATE, MKDIR, SYMLINK results."""
@@ -500,75 +409,25 @@ class CreateRes:
     attr: Optional[Fattr3] = None
     dir_attr: Optional[Fattr3] = None
 
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        if self.status == 0:
-            if self.fh is None:
-                enc.boolean(False)
-            else:
-                enc.boolean(True)
-                FH.put(enc, self.fh)
-            encode_post_op_attr(enc, self.attr)
-        _enc_wcc(enc, self.dir_attr)
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "CreateRes":
-        status = dec.u32()
-        fh = attr = None
-        if status == 0:
-            if dec.boolean():
-                fh = FH.get(dec)
-            attr, _ = decode_post_op_attr(dec)
-        dir_attr, _ = _dec_wcc(dec)
-        return cls(status, fh, attr, dir_attr)
-
 
 MkdirRes = CreateRes
 SymlinkRes = CreateRes
 
 
+@xdr.record(xdr.U32, WCC, WCC)
 @dataclass
 class RenameRes:
     status: int
     from_dir_attr: Optional[Fattr3] = None
     to_dir_attr: Optional[Fattr3] = None
 
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        _enc_wcc(enc, self.from_dir_attr)
-        _enc_wcc(enc, self.to_dir_attr)
-        return enc.to_bytes()
 
-    @classmethod
-    def decode(cls, dec: Decoder) -> "RenameRes":
-        status = dec.u32()
-        from_attr, _ = _dec_wcc(dec)
-        to_attr, _ = _dec_wcc(dec)
-        return cls(status, from_attr, to_attr)
-
-
+@xdr.record(xdr.U32, POST_OP_ATTR, WCC)
 @dataclass
 class LinkRes:
     status: int
     file_attr: Optional[Fattr3] = None
     dir_attr: Optional[Fattr3] = None
-
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        encode_post_op_attr(enc, self.file_attr)
-        _enc_wcc(enc, self.dir_attr)
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "LinkRes":
-        status = dec.u32()
-        file_attr, _ = decode_post_op_attr(dec)
-        dir_attr, _ = _dec_wcc(dec)
-        return cls(status, file_attr, dir_attr)
 
 
 @dataclass
@@ -585,7 +444,7 @@ class ReaddirRes:
     def encode(self) -> bytes:
         enc = Encoder()
         enc.u32(self.status)
-        encode_post_op_attr(enc, self.dir_attr)
+        POST_OP_ATTR.put(enc, self.dir_attr)
         if self.status != 0:
             return enc.to_bytes()
         enc.u64(self.cookieverf)
@@ -595,12 +454,8 @@ class ReaddirRes:
             enc.string(entry.name)
             enc.u64(entry.cookie)
             if self.plus:
-                encode_post_op_attr(enc, entry.attr)
-                if entry.fh is None:
-                    enc.boolean(False)
-                else:
-                    enc.boolean(True)
-                    FH.put(enc, entry.fh)
+                POST_OP_ATTR.put(enc, entry.attr)
+                OPTIONAL_FH.put(enc, entry.fh)
         enc.boolean(False)
         enc.boolean(self.eof)
         return enc.to_bytes()
@@ -608,7 +463,7 @@ class ReaddirRes:
     @classmethod
     def decode(cls, dec: Decoder, plus: bool = False) -> "ReaddirRes":
         status = dec.u32()
-        dir_attr, _ = decode_post_op_attr(dec)
+        dir_attr = POST_OP_ATTR.get(dec)
         if status != 0:
             return cls(status, dir_attr)
         cookieverf = dec.u64()
@@ -619,14 +474,14 @@ class ReaddirRes:
             cookie = dec.u64()
             attr = fh = None
             if plus:
-                attr, _ = decode_post_op_attr(dec)
-                if dec.boolean():
-                    fh = FH.get(dec)
+                attr = POST_OP_ATTR.get(dec)
+                fh = OPTIONAL_FH.get(dec)
             entries.append(DirEntry(fileid, name, cookie, attr, fh))
         eof = dec.boolean()
         return cls(status, dir_attr, cookieverf, entries, eof, plus)
 
 
+@xdr.record(xdr.U32, POST_OP_ATTR, *[ok(xdr.U64)] * 6, ok(xdr.U32))
 @dataclass
 class FsstatRes:
     status: int
@@ -637,128 +492,44 @@ class FsstatRes:
     tfiles: int = 0
     ffiles: int = 0
     afiles: int = 0
-
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        encode_post_op_attr(enc, self.attr)
-        if self.status == 0:
-            for value in (
-                self.tbytes, self.fbytes, self.abytes,
-                self.tfiles, self.ffiles, self.afiles,
-            ):
-                enc.u64(value)
-            enc.u32(0)  # invarsec
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "FsstatRes":
-        status = dec.u32()
-        attr, _ = decode_post_op_attr(dec)
-        values = [0] * 6
-        if status == 0:
-            values = [dec.u64() for _ in range(6)]
-            dec.u32()
-        return cls(status, attr, *values)
+    invarsec: int = 0
 
 
+@xdr.record(xdr.U32, POST_OP_ATTR, *[ok(xdr.U32)] * 7, ok(xdr.U64),
+            ok(TIME), ok(xdr.U32))
 @dataclass
 class FsinfoRes:
     status: int
     attr: Optional[Fattr3] = None
     rtmax: int = 32768
+    rtpref: int = 32768
+    rtmult: int = 512
     wtmax: int = 32768
+    wtpref: int = 32768
+    wtmult: int = 512
     dtpref: int = 8192
     maxfilesize: int = 1 << 62
-
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        encode_post_op_attr(enc, self.attr)
-        if self.status == 0:
-            enc.u32(self.rtmax)
-            enc.u32(self.rtmax)  # rtpref
-            enc.u32(512)  # rtmult
-            enc.u32(self.wtmax)
-            enc.u32(self.wtmax)  # wtpref
-            enc.u32(512)  # wtmult
-            enc.u32(self.dtpref)
-            enc.u64(self.maxfilesize)
-            enc.u32(0)
-            enc.u32(1)  # time_delta: 1ns
-            enc.u32(0x1B)  # properties: LINK|SYMLINK|HOMOGENEOUS|CANSETTIME
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "FsinfoRes":
-        status = dec.u32()
-        attr, _ = decode_post_op_attr(dec)
-        if status != 0:
-            return cls(status, attr)
-        rtmax = dec.u32()
-        dec.u32()
-        dec.u32()
-        wtmax = dec.u32()
-        dec.u32()
-        dec.u32()
-        dtpref = dec.u32()
-        maxfilesize = dec.u64()
-        dec.u32()
-        dec.u32()
-        dec.u32()
-        return cls(status, attr, rtmax, wtmax, dtpref, maxfilesize)
+    time_delta: float = 1e-9
+    properties: int = 0x1B  # LINK | SYMLINK | HOMOGENEOUS | CANSETTIME
 
 
+@xdr.record(xdr.U32, POST_OP_ATTR, ok(xdr.U32), ok(xdr.U32),
+            *[ok(xdr.BOOL)] * 4)
 @dataclass
 class PathconfRes:
     status: int
     attr: Optional[Fattr3] = None
     linkmax: int = 32767
     name_max: int = 255
-
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        encode_post_op_attr(enc, self.attr)
-        if self.status == 0:
-            enc.u32(self.linkmax)
-            enc.u32(self.name_max)
-            enc.boolean(True)  # no_trunc
-            enc.boolean(True)  # chown_restricted
-            enc.boolean(False)  # case_insensitive
-            enc.boolean(True)  # case_preserving
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "PathconfRes":
-        status = dec.u32()
-        attr, _ = decode_post_op_attr(dec)
-        if status != 0:
-            return cls(status, attr)
-        linkmax = dec.u32()
-        name_max = dec.u32()
-        for _ in range(4):
-            dec.boolean()
-        return cls(status, attr, linkmax, name_max)
+    no_trunc: bool = True
+    chown_restricted: bool = True
+    case_insensitive: bool = False
+    case_preserving: bool = True
 
 
+@xdr.record(xdr.U32, WCC, ok(xdr.U64))
 @dataclass
 class CommitRes:
     status: int
     attr: Optional[Fattr3] = None
     verf: int = 0
-
-    def encode(self) -> bytes:
-        enc = Encoder()
-        enc.u32(self.status)
-        _enc_wcc(enc, self.attr)
-        if self.status == 0:
-            enc.u64(self.verf)
-        return enc.to_bytes()
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "CommitRes":
-        status = dec.u32()
-        attr, _ = _dec_wcc(dec)
-        verf = dec.u64() if status == 0 else 0
-        return cls(status, attr, verf)

@@ -7,10 +7,12 @@ checksumming; the field offsets exported here are part of that contract.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.rpc.xdr import Decoder, Encoder
+from repro.rpc import xdr
+from repro.rpc.xdr import Decoder, Encoder, XdrError
 
 __all__ = [
     "NF3REG",
@@ -40,8 +42,9 @@ __all__ = [
     "FATTR3_OFF_ATIME",
     "FATTR3_OFF_MTIME",
     "FATTR3_OFF_CTIME",
-    "encode_time",
-    "decode_time",
+    "TIME",
+    "SET_TIME",
+    "nfstime3",
 ]
 
 NF3REG = 1
@@ -67,28 +70,42 @@ ACCESS_EXTEND = 0x0008
 ACCESS_DELETE = 0x0010
 ACCESS_EXECUTE = 0x0020
 
+# fattr3: ftype, mode, nlink, uid, gid; size, used; rdev (major, minor);
+# fsid, fileid; then atime, mtime and ctime, each (seconds, nanoseconds).
+_FATTR3 = struct.Struct("!5I2Q2I2Q6I")
+
 # fattr3 field offsets within its 84-byte encoding.
-FATTR3_SIZE = 84
-FATTR3_OFF_SIZE = 20
-FATTR3_OFF_ATIME = 60
-FATTR3_OFF_MTIME = 68
-FATTR3_OFF_CTIME = 76
+FATTR3_SIZE = _FATTR3.size
+FATTR3_OFF_SIZE = struct.calcsize("!5I")
+FATTR3_OFF_ATIME = struct.calcsize("!5I2Q2I2Q")
+FATTR3_OFF_MTIME = struct.calcsize("!5I2Q2I2Q2I")
+FATTR3_OFF_CTIME = struct.calcsize("!5I2Q2I2Q4I")
 
 
-def encode_time(enc: Encoder, seconds: float) -> None:
+def nfstime3(seconds: float) -> Tuple[int, int]:
+    """Float seconds as the nfstime3 (seconds, nanoseconds) pair."""
     whole = int(seconds)
     nanos = int(round((seconds - whole) * 1e9))
     if nanos >= 10**9:
         whole += 1
         nanos -= 10**9
-    enc.u32(whole & 0xFFFFFFFF)
+    return whole & 0xFFFFFFFF, nanos
+
+
+def _put_time(enc: Encoder, seconds: float) -> None:
+    whole, nanos = nfstime3(seconds)
+    enc.u32(whole)
     enc.u32(nanos)
 
 
-def decode_time(dec: Decoder) -> float:
+def _get_time(dec: Decoder) -> float:
     whole = dec.u32()
     nanos = dec.u32()
     return whole + nanos / 1e9
+
+
+#: nfstime3 as float seconds.
+TIME = xdr.Field(_put_time, _get_time)
 
 
 @dataclass
@@ -109,64 +126,29 @@ class Fattr3:
     ctime: float = 0.0
 
     def encode(self, enc: Encoder) -> None:
-        enc.u32(self.ftype)
-        enc.u32(self.mode)
-        enc.u32(self.nlink)
-        enc.u32(self.uid)
-        enc.u32(self.gid)
-        enc.u64(self.size)
-        enc.u64(self.used)
-        enc.u32(0)  # rdev major
-        enc.u32(0)  # rdev minor
-        enc.u64(self.fsid)
-        enc.u64(self.fileid)
-        encode_time(enc, self.atime)
-        encode_time(enc, self.mtime)
-        encode_time(enc, self.ctime)
+        try:
+            block = _FATTR3.pack(
+                self.ftype, self.mode, self.nlink, self.uid, self.gid,
+                self.size, self.used, 0, 0, self.fsid, self.fileid,
+                *nfstime3(self.atime), *nfstime3(self.mtime),
+                *nfstime3(self.ctime),
+            )
+        except struct.error as exc:
+            raise XdrError(f"fattr3 field out of range: {exc}") from None
+        enc.opaque_fixed(block)
 
     @classmethod
     def decode(cls, dec: Decoder) -> "Fattr3":
-        ftype = dec.u32()
-        mode = dec.u32()
-        nlink = dec.u32()
-        uid = dec.u32()
-        gid = dec.u32()
-        size = dec.u64()
-        used = dec.u64()
-        dec.u32()
-        dec.u32()
-        fsid = dec.u64()
-        fileid = dec.u64()
-        atime = decode_time(dec)
-        mtime = decode_time(dec)
-        ctime = decode_time(dec)
+        (ftype, mode, nlink, uid, gid, size, used, _major, _minor, fsid,
+         fileid, asec, ansec, msec, mnsec, csec, cnsec) = _FATTR3.unpack(
+            dec.opaque_fixed(FATTR3_SIZE))
         return cls(
             ftype, mode, nlink, uid, gid, size, used, fsid, fileid,
-            atime, mtime, ctime,
+            asec + ansec / 1e9, msec + mnsec / 1e9, csec + cnsec / 1e9,
         )
 
     def copy(self, **changes) -> "Fattr3":
         return replace(self, **changes)
-
-
-def encode_post_op_attr(enc: Encoder, attr: Optional[Fattr3]) -> int:
-    """Encode post_op_attr; returns the byte offset of the fattr3 body
-    within the encoder (or -1 if absent) for in-place patching."""
-    if attr is None:
-        enc.boolean(False)
-        return -1
-    enc.boolean(True)
-    offset = enc.position
-    attr.encode(enc)
-    return offset
-
-
-def decode_post_op_attr(dec: Decoder) -> Tuple[Optional[Fattr3], int]:
-    """Decode post_op_attr; returns (attr, offset-of-fattr3-or-minus-1)."""
-    if not dec.boolean():
-        return None, -1
-    offset = dec.offset
-    return Fattr3.decode(dec), offset
 
 
 # Sattr3 time disposition.
@@ -175,6 +157,35 @@ SET_TO_SERVER_TIME = 1
 SET_TO_CLIENT_TIME = 2
 
 
+def _put_set_time(enc: Encoder, value) -> None:
+    if value is None:
+        enc.u32(DONT_CHANGE)
+    elif value == "server":
+        enc.u32(SET_TO_SERVER_TIME)
+    else:
+        enc.u32(SET_TO_CLIENT_TIME)
+        _put_time(enc, value)
+
+
+def _get_set_time(dec: Decoder):
+    how = dec.u32()
+    if how == DONT_CHANGE:
+        return None
+    if how == SET_TO_SERVER_TIME:
+        return "server"
+    if how == SET_TO_CLIENT_TIME:
+        return _get_time(dec)
+    raise XdrError(f"bad time_how: {how}")
+
+
+#: set_atime / set_mtime: ``None`` (DONT_CHANGE), ``"server"`` or seconds.
+SET_TIME = xdr.Field(_put_set_time, _get_set_time)
+
+
+@xdr.record(
+    xdr.optional(xdr.U32), xdr.optional(xdr.U32), xdr.optional(xdr.U32),
+    xdr.optional(xdr.U64), SET_TIME, SET_TIME,
+)
 @dataclass
 class Sattr3:
     """Settable attributes: each field is None (don't change) or a value.
@@ -189,44 +200,6 @@ class Sattr3:
     size: Optional[int] = None
     atime: object = None
     mtime: object = None
-
-    def encode(self, enc: Encoder) -> None:
-        for value in (self.mode, self.uid, self.gid):
-            if value is None:
-                enc.boolean(False)
-            else:
-                enc.boolean(True)
-                enc.u32(value)
-        if self.size is None:
-            enc.boolean(False)
-        else:
-            enc.boolean(True)
-            enc.u64(self.size)
-        for value in (self.atime, self.mtime):
-            if value is None:
-                enc.u32(DONT_CHANGE)
-            elif value == "server":
-                enc.u32(SET_TO_SERVER_TIME)
-            else:
-                enc.u32(SET_TO_CLIENT_TIME)
-                encode_time(enc, value)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "Sattr3":
-        mode = dec.u32() if dec.boolean() else None
-        uid = dec.u32() if dec.boolean() else None
-        gid = dec.u32() if dec.boolean() else None
-        size = dec.u64() if dec.boolean() else None
-
-        def time_field():
-            how = dec.u32()
-            if how == DONT_CHANGE:
-                return None
-            if how == SET_TO_SERVER_TIME:
-                return "server"
-            return decode_time(dec)
-
-        return cls(mode, uid, gid, size, time_field(), time_field())
 
     def is_truncation(self) -> bool:
         return self.size is not None

@@ -7,9 +7,11 @@ to decoding the variable-length RPC/NFS headers (Table 3).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import operator
 import struct
-from typing import Any, Callable, List, NamedTuple, Sequence
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Encoder",
@@ -26,6 +28,8 @@ __all__ = [
     "array",
     "nested",
     "tuple_of",
+    "optional",
+    "ok",
     "record",
 ]
 
@@ -177,10 +181,19 @@ class Decoder:
 
 class Field(NamedTuple):
     """One XDR field kind: ``put(enc, value)`` appends a value and
-    ``get(dec)`` reads one back, with the same range and bound checks."""
+    ``get(dec)`` reads one back, with the same range and bound checks.
+
+    ``locate(dec)``, on kinds that carry a fixed-size body the µproxy
+    patches in place (an fattr3), reads like ``get`` but returns
+    ``(value, offset)``: the decoder offset where that body starts, or -1
+    when the value is absent.  ``gated`` marks a field that is on the wire
+    only when its record's leading status is 0 (see :func:`ok`).
+    """
 
     put: Callable[[Encoder, Any], Any]
     get: Callable[[Decoder], Any]
+    locate: Optional[Callable[[Decoder], tuple]] = None
+    gated: bool = False
 
 
 U32 = Field(lambda enc, v: enc.u32(v), lambda dec: dec.u32())
@@ -208,9 +221,10 @@ def array(kind: Field) -> Field:
 
 
 def nested(codec) -> Field:
-    """A value with ``encode(enc)`` and a ``decode(dec)`` classmethod,
-    such as :class:`~repro.nfs.types.Sattr3`."""
-    return Field(lambda enc, v: v.encode(enc), lambda dec: codec.decode(dec))
+    """A value of a :func:`record` class, such as
+    :class:`~repro.nfs.types.Sattr3`, inlined in the enclosing message."""
+    return Field(lambda enc, v: enc.opaque_fixed(v.encode()),
+                 lambda dec: codec.decode(dec))
 
 
 def tuple_of(*kinds: Field) -> Field:
@@ -226,6 +240,34 @@ def tuple_of(*kinds: Field) -> Field:
         return tuple([get_one(dec) for get_one in gets])
 
     return Field(put, get)
+
+
+def optional(kind: Field) -> Field:
+    """``kind *``: an XDR bool, then the value when it is true; ``None``
+    stands for the absent value."""
+    put_one, get_one, locate_one = kind.put, kind.get, kind.locate
+
+    def put(enc: Encoder, value) -> None:
+        if value is None:
+            enc.boolean(False)
+        else:
+            enc.boolean(True)
+            put_one(enc, value)
+
+    def get(dec: Decoder):
+        return get_one(dec) if dec.boolean() else None
+
+    def locate(dec: Decoder) -> tuple:
+        return locate_one(dec) if dec.boolean() else (None, -1)
+
+    return Field(put, get, locate if locate_one is not None else None)
+
+
+def ok(kind: Field) -> Field:
+    """``kind``, on the wire only when the record's leading status is 0
+    (NFS3_OK): the arm of a result union that a failed call leaves out.
+    Decoding a failed result gives the field its class default."""
+    return kind._replace(gated=True)
 
 
 #: Largest JSON document a :data:`JSON` field accepts.
@@ -249,28 +291,78 @@ JSON = Field(
 
 
 def record(*kinds: Field):
-    """Class decorator declaring a NamedTuple's wire layout.
+    """Class decorator declaring a NamedTuple's or dataclass's wire layout.
 
-    ``kinds`` gives one :class:`Field` per NamedTuple field, in order.
-    The class gets ``encode(self) -> bytes`` and a ``decode(dec)``
+    ``kinds`` gives one :class:`Field` per leading class field, in wire
+    order.  The class gets ``encode(self) -> bytes`` and a ``decode(dec)``
     classmethod that reads the fields back from a :class:`Decoder`.
+
+    Fields of :func:`ok` kinds must be contiguous and follow the leading
+    status field.  One trailing field past the wire fields is allowed; it
+    is not encoded, and decoding stores in it the offset reported by the
+    first kind with a ``locate`` (-1 when that field is absent).
     """
-    layout = tuple_of(*kinds)
+    count = len(kinds)
+    gated = [index for index, kind in enumerate(kinds) if kind.gated]
+    low, high = (gated[0], gated[-1] + 1) if gated else (count, count)
+    puts = [kind.put for kind in kinds]
+    ungated = [index for index in range(count) if not low <= index < high]
 
     def install(cls):
-        if len(cls._fields) != len(kinds):
+        # A NamedTuple is its own tuple of wire values.
+        wire_values = None
+        if dataclasses.is_dataclass(cls):
+            names = [f.name for f in dataclasses.fields(cls)]
+            defaults = [f.default for f in dataclasses.fields(cls)]
+            getter = operator.attrgetter(*names[:count])
+            wire_values = getter if count > 1 else lambda obj: (getter(obj),)
+        else:
+            names = cls._fields
+            defaults = [cls._field_defaults.get(name) for name in names]
+        if not count <= len(names) <= count + 1:
             raise TypeError(
-                f"{cls.__name__} has {len(cls._fields)} fields "
-                f"but {len(kinds)} XDR kinds"
+                f"{cls.__name__} has {len(names)} fields "
+                f"but {count} XDR kinds"
             )
+        if gated and (low == 0 or gated != list(range(low, high))):
+            raise TypeError(f"{cls.__name__}: status-gated fields must be "
+                            f"contiguous and follow the leading status")
+        located = -1
+        if len(names) > count:  # the trailing offset field
+            located = next((index for index, kind in enumerate(kinds)
+                            if kind.locate is not None), -1)
+            if located < 0:
+                raise TypeError(f"{cls.__name__}: no XDR kind reports "
+                                f"an offset")
+        gets = [kind.locate if index == located else kind.get
+                for index, kind in enumerate(kinds)]
+        head, body, tail = gets[:low], gets[low:high], gets[high:]
+        absent = [(defaults[index], -1) if index == located
+                  else defaults[index] for index in range(low, high)]
 
         def encode(self) -> bytes:
             enc = Encoder()
-            layout.put(enc, self)
+            values = self if wire_values is None else wire_values(self)
+            if body and values[0] != 0:
+                for index in ungated:
+                    puts[index](enc, values[index])
+            else:
+                for put, value in zip(puts, values):
+                    put(enc, value)
             return enc.to_bytes()
 
         def decode(cls, dec: Decoder):
-            return cls._make(layout.get(dec))
+            values = [get(dec) for get in head]
+            if body:
+                if values[0] == 0:
+                    values += [get(dec) for get in body]
+                else:
+                    values += absent
+                values += [get(dec) for get in tail]
+            if located >= 0:
+                values[located], offset = values[located]
+                values.append(offset)
+            return cls(*values)
 
         encode.__qualname__ = f"{cls.__qualname__}.encode"
         decode.__qualname__ = f"{cls.__qualname__}.decode"

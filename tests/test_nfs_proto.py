@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.dirsvc import peerproto as pp
 from repro.ensemble import configsvc as cfg
-from repro.nfs import proto
+from repro.nfs import proto, types
 from repro.nfs.fhandle import FLAG_MIRRORED, FHandle
 from repro.nfs.types import (
     DirEntry,
@@ -18,7 +18,13 @@ from repro.nfs.types import (
     NF3REG,
     Sattr3,
 )
-from repro.rpc.xdr import Decoder, XdrError
+from repro.core.rewrite import patch_fattr
+from repro.ensemble.baseline import MonolithicServer
+from repro.net import Address, NetParams, Network, Packet
+from repro.rpc import RpcAcceptError, RpcClient
+from repro.rpc.messages import GARBAGE_ARGS, ReplyHeader
+from repro.rpc.xdr import Decoder, Encoder, XdrError
+from repro.sim import Simulator
 from repro.storage import coordproto as cp
 from repro.storage import ctrlproto as ctrl
 
@@ -100,24 +106,54 @@ def test_fattr3_field_offsets():
 
 
 def test_sattr3_roundtrip_full():
-    from repro.rpc.xdr import Encoder
-
     sattr = Sattr3(mode=0o600, uid=5, gid=6, size=1024, atime=9.5, mtime="server")
-    enc = Encoder()
-    sattr.encode(enc)
-    decoded = Sattr3.decode(Decoder(enc.to_bytes()))
+    decoded = Sattr3.decode(Decoder(sattr.encode()))
     assert decoded == sattr
 
 
 def test_sattr3_roundtrip_empty():
-    from repro.rpc.xdr import Encoder
-
     sattr = Sattr3()
-    enc = Encoder()
-    sattr.encode(enc)
-    decoded = Sattr3.decode(Decoder(enc.to_bytes()))
+    decoded = Sattr3.decode(Decoder(sattr.encode()))
     assert decoded == sattr
     assert not decoded.is_truncation()
+
+
+def test_setattr_with_unknown_time_how_gets_garbage_args():
+    """A SETATTR whose sattr3 carries time_how 7 is undecodable, so the
+    server answers GARBAGE_ARGS; time_how 2 in the same bytes is served."""
+    sim = Simulator()
+    net = Network(sim, NetParams())
+    server = MonolithicServer(sim, net.add_host("nfs-server"))
+    client = RpcClient(net.add_host("client"), 700)
+
+    def setattr_args(how):
+        enc = Encoder()
+        proto.FH.put(enc, server.root_fh())
+        for word in (0, 0, 0, 0, how, 5, 0, 0, 0):  # ..., no guard
+            enc.u32(word)
+        return enc.to_bytes()
+
+    def run(args):
+        try:
+            dec, _ = yield from client.call(
+                server.address, proto.NFS_PROGRAM, proto.NFS_V3,
+                proto.PROC_SETATTR, args)
+        except RpcAcceptError as exc:
+            return exc.accept_stat
+        return proto.SetattrRes.decode(dec).attr.atime
+
+    assert sim.run_process(run(setattr_args(7))) == GARBAGE_ARGS
+    assert sim.run_process(run(setattr_args(2))) == 5.0
+
+
+def test_sattr3_rejects_unknown_time_how():
+    # Four absent optionals, atime time_how 7 with (5, 0), mtime DONT_CHANGE.
+    wire = b"".join(word.to_bytes(4, "big") for word in (0, 0, 0, 0, 7, 5, 0, 0))
+    with pytest.raises(XdrError, match="time_how"):
+        Sattr3.decode(Decoder(wire))
+    for how in (3, 0xFFFFFFFF):
+        with pytest.raises(XdrError):
+            Sattr3.decode(Decoder(wire[:16] + how.to_bytes(4, "big") + wire[20:]))
 
 
 def test_diropargs_roundtrip():
@@ -211,6 +247,21 @@ def golden_messages():
     def sattr():
         return Sattr3(mode=u32() & 0o7777, gid=u32(), size=u64(),
                       atime="server", mtime=rng.randrange(1 << 30) + 0.25)
+
+    def when():
+        # Quarter seconds survive the (sec, nsec) round trip exactly.
+        return rng.randrange(1 << 32) + rng.randrange(4) / 4
+
+    def attr():
+        return Fattr3(ftype=rng.randrange(1, 8), mode=u32() & 0o7777,
+                      nlink=rng.randrange(1, 9), uid=u32(), gid=u32(),
+                      size=u64(), used=u64(), fsid=u64(), fileid=u64(),
+                      atime=when(), mtime=when(), ctime=when())
+
+    def entry(plus):
+        return DirEntry(u64(), name(), u64(),
+                        attr() if plus and flag() else None,
+                        fh() if plus and flag() else None)
 
     return [
         (proto.FhArgs(fh()),
@@ -316,6 +367,183 @@ def golden_messages():
          "00000003615f39000ef07808"),
         (cfg.ConfigGetArgs(name(), u64()),
          "00000008c3a96262625a6261e7bc4f637a6d56fa"),
+        (attr(),
+         "0000000700000f1f00000001a784e57b55afee45e53db3e12bbaac44"
+         "e2f67012841601230000000000000000abca01cef531d171e3e63379"
+         "07e08e402dcfd96a1dcd65007301c38c2cb417804ef77a822cb41780"),
+        (Sattr3(),
+         "000000000000000000000000000000000000000000000000"),
+        (Sattr3(u32(), u32(), u32(), u64(), when(), when()),
+         "00000001c17dfd65000000017454fc1600000001d561a96f00000001"
+         "9966636722abab59000000025423e9570000000000000002fe1dc1d8"
+         "00000000"),
+        (Sattr3(atime="server", mtime="server"),
+         "000000000000000000000000000000000000000100000001"),
+        (proto.GetattrRes(0, attr()),
+         "00000000000000040000078600000004748809ec3f7da44ab26c6155"
+         "eec5b16ba389081c1ea6a6f10000000000000000d786e01521c54c01"
+         "e5d6b0f969d3fd600485191a0ee6b28068acaabb000000005e8e48b6"
+         "0ee6b280"),
+        (proto.GetattrRes(70),
+         "00000046"),
+        (proto.AttrOnlyRes(0, attr()),
+         "000000000000000000000001000000010000059700000004dbf3f79b"
+         "fab20251cd464ffb2fe71eac9d6296311ed649070000000000000000"
+         "8820f908042224e7960d71882e774584901628790ee6b2808bf0f56a"
+         "2cb417802c3ef8c41dcd6500"),
+        (proto.AttrOnlyRes(13),
+         "0000000d0000000000000000"),
+        (proto.LookupRes(0, fh(), attr(), attr()),
+         "000000000000000882d1d0491406e1860000000100000003000000f2"
+         "000000069a6ea93e37719146ddfa4dccb4eeb4536bfea3283b739881"
+         "0000000000000000e400ef1a7c884bada7f24ccef48211e5e3424df0"
+         "00000000b6e39bfb00000000d16ef36a1dcd65000000000100000005"
+         "000008f1000000076816bc766e8f029cc218a5e2eea38eeadb7fdcb0"
+         "5162f3a400000000000000009745f37510b39c0130c6042bb23dd7ee"
+         "cde802a91dcd650016b6bdbd2cb41780aec6d0a81dcd6500"),
+        (proto.LookupRes(2, dir_attr=attr()),
+         "00000002000000010000000400000d7b00000004642e0a0b91159388"
+         "9d804c67214856c3648c388415be2c4800000000000000000ff64927"
+         "b1a944a4fcffbd041ec24b6fea95a17c1dcd650018ca1d552cb41780"
+         "48e9c4392cb41780"),
+        (proto.AccessRes(0, attr(), u32()),
+         "0000000000000001000000030000056000000008d8d9ee1f4a473a50"
+         "34ecb7d56e79534071f7683fc350d15f0000000000000000ba3111bb"
+         "442a64d2ec4ad67dfdea34e8aedd92f20ee6b280f567427a1dcd6500"
+         "5160686f000000008ec365a2"),
+        (proto.AccessRes(70),
+         "0000004600000000"),
+        (proto.ReadlinkRes(0, attr(), "/".join([name(), name()])),
+         "00000000000000010000000100000295000000042384ad7d723e36ba"
+         "b9fc577378c9e23eb62e6ce7f2296e0700000000000000002d7b199a"
+         "693c5f62bcb4c1304b03fb804fdc4dcc0ee6b280aadb655f2cb41780"
+         "a452ba63000000000000000e6161c3a92e622f622e2e39612e610000"),
+        (proto.ReadlinkRes(22, attr()),
+         "0000001600000001000000010000067100000005f1948c50db720ec4"
+         "29d81f43d20b88617be7f01dbf714c8d000000000000000031b4d326"
+         "cc8c03d90c02e22a166bf21cc983574900000000a0da8dcc00000000"
+         "030713180ee6b280"),
+        (proto.ReadRes(0, attr(), u32(), True),
+         "0000000000000001000000030000065500000001f20a81e5b3bb569c"
+         "9943bd96c3e0839cf1ffd3d7944f2cc000000000000000005c69c3fb"
+         "0c85faf189806b9290fc386ba7ac30d12cb41780f28385681dcd6500"
+         "385754c32cb41780a6ca326c00000001a6ca326c"),
+        (proto.ReadRes(5),
+         "0000000500000000"),
+        (proto.WriteRes(0, attr(), u32(), rng.randrange(3), u64()),
+         "0000000000000000000000010000000600000f9a00000003ce206201"
+         "14d7baed2797478c16416ad6a57f9fa5abc760430000000000000000"
+         "20959f3c9539e7544a241879289a3e399f0b58a22cb4178025824109"
+         "00000000e0102c4700000000e6e298550000000135677b8183c8d248"),
+        (proto.WriteRes(28, attr()),
+         "0000001c00000000000000010000000200000722000000033ce68087"
+         "185f9c6cbf1f78a079a05e9e34d9dd0603370d300000000000000000"
+         "a65835e075f7cf368853c21d161b23852b87e1251dcd650041454257"
+         "1dcd650075c7270100000000"),
+        (proto.CreateRes(0, fh(), attr(), attr()),
+         "000000000000000100000008ff9d12b444bfad670000000100000001"
+         "000008ac00000001507e1f90dcb5f9043b9393e9a99dc018087f8cdf"
+         "1cd1965f0000000000000000fd2f276bfd26e6fc778c7da5bc3d0f52"
+         "b13917f01dcd65003147a70a000000002fdb22362cb4178000000000"
+         "00000001000000020000094600000008d2760a00769c66130a94ec31"
+         "da1b89625d41b01ec131236c0000000000000000d958a499c71fd7ee"
+         "caa5905c345dd2aa27d405570000000006bc33b02cb41780fe5bac13"
+         "00000000"),
+        (proto.CreateRes(17, dir_attr=attr()),
+         "00000011000000000000000100000006000001dc000000065d7e5a46"
+         "67a31e5e1278ef3be21d94233f9166ee04ca36460000000000000000"
+         "4027364fd323b476794828142f6bbd9c30dc55af00000000ede68f28"
+         "2cb4178083b150eb1dcd6500"),
+        (proto.RenameRes(0, attr(), attr()),
+         "0000000000000000000000010000000100000a33000000057fb2c2d2"
+         "b670096ca1e0d2254b609b9d306d234b875f5bb30000000000000000"
+         "7a18aaa8fdea269eef38045256ae57222237c5ad1dcd6500a379dd1e"
+         "0ee6b28032c33ff30ee6b28000000000000000010000000300000dbe"
+         "0000000342f3763ae4632c921593f86b73bf27f7fcc55695b84ce2f1"
+         "0000000000000000acdcf769d772e4be8988eb7c733eab5b689b8987"
+         "2cb417807d884bf90ee6b28021a3e4390ee6b280"),
+        (proto.RenameRes(18, None, attr()),
+         "00000012000000000000000000000000000000010000000300000e28"
+         "000000057aade0b72b64f3bccc1728f73fe8b4b4089688c5ea73d3a0"
+         "0000000000000000b7afdea0459c98d99860d8c6cdda9e103cb5d65f"
+         "2cb41780032c05552cb41780a1c4e79400000000"),
+        (proto.LinkRes(0, attr(), attr()),
+         "0000000000000001000000040000015700000001b3a9544963fa91a6"
+         "ca02d53a9d4a2795a1c6aad284b0d092000000000000000097e19206"
+         "59ac24a2adeb175b06fdf2d0f632ee960ee6b2802a540a9200000000"
+         "fa69c68a1dcd650000000000000000010000000600000cea00000006"
+         "b4ba6dc8ad438915f35626e7245d32b3c73248d919903eaf00000000"
+         "0000000092decd93fe125fe4a04b0f7f9c0158b85207898a0ee6b280"
+         "d6b0f5b82cb41780eeb2e79f2cb41780"),
+        (proto.LinkRes(31),
+         "0000001f000000000000000000000000"),
+        (proto.ReaddirRes(0, attr(), u64(), [entry(False) for _ in range(3)],
+                          eof=False),
+         "00000000000000010000000100000ff200000004b7a59f08b279ebf0"
+         "6a8229c72ec9f2cd860d87973049735f0000000000000000f11769a9"
+         "830d362dfed0e3938c4d9a1484cc597b000000009995f37a1dcd6500"
+         "ea4910611dcd65003f8d5ffa5c23622200000001b976b5f766f728a2"
+         "000000052e5a2e62610000004082b75dde44e1550000000120cca02c"
+         "cf28315f00000004625a615a77fe1c190e6c6640000000014f32ac98"
+         "b8c9a75d000000095ac3a9625ac3a9615a000000c3e12bfb808de9f7"
+         "0000000000000000"),
+        (proto.ReaddirRes(0, None, u64(), [entry(True) for _ in range(4)],
+                          eof=True, plus=True),
+         "000000000000000004866bf79d6769ff00000001e33f0f70fc8464a1"
+         "00000006625a2ec3a92e00002821687d5fde0f070000000000000000"
+         "0000000105137d02efd4335a0000000d393961c3a95f61c3a962c3a9"
+         "5a000000dc32a2b614caf3d8000000000000000100000020904c5892"
+         "41f67a15d1db926adb20d723139fe611fd8a27312d414a438b8e0159"
+         "00000001c7b68bb99d7a221b000000065a5f5f625a5a000012c1cd82"
+         "4c4f25da000000010000000400000bac00000003951a4e9cfa5c59b0"
+         "0fe210267cdd115af4a2abc694ca5ca400000000000000004faffc92"
+         "31c9b52ac9ed710df6c92b9f5981e19e0ee6b2800f07504e2cb41780"
+         "e2d214d80ee6b280000000000000000105de5934741af9cd00000009"
+         "c3a95f2e612e395f5a0000008c8a0fd1b6886fb50000000100000002"
+         "00000cb7000000058ae956c5f7d80eb81c342cc7dcb9e133323d337d"
+         "983ea4180000000000000000a2e1b7f9faedf7c92b55cae2c50a0534"
+         "1caed8e81dcd65000436a821000000009bbd937b0ee6b28000000000"
+         "0000000000000001"),
+        (proto.ReaddirRes(20, attr()),
+         "00000014000000010000000300000301000000044afc1b8d4853f12d"
+         "8cd8f64349551983eea7dd5bec50c680000000000000000028721465"
+         "85f4a1bc221ea5006ef081580fc6f67c0ee6b2806c74470900000000"
+         "5a7786402cb41780"),
+        (proto.FsstatRes(0, attr(), u64(), u64(), u64(), u64(), u64(), u64()),
+         "00000000000000010000000500000dba000000064dc34670400c8ce5"
+         "8d8e41ace4557bb4694d694f13e1c3960000000000000000f9d4a225"
+         "d70620df0e318388f808602e99593fe90ee6b2806a2e69dd0ee6b280"
+         "6723296d1dcd65000cdfbee1e7e31d58f45c02228ba7d352bd9197cb"
+         "0259e7243b179b81fa04570882878b8ad582c99e9d8396660a6f12c8"
+         "00000000"),
+        (proto.FsstatRes(70),
+         "0000004600000000"),
+        (proto.FsinfoRes(0, attr(), dtpref=u32(), maxfilesize=u64()),
+         "00000000000000010000000300000ac9000000060dc3ace9b109a220"
+         "25dea0731acaea19cfbd9818d356850500000000000000000baf0bdd"
+         "ad659d6d6ffe3910fc3675b52fea1c720ee6b280895042661dcd6500"
+         "74bbd949000000000000800000008000000002000000800000008000"
+         "0000020034399c9ed8676952dd8262c600000000000000010000001b"),
+        (proto.FsinfoRes(70),
+         "0000004600000000"),
+        (proto.PathconfRes(0, attr(), linkmax=u32(), name_max=u32()),
+         "00000000000000010000000600000b6b00000004264bb8719b11c660"
+         "ae56d3ff51d8b38bf23ad312f733cb250000000000000000bd48c3f4"
+         "76aef8f4af44eef76c3a9aa909bc40132cb41780e913e24d00000000"
+         "075c96fe1dcd65006c4054a30ffe76af000000010000000100000000"
+         "00000001"),
+        (proto.PathconfRes(70),
+         "0000004600000000"),
+        (proto.CommitRes(0, attr(), u64()),
+         "0000000000000000000000010000000500000e420000000460b88cfe"
+         "d812f8e8307ab18970e3376fce57704dc54f7a020000000000000000"
+         "b0b6f08f51ed3c5df784520a7feb4beb823ac3070ee6b280ce3e0a04"
+         "00000000fe54488700000000a8e35859a45d698d"),
+        (proto.CommitRes(5, attr()),
+         "0000000500000000000000010000000300000c5c000000037fb39202"
+         "29e2975aa8c0dd98586edee3330723e612da23e40000000000000000"
+         "5d34504f5cd7dfe3f1388982e323549840937e782cb41780bff3f2bf"
+         "0ee6b280049bb9d40ee6b280"),
     ]
 
 
@@ -324,33 +552,55 @@ MESSAGE_CLASSES = sorted({type(msg) for msg, _ in GOLDEN},
                          key=lambda cls: (cls.__module__, cls.__name__))
 
 
+def golden_id(msg) -> str:
+    """The class name; the storage control protocol has a ``ReadRes`` too,
+    so NFS's is ``NfsReadRes``."""
+    return "NfsReadRes" if type(msg) is proto.ReadRes else type(msg).__name__
+
+
+GOLDEN_IDS = [golden_id(msg) for msg, _ in GOLDEN]
+
+
+def wire_of(msg) -> bytes:
+    """``msg`` on the wire; an fattr3 is only ever encoded in place."""
+    if isinstance(msg, Fattr3):
+        enc = Encoder()
+        msg.encode(enc)
+        return enc.to_bytes()
+    return msg.encode()
+
+
+def decode_like(msg, dec):
+    """Decode a message of ``msg``'s type (and READDIRPLUS form)."""
+    if isinstance(msg, proto.ReaddirRes):
+        return proto.ReaddirRes.decode(dec, plus=msg.plus)
+    return type(msg).decode(dec)
+
+
 def test_golden_covers_every_declared_message():
     declared = {
         value
-        for module in (proto, ctrl, cp, pp, cfg)
+        for module in (proto, types, ctrl, cp, pp, cfg)
         for value in vars(module).values()
-        if isinstance(value, type) and issubclass(value, tuple)
-        and "decode" in vars(value)
+        if isinstance(value, type) and "decode" in vars(value)
     }
     assert declared == set(MESSAGE_CLASSES)
-    assert len(declared) == 33
+    assert len(declared) == 50
 
 
-@pytest.mark.parametrize("msg, wire_hex", GOLDEN,
-                         ids=[type(m).__name__ for m, _ in GOLDEN])
+@pytest.mark.parametrize("msg, wire_hex", GOLDEN, ids=GOLDEN_IDS)
 def test_message_golden_wire_bytes(msg, wire_hex):
-    assert msg.encode().hex() == wire_hex
+    assert wire_of(msg).hex() == wire_hex
 
 
-@pytest.mark.parametrize("msg, wire_hex", GOLDEN,
-                         ids=[type(m).__name__ for m, _ in GOLDEN])
+@pytest.mark.parametrize("msg, wire_hex", GOLDEN, ids=GOLDEN_IDS)
 def test_message_roundtrip_consumes_exactly_its_bytes(msg, wire_hex):
     wire = bytes.fromhex(wire_hex)
     dec = Decoder(wire)
-    decoded = type(msg).decode(dec)
+    decoded = decode_like(msg, dec)
     assert dec.offset == len(wire)
     assert decoded == msg
-    assert decoded.encode() == wire
+    assert wire_of(decoded) == wire
 
 
 @given(st.binary(max_size=160))
@@ -421,12 +671,75 @@ def test_lookup_res_noent_keeps_dir_attr():
 def test_read_res_roundtrip_and_attr_offset():
     res = proto.ReadRes(0, Fattr3(fileid=3, size=999), count=512, eof=True)
     raw = res.encode()
-    assert res.attr_offset > 0
+    assert res.attr_offset == -1  # encoding leaves the result alone
     decoded = proto.ReadRes.decode(Decoder(raw))
     assert decoded.count == 512
     assert decoded.eof is True
     assert decoded.attr.size == 999
-    assert decoded.attr_offset == res.attr_offset
+    assert decoded.attr_offset == 8  # status, then the post_op_attr bool
+
+
+# -- fattr3 offsets the µproxy patches in place --------------------------------
+
+
+def words(*values):
+    return b"".join(value.to_bytes(4, "big") for value in values)
+
+
+PATCH_ATTR = Fattr3(ftype=NF3REG, mode=0o640, nlink=1, uid=7, gid=8, size=4096,
+                    used=8192, fsid=1, fileid=99, atime=10.5, mtime=20.25,
+                    ctime=30.75)
+ATTR_WIRE = proto.GetattrRes(0, PATCH_ATTR).encode()[4:]
+#: wcc_data's pre_op_attr when a server sends it: size, mtime, ctime.
+PRE_OP_ATTR = words(1) + bytes(range(24))
+
+# (result class, result bytes, offset of the fattr3 within those bytes)
+PATCHED = [
+    (proto.GetattrRes, proto.GetattrRes(0, PATCH_ATTR).encode(), 4),
+    (proto.AttrOnlyRes, proto.AttrOnlyRes(0, PATCH_ATTR).encode(), 12),
+    (proto.AttrOnlyRes, words(0) + PRE_OP_ATTR + words(1) + ATTR_WIRE, 36),
+    (proto.LookupRes,
+     proto.LookupRes(0, fh_bytes(), PATCH_ATTR, Fattr3(fileid=1)).encode(),
+     4 + 4 + 32 + 4),
+    (proto.ReadRes, proto.ReadRes(0, PATCH_ATTR, 512, True).encode(), 8),
+    (proto.WriteRes, proto.WriteRes(0, PATCH_ATTR, 512, 2, 0xAB).encode(), 12),
+    (proto.WriteRes,
+     words(0) + PRE_OP_ATTR + words(1) + ATTR_WIRE + words(512, 2, 0, 0xAB),
+     36),
+]
+
+
+@pytest.mark.parametrize("cls, wire, at", PATCHED,
+                         ids=[f"{c.__name__}@{at}" for c, _, at in PATCHED])
+def test_attr_offset_locates_the_patched_fattr3(cls, wire, at):
+    header = ReplyHeader(0x1234).encode().to_bytes()
+    pkt = Packet(Address("server", 2049), Address("client", 700),
+                 header + wire).fill_checksum()
+
+    def decode():
+        dec = Decoder(pkt.header)
+        ReplyHeader.decode(dec)
+        res = cls.decode(dec)
+        assert dec.offset == len(pkt.header)
+        return res
+
+    res = decode()
+    assert res.attr == PATCH_ATTR
+    assert res.attr_offset == len(header) + at
+    assert patch_fattr(pkt, res.attr_offset, size=1 << 40, mtime=77.5) == 16
+    patched = decode()
+    assert patched.attr == PATCH_ATTR.copy(size=1 << 40, mtime=77.5)
+    assert patched.attr_offset == res.attr_offset
+    assert pkt.checksum_ok()
+
+
+@pytest.mark.parametrize("res", [
+    proto.GetattrRes(70), proto.AttrOnlyRes(0), proto.LookupRes(0, fh_bytes()),
+    proto.LookupRes(2, dir_attr=PATCH_ATTR), proto.ReadRes(0, None, 4),
+    proto.WriteRes(28), proto.WriteRes(0, None, 4),
+], ids=lambda res: type(res).__name__)
+def test_attr_offset_is_minus_one_without_attributes(res):
+    assert type(res).decode(Decoder(res.encode())).attr_offset == -1
 
 
 def test_write_res_roundtrip():
@@ -504,10 +817,9 @@ def test_pathconf_res_roundtrip():
 @given(st.floats(min_value=0, max_value=2**31, allow_nan=False))
 def test_time_encoding_precision(seconds):
     """Times survive the (sec, nsec) wire encoding to within a nanosecond."""
-    from repro.nfs.types import decode_time, encode_time
-    from repro.rpc.xdr import Encoder
+    from repro.nfs.types import TIME
 
     enc = Encoder()
-    encode_time(enc, seconds)
-    decoded = decode_time(Decoder(enc.to_bytes()))
+    TIME.put(enc, seconds)
+    decoded = TIME.get(Decoder(enc.to_bytes()))
     assert decoded == pytest.approx(seconds, abs=1e-6)

@@ -1,7 +1,8 @@
 """Tests for XDR encoding, declared record layouts and RPC message
 headers."""
 
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given
@@ -143,6 +144,72 @@ def test_record_needs_one_kind_per_field():
         class _Short(NamedTuple):
             a: int
             b: int
+
+
+def _u32_at(dec):
+    offset = dec.offset
+    return dec.u32(), offset
+
+
+#: A u32 that reports where it starts, like an fattr3 the µproxy patches.
+LOCATED_U32 = xdr.Field(xdr.U32.put, xdr.U32.get, _u32_at)
+
+
+@xdr.record(xdr.U32, xdr.optional(xdr.U32), xdr.ok(xdr.U64),
+            xdr.ok(xdr.optional(LOCATED_U32)), xdr.BOOL)
+@dataclass
+class _Result:
+    status: int
+    maybe: Optional[int] = None
+    big: int = 5
+    patched: Optional[int] = None
+    flag: bool = False
+    patched_at: int = field(default=-1, compare=False)
+
+
+def test_optional_field_is_a_bool_then_the_value():
+    kind = xdr.optional(xdr.U32)
+    for value, wire in ((None, Encoder().u32(0)),
+                        (9, Encoder().u32(1).u32(9))):
+        enc = Encoder()
+        kind.put(enc, value)
+        assert enc.to_bytes() == wire.to_bytes()
+        assert kind.get(Decoder(wire.to_bytes())) == value
+    with pytest.raises(XdrError):
+        kind.get(Decoder(Encoder().u32(2).u32(9).to_bytes()))
+
+
+def test_ok_fields_are_on_the_wire_only_when_the_status_is_zero():
+    done = _Result(0, 3, 1 << 40, 7, True)
+    assert done.encode() == (Encoder().u32(0).u32(1).u32(3).u64(1 << 40)
+                             .u32(1).u32(7).u32(1).to_bytes())
+    failed = _Result(2, None, 99, 7, True)
+    raw = failed.encode()
+    assert raw == Encoder().u32(2).u32(0).u32(1).to_bytes()
+    assert _Result.decode(Decoder(raw)) == _Result(2, None, 5, None, True)
+
+
+def test_trailing_field_gets_the_located_offset_on_decode_only():
+    done = _Result(0, None, 1, 7)
+    raw = done.encode()
+    assert done.patched_at == -1
+    decoded = _Result.decode(Decoder(bytes(8) + raw, 8))
+    assert decoded == done
+    assert decoded.patched_at == 8 + 4 + 4 + 8 + 4
+    for absent in (_Result(0, None, 1, None), _Result(1, None, 1, 7)):
+        assert _Result.decode(Decoder(absent.encode())).patched_at == -1
+
+
+def test_ok_fields_must_be_contiguous_after_the_status():
+    for kinds in ((xdr.ok(xdr.U32), xdr.U32, xdr.U32, xdr.U32),
+                  (xdr.U32, xdr.ok(xdr.U32), xdr.U32, xdr.ok(xdr.U32))):
+        with pytest.raises(TypeError):
+            @xdr.record(*kinds)
+            class _Bad(NamedTuple):
+                a: int = 0
+                b: int = 0
+                c: int = 0
+                d: int = 0
 
 
 @given(st.binary(max_size=300))

@@ -1,0 +1,336 @@
+"""Behaviour lock: hashes of seeded runs, pinned so that a change to what
+the model does in simulated time fails tier-1.
+
+Two kinds of value are pinned:
+
+- ``Tracer.digest()`` of the untar, bulk and mixed-ops chaos scenarios under
+  seeded fault plans.  The digest covers span timestamps and attributes,
+  injected faults, coordinator intents and the WAL crash ledger.
+- An untraced fingerprint of small workload runs: small untar, bulk and
+  SPECsfs-mix runs on Slice ensembles built with :mod:`repro.api`, and an
+  untar plus a short SFS mix plus one pass over every procedure the
+  monolithic baseline serves, in ``mfs`` and ``ffs`` mode.  It hashes the
+  ``repr`` of every NFS call latency, the final ``sim.now``, and the
+  request, packet, byte and WAL-record counts of every component.
+  Kernel step counts are left out: fewer steps for the same behaviour is
+  a speed-up, not a model change.
+
+Every Slice cluster here has two directory servers, so dir-peer RPCs run:
+two-phase commits under mkdir switching, and attribute and entry fetches
+under name hashing.
+
+Rule: only a change that declares a model change may re-pin these values.
+It lists the old values, the new values and the reason in CHANGES.md.
+The values were pinned on CPython 3.11.7.
+
+To print the current values in the pinned format::
+
+    PYTHONPATH=src python -m tests.test_behaviour_lock
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.api import ClusterSpec, build
+from repro.dirsvc.config import MKDIR_SWITCHING, NAME_HASHING
+from repro.ensemble.baseline import BaselineParams, MonolithicServer
+from repro.faults import (
+    BulkIOChaosScenario,
+    ChaosHarness,
+    CrashWindow,
+    FaultPlan,
+    MixedOpsChaosScenario,
+    PacketFaultRule,
+    SlowDiskWindow,
+    UntarChaosScenario,
+)
+from repro.net import NetParams, Network
+from repro.nfs import proto
+from repro.nfs.client import NfsClient
+from repro.nfs.types import FILE_SYNC, Sattr3
+from repro.sim import Simulator
+from repro.util.bytesim import PatternData
+from repro.workloads.bulkio import dd_read, dd_write
+from repro.workloads.fileset import FilesetSpec
+from repro.workloads.specsfs import SfsConfig, SfsRun
+from repro.workloads.untar import UntarSpec, UntarWorkload
+
+PINNED_ON = "3.11.7"
+
+#: chaos run -> Tracer.digest()
+CHAOS_DIGESTS = {
+    "bulk-1": "5a5bc41884b7bb5c2ef7165082dbae974e3cd57c5f7cd987b1c7464dff3cf8ac",
+    "bulk-2": "487216f2b97d18440e0bac8b8a69ef9bf244ecb78b72119bc1eef1bb8a2b3bf0",
+    "bulk-3": "4b0b76446111ecd03b2bf3df441b6796855ffde514a84ec832c3953bea9b71ad",
+    "mixed-1": "eee9115e392bd8c3f048d79e6913bdf6ed73b300af68d47a128598ce3c6ac85a",
+    "mixed-2": "9d8e29a68a49d5e1a3cfe99506f587b0acbae997580674030316659cd31284fe",
+    "mixed-3": "b103b5e06fde00fe5ed79a2377dfd418f11eabbf3952b8b8f518e13713965dc0",
+    "untar-1": "44f7ff3503121c481615db57f99de30585171b837cc5a89c56943389c3c2f809",
+    "untar-2": "8715e3961a2d5ac8fae0e3710a2bb39e2e109c4a1a89d29af266e6ca0ebf7bc9",
+    "untar-3": "13da7c0525dbfe27d6d9e0045f304c8d756dd523360e05ad83289c55a6c43358",
+}
+
+#: workload run -> fingerprint
+FINGERPRINTS = {
+    "baseline-ffs": "2625fc45bb87aa96590817d3ff30c190",
+    "baseline-mfs": "58d85b5b4c759ddf4860069d7961f808",
+    "slice-bulk": "c2f2ab56e49d11841505db3e5df01bfe",
+    "slice-sfs": "4fb3270a719a72094fa746e402fabad0",
+    "slice-untar": "789f9e7d983a16314125ecf32d1ca7eb",
+    "slice-untar-hashed": "97f5e0e19262deb6631e0730e2458b85",
+}
+
+
+# -- chaos digests --------------------------------------------------------------
+
+
+def _lossy():
+    return [PacketFaultRule(loss=0.02, dup=0.01, reorder=0.02)]
+
+
+def _untar(seed):
+    plan = FaultPlan(seed=seed, packet_faults=_lossy(), crashes=[
+        CrashWindow("dir", index=1, at=0.1, restart_at=0.5,
+                    torn_tail=bool(seed % 2)),
+    ])
+    return plan, UntarChaosScenario(total_entries=40, seed=0)
+
+
+def _bulk(seed):
+    plan = FaultPlan(
+        seed=seed, packet_faults=_lossy(),
+        crashes=[CrashWindow("storage", index=seed % 3, at=0.05,
+                             restart_at=0.3)],
+        slow_disks=[SlowDiskWindow("storage", index=(seed + 1) % 3,
+                                   factor=3.0, start=0.0, end=1.0)],
+    )
+    return plan, BulkIOChaosScenario(sizes=[192 << 10], seed=seed)
+
+
+def _mixed(seed):
+    plan = FaultPlan(seed=seed, packet_faults=_lossy(), crashes=[
+        CrashWindow("sf", index=seed % 2, at=0.1, restart_at=0.4,
+                    torn_tail=True),
+    ])
+    return plan, MixedOpsChaosScenario(ops=40, seed=seed)
+
+
+CHAOS_RUNS = {
+    f"{kind}-{seed}": (make, seed)
+    for kind, make in (("untar", _untar), ("bulk", _bulk), ("mixed", _mixed))
+    for seed in (1, 2, 3)
+}
+
+
+def chaos_digest(name: str) -> str:
+    make, seed = CHAOS_RUNS[name]
+    plan, scenario = make(seed)
+    return ChaosHarness(plan).run(scenario, settle=5.0).digest
+
+
+# -- untraced fingerprints ---------------------------------------------------
+
+
+def _time_calls(client: NfsClient, latencies: list) -> None:
+    """Record the simulated latency of every NFS call ``client`` makes."""
+    call = client._call
+
+    def timed(*args, **kwargs):
+        start = client.sim.now
+        result = yield from call(*args, **kwargs)
+        latencies.append(client.sim.now - start)
+        return result
+
+    client._call = timed
+
+
+def _host_counts(net: Network) -> list:
+    return [
+        (name, host.packets_sent, host.packets_received, host.packets_dropped)
+        for name, host in sorted(net.hosts.items())
+    ] + [(net.packets_delivered, net.bytes_delivered)]
+
+
+def _rpc_counts(rpc) -> tuple:
+    return (rpc.requests_handled, rpc.duplicates_dropped,
+            rpc.duplicates_replayed)
+
+
+def _wal_counts(log) -> tuple:
+    return (log.base_lsn + len(log.records), log.stable_count,
+            log.bytes_logged, log.syncs)
+
+
+def _digest(state) -> str:
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:32]
+
+
+def _slice_state(cluster, latencies: list) -> str:
+    servers = (cluster.dir_servers + cluster.sf_servers
+               + cluster.storage_nodes + cluster.coordinators)
+    return _digest((
+        [repr(x) for x in latencies],
+        repr(cluster.sim.now),
+        _host_counts(cluster.net),
+        [(s.host.name, _rpc_counts(s.server)) for s in servers],
+        [(d.host.name, d.ops_served, d.cross_site_ops)
+         for d in cluster.dir_servers],
+        [(p.requests_routed, p.replies_returned, p.synthesized,
+          p.commits_absorbed) for _c, p in cluster.clients],
+        [(key, _wal_counts(b.log))
+         for key, b in sorted(cluster.backing._sites.items())],
+        [_wal_counts(c.log) for c in cluster.coordinators],
+    ))
+
+
+def _slice_cluster(clients: int, name_mode: str = MKDIR_SWITCHING):
+    params = ClusterSpec(storage_nodes=4, dir_servers=2,
+                         sf_servers=2).to_params()
+    params.name_mode = name_mode
+    cluster = build(ClusterSpec(params=params))
+    latencies: list = []
+    nfs = []
+    for i in range(clients):
+        client, _proxy = cluster.add_client(f"c{i}", port=700 + i)
+        _time_calls(client, latencies)
+        nfs.append(client)
+    return cluster, nfs, latencies
+
+
+def run_slice_untar(name_mode: str = MKDIR_SWITCHING) -> str:
+    cluster, clients, latencies = _slice_cluster(2, name_mode)
+    procs = [
+        UntarWorkload(client, cluster.root_fh, UntarSpec(total_entries=60),
+                      prefix=f"p{i}", seed=i).run()
+        for i, client in enumerate(clients)
+    ]
+    cluster.run(_all(cluster.sim, procs))
+    assert sum(d.cross_site_ops for d in cluster.dir_servers) > 0
+    return _slice_state(cluster, latencies)
+
+
+def run_slice_bulk() -> str:
+    cluster, (client,), latencies = _slice_cluster(1)
+
+    def drive():
+        for i, size in enumerate((384 << 10, 1 << 20)):
+            fh, _ = yield from dd_write(client, cluster.root_fh, f"f{i}",
+                                        size, seed=i)
+            yield from dd_read(client, fh, size, verify_seed=i)
+
+    cluster.run(drive())
+    return _slice_state(cluster, latencies)
+
+
+def _sfs_config() -> SfsConfig:
+    return SfsConfig(
+        offered_load=150.0, num_procs=4, warmup=0.2, window=0.8,
+        fileset=FilesetSpec(num_files=24, num_dirs=3, num_symlinks=3),
+    )
+
+
+def run_slice_sfs() -> str:
+    cluster, clients, latencies = _slice_cluster(2)
+    run = SfsRun(cluster.sim, clients, cluster.root_fh, _sfs_config())
+    cluster.run(run.execute())
+    return _slice_state(cluster, latencies)
+
+
+def _all(sim, procs):
+    yield sim.all_of([sim.process(p) for p in procs])
+
+
+def _every_baseline_proc(client: NfsClient, root: bytes):
+    """One call to each procedure the baseline serves, the metadata
+    updates that force FFS synchronous writes among them."""
+    made = yield from client.mkdir(root, "d")
+    created = yield from client.create(made.fh, "a")
+    fh = created.fh
+    yield from client.write(fh, 0, PatternData(20 << 10, seed=3),
+                            stable=FILE_SYNC)
+    yield from client.commit(fh)
+    yield from client.read(fh, 4096, 8192)
+    yield from client.link(fh, root, "a-link")
+    yield from client.rename(made.fh, "a", root, "b")
+    yield from client.symlink(root, "s", "b")
+    yield from client.readlink((yield from client.lookup(root, "s")).fh)
+    yield from client.setattr(fh, Sattr3(mode=0o600))
+    yield from client.access(fh)
+    yield from client.getattr(fh)
+    yield from client.readdir(root)
+    yield from client.remove(root, "a-link")
+    yield from client.rmdir(root, "d")
+    for proc in ("FSSTAT", "FSINFO", "PATHCONF"):
+        yield from client._call(getattr(proto, f"PROC_{proc}"),
+                                proto.FhArgs(root).encode())
+    yield from client.null()
+
+
+def run_baseline(mode: str) -> str:
+    sim = Simulator()
+    net = Network(sim, NetParams())
+    server = MonolithicServer(sim, net.add_host("nfs-server"),
+                              BaselineParams(mode=mode))
+    clients = [NfsClient(sim, net.add_host(f"c{i}"), server.address)
+               for i in range(2)]
+    latencies: list = []
+    for client in clients:
+        _time_calls(client, latencies)
+    root = server.root_fh()
+    sim.run_process(_every_baseline_proc(clients[0], root))
+    sim.run_process(_all(sim, [
+        UntarWorkload(client, root, UntarSpec(total_entries=40),
+                      prefix=f"p{i}", seed=i).run()
+        for i, client in enumerate(clients)
+    ]))
+    sim.run_process(SfsRun(sim, clients, root, _sfs_config()).execute())
+    return _digest((
+        [repr(x) for x in latencies],
+        repr(sim.now),
+        _host_counts(net),
+        server.ops_served,
+        _rpc_counts(server.server),
+    ))
+
+
+FINGERPRINT_RUNS = {
+    "slice-untar": run_slice_untar,
+    "slice-untar-hashed": lambda: run_slice_untar(NAME_HASHING),
+    "slice-bulk": run_slice_bulk,
+    "slice-sfs": run_slice_sfs,
+    "baseline-mfs": lambda: run_baseline("mfs"),
+    "baseline-ffs": lambda: run_baseline("ffs"),
+}
+
+
+# -- the lock ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_RUNS))
+def test_chaos_digest_is_pinned(name):
+    assert chaos_digest(name) == CHAOS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINT_RUNS))
+def test_workload_fingerprint_is_pinned(name):
+    assert FINGERPRINT_RUNS[name]() == FINGERPRINTS[name]
+
+
+def _print_pinned() -> None:
+    import platform
+
+    print(f'PINNED_ON = "{platform.python_version()}"\n')
+    print("#: chaos run -> Tracer.digest()\nCHAOS_DIGESTS = {")
+    for name in sorted(CHAOS_RUNS):
+        print(f'    "{name}": "{chaos_digest(name)}",')
+    print("}\n\n#: workload run -> fingerprint\nFINGERPRINTS = {")
+    for name in sorted(FINGERPRINT_RUNS):
+        print(f'    "{name}": "{FINGERPRINT_RUNS[name]()}",')
+    print("}")
+
+
+if __name__ == "__main__":
+    _print_pinned()

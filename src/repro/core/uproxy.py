@@ -958,10 +958,7 @@ class UProxy(PacketFilter):
             return self._finish(pkt, key)
         if proc in (proto.PROC_LOOKUP, proto.PROC_CREATE, proto.PROC_MKDIR,
                     proto.PROC_SYMLINK):
-            if proc == proto.PROC_LOOKUP:
-                res = proto.LookupRes.decode(dec)
-            else:
-                res = proto.CreateRes.decode(dec)
+            res = proto.PROCS[proc].result.decode(dec)
             if res.status == NFS3_OK and res.fh is not None and res.attr is not None:
                 fh = self._unpack_fh(res.fh)
                 if fh is not None:

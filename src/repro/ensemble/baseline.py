@@ -23,9 +23,11 @@ from typing import Dict, Optional
 
 from repro.net import Host
 from repro.nfs import proto
+from repro.nfs.errors import NFS3ERR_NOTSUPP
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import DATA_SYNC, FILE_SYNC
-from repro.rpc import RpcServer
+from repro.rpc import RpcAcceptError, RpcServer
+from repro.rpc.messages import PROC_UNAVAIL
 from repro.rpc.xdr import Decoder
 from repro.storage.cache import BufferCache
 from repro.storage.disk import DiskArray, DiskParams
@@ -55,6 +57,35 @@ class BaselineParams:
             raise ValueError(f"unknown baseline mode: {self.mode}")
 
 
+#: The ModelFS call serving each procedure that needs no disk I/O beyond
+#: the synchronous metadata writes of the updates below.
+_FS_CALLS = {
+    proto.PROC_GETATTR: lambda fs, a, now: fs.getattr(a.fh),
+    proto.PROC_SETATTR:
+        lambda fs, a, now: fs.setattr(a.fh, a.sattr, a.guard_ctime, now),
+    proto.PROC_LOOKUP: lambda fs, a, now: fs.lookup(a.dir_fh, a.name),
+    proto.PROC_ACCESS: lambda fs, a, now: fs.access(a.fh, a.access),
+    proto.PROC_READLINK: lambda fs, a, now: fs.readlink(a.fh),
+    proto.PROC_CREATE:
+        lambda fs, a, now: fs.create(a.dir_fh, a.name, a.mode, a.sattr, now),
+    proto.PROC_MKDIR: lambda fs, a, now: fs.mkdir(a.dir_fh, a.name, a.sattr, now),
+    proto.PROC_SYMLINK:
+        lambda fs, a, now: fs.symlink(a.dir_fh, a.name, a.path, now),
+    proto.PROC_REMOVE: lambda fs, a, now: fs.remove(a.dir_fh, a.name, now),
+    proto.PROC_RMDIR: lambda fs, a, now: fs.rmdir(a.dir_fh, a.name, now),
+    proto.PROC_RENAME: lambda fs, a, now: fs.rename(
+        a.from_dir, a.from_name, a.to_dir, a.to_name, now),
+    proto.PROC_LINK: lambda fs, a, now: fs.link(a.fh, a.dir_fh, a.name, now),
+    proto.PROC_READDIR: lambda fs, a, now: fs.readdir(a.dir_fh, a.cookie),
+    proto.PROC_READDIRPLUS:
+        lambda fs, a, now: fs.readdir(a.dir_fh, a.cookie, plus=True),
+    proto.PROC_FSINFO:
+        lambda fs, a, now: proto.FsinfoRes(0, fs.getattr(a.fh).attr),
+    proto.PROC_PATHCONF:
+        lambda fs, a, now: proto.PathconfRes(0, fs.getattr(a.fh).attr),
+}
+
+#: Updates that FFS follows with synchronous metadata writes.
 _UPDATE_PROCS = {
     proto.PROC_SETATTR, proto.PROC_CREATE, proto.PROC_MKDIR,
     proto.PROC_SYMLINK, proto.PROC_REMOVE, proto.PROC_RMDIR,
@@ -201,117 +232,66 @@ class MonolithicServer:
     # -- NFS service -----------------------------------------------------
 
     def _service(self, procnum: int, dec: Decoder, body, src):
-        p = self.params
-        yield from self.host.cpu_work(p.cpu_per_op)
+        if procnum >= len(proto.PROCS):
+            raise RpcAcceptError(PROC_UNAVAIL)
+        yield from self.host.cpu_work(self.params.cpu_per_op)
         now = self.host.clock()
-        fs = self.fs
         self.ops_served += 1
         if procnum == proto.PROC_NULL:
             return b"", EMPTY
-        if procnum == proto.PROC_GETATTR:
-            return fs.getattr(proto.FhArgs.decode(dec).fh).encode(), EMPTY
-        if procnum == proto.PROC_SETATTR:
-            args = proto.SetattrArgs.decode(dec)
-            res = fs.setattr(args.fh, args.sattr, args.guard_ctime, now)
-            if self.on_disk and res.status == 0:
-                yield from self._metadata_write()
-            return res.encode(), EMPTY
-        if procnum == proto.PROC_LOOKUP:
-            args = proto.DirOpArgs.decode(dec)
-            return fs.lookup(args.dir_fh, args.name).encode(), EMPTY
-        if procnum == proto.PROC_ACCESS:
-            args = proto.AccessArgs.decode(dec)
-            return fs.access(args.fh, args.access).encode(), EMPTY
-        if procnum == proto.PROC_READLINK:
-            return fs.readlink(proto.FhArgs.decode(dec).fh).encode(), EMPTY
-        if procnum == proto.PROC_READ:
-            args = proto.ReadArgs.decode(dec)
-            yield from self.host.cpu_work(p.cpu_per_byte * args.count)
-            if self.on_disk:
-                yield from self._inode_read(args.fh)
-                yield from self._read_blocks(args.fh, args.offset, args.count)
-            res, data = fs.read(args.fh, args.offset, args.count, now)
+        proc = proto.PROCS[procnum]
+        call = _FS_CALLS.get(procnum)
+        own = self._OWN_BODIES.get(procnum)
+        if call is None and own is None:
+            return proc.result(NFS3ERR_NOTSUPP).encode(), EMPTY
+        args = proc.args.decode(dec)
+        if own is not None:
+            res, data = yield from own(self, args, body, now)
             return res.encode(), data
-        if procnum == proto.PROC_WRITE:
-            args = proto.WriteArgs.decode(dec)
-            yield from self.host.cpu_work(p.cpu_per_byte * args.count)
-            res = fs.write(
-                args.fh, args.offset, body.slice(0, args.count),
-                args.stable, self.verf, now,
-            )
-            if self.on_disk and res.status == 0:
-                yield from self._inode_read(args.fh)
-                yield from self._dirty_blocks(args.fh, args.offset, args.count)
-                if args.stable in (DATA_SYNC, FILE_SYNC):
-                    yield from self._flush_range(args.fh, args.offset, args.count)
-            return res.encode(), EMPTY
-        if procnum == proto.PROC_CREATE:
-            args = proto.CreateArgs.decode(dec)
-            res = fs.create(args.dir_fh, args.name, args.mode, args.sattr, now)
-            if self.on_disk and res.status == 0:
-                yield from self._metadata_write()
-            return res.encode(), EMPTY
-        if procnum == proto.PROC_MKDIR:
-            args = proto.MkdirArgs.decode(dec)
-            res = fs.mkdir(args.dir_fh, args.name, args.sattr, now)
-            if self.on_disk and res.status == 0:
-                yield from self._metadata_write()
-            return res.encode(), EMPTY
-        if procnum == proto.PROC_SYMLINK:
-            args = proto.SymlinkArgs.decode(dec)
-            res = fs.symlink(args.dir_fh, args.name, args.path, now)
-            if self.on_disk and res.status == 0:
-                yield from self._metadata_write()
-            return res.encode(), EMPTY
-        if procnum == proto.PROC_REMOVE:
-            args = proto.DirOpArgs.decode(dec)
-            res = fs.remove(args.dir_fh, args.name, now)
-            if self.on_disk and res.status == 0:
-                yield from self._metadata_write()
-            return res.encode(), EMPTY
-        if procnum == proto.PROC_RMDIR:
-            args = proto.DirOpArgs.decode(dec)
-            res = fs.rmdir(args.dir_fh, args.name, now)
-            if self.on_disk and res.status == 0:
-                yield from self._metadata_write()
-            return res.encode(), EMPTY
-        if procnum == proto.PROC_RENAME:
-            args = proto.RenameArgs.decode(dec)
-            res = fs.rename(
-                args.from_dir, args.from_name, args.to_dir, args.to_name, now
-            )
-            if self.on_disk and res.status == 0:
-                yield from self._metadata_write()
-            return res.encode(), EMPTY
-        if procnum == proto.PROC_LINK:
-            args = proto.LinkArgs.decode(dec)
-            res = fs.link(args.fh, args.dir_fh, args.name, now)
-            if self.on_disk and res.status == 0:
-                yield from self._metadata_write()
-            return res.encode(), EMPTY
-        if procnum in (proto.PROC_READDIR, proto.PROC_READDIRPLUS):
-            args = proto.ReaddirArgs.decode(dec)
-            return fs.readdir(args.dir_fh, args.cookie).encode(), EMPTY
-        if procnum == proto.PROC_FSSTAT:
-            fh = proto.FhArgs.decode(dec).fh
-            attrs = fs.getattr(fh).attr
-            nodes = fs.node_count()
-            return proto.FsstatRes(
-                0, attrs, tbytes=1 << 40, fbytes=(1 << 40) - nodes * 4096,
-                abytes=(1 << 40) - nodes * 4096, tfiles=1 << 20,
-                ffiles=(1 << 20) - nodes, afiles=(1 << 20) - nodes,
-            ).encode(), EMPTY
-        if procnum == proto.PROC_FSINFO:
-            fh = proto.FhArgs.decode(dec).fh
-            return proto.FsinfoRes(0, fs.getattr(fh).attr).encode(), EMPTY
-        if procnum == proto.PROC_PATHCONF:
-            fh = proto.FhArgs.decode(dec).fh
-            return proto.PathconfRes(0, fs.getattr(fh).attr).encode(), EMPTY
-        if procnum == proto.PROC_COMMIT:
-            args = proto.CommitArgs.decode(dec)
-            if self.on_disk:
-                yield from self._flush_file(args.fh)
-            return fs.commit(args.fh, self.verf).encode(), EMPTY
-        from repro.nfs.errors import NFS3ERR_NOTSUPP
+        res = call(self.fs, args, now)
+        if self.on_disk and procnum in _UPDATE_PROCS and res.status == 0:
+            yield from self._metadata_write()
+        return res.encode(), EMPTY
 
-        return proto.GetattrRes(NFS3ERR_NOTSUPP).encode(), EMPTY
+    def _read(self, args, body, now):
+        yield from self.host.cpu_work(self.params.cpu_per_byte * args.count)
+        if self.on_disk:
+            yield from self._inode_read(args.fh)
+            yield from self._read_blocks(args.fh, args.offset, args.count)
+        return self.fs.read(args.fh, args.offset, args.count, now)
+
+    def _write(self, args, body, now):
+        yield from self.host.cpu_work(self.params.cpu_per_byte * args.count)
+        res = self.fs.write(
+            args.fh, args.offset, body.slice(0, args.count),
+            args.stable, self.verf, now,
+        )
+        if self.on_disk and res.status == 0:
+            yield from self._inode_read(args.fh)
+            yield from self._dirty_blocks(args.fh, args.offset, args.count)
+            if args.stable in (DATA_SYNC, FILE_SYNC):
+                yield from self._flush_range(args.fh, args.offset, args.count)
+        return res, EMPTY
+
+    def _commit(self, args, body, now):
+        if self.on_disk:
+            yield from self._flush_file(args.fh)
+        return self.fs.commit(args.fh, self.verf), EMPTY
+
+    def _fsstat(self, args, body, now):
+        attrs = self.fs.getattr(args.fh).attr
+        nodes = self.fs.node_count()
+        yield from ()
+        return proto.FsstatRes(
+            0, attrs, tbytes=1 << 40, fbytes=(1 << 40) - nodes * 4096,
+            abytes=(1 << 40) - nodes * 4096, tfiles=1 << 20,
+            ffiles=(1 << 20) - nodes, afiles=(1 << 20) - nodes,
+        ), EMPTY
+
+    #: Procedures that drive the disk model (or count nodes) themselves.
+    _OWN_BODIES = {
+        proto.PROC_READ: _read,
+        proto.PROC_WRITE: _write,
+        proto.PROC_COMMIT: _commit,
+        proto.PROC_FSSTAT: _fsstat,
+    }

@@ -343,8 +343,10 @@ class ModelFS:
         parent.mtime = parent.ctime = now
         return proto.LinkRes(NFS3_OK, node.to_fattr(), parent.to_fattr())
 
-    def readdir(self, dir_fh: bytes, cookie: int, max_entries: int = 512
-                ) -> proto.ReaddirRes:
+    def readdir(self, dir_fh: bytes, cookie: int, max_entries: int = 512,
+                plus: bool = False) -> proto.ReaddirRes:
+        """READDIR, or READDIRPLUS with ``plus``: each entry then also
+        carries its attributes and file handle."""
         node = self._node(dir_fh)
         if node is None:
             return proto.ReaddirRes(NFS3ERR_STALE)
@@ -361,10 +363,16 @@ class ModelFS:
             for ck, name, fileid in listing
             if ck > cookie
         ][:max_entries]
+        if plus:
+            for entry in entries:
+                target = self._nodes[entry.fileid]
+                entry.attr = target.to_fattr()
+                entry.fh = self._fh(target)
         last = entries[-1].cookie if entries else cookie
         eof = last >= len(listing)
         return proto.ReaddirRes(
-            NFS3_OK, node.to_fattr(), cookieverf=1, entries=entries, eof=eof
+            NFS3_OK, node.to_fattr(), cookieverf=1, entries=entries, eof=eof,
+            plus=plus,
         )
 
     def read(self, fh: bytes, offset: int, count: int,

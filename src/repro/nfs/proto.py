@@ -9,6 +9,9 @@ from the same field kinds.  Bulk data (READ results, WRITE arguments)
 travels in the packet *body*, after these headers — matching the
 header-splitting NICs of the paper's testbed — and conveniently NFS V3
 puts opaque file data last in both messages.
+
+``PROCS``, indexed by procedure number, names each procedure's argument
+and result class; every NFS server decodes and answers errors from it.
 """
 
 from __future__ import annotations
@@ -45,9 +48,8 @@ __all__ = [
     "PROC_FSINFO",
     "PROC_PATHCONF",
     "PROC_COMMIT",
-    "PROC_NAMES",
-    "NAME_OPS",
-    "IO_OPS",
+    "Proc",
+    "PROCS",
     "FhArgs",
     "SetattrArgs",
     "DirOpArgs",
@@ -89,40 +91,6 @@ PROC_FSSTAT = 18
 PROC_FSINFO = 19
 PROC_PATHCONF = 20
 PROC_COMMIT = 21
-
-PROC_NAMES = {
-    PROC_NULL: "null",
-    PROC_GETATTR: "getattr",
-    PROC_SETATTR: "setattr",
-    PROC_LOOKUP: "lookup",
-    PROC_ACCESS: "access",
-    PROC_READLINK: "readlink",
-    PROC_READ: "read",
-    PROC_WRITE: "write",
-    PROC_CREATE: "create",
-    PROC_MKDIR: "mkdir",
-    PROC_SYMLINK: "symlink",
-    PROC_MKNOD: "mknod",
-    PROC_REMOVE: "remove",
-    PROC_RMDIR: "rmdir",
-    PROC_RENAME: "rename",
-    PROC_LINK: "link",
-    PROC_READDIR: "readdir",
-    PROC_READDIRPLUS: "readdirplus",
-    PROC_FSSTAT: "fsstat",
-    PROC_FSINFO: "fsinfo",
-    PROC_PATHCONF: "pathconf",
-    PROC_COMMIT: "commit",
-}
-
-# The three functional request classes of Figure 1.
-NAME_OPS = {
-    PROC_LOOKUP, PROC_ACCESS, PROC_READLINK, PROC_CREATE, PROC_MKDIR,
-    PROC_SYMLINK, PROC_MKNOD, PROC_REMOVE, PROC_RMDIR, PROC_RENAME,
-    PROC_LINK, PROC_READDIR, PROC_READDIRPLUS, PROC_GETATTR, PROC_SETATTR,
-    PROC_FSSTAT, PROC_FSINFO, PROC_PATHCONF,
-}
-IO_OPS = {PROC_READ, PROC_WRITE, PROC_COMMIT}
 
 FH_MAX = 64
 
@@ -533,3 +501,49 @@ class CommitRes:
     status: int
     attr: Optional[Fattr3] = None
     verf: int = 0
+
+
+# ---------------------------------------------------------------------------
+# The procedure table
+# ---------------------------------------------------------------------------
+
+
+class Proc(NamedTuple):
+    """One NFS V3 procedure: its number, name and message layouts.
+
+    ``args`` is None where no argument class exists (NULL, MKNOD); a
+    server answers a procedure it does not serve with ``result(status)``.
+    """
+
+    num: int
+    name: str
+    args: Optional[type]
+    result: Optional[type]
+
+
+#: Indexed by procedure number.  READDIRPLUS results decode with
+#: ``ReaddirRes.decode(dec, plus=True)``.
+PROCS = (
+    Proc(PROC_NULL, "null", None, None),
+    Proc(PROC_GETATTR, "getattr", FhArgs, GetattrRes),
+    Proc(PROC_SETATTR, "setattr", SetattrArgs, SetattrRes),
+    Proc(PROC_LOOKUP, "lookup", DirOpArgs, LookupRes),
+    Proc(PROC_ACCESS, "access", AccessArgs, AccessRes),
+    Proc(PROC_READLINK, "readlink", FhArgs, ReadlinkRes),
+    Proc(PROC_READ, "read", ReadArgs, ReadRes),
+    Proc(PROC_WRITE, "write", WriteArgs, WriteRes),
+    Proc(PROC_CREATE, "create", CreateArgs, CreateRes),
+    Proc(PROC_MKDIR, "mkdir", MkdirArgs, MkdirRes),
+    Proc(PROC_SYMLINK, "symlink", SymlinkArgs, SymlinkRes),
+    Proc(PROC_MKNOD, "mknod", None, CreateRes),
+    Proc(PROC_REMOVE, "remove", DirOpArgs, RemoveRes),
+    Proc(PROC_RMDIR, "rmdir", DirOpArgs, RemoveRes),
+    Proc(PROC_RENAME, "rename", RenameArgs, RenameRes),
+    Proc(PROC_LINK, "link", LinkArgs, LinkRes),
+    Proc(PROC_READDIR, "readdir", ReaddirArgs, ReaddirRes),
+    Proc(PROC_READDIRPLUS, "readdirplus", ReaddirplusArgs, ReaddirRes),
+    Proc(PROC_FSSTAT, "fsstat", FhArgs, FsstatRes),
+    Proc(PROC_FSINFO, "fsinfo", FhArgs, FsinfoRes),
+    Proc(PROC_PATHCONF, "pathconf", FhArgs, PathconfRes),
+    Proc(PROC_COMMIT, "commit", CommitArgs, CommitRes),
+)

@@ -44,6 +44,7 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.report import format_table
+from repro.nfs.proto import PROCS
 
 __all__ = [
     "PHASES",
@@ -287,12 +288,7 @@ class AnatomyReport:
     def _proc_name(self, proc: Optional[int]) -> str:
         if proc is None:
             return "?"
-        try:
-            from repro.nfs.proto import PROC_NAMES
-
-            return PROC_NAMES.get(proc, str(proc))
-        except Exception:
-            return str(proc)
+        return PROCS[proc].name if proc < len(PROCS) else str(proc)
 
     def to_dict(self) -> Dict:
         procs = {}

@@ -23,10 +23,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.dirsvc.backing import BackingRegistry
 from repro.net import Address, Host
 from repro.nfs import proto
-from repro.nfs.errors import NFS3_OK
+from repro.nfs.errors import NFS3ERR_NOTSUPP, NFS3_OK, SLICEERR_MISDIRECTED
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import DATA_SYNC, FILE_SYNC, Fattr3, NF3REG
-from repro.rpc import RpcClient, RpcServer, RpcTimeout
+from repro.rpc import RpcAcceptError, RpcClient, RpcServer, RpcTimeout
+from repro.rpc.messages import PROC_UNAVAIL
 from repro.rpc.xdr import Decoder
 from repro.storage import ctrlproto
 from repro.util.bytesim import EMPTY, Data
@@ -366,41 +367,34 @@ class SmallFileServer:
     # -- NFS service -----------------------------------------------------
 
     def _nfs_service(self, procnum: int, dec: Decoder, body, src):
-        if procnum == proto.PROC_READ:
-            result = yield from self._do_read(dec)
-            return result
-        if procnum == proto.PROC_WRITE:
-            result = yield from self._do_write(dec, body)
-            return result
-        if procnum == proto.PROC_COMMIT:
-            result = yield from self._do_commit(dec)
-            return result
-        if procnum == proto.PROC_GETATTR:
-            fh = FHandle.unpack(proto.FhArgs.decode(dec).fh)
-            yield from self.host.cpu_work(self.params.cpu_per_op)
-            zone = self._site_of(fh)
-            if zone is None:
-                from repro.nfs.errors import SLICEERR_MISDIRECTED
+        if procnum >= len(proto.PROCS):
+            raise RpcAcceptError(PROC_UNAVAIL)
+        if procnum == proto.PROC_NULL:
+            return b"", EMPTY
+        proc = proto.PROCS[procnum]
+        handler = self._HANDLERS.get(procnum)
+        if handler is None:
+            return proc.result(NFS3ERR_NOTSUPP).encode(), EMPTY
+        result = yield from handler(self, proc.args.decode(dec), body)
+        return result
 
-                return proto.GetattrRes(SLICEERR_MISDIRECTED).encode(), EMPTY
-            rec = yield from self._load_map(zone, fh.fileid)
-            size = self._file_size(zone, fh.fileid, rec)
-            return proto.GetattrRes(NFS3_OK, self._attrs(fh, size)).encode(), EMPTY
-        from repro.nfs.errors import NFS3ERR_NOTSUPP
+    def _do_getattr(self, args, body):
+        fh = FHandle.unpack(args.fh)
+        yield from self.host.cpu_work(self.params.cpu_per_op)
+        zone = self._site_of(fh)
+        if zone is None:
+            return proto.GetattrRes(SLICEERR_MISDIRECTED).encode(), EMPTY
+        rec = yield from self._load_map(zone, fh.fileid)
+        size = self._file_size(zone, fh.fileid, rec)
+        return proto.GetattrRes(NFS3_OK, self._attrs(fh, size)).encode(), EMPTY
 
-        yield from ()
-        return proto.GetattrRes(NFS3ERR_NOTSUPP).encode(), EMPTY
-
-    def _do_read(self, dec: Decoder):
-        args = proto.ReadArgs.decode(dec)
+    def _do_read(self, args, body):
         fh = FHandle.unpack(args.fh)
         yield from self.host.cpu_work(
             self.params.cpu_per_op + self.params.cpu_per_byte * args.count
         )
         zone = self._site_of(fh)
         if zone is None:
-            from repro.nfs.errors import SLICEERR_MISDIRECTED
-
             return proto.ReadRes(SLICEERR_MISDIRECTED).encode(), EMPTY
         rec = yield from self._load_map(zone, fh.fileid)
         size = self._file_size(zone, fh.fileid, rec)
@@ -431,16 +425,13 @@ class SmallFileServer:
         )
         return res.encode(), payload
 
-    def _do_write(self, dec: Decoder, body):
-        args = proto.WriteArgs.decode(dec)
+    def _do_write(self, args, body):
         fh = FHandle.unpack(args.fh)
         yield from self.host.cpu_work(
             self.params.cpu_per_op + self.params.cpu_per_byte * args.count
         )
         zone = self._site_of(fh)
         if zone is None:
-            from repro.nfs.errors import SLICEERR_MISDIRECTED
-
             return proto.WriteRes(SLICEERR_MISDIRECTED).encode(), EMPTY
         overlay = self.pending.setdefault(
             (zone.site_id, fh.fileid), ExtentMap()
@@ -459,20 +450,24 @@ class SmallFileServer:
         )
         return res.encode(), EMPTY
 
-    def _do_commit(self, dec: Decoder):
-        args = proto.CommitArgs.decode(dec)
+    def _do_commit(self, args, body):
         fh = FHandle.unpack(args.fh)
         yield from self.host.cpu_work(self.params.cpu_per_op)
         zone = self._site_of(fh)
         if zone is None:
-            from repro.nfs.errors import SLICEERR_MISDIRECTED
-
             return proto.CommitRes(SLICEERR_MISDIRECTED).encode(), EMPTY
         yield from self._flush_file(zone, fh.fileid)
         rec = zone.maps.get(fh.fileid)
         size = self._file_size(zone, fh.fileid, rec)
         res = proto.CommitRes(NFS3_OK, self._attrs(fh, size), verf=self.verf)
         return res.encode(), EMPTY
+
+    _HANDLERS = {
+        proto.PROC_GETATTR: _do_getattr,
+        proto.PROC_READ: _do_read,
+        proto.PROC_WRITE: _do_write,
+        proto.PROC_COMMIT: _do_commit,
+    }
 
     # -- flushing -------------------------------------------------------------
 
@@ -614,7 +609,4 @@ class SmallFileServer:
             size = self._file_size(zone, fh.fileid, rec) if zone else 0
             unstable = overlay.stored_bytes() if overlay else 0
             return ctrlproto.ObjStat(exists, size, unstable).encode(), EMPTY
-        from repro.rpc.endpoint import RpcAcceptError
-        from repro.rpc.messages import PROC_UNAVAIL
-
         raise RpcAcceptError(PROC_UNAVAIL)

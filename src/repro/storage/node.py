@@ -28,10 +28,16 @@ from typing import Dict, Optional, Set
 
 from repro.net import Host
 from repro.nfs import proto
-from repro.nfs.errors import NFS3ERR_NOENT, NFS3_OK, SLICEERR_MISDIRECTED
+from repro.nfs.errors import (
+    NFS3ERR_NOENT,
+    NFS3ERR_NOTSUPP,
+    NFS3_OK,
+    SLICEERR_MISDIRECTED,
+)
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import DATA_SYNC, FILE_SYNC, Fattr3, NF3REG
-from repro.rpc import RpcServer
+from repro.rpc import RpcAcceptError, RpcServer
+from repro.rpc.messages import PROC_UNAVAIL
 from repro.rpc.xdr import Decoder
 from repro.util.bytesim import EMPTY, ZeroData
 from . import ctrlproto
@@ -397,33 +403,26 @@ class StorageNode:
 
     # -- NFS service -----------------------------------------------------
 
-    def _nfs_service(self, proc: int, dec: Decoder, body, src):
-        if proc == proto.PROC_READ:
-            result = yield from self._do_read(dec)
-            return result
-        if proc == proto.PROC_WRITE:
-            result = yield from self._do_write(dec, body)
-            return result
-        if proc == proto.PROC_COMMIT:
-            result = yield from self._do_commit(dec)
-            return result
-        if proc == proto.PROC_GETATTR:
-            fh = proto.FhArgs.decode(dec).fh
-            obj = self.store.get(object_id_for_fh(fh))
-            yield from self.host.cpu_work(self.params.cpu_per_op)
-            if obj is None:
-                return proto.GetattrRes(NFS3ERR_NOENT).encode(), EMPTY
-            return proto.GetattrRes(NFS3_OK, self._attrs(fh, obj)).encode(), EMPTY
-        if proc == proto.PROC_NULL:
-            yield from ()
+    def _nfs_service(self, procnum: int, dec: Decoder, body, src):
+        if procnum >= len(proto.PROCS):
+            raise RpcAcceptError(PROC_UNAVAIL)
+        if procnum == proto.PROC_NULL:
             return b"", EMPTY
-        from repro.nfs.errors import NFS3ERR_NOTSUPP
+        proc = proto.PROCS[procnum]
+        handler = self._HANDLERS.get(procnum)
+        if handler is None:
+            return proc.result(NFS3ERR_NOTSUPP).encode(), EMPTY
+        result = yield from handler(self, proc.args.decode(dec), body)
+        return result
 
-        yield from ()
-        return proto.GetattrRes(NFS3ERR_NOTSUPP).encode(), EMPTY
+    def _do_getattr(self, args, body):
+        obj = self.store.get(object_id_for_fh(args.fh))
+        yield from self.host.cpu_work(self.params.cpu_per_op)
+        if obj is None:
+            return proto.GetattrRes(NFS3ERR_NOENT).encode(), EMPTY
+        return proto.GetattrRes(NFS3_OK, self._attrs(args.fh, obj)).encode(), EMPTY
 
-    def _do_read(self, dec: Decoder):
-        args = proto.ReadArgs.decode(dec)
+    def _do_read(self, args, body):
         oid = object_id_for_fh(args.fh)
         misdirected, my_sites = self._hosted_check(args.fh, args.offset)
         if misdirected:
@@ -507,8 +506,7 @@ class StorageNode:
         ]
         yield self.sim.all_of(fills)
 
-    def _do_write(self, dec: Decoder, body):
-        args = proto.WriteArgs.decode(dec)
+    def _do_write(self, args, body):
         oid = object_id_for_fh(args.fh)
         misdirected, my_sites = self._hosted_check(args.fh, args.offset)
         if misdirected:
@@ -563,8 +561,7 @@ class StorageNode:
         )
         return res.encode(), EMPTY
 
-    def _do_commit(self, dec: Decoder):
-        args = proto.CommitArgs.decode(dec)
+    def _do_commit(self, args, body):
         oid = object_id_for_fh(args.fh)
         yield from self.host.cpu_work(self.params.cpu_per_op)
         obj = self.store.get(oid)
@@ -580,6 +577,13 @@ class StorageNode:
             attr = self._attrs(args.fh, None)
         res = proto.CommitRes(NFS3_OK, attr, verf=self.verf)
         return res.encode(), EMPTY
+
+    _HANDLERS = {
+        proto.PROC_GETATTR: _do_getattr,
+        proto.PROC_READ: _do_read,
+        proto.PROC_WRITE: _do_write,
+        proto.PROC_COMMIT: _do_commit,
+    }
 
     # -- control service ---------------------------------------------------
 
@@ -668,7 +672,4 @@ class StorageNode:
             self.migrate_writes += 1
             self.bytes_written += args.count
             return ctrlproto.StatusRes(0).encode(), EMPTY
-        from repro.rpc.endpoint import RpcAcceptError
-        from repro.rpc.messages import PROC_UNAVAIL
-
         raise RpcAcceptError(PROC_UNAVAIL)

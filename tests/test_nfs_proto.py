@@ -637,6 +637,44 @@ def test_message_decode_bounds(at_bound, past_bound):
     with pytest.raises(XdrError):
         type(past_bound).decode(Decoder(past_bound.encode()))
 
+# -- the procedure table -----------------------------------------------------
+
+PROC_NAMES = [
+    "null", "getattr", "setattr", "lookup", "access", "readlink", "read",
+    "write", "create", "mkdir", "symlink", "mknod", "remove", "rmdir",
+    "rename", "link", "readdir", "readdirplus", "fsstat", "fsinfo",
+    "pathconf", "commit",
+]
+
+
+def test_procs_are_indexed_by_procedure_number():
+    assert len(proto.PROCS) == 22
+    assert [p.num for p in proto.PROCS] == list(range(22))
+
+
+def test_procs_names():
+    assert [p.name for p in proto.PROCS] == PROC_NAMES
+
+
+def test_procs_argument_classes_have_golden_bytes():
+    args = {p.args for p in proto.PROCS if p.args is not None}
+    assert args <= set(MESSAGE_CLASSES)
+    assert len(args) == 14
+
+
+def test_directory_server_serves_its_seventeen_procedures():
+    """The handler map is derived from ``_op_<name>`` methods: a renamed
+    method must fail here, not quietly answer NOTSUPP."""
+    from repro.dirsvc.server import DirectoryServer
+
+    unserved = {"null", "read", "write", "mknod", "commit"}
+    assert sorted(DirectoryServer._HANDLERS) == [
+        p.num for p in proto.PROCS if p.name not in unserved
+    ]
+    for num, handler in DirectoryServer._HANDLERS.items():
+        assert handler.__name__ == f"_op_{PROC_NAMES[num]}"
+
+
 # -- results -----------------------------------------------------------------
 
 

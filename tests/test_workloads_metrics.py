@@ -8,6 +8,8 @@ from repro.ensemble.params import ClusterParams
 from repro.metrics.stats import LatencyRecorder
 from repro.net import NetParams, Network
 from repro.nfs.client import ClientParams, NfsClient
+from repro.nfs.fhandle import FHandle
+from repro.nfs.types import NF3DIR
 from repro.sim import Simulator
 from repro.util.bytesim import PatternData
 from repro.workloads.bulkio import dd_read, dd_write
@@ -238,6 +240,29 @@ def test_baseline_end_to_end(mode):
     assert data == PatternData(100 << 10, seed=2)
     assert status == 0
     assert "hello" in names
+
+
+@pytest.mark.parametrize("mode", ["mfs", "ffs"])
+def test_baseline_readdirplus_lists_attributes_and_handles(mode):
+    sim, server, client = build_baseline(mode)
+    root = server.root_fh()
+
+    def run():
+        for name in ("a", "b", "c"):
+            yield from client.create(root, name)
+        yield from client.mkdir(root, "d")
+        plain = yield from client.readdir(root)
+        plus = yield from client.readdir(root, plus=True)
+        return plain, plus
+
+    (status, plain), (plus_status, plus) = sim.run_process(run())
+    assert status == plus_status == 0
+    assert [e.name for e in plus] == [e.name for e in plain] == [
+        ".", "..", "a", "b", "c", "d"]
+    for entry in plus:
+        assert entry.attr.fileid == entry.fileid
+        assert FHandle.unpack(entry.fh).fileid == entry.fileid
+    assert plus[-1].attr.ftype == NF3DIR
 
 
 def test_baseline_untar_works():

@@ -15,7 +15,7 @@ described but did not implement this recovery path; we complete it).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.nfs.fhandle import FHandle
@@ -129,10 +129,12 @@ class SiteState:
         self.next_local_id = 1
 
     # -- mutation (each returns a journal record) ---------------------------
+    # Every cell field is a scalar, so a shallow copy of a cell's fields is
+    # a snapshot that later in-place updates of the cell do not reach.
 
     def put_attr_cell(self, cell: AttrCell) -> Dict:
         self.attr_cells[attr_key_for(cell.fileid)] = cell
-        return {"op": "put_attr", "cell": asdict(cell)}
+        return {"op": "put_attr", "cell": dict(vars(cell))}
 
     def del_attr_cell(self, key: bytes) -> Dict:
         self.attr_cells.pop(key, None)
@@ -142,7 +144,7 @@ class SiteState:
         key = name_key_for(cell.parent_fileid, cell.name)
         self.name_cells[key] = cell
         self.dir_index.setdefault(cell.parent_fileid, set()).add(key)
-        return {"op": "put_name", "cell": asdict(cell)}
+        return {"op": "put_name", "cell": dict(vars(cell))}
 
     def del_name_cell(self, parent_fileid: int, name: str) -> Dict:
         key = name_key_for(parent_fileid, name)
@@ -183,8 +185,8 @@ class SiteState:
     def snapshot(self) -> Dict:
         return {
             "site_id": self.site_id,
-            "attrs": [asdict(c) for c in self.attr_cells.values()],
-            "names": [asdict(c) for c in self.name_cells.values()],
+            "attrs": [dict(vars(c)) for c in self.attr_cells.values()],
+            "names": [dict(vars(c)) for c in self.name_cells.values()],
         }
 
     @classmethod

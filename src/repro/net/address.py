@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Dict
 
 __all__ = ["Address"]
+
+#: Host name -> its 4-byte pseudo-IPv4.  Addresses are built afresh for
+#: every packet, so the MD5 is kept per host name, not per object; there
+#: is one entry per simulated host name.
+_PSEUDO_IP: Dict[str, bytes] = {}
 
 
 @dataclass(frozen=True, order=True)
@@ -26,7 +32,10 @@ class Address:
     @property
     def packed(self) -> bytes:
         """6-byte wire form: pseudo-IPv4 (hash of host name) + port."""
-        ip = hashlib.md5(self.host.encode("utf-8")).digest()[:4]
+        ip = _PSEUDO_IP.get(self.host)
+        if ip is None:
+            ip = hashlib.md5(self.host.encode("utf-8")).digest()[:4]
+            _PSEUDO_IP[self.host] = ip
         return ip + self.port.to_bytes(2, "big")
 
     def __str__(self) -> str:

@@ -138,7 +138,7 @@ class Network:
                 self.tracer.packet_dropped(packet, self.sim.now, "no-route")
             return
         if delays is None:
-            self.sim.process(
+            self.sim.spawn(
                 self._journey(src_host, dst_host, packet),
                 name=f"pkt:{packet.src}->{packet.dst}",
             )
@@ -151,7 +151,7 @@ class Network:
             copy = packet if i == 0 else packet.clone()
             if delay > 0:
                 self.packets_delayed += 1
-            self.sim.process(
+            self.sim.spawn(
                 self._journey(src_host, dst_host, copy, launch_delay=delay),
                 name=f"pkt:{packet.src}->{packet.dst}",
             )

@@ -215,7 +215,7 @@ class RpcServer:
     def _on_packet(self, pkt: Packet) -> None:
         if not pkt.checksum_ok():
             return
-        self.host.sim.process(
+        self.host.sim.spawn(
             self._handle(pkt), name=f"rpc-srv:{self.host.name}"
         )
 

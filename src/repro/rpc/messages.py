@@ -7,10 +7,11 @@ group list — one of the variable-length fields the paper blames for the
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .xdr import Decoder, Encoder, XdrError
+from .xdr import U32, Decoder, Encoder, XdrError
 
 __all__ = [
     "CALL",
@@ -46,6 +47,22 @@ GARBAGE_ARGS = 4
 RPC_VERSION = 2
 
 
+#: Largest credential or verifier body (RFC 5531 ``opaque body<400>``).
+AUTH_BODY_MAX = 400
+#: Largest AUTH_SYS machine name.
+MACHINE_MAX = 255
+
+#: Runs of 3, 6 and 7 unsigned XDR words.
+_WORDS3, _WORDS6, _WORDS7 = (
+    struct.Struct(f"!{count}I") for count in (3, 6, 7))
+#: AUTH_NONE flavor with an empty body: the null credential or verifier.
+_NULL_AUTH = bytes(8)
+
+
+def _out_of_range(what: str, exc: struct.error) -> XdrError:
+    return XdrError(f"{what} field out of range: {exc}")
+
+
 @dataclass
 class Credential:
     """AUTH_SYS credential body (RFC 5531 appendix A)."""
@@ -55,41 +72,26 @@ class Credential:
     gid: int = 0
     gids: List[int] = field(default_factory=list)
 
-    def encode(self, enc: Encoder) -> None:
-        body = Encoder()
-        body.u32(0)  # stamp
-        body.string(self.machine)
-        body.u32(self.uid)
-        body.u32(self.gid)
-        body.array(self.gids, lambda e, g: e.u32(g))
-        enc.u32(AUTH_SYS)
-        enc.opaque_var(body.to_bytes())
+    def to_bytes(self) -> bytes:
+        """Flavor, body length and AUTH_SYS body, as on the wire."""
+        body = Encoder().u32(0)  # stamp
+        body.string(self.machine).u32(self.uid).u32(self.gid)
+        body.array(self.gids, U32.put)
+        return Encoder().u32(AUTH_SYS).opaque_var(body.to_bytes()).to_bytes()
 
     @classmethod
-    def decode(cls, dec: Decoder) -> Optional["Credential"]:
-        flavor = dec.u32()
-        body = dec.opaque_var(400)
-        if flavor == AUTH_NONE:
-            return None
-        if flavor != AUTH_SYS:
-            raise XdrError(f"unsupported auth flavor: {flavor}")
-        inner = Decoder(body)
-        inner.u32()  # stamp
-        machine = inner.string(255)
-        uid = inner.u32()
-        gid = inner.u32()
-        gids = inner.array(lambda d: d.u32())
-        return cls(machine, uid, gid, gids)
+    def decode(cls, dec: Decoder) -> "Credential":
+        """An AUTH_SYS body; bytes after the group list are ignored."""
+        dec.u32()  # stamp
+        machine = dec.string(MACHINE_MAX)
+        uid = dec.u32()
+        gid = dec.u32()
+        return cls(machine, uid, gid, dec.array(U32.get))
 
 
-def _encode_null_verf(enc: Encoder) -> None:
-    enc.u32(AUTH_NONE)
-    enc.opaque_var(b"")
-
-
-def _decode_verf(dec: Decoder) -> None:
-    dec.u32()
-    dec.opaque_var(400)
+def _skip_verifier(dec: Decoder) -> None:
+    dec.u32()  # flavor: any is accepted
+    dec.opaque_var(AUTH_BODY_MAX)
 
 
 @dataclass
@@ -103,35 +105,30 @@ class CallHeader:
     cred: Optional[Credential] = None
 
     def encode(self) -> Encoder:
-        enc = Encoder()
-        enc.u32(self.xid)
-        enc.u32(CALL)
-        enc.u32(RPC_VERSION)
-        enc.u32(self.prog)
-        enc.u32(self.vers)
-        enc.u32(self.proc)
-        if self.cred is None:
-            enc.u32(AUTH_NONE)
-            enc.opaque_var(b"")
-        else:
-            self.cred.encode(enc)
-        _encode_null_verf(enc)
-        return enc
+        cred = _NULL_AUTH if self.cred is None else self.cred.to_bytes()
+        try:
+            head = _WORDS6.pack(self.xid, CALL, RPC_VERSION, self.prog,
+                                self.vers, self.proc)
+        except struct.error as exc:
+            raise _out_of_range("call header", exc) from None
+        return Encoder().opaque_fixed(head + cred + _NULL_AUTH)
 
     @classmethod
     def decode(cls, dec: Decoder) -> "CallHeader":
-        xid = dec.u32()
-        msg_type = dec.u32()
+        (xid, msg_type, rpcvers, prog, vers, proc,
+         flavor) = dec.unpack(_WORDS7)
         if msg_type != CALL:
             raise XdrError(f"expected CALL, got msg_type={msg_type}")
-        rpcvers = dec.u32()
         if rpcvers != RPC_VERSION:
             raise XdrError(f"bad RPC version: {rpcvers}")
-        prog = dec.u32()
-        vers = dec.u32()
-        proc = dec.u32()
-        cred = Credential.decode(dec)
-        _decode_verf(dec)
+        body = dec.opaque_var(AUTH_BODY_MAX)
+        if flavor == AUTH_SYS:
+            cred = Credential.decode(Decoder(body))
+        elif flavor == AUTH_NONE:
+            cred = None
+        else:
+            raise XdrError(f"unsupported auth flavor: {flavor}")
+        _skip_verifier(dec)
         return cls(xid, prog, vers, proc, cred)
 
 
@@ -143,23 +140,19 @@ class ReplyHeader:
     accept_stat: int = SUCCESS
 
     def encode(self) -> Encoder:
-        enc = Encoder()
-        enc.u32(self.xid)
-        enc.u32(REPLY)
-        enc.u32(MSG_ACCEPTED)
-        _encode_null_verf(enc)
-        enc.u32(self.accept_stat)
-        return enc
+        try:
+            raw = _WORDS6.pack(self.xid, REPLY, MSG_ACCEPTED, AUTH_NONE, 0,
+                               self.accept_stat)
+        except struct.error as exc:
+            raise _out_of_range("reply header", exc) from None
+        return Encoder().opaque_fixed(raw)
 
     @classmethod
     def decode(cls, dec: Decoder) -> "ReplyHeader":
-        xid = dec.u32()
-        msg_type = dec.u32()
+        xid, msg_type, reply_stat = dec.unpack(_WORDS3)
         if msg_type != REPLY:
             raise XdrError(f"expected REPLY, got msg_type={msg_type}")
-        reply_stat = dec.u32()
         if reply_stat != MSG_ACCEPTED:
             raise XdrError(f"RPC message denied: {reply_stat}")
-        _decode_verf(dec)
-        accept_stat = dec.u32()
-        return cls(xid, accept_stat)
+        _skip_verifier(dec)
+        return cls(xid, dec.u32())

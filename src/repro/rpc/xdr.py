@@ -3,6 +3,14 @@
 Real byte-level encoding matters here: the µproxy locates and rewrites
 fields inside these buffers, and the paper attributes most of its CPU cost
 to decoding the variable-length RPC/NFS headers (Table 3).
+
+The primitives are built on precompiled :class:`struct.Struct` objects:
+:class:`Decoder` checks a read's whole extent (padding included) against
+the end of the buffer once and unpacks in place with ``unpack_from``, and
+:class:`Encoder` appends packed words to a list joined once at the end.
+Every read or write out of range raises :class:`XdrError`, never
+``struct.error``.  :func:`record` declares a message's layout as one
+:class:`Field` per field.
 """
 
 from __future__ import annotations
@@ -38,59 +46,86 @@ class XdrError(Exception):
     """Malformed or truncated XDR data."""
 
 
-def _pad(length: int) -> int:
-    return (4 - (length % 4)) % 4
+_U32 = struct.Struct("!I")
+_I32 = struct.Struct("!i")
+_U64 = struct.Struct("!Q")
+_I64 = struct.Struct("!q")
+
+#: Pad bytes after an item of length ``n``, indexed by ``n & 3``.
+_PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+#: Their count, indexed the same way.
+_PAD_LENGTH = (0, 3, 2, 1)
+
+
+def _truncated(end: int, offset: int, count: int) -> XdrError:
+    """The error for a read of ``count`` bytes at ``offset`` past ``end``,
+    the end of the buffer."""
+    return XdrError(
+        f"truncated XDR: need {count} bytes at offset {offset}, "
+        f"have {end - offset}"
+    )
 
 
 class Encoder:
     """Append-only XDR encoder."""
 
+    __slots__ = ("_parts",)
+
     def __init__(self) -> None:
         self._parts: List[bytes] = []
-        self._length = 0
-
-    def _append(self, chunk: bytes) -> None:
-        self._parts.append(chunk)
-        self._length += len(chunk)
 
     @property
     def position(self) -> int:
         """Bytes encoded so far (offset of the next field)."""
-        return self._length
+        return sum(map(len, self._parts))
 
     def u32(self, value: int) -> "Encoder":
         if not 0 <= value <= 0xFFFFFFFF:
             raise XdrError(f"u32 out of range: {value}")
-        self._append(struct.pack("!I", value))
+        self._parts.append(_U32.pack(value))
         return self
 
     def i32(self, value: int) -> "Encoder":
-        self._append(struct.pack("!i", value))
+        if not -0x80000000 <= value <= 0x7FFFFFFF:
+            raise XdrError(f"i32 out of range: {value}")
+        self._parts.append(_I32.pack(value))
         return self
 
     def u64(self, value: int) -> "Encoder":
         if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
             raise XdrError(f"u64 out of range: {value}")
-        self._append(struct.pack("!Q", value))
+        self._parts.append(_U64.pack(value))
         return self
 
     def i64(self, value: int) -> "Encoder":
-        self._append(struct.pack("!q", value))
+        if not -0x8000000000000000 <= value <= 0x7FFFFFFFFFFFFFFF:
+            raise XdrError(f"i64 out of range: {value}")
+        self._parts.append(_I64.pack(value))
         return self
 
     def boolean(self, value: bool) -> "Encoder":
-        return self.u32(1 if value else 0)
+        self._parts.append(_U32.pack(1 if value else 0))
+        return self
 
     def opaque_fixed(self, data: bytes) -> "Encoder":
-        self._append(data)
-        padding = _pad(len(data))
+        parts = self._parts
+        parts.append(data)
+        padding = _PADDING[len(data) & 3]
         if padding:
-            self._append(b"\x00" * padding)
+            parts.append(padding)
         return self
 
     def opaque_var(self, data: bytes) -> "Encoder":
-        self.u32(len(data))
-        return self.opaque_fixed(data)
+        length = len(data)
+        if length > 0xFFFFFFFF:
+            raise XdrError(f"u32 out of range: {length}")
+        parts = self._parts
+        parts.append(_U32.pack(length))
+        parts.append(data)
+        padding = _PADDING[length & 3]
+        if padding:
+            parts.append(padding)
+        return self
 
     def string(self, text: str) -> "Encoder":
         return self.opaque_var(text.encode("utf-8"))
@@ -106,52 +141,86 @@ class Encoder:
 
 
 class Decoder:
-    """Cursor-based XDR decoder over a bytes buffer."""
+    """Cursor-based XDR decoder over a bytes buffer.
+
+    Each read checks its whole extent (padding included) against the end
+    of the buffer once, then unpacks in place: fixed-size words make no
+    intermediate slice, and an opaque makes exactly one.
+    """
+
+    __slots__ = ("data", "offset")
 
     def __init__(self, data: bytes, offset: int = 0):
         self.data = data
         self.offset = offset
 
-    def _take(self, count: int) -> bytes:
-        if self.offset + count > len(self.data):
-            raise XdrError(
-                f"truncated XDR: need {count} bytes at offset {self.offset}, "
-                f"have {len(self.data) - self.offset}"
-            )
-        chunk = self.data[self.offset : self.offset + count]
-        self.offset += count
-        return chunk
-
     def u32(self) -> int:
-        return struct.unpack("!I", self._take(4))[0]
+        offset = self.offset
+        if offset + 4 > len(self.data):
+            raise _truncated(len(self.data), offset, 4)
+        self.offset = offset + 4
+        return _U32.unpack_from(self.data, offset)[0]
 
     def i32(self) -> int:
-        return struct.unpack("!i", self._take(4))[0]
+        offset = self.offset
+        if offset + 4 > len(self.data):
+            raise _truncated(len(self.data), offset, 4)
+        self.offset = offset + 4
+        return _I32.unpack_from(self.data, offset)[0]
 
     def u64(self) -> int:
-        return struct.unpack("!Q", self._take(8))[0]
+        offset = self.offset
+        if offset + 8 > len(self.data):
+            raise _truncated(len(self.data), offset, 8)
+        self.offset = offset + 8
+        return _U64.unpack_from(self.data, offset)[0]
 
     def i64(self) -> int:
-        return struct.unpack("!q", self._take(8))[0]
+        offset = self.offset
+        if offset + 8 > len(self.data):
+            raise _truncated(len(self.data), offset, 8)
+        self.offset = offset + 8
+        return _I64.unpack_from(self.data, offset)[0]
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """Reads ``layout.size`` bytes as one precompiled struct, such as
+        a run of fixed-size words."""
+        offset = self.offset
+        end = offset + layout.size
+        if end > len(self.data):
+            raise _truncated(len(self.data), offset, layout.size)
+        self.offset = end
+        return layout.unpack_from(self.data, offset)
 
     def boolean(self) -> bool:
         value = self.u32()
-        if value not in (0, 1):
+        if value > 1:
             raise XdrError(f"bad boolean discriminant: {value}")
-        return bool(value)
+        return value == 1
 
     def opaque_fixed(self, length: int) -> bytes:
-        data = self._take(length)
-        padding = _pad(length)
-        if padding:
-            self._take(padding)
-        return data
+        data, offset = self.data, self.offset
+        end = offset + length
+        padded = end + _PAD_LENGTH[length & 3]
+        if padded > len(data):
+            raise _truncated(len(data), offset, padded - offset)
+        self.offset = padded
+        return data[offset:end]
 
     def opaque_var(self, max_length: int = 0xFFFFFFFF) -> bytes:
-        length = self.u32()
+        data, offset = self.data, self.offset
+        if offset + 4 > len(data):
+            raise _truncated(len(data), offset, 4)
+        length = _U32.unpack_from(data, offset)[0]
+        start = offset + 4
         if length > max_length:
             raise XdrError(f"opaque length {length} exceeds max {max_length}")
-        return self.opaque_fixed(length)
+        end = start + length
+        padded = end + _PAD_LENGTH[length & 3]
+        if padded > len(data):
+            raise _truncated(len(data), start, padded - start)
+        self.offset = padded
+        return data[start:end]
 
     def string(self, max_length: int = 0xFFFFFFFF) -> str:
         data = self.opaque_var(max_length)

@@ -8,13 +8,15 @@ events per benchmark run).
 A process is an ordinary generator that yields events; the kernel resumes it
 with the event's value when the event triggers, or throws the event's
 exception into it when the event fails.  Processes are themselves events that
-trigger when the generator returns, so processes can wait on each other.
+trigger when the generator returns, so processes can wait on each other;
+:meth:`Simulator.spawn` starts one whose end nobody waits for, which then
+costs no kernel step.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, Optional
 
 __all__ = [
     "Event",
@@ -115,7 +117,7 @@ class Process(Event):
     the generator finishes, or fails with its exception if it raises.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "name")
+    __slots__ = ("_gen", "_waiting_on", "name", "_detached")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
@@ -123,6 +125,9 @@ class Process(Event):
             raise TypeError(f"Process requires a generator, got {type(gen)!r}")
         self._gen = gen
         self._waiting_on: Optional[Event] = None
+        #: set by :meth:`Simulator.spawn`: a normal return with no waiter
+        #: marks the process processed without scheduling its end.
+        self._detached = False
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off at the current time via an already-triggered event.
         start = Event(sim)
@@ -161,7 +166,10 @@ class Process(Event):
                     target = gen.throw(event._value)
             except StopIteration as stop:
                 self._value = stop.value
-                self.sim._schedule(self)
+                if self._detached and not self.callbacks:
+                    self.callbacks = None
+                else:
+                    self.sim._schedule(self)
                 return
             except Interrupt as exc:
                 # An unhandled interrupt terminates the process with failure.
@@ -260,7 +268,6 @@ class Simulator:
         self._heap: list = []
         self._eid = 0
         self._crashes: list = []
-        self.trace: Optional[Callable[[float, Event], None]] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -272,6 +279,19 @@ class Simulator:
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
+
+    def spawn(self, gen: Generator, name: str = "") -> Process:
+        """:meth:`process` for a coroutine whose end nobody waits for.
+
+        If it returns while no callback waits on it, the process is marked
+        processed at once and its end costs no kernel step.  The end takes
+        no event id either, so the order of all other events is unchanged.
+        A process that raises still fails as an event and is recorded as a
+        crash.
+        """
+        proc = self.process(gen, name)
+        proc._detached = True
+        return proc
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -304,8 +324,6 @@ class Simulator:
         if event._value is _UNSET:
             # Only Timeouts are scheduled before triggering; they fire now.
             event._value = event._pvalue
-        if self.trace is not None:
-            self.trace(when, event)
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:

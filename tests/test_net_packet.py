@@ -26,6 +26,32 @@ def test_address_packed_is_six_bytes_and_stable():
     assert a.packed != Address("client1", 701).packed
 
 
+def test_address_packed_is_the_md5_pseudo_ip_and_port():
+    import hashlib
+
+    for host, port in (("client1", 700), ("dir-0", 2049), ("é", 0xFFFF)):
+        a = Address(host, port)
+        ip = hashlib.md5(host.encode("utf-8")).digest()[:4]
+        assert a.packed == ip + port.to_bytes(2, "big")
+        assert a.packed == a.packed  # the memoised value is the same
+
+
+def test_equal_addresses_stay_equal_after_packing():
+    a, b = Address("server1", 2049), Address("server1", 2049)
+    a.packed
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert repr(a) == "Address(host='server1', port=2049)"
+    assert sorted([Address("b", 1), Address("a", 2), Address("a", 1)]) == [
+        Address("a", 1), Address("a", 2), Address("b", 1)]
+
+
+def test_one_host_packed_with_two_ports_in_a_row():
+    first, second = Address("h", 1).packed, Address("h", 2).packed
+    assert first[:4] == second[:4]
+    assert first[4:] == b"\x00\x01" and second[4:] == b"\x00\x02"
+
+
 def test_address_rejects_bad_port():
     with pytest.raises(ValueError):
         Address("x", 70000)

@@ -40,6 +40,30 @@ def test_i32_and_i64_signed():
     assert dec.i64() == -(1 << 40)
 
 
+@pytest.mark.parametrize("write, value", [
+    (Encoder.i32, 1 << 31), (Encoder.i32, -(1 << 31) - 1),
+    (Encoder.i64, 1 << 63), (Encoder.i64, -(1 << 63) - 1),
+])
+def test_signed_range_check(write, value):
+    with pytest.raises(XdrError, match="out of range"):
+        write(Encoder(), value)
+
+
+def test_signed_extremes_roundtrip():
+    enc = Encoder().i32(-(1 << 31)).i32((1 << 31) - 1)
+    enc.i64(-(1 << 63)).i64((1 << 63) - 1)
+    dec = Decoder(enc.to_bytes())
+    assert [dec.i32(), dec.i32(), dec.i64(), dec.i64()] == [
+        -(1 << 31), (1 << 31) - 1, -(1 << 63), (1 << 63) - 1]
+
+
+def test_i32_array_field_out_of_range_raises_xdr_error():
+    from repro.storage.coordproto import MapRes
+
+    with pytest.raises(XdrError):
+        MapRes([1 << 31]).encode()
+
+
 def test_u64_roundtrip():
     enc = Encoder().u64(1 << 63)
     assert Decoder(enc.to_bytes()).u64() == 1 << 63

@@ -288,3 +288,96 @@ def test_nested_immediate_resume_does_not_recurse():
         return total
 
     assert sim.run_process(proc()) == 5000
+
+
+# -- spawn: processes nobody waits for ---------------------------------------
+
+
+def _eid_after(start_name):
+    sim = Simulator()
+
+    def quick():
+        yield sim.timeout(1)
+        return "done"
+
+    proc = getattr(sim, start_name)(quick())
+    sim.run()
+    assert proc.processed and proc.value == "done"
+    return sim._eid
+
+
+def test_spawned_process_end_costs_no_event():
+    assert _eid_after("spawn") == _eid_after("process") - 1
+
+
+def test_spawned_process_crash_is_recorded():
+    sim = Simulator()
+
+    def doomed():
+        yield sim.timeout(2)
+        raise RuntimeError("spawned and died")
+
+    proc = sim.spawn(doomed())
+    sim.run()
+    assert [(when, p, str(exc)) for when, p, exc in sim.crashed_processes] \
+        == [(2, proc, "spawned and died")]
+    assert not proc.ok
+
+
+def test_spawned_process_with_a_waiter_still_wakes_it():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1)
+        return 7
+
+    def parent():
+        return (yield sim.spawn(child()))
+
+    assert sim.run_process(parent()) == 7
+
+
+def _callback_log(start_name, seed):
+    """(time, tag) of every resumption in a seeded random process tree;
+    children nobody waits for are started with ``start_name``."""
+    import random
+
+    rng = random.Random(seed)
+    sim = Simulator()
+    start = getattr(sim, start_name)
+    log = []
+    shared = [sim.event() for _ in range(4)]
+
+    def node(tag, depth):
+        log.append((sim.now, tag, "start"))
+        for step in range(rng.randrange(1, 4)):
+            choice = rng.random()
+            if choice < 0.4:
+                yield sim.timeout(rng.choice((0, 0, 0.5, 1, 2.5)))
+            elif choice < 0.55 and depth < 4:
+                # An awaited child: always a full process.
+                value = yield sim.process(node(f"{tag}.w{step}", depth + 1))
+                log.append((sim.now, tag, "joined", value))
+            elif choice < 0.85 and depth < 4:
+                start(node(f"{tag}.s{step}", depth + 1))
+            else:
+                ev = rng.choice(shared)
+                if ev.triggered:
+                    yield ev
+                else:
+                    ev.succeed(tag)
+            log.append((sim.now, tag, step))
+        return tag
+
+    for root in range(3):
+        start(node(f"r{root}", 0))
+    sim.run()
+    return log, sim._eid
+
+
+def test_spawn_keeps_the_order_of_a_random_process_tree():
+    for seed in range(30):
+        spawned, spawned_eids = _callback_log("spawn", seed)
+        plain, plain_eids = _callback_log("process", seed)
+        assert spawned == plain
+        assert spawned_eids < plain_eids

@@ -98,22 +98,6 @@ class RoutingTable:
         """Logical sites bound to one physical server."""
         return [s for s, a in enumerate(self.entries) if a == address]
 
-    def to_wire(self) -> Dict:
-        """JSON-able form served by the configuration service."""
-        return {
-            "version": self.version,
-            "epoch": self.epoch,
-            "entries": [[a.host, a.port] for a in self.entries],
-        }
-
-    @classmethod
-    def from_wire(cls, doc: Dict) -> "RoutingTable":
-        """Rebuild a table fetched from the configuration service."""
-        return cls(
-            [Address(h, p) for h, p in doc["entries"]], doc["version"],
-            doc.get("epoch", 0),
-        )
-
     def copy(self) -> "RoutingTable":
         """Independent copy (each µproxy holds its own hint table)."""
         return RoutingTable(list(self.entries), self.version, self.epoch)

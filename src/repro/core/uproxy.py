@@ -1223,8 +1223,8 @@ class UProxy(PacketFilter):
                 CONFIG_GET,
                 CONFIG_V1,
                 SLICE_CONFIG_PROGRAM,
+                ConfigFetch,
                 ConfigGetArgs,
-                decode_tables,
             )
 
             try:
@@ -1232,7 +1232,7 @@ class UProxy(PacketFilter):
                     self.configsvc, SLICE_CONFIG_PROGRAM, CONFIG_V1,
                     CONFIG_GET, ConfigGetArgs("*", self.config_epoch).encode(),
                 )
-                fetch = decode_tables(dec)
+                fetch = ConfigFetch.decode(dec)
                 if fetch.modified:
                     self._install_tables(fetch.tables)
                 self.config_epoch = max(self.config_epoch, fetch.epoch)

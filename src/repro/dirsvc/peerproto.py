@@ -7,17 +7,19 @@ site *updates* run as two-participant transactions: the serving site
 prepares its peer, logs its own decision, then commits — the two-phase
 commit §3.3.2 prescribes for fixed placement.
 
-This is an internal control-plane protocol between trusted servers, so op
-payloads are JSON documents (bytes hex-encoded) carried in XDR strings;
-clients never see it.
+Every message is a declared XDR record.  Keys travel as the 16-byte cell
+keys, and cells as :class:`~repro.dirsvc.state.AttrCell` and
+:class:`~repro.dirsvc.state.NameCell` records.  A PREPARE carries its
+transaction as a list of typed ops, one record class per kind of mutation
+(:data:`OP`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple
+from typing import List, NamedTuple, Optional
 
 from repro.rpc import xdr
-from repro.rpc.xdr import Decoder, Encoder, XdrError
+from .state import AttrCell, NameCell
 
 __all__ = [
     "SLICE_PEER_PROGRAM",
@@ -28,7 +30,6 @@ __all__ = [
     "PEER_TOUCH",
     "PEER_PREPARE",
     "PEER_COMMIT",
-    "PEER_ABORT",
     "PEER_RESOLVE",
     "PREPARE_OK",
     "PREPARE_CONFLICT",
@@ -36,13 +37,22 @@ __all__ = [
     "RESOLVE_COMMITTED",
     "RESOLVE_ABORTED",
     "RESOLVE_UNKNOWN",
-    "PeerReply",
     "KeyArgs",
     "EntryArgs",
     "CountArgs",
     "TouchArgs",
+    "PutName",
+    "DelName",
+    "AdjLink",
+    "TouchDir",
+    "SetParent",
+    "OP",
     "PrepareArgs",
     "TxidArgs",
+    "AttrRes",
+    "EntryRes",
+    "U32Res",
+    "PrepareRes",
 ]
 
 SLICE_PEER_PROGRAM = 395902
@@ -54,7 +64,6 @@ PEER_COUNT = 3
 PEER_TOUCH = 4
 PEER_PREPARE = 5
 PEER_COMMIT = 6
-PEER_ABORT = 7
 PEER_RESOLVE = 8
 
 PREPARE_OK = 0
@@ -66,25 +75,8 @@ RESOLVE_ABORTED = 1
 RESOLVE_UNKNOWN = 2
 
 TXID = xdr.string(64)
-
-
-def _get_key(dec: Decoder) -> bytes:
-    text = dec.string(64)
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise XdrError(f"bad hex key: {text!r}") from None
-
-
-#: An attribute-cell key, hex-encoded on the wire.
-KEY = xdr.Field(lambda enc, key: enc.string(key.hex()), _get_key)
-
-
-@xdr.record(xdr.JSON)
-class PeerReply(NamedTuple):
-    """Every peer procedure answers with one JSON document."""
-
-    doc: Any
+#: An attribute-cell key.
+KEY = xdr.fixed(16)
 
 
 @xdr.record(xdr.U32, KEY)
@@ -110,33 +102,109 @@ class CountArgs(NamedTuple):
     sites: List[int]
 
 
+@xdr.record(xdr.U32, KEY, xdr.F64)
 class TouchArgs(NamedTuple):
-    """Remote parent mtime update; the mtime travels in whole µs."""
+    """Remote parent mtime update."""
 
     site: int
     key: bytes
     mtime: float
 
-    def encode(self) -> bytes:
-        enc = Encoder().u32(self.site)
-        KEY.put(enc, self.key)
-        enc.u64(int(self.mtime * 1e6))
-        return enc.to_bytes()
 
-    @classmethod
-    def decode(cls, dec: Decoder) -> "TouchArgs":
-        return cls(dec.u32(), KEY.get(dec), dec.u64() / 1e6)
+# -- transaction ops -------------------------------------------------------
 
 
-@xdr.record(TXID, xdr.U32, xdr.U32, xdr.JSON)
+@xdr.record(xdr.nested(NameCell), xdr.BOOL)
+class PutName(NamedTuple):
+    """Install a name entry; with ``must_not_exist`` an existing entry
+    rejects the transaction with EXIST."""
+
+    cell: NameCell
+    must_not_exist: bool = False
+
+
+@xdr.record(xdr.U64, xdr.string(255))
+class DelName(NamedTuple):
+    parent_fileid: int
+    name: str
+
+
+@xdr.record(KEY, xdr.I32, xdr.F64)
+class AdjLink(NamedTuple):
+    """Add ``delta`` to an object's link count and set its ctime; a cell
+    left with no links is deleted (and a regular file's data reclaimed)."""
+
+    key: bytes
+    delta: int
+    ctime: float
+
+
+@xdr.record(KEY, xdr.F64, xdr.I32)
+class TouchDir(NamedTuple):
+    """Advance a directory's mtime and ctime and add ``nlink_delta`` to its
+    link count (never below 1)."""
+
+    key: bytes
+    mtime: float
+    nlink_delta: int
+
+
+@xdr.record(KEY, xdr.U64, xdr.U32)
+class SetParent(NamedTuple):
+    """Repoint a moved directory at its new parent."""
+
+    key: bytes
+    parent_fileid: int
+    parent_site: int
+
+
+#: One transaction op: the arm index is its class's place in this list.
+OP = xdr.union(PutName, DelName, AdjLink, TouchDir, SetParent)
+
+
+@xdr.record(TXID, xdr.U32, xdr.U32, xdr.array(OP))
 class PrepareArgs(NamedTuple):
     txid: str
     site: int  # target logical site at the remote server
     coord_site: int  # logical site of the transaction coordinator
-    ops: List[Dict]
+    ops: List[NamedTuple]
 
 
 @xdr.record(TXID, xdr.U32)
 class TxidArgs(NamedTuple):
     txid: str
     site: int
+
+
+# -- replies -----------------------------------------------------------------
+
+
+@xdr.record(xdr.optional(xdr.nested(AttrCell)))
+class AttrRes(NamedTuple):
+    """GET_ATTRS reply: the cell, or None when the site does not hold it."""
+
+    cell: Optional[AttrCell]
+
+
+@xdr.record(xdr.optional(xdr.nested(NameCell)))
+class EntryRes(NamedTuple):
+    """GET_ENTRY reply: the entry, or None when the site does not hold it."""
+
+    cell: Optional[NameCell]
+
+
+@xdr.record(xdr.U32)
+class U32Res(NamedTuple):
+    """The reply of COUNT (the entry count), TOUCH and COMMIT (0) and
+    RESOLVE (a ``RESOLVE_*`` outcome)."""
+
+    value: int
+
+
+@xdr.record(xdr.U32, xdr.U32)
+class PrepareRes(NamedTuple):
+    """PREPARE reply: a ``PREPARE_*`` status, and with PREPARE_REJECT the
+    NFS status the coordinator returns."""
+
+    status: int
+    nfs_status: int = 0

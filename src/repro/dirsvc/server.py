@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net import Address, Host
 from repro.nfs import proto
@@ -137,7 +137,7 @@ class DirectoryServer:
         # txid -> "c"/"a", this server acting as transaction coordinator.
         self.tx_outcomes: Dict[str, str] = {}
         # txid -> (site_id, ops), this server acting as participant.
-        self.prepared: Dict[str, Tuple[int, List[Dict]]] = {}
+        self.prepared: Dict[str, Tuple[int, List[NamedTuple]]] = {}
         self.ops_served = 0
         self.cross_site_ops = 0
         self.misdirected = 0
@@ -403,10 +403,7 @@ class DirectoryServer:
             )
         except RpcTimeout:
             return None
-        doc = pp.PeerReply.decode(dec).doc
-        if doc.get("status") != 0:
-            return None
-        return AttrCell(**doc["cell"])
+        return pp.AttrRes.decode(dec).cell
 
     # -- readdir -----------------------------------------------------------
 
@@ -666,12 +663,9 @@ class DirectoryServer:
             if dir_fh.home_site not in self.sites:
                 # Parent attributes on a remote server (name hashing):
                 # bump its link count transactionally.
-                ops = [{
-                    "op": "touch_dir", "key": dir_fh.key.hex(),
-                    "mtime": now, "nlink_delta": 1,
-                }]
                 status = yield from self._run_remote_tx(
-                    dir_fh.home_site, site, ops, local_records=lambda: []
+                    dir_fh.home_site, site, [pp.TouchDir(dir_fh.key, now, 1)],
+                    local_records=lambda: [],
                 )
                 if status != NFS3_OK:
                     raise _OpError(status)
@@ -679,16 +673,8 @@ class DirectoryServer:
             # Orphaned directory (§3.3.2): the name entry and parent link
             # count live on another server — two-phase commit.
             ops = [
-                {
-                    "op": "put_name", "parent": dir_fh.fileid,
-                    "name": args.name, "t_fileid": cell.fileid,
-                    "t_ftype": NF3DIR, "t_flags": 0, "t_site": site,
-                    "must_not_exist": True,
-                },
-                {
-                    "op": "touch_dir", "key": dir_fh.key.hex(),
-                    "mtime": now, "nlink_delta": 1,
-                },
+                pp.PutName(name_cell, must_not_exist=True),
+                pp.TouchDir(dir_fh.key, now, 1),
             ]
             status = yield from self._run_remote_tx(
                 entry_site, site, ops,
@@ -733,48 +719,38 @@ class DirectoryServer:
                 empty = yield from self._dir_is_empty(cell.target_fileid)
                 if not empty:
                     raise _OpError(NFS3ERR_NOTEMPTY)
+            key = attr_key_for(cell.target_fileid)
+            delta, parent_delta = (-2, -1) if rmdir else (-1, 0)
             if cell.target_site in self.sites:
                 pairs = [(site, state.del_name_cell(dir_fh.fileid, name))]
-                pairs.extend(
-                    self._dec_link_local(cell.target_site, cell, now, rmdir)
-                )
-                pairs.extend(
-                    self._touch_local_dir(dir_fh, now, nlink_delta=-1 if rmdir else 0)
-                )
+                pairs += self._adjust_links(cell.target_site, key, delta, now)
+                pairs += self._touch_local_dir(dir_fh, now, parent_delta)
                 yield from self._journal_pairs(pairs)
-                yield from self._touch_remote_dir(dir_fh, now)
             else:
-                ops = [{
-                    "op": "dec_link",
-                    "key": attr_key_for(cell.target_fileid).hex(),
-                    "ctime": now,
-                    "drop": 2 if rmdir else 1,
-                }]
-                pairs_fn = lambda: (
-                    [(site, state.del_name_cell(dir_fh.fileid, name))]
-                    + self._touch_local_dir(
-                        dir_fh, now, nlink_delta=-1 if rmdir else 0
-                    )
-                )
                 status = yield from self._run_remote_tx(
-                    cell.target_site, site, ops, local_records=pairs_fn
+                    cell.target_site, site, [pp.AdjLink(key, delta, now)],
+                    local_records=lambda: (
+                        [(site, state.del_name_cell(dir_fh.fileid, name))]
+                        + self._touch_local_dir(dir_fh, now, parent_delta)
+                    ),
                 )
                 if status != NFS3_OK:
                     raise _OpError(status)
-                yield from self._touch_remote_dir(dir_fh, now)
+            yield from self._touch_remote_dir(dir_fh, now)
             return proto.RemoveRes(NFS3_OK, self._local_dir_attr(dir_fh))
         finally:
             locks.release(name_key)
 
-    def _dec_link_local(self, site: int, name_cell: NameCell, now: float,
-                        is_dir: bool) -> List[Tuple[int, Dict]]:
+    def _adjust_links(self, site: int, key: bytes, delta: int,
+                      ctime: float) -> List[Tuple[int, Dict]]:
+        """Add ``delta`` to a hosted object's link count; a cell left with
+        no links is deleted, and a regular file's data reclaimed."""
         state = self.sites[site]
-        key = attr_key_for(name_cell.target_fileid)
         cell = state.get_attr_cell(key)
         if cell is None:
             return []
-        cell.nlink -= 2 if is_dir else 1
-        cell.ctime = now
+        cell.nlink += delta
+        cell.ctime = ctime
         if cell.nlink <= 0:
             record = state.del_attr_cell(key)
             if cell.ftype == NF3REG and self.coordinator is not None:
@@ -794,7 +770,7 @@ class DirectoryServer:
             sites = None  # all hosted + the home site (see below)
         if sites is None:
             # mkdir switching: every entry of dir is at the dir's home site,
-            # which is where the dec_link'd attr cell lives.  Check every
+            # which is where the unlinked attr cell lives.  Check every
             # hosted site plus (via peers) the home if remote.
             local_total = sum(
                 state.count_entries(dir_fileid) for state in self.sites.values()
@@ -823,7 +799,7 @@ class DirectoryServer:
                 )
             except RpcTimeout:
                 raise _OpError(NFS3ERR_JUKEBOX)
-            if pp.PeerReply.decode(dec).doc.get("count", 0):
+            if pp.U32Res.decode(dec).value:
                 return False
         return True
 
@@ -864,12 +840,8 @@ class DirectoryServer:
                 yield from self._journal_pairs(pairs)
                 file_attr = cell.to_fattr()
             else:
-                ops = [{
-                    "op": "adj_link", "key": file_fh.key.hex(),
-                    "delta": 1, "ctime": now,
-                }]
                 status = yield from self._run_remote_tx(
-                    file_fh.home_site, site, ops,
+                    file_fh.home_site, site, [pp.AdjLink(file_fh.key, 1, now)],
                     local_records=lambda: (
                         [(site, state.put_name_cell(name_cell))]
                         + self._touch_local_dir(dir_fh, now)
@@ -945,12 +917,10 @@ class DirectoryServer:
                 pairs.extend(self._touch_local_dir(from_dir, now))
                 yield from self._journal_pairs(pairs)
             else:
-                ops = [{
-                    "op": "del_name", "parent": from_dir.fileid,
-                    "name": args.from_name,
-                }]
                 status = yield from self._run_remote_tx(
-                    from_site, to_site, ops, local_records=lambda: []
+                    from_site, to_site,
+                    [pp.DelName(from_dir.fileid, args.from_name)],
+                    local_records=lambda: [],
                 )
                 if status != NFS3_OK:
                     raise _OpError(status)
@@ -973,19 +943,16 @@ class DirectoryServer:
 
     def _unlink_target(self, state: SiteState, cell: NameCell, now: float):
         """Drop the object a rename overwrites."""
+        key = attr_key_for(cell.target_fileid)
+        delta = -2 if cell.target_ftype == NF3DIR else -1
         if cell.target_site in self.sites:
-            pairs = self._dec_link_local(
-                cell.target_site, cell, now, cell.target_ftype == NF3DIR
-            )
+            pairs = self._adjust_links(cell.target_site, key, delta, now)
             if pairs:
                 yield from self._journal_pairs(pairs)
             return
-        ops = [{
-            "op": "dec_link", "key": attr_key_for(cell.target_fileid).hex(),
-            "ctime": now, "drop": 2 if cell.target_ftype == NF3DIR else 1,
-        }]
         status = yield from self._run_remote_tx(
-            cell.target_site, cell.target_site, ops, local_records=lambda: []
+            cell.target_site, cell.target_site, [pp.AdjLink(key, delta, now)],
+            local_records=lambda: [],
         )
         if status != NFS3_OK:
             raise _OpError(status)
@@ -1003,12 +970,9 @@ class DirectoryServer:
                         dfh.home_site, [st.put_attr_cell(cell)]
                     )
             else:
-                ops = [{
-                    "op": "touch_dir", "key": dfh.key.hex(),
-                    "mtime": now, "nlink_delta": delta,
-                }]
                 yield from self._run_remote_tx(
-                    dfh.home_site, dfh.home_site, ops, local_records=lambda: []
+                    dfh.home_site, dfh.home_site,
+                    [pp.TouchDir(dfh.key, now, delta)], local_records=lambda: [],
                 )
         # Update the moved directory's parent pointer at its home site.
         key = attr_key_for(src_cell.target_fileid)
@@ -1022,12 +986,9 @@ class DirectoryServer:
                     src_cell.target_site, [st.put_attr_cell(cell)]
                 )
         else:
-            ops = [{
-                "op": "set_parent", "key": key.hex(),
-                "parent_fileid": to_dir.fileid, "parent_site": to_dir.home_site,
-            }]
             yield from self._run_remote_tx(
-                src_cell.target_site, src_cell.target_site, ops,
+                src_cell.target_site, src_cell.target_site,
+                [pp.SetParent(key, to_dir.fileid, to_dir.home_site)],
                 local_records=lambda: [],
             )
 
@@ -1040,10 +1001,7 @@ class DirectoryServer:
             )
         except RpcTimeout:
             raise _OpError(NFS3ERR_JUKEBOX)
-        doc = pp.PeerReply.decode(dec).doc
-        if doc.get("status") != 0:
-            return None
-        return NameCell(**doc["cell"])
+        return pp.EntryRes.decode(dec).cell
 
     # -- fs info ------------------------------------------------------------
 
@@ -1075,7 +1033,7 @@ class DirectoryServer:
     # ------------------------------------------------------------------
 
     def _run_remote_tx(
-        self, remote_site: int, local_site: int, ops: List[Dict],
+        self, remote_site: int, local_site: int, ops: List[NamedTuple],
         local_records: Callable[[], List[Dict]],
     ):
         """Generator: 2PC with one remote participant.
@@ -1097,12 +1055,12 @@ class DirectoryServer:
                 )
             except RpcTimeout:
                 return NFS3ERR_JUKEBOX
-            doc = pp.PeerReply.decode(dec).doc
-            if doc["status"] == pp.PREPARE_CONFLICT:
+            res = pp.PrepareRes.decode(dec)
+            if res.status == pp.PREPARE_CONFLICT:
                 yield self.sim.timeout(self.params.retry_backoff * (attempt + 1))
                 continue
-            if doc["status"] == pp.PREPARE_REJECT:
-                return doc.get("nfs_status", NFS3ERR_INVAL)
+            if res.status == pp.PREPARE_REJECT:
+                return res.nfs_status
             # Decision: commit.  Force the decision + local effects.
             self.tx_outcomes[txid] = "c"
             pairs = [(local_site, {"op": "tx_decide", "txid": txid, "outcome": "c"})]
@@ -1128,11 +1086,7 @@ class DirectoryServer:
             args = pp.KeyArgs.decode(dec)
             state = self.sites.get(args.site)
             cell = state.get_attr_cell(args.key) if state else None
-            if cell is None:
-                return pp.PeerReply({"status": 1}).encode(), EMPTY
-            from dataclasses import asdict
-
-            return pp.PeerReply({"status": 0, "cell": asdict(cell)}).encode(), EMPTY
+            return pp.AttrRes(cell).encode(), EMPTY
         if procnum == pp.PEER_GET_ENTRY:
             args = pp.EntryArgs.decode(dec)
             state = self.sites.get(args.site)
@@ -1140,11 +1094,7 @@ class DirectoryServer:
                 state.get_name_cell(args.parent_fileid, args.name)
                 if state else None
             )
-            if cell is None:
-                return pp.PeerReply({"status": 1}).encode(), EMPTY
-            from dataclasses import asdict
-
-            return pp.PeerReply({"status": 0, "cell": asdict(cell)}).encode(), EMPTY
+            return pp.EntryRes(cell).encode(), EMPTY
         if procnum == pp.PEER_COUNT:
             args = pp.CountArgs.decode(dec)
             count = sum(
@@ -1152,7 +1102,7 @@ class DirectoryServer:
                 for s in args.sites
                 if s in self.sites
             )
-            return pp.PeerReply({"count": count}).encode(), EMPTY
+            return pp.U32Res(count).encode(), EMPTY
         if procnum == pp.PEER_TOUCH:
             args = pp.TouchArgs.decode(dec)
             state = self.sites.get(args.site)
@@ -1162,164 +1112,124 @@ class DirectoryServer:
                     cell.mtime = args.mtime
                     cell.ctime = max(cell.ctime, args.mtime)
                     state.put_attr_cell(cell)  # journaled lazily at checkpoint
-            return pp.PeerReply({"status": 0}).encode(), EMPTY
+            return pp.U32Res(0).encode(), EMPTY
         if procnum == pp.PEER_PREPARE:
             result = yield from self._peer_prepare(pp.PrepareArgs.decode(dec))
-            return result, EMPTY
+            return result.encode(), EMPTY
         if procnum == pp.PEER_COMMIT:
             args = pp.TxidArgs.decode(dec)
-            result = yield from self._peer_commit(args.txid, args.site)
-            return result, EMPTY
-        if procnum == pp.PEER_ABORT:
-            args = pp.TxidArgs.decode(dec)
-            self._peer_release(args.txid, args.site)
-            self._log(args.site).append({"op": "tx_abort", "txid": args.txid})
-            return pp.PeerReply({"status": 0}).encode(), EMPTY
+            self._peer_commit(args.txid, args.site)
+            return pp.U32Res(0).encode(), EMPTY
         if procnum == pp.PEER_RESOLVE:
             args = pp.TxidArgs.decode(dec)
             outcome = self.tx_outcomes.get(args.txid)
             code = {
                 "c": pp.RESOLVE_COMMITTED, "a": pp.RESOLVE_ABORTED,
             }.get(outcome, pp.RESOLVE_UNKNOWN)
-            return pp.PeerReply({"outcome": code}).encode(), EMPTY
+            return pp.U32Res(code).encode(), EMPTY
         raise RpcAcceptError(PROC_UNAVAIL)
 
-    def _op_lock_keys(self, site: int, ops: List[Dict]) -> List[bytes]:
+    @staticmethod
+    def _op_lock_keys(ops: List[NamedTuple]) -> List[bytes]:
         keys = []
         for op in ops:
-            if op["op"] in ("put_name", "del_name"):
-                keys.append(name_key_for(op["parent"], op["name"]))
+            if type(op) is pp.PutName:
+                keys.append(name_key_for(op.cell.parent_fileid, op.cell.name))
+            elif type(op) is pp.DelName:
+                keys.append(name_key_for(op.parent_fileid, op.name))
             else:
-                keys.append(bytes.fromhex(op["key"]))
+                keys.append(op.key)
         return keys
 
-    def _validate_ops(self, state: SiteState, ops: List[Dict]) -> Optional[int]:
+    @staticmethod
+    def _validate_ops(state: SiteState, ops: List[NamedTuple]) -> Optional[int]:
         """Returns an NFS error status if any op cannot apply, else None."""
         for op in ops:
-            kind = op["op"]
-            if kind == "put_name":
-                if op.get("must_not_exist") and state.get_name_cell(
-                    op["parent"], op["name"]
+            if type(op) is pp.PutName:
+                cell = op.cell
+                if op.must_not_exist and state.get_name_cell(
+                    cell.parent_fileid, cell.name
                 ):
                     return NFS3ERR_EXIST
-            elif kind == "del_name":
-                if not state.get_name_cell(op["parent"], op["name"]):
+            elif type(op) is pp.DelName:
+                if not state.get_name_cell(op.parent_fileid, op.name):
                     return NFS3ERR_NOENT
-            elif kind in ("adj_link", "dec_link", "touch_dir", "set_parent"):
-                if state.get_attr_cell(bytes.fromhex(op["key"])) is None:
-                    return NFS3ERR_STALE
-            elif kind == "del_attr":
-                pass
-            else:
-                return NFS3ERR_INVAL
+            elif state.get_attr_cell(op.key) is None:
+                return NFS3ERR_STALE
         return None
 
     def _peer_prepare(self, args: pp.PrepareArgs):
         state = self.sites.get(args.site)
         if state is None:
-            return pp.PeerReply(
-                {"status": pp.PREPARE_REJECT, "nfs_status": SLICEERR_MISDIRECTED}
-            ).encode()
+            return pp.PrepareRes(pp.PREPARE_REJECT, SLICEERR_MISDIRECTED)
         locks = self.locks[args.site]
-        keys = self._op_lock_keys(args.site, args.ops)
         acquired = []
-        for key in keys:
+        for key in self._op_lock_keys(args.ops):
             if locks.try_acquire(("tx", key)):
                 acquired.append(("tx", key))
             else:
                 locks.release_all(acquired)
-                return pp.PeerReply({"status": pp.PREPARE_CONFLICT}).encode()
+                return pp.PrepareRes(pp.PREPARE_CONFLICT)
         nfs_status = self._validate_ops(state, args.ops)
         if nfs_status is not None:
             locks.release_all(acquired)
-            return pp.PeerReply(
-                {"status": pp.PREPARE_REJECT, "nfs_status": nfs_status}
-            ).encode()
+            return pp.PrepareRes(pp.PREPARE_REJECT, nfs_status)
         self.prepared[args.txid] = (args.site, args.ops)
         yield from self._journal(args.site, [{
             "op": "tx_prepare", "txid": args.txid, "coord_site": args.coord_site,
             "ops": args.ops,
         }])
-        return pp.PeerReply({"status": pp.PREPARE_OK}).encode()
+        return pp.PrepareRes(pp.PREPARE_OK)
 
-    def _peer_commit(self, txid: str, site: int):
+    def _peer_commit(self, txid: str, site: int) -> None:
         entry = self.prepared.pop(txid, None)
         log = self._log(site)
         if entry is not None:
             _site, ops = entry
-            state = self.sites.get(site)
-            if state is not None:
-                records = self._apply_ops(site, state, ops)
-                for record in records:
+            if site in self.sites:
+                for record in self._apply_ops(site, ops):
                     log.append(record)
             self._peer_release_keys(site, ops)
         log.append({"op": "tx_commit", "txid": txid})
-        yield from ()
-        return pp.PeerReply({"status": 0}).encode()
 
     def _peer_release(self, txid: str, site: int) -> None:
         entry = self.prepared.pop(txid, None)
         if entry is not None:
             self._peer_release_keys(site, entry[1])
 
-    def _peer_release_keys(self, site: int, ops: List[Dict]) -> None:
+    def _peer_release_keys(self, site: int, ops: List[NamedTuple]) -> None:
         locks = self.locks.get(site)
         if locks is None:
             return
-        for key in self._op_lock_keys(site, ops):
+        for key in self._op_lock_keys(ops):
             locks.release(("tx", key))
 
-    def _apply_ops(self, site: int, state: SiteState, ops: List[Dict]) -> List[Dict]:
+    def _apply_ops(self, site: int, ops: List[NamedTuple]) -> List[Dict]:
         """Apply transaction ops; returns the journal records produced."""
+        state = self.sites[site]
         records: List[Dict] = []
         for op in ops:
-            kind = op["op"]
-            if kind == "put_name":
-                records.append(state.put_name_cell(NameCell(
-                    op["parent"], op["name"], op["t_fileid"],
-                    op["t_ftype"], op["t_flags"], op["t_site"],
-                )))
-            elif kind == "del_name":
-                records.append(state.del_name_cell(op["parent"], op["name"]))
-            elif kind == "adj_link":
-                key = bytes.fromhex(op["key"])
-                cell = state.get_attr_cell(key)
-                if cell is not None:
-                    cell.nlink += op["delta"]
-                    cell.ctime = op["ctime"]
-                    records.append(state.put_attr_cell(cell))
-            elif kind == "dec_link":
-                key = bytes.fromhex(op["key"])
-                cell = state.get_attr_cell(key)
-                if cell is not None:
-                    cell.nlink -= op.get("drop", 1)
-                    cell.ctime = op["ctime"]
-                    if cell.nlink <= 0:
-                        records.append(state.del_attr_cell(key))
-                        if cell.ftype == NF3REG and self.coordinator is not None:
-                            self.sim.process(
-                                self._reclaim(cell.to_fh(self.volume)),
-                                name=f"reclaim:{self.host.name}",
-                            )
-                    else:
-                        records.append(state.put_attr_cell(cell))
-            elif kind == "touch_dir":
-                key = bytes.fromhex(op["key"])
-                cell = state.get_attr_cell(key)
-                if cell is not None:
-                    cell.mtime = max(cell.mtime, op["mtime"])
-                    cell.ctime = max(cell.ctime, op["mtime"])
-                    cell.nlink = max(1, cell.nlink + op.get("nlink_delta", 0))
-                    records.append(state.put_attr_cell(cell))
-            elif kind == "del_attr":
-                records.append(state.del_attr_cell(bytes.fromhex(op["key"])))
-            elif kind == "set_parent":
-                key = bytes.fromhex(op["key"])
-                cell = state.get_attr_cell(key)
-                if cell is not None:
-                    cell.parent_fileid = op["parent_fileid"]
-                    cell.parent_site = op["parent_site"]
-                    records.append(state.put_attr_cell(cell))
+            kind = type(op)
+            if kind is pp.PutName:
+                records.append(state.put_name_cell(op.cell))
+            elif kind is pp.DelName:
+                records.append(state.del_name_cell(op.parent_fileid, op.name))
+            elif kind is pp.AdjLink:
+                records.extend(record for _site, record in self._adjust_links(
+                    site, op.key, op.delta, op.ctime,
+                ))
+            else:
+                cell = state.get_attr_cell(op.key)
+                if cell is None:
+                    continue
+                if kind is pp.TouchDir:
+                    cell.mtime = max(cell.mtime, op.mtime)
+                    cell.ctime = max(cell.ctime, op.mtime)
+                    cell.nlink = max(1, cell.nlink + op.nlink_delta)
+                else:  # SetParent
+                    cell.parent_fileid = op.parent_fileid
+                    cell.parent_site = op.parent_site
+                records.append(state.put_attr_cell(cell))
         return records
 
     def _resolve_in_doubt(self, txid: str, site: int, record: Dict):
@@ -1330,11 +1240,11 @@ class DirectoryServer:
                 self.peer_lookup(coord_site), pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
                 pp.PEER_RESOLVE, pp.TxidArgs(txid, coord_site).encode(),
             )
-            outcome = pp.PeerReply.decode(dec).doc.get("outcome")
+            outcome = pp.U32Res.decode(dec).value
         except RpcTimeout:
             outcome = pp.RESOLVE_UNKNOWN
         if outcome == pp.RESOLVE_COMMITTED:
-            yield from self._peer_commit(txid, site)
+            self._peer_commit(txid, site)
         else:
             # Aborted or unknown: presume abort (coordinator never logged a
             # commit decision that we could have missed).

@@ -4,7 +4,8 @@ Directory information is stored as webs of fixed-size cells: *name cells*
 (one per directory entry) and *attribute cells* (one per file/directory),
 indexed by MD5 keys.  Attribute cells may be referenced from name cells on
 other servers ("remote keys"), which is what lets both mkdir switching and
-name hashing share one code base.
+name hashing share one code base.  Both cell classes are also declared
+XDR records: the dir-peer protocol carries them whole between servers.
 
 Each logical site's cells live in a :class:`SiteState`, journaled to a
 write-ahead log and periodically checkpointed to its backing object; a
@@ -20,6 +21,7 @@ from typing import Dict, Optional, Set
 
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import Fattr3, NF3DIR
+from repro.rpc import xdr
 
 __all__ = [
     "attr_key_for",
@@ -54,6 +56,9 @@ def name_key_for(parent_fileid: int, name: str) -> bytes:
     ).digest()
 
 
+@xdr.record(xdr.U64, xdr.U32, xdr.U32, xdr.U32, xdr.U32, xdr.U32,
+            xdr.U64, xdr.U64, xdr.F64, xdr.F64, xdr.F64, xdr.U32, xdr.U32,
+            xdr.string(1024), xdr.U64, xdr.U32)
 @dataclass
 class AttrCell:
     """Attributes (and for symlinks, the target path) of one object."""
@@ -92,6 +97,7 @@ class AttrCell:
         )
 
 
+@xdr.record(xdr.U64, xdr.string(255), xdr.U64, xdr.U32, xdr.U32, xdr.U32)
 @dataclass
 class NameCell:
     """One directory entry: (parent, name) -> target object reference."""

@@ -9,26 +9,28 @@ Every reconfiguration — a single-site rebind or an atomically installed
 :class:`~repro.reconfig.plan.RebindPlan` — bumps a cluster-wide **epoch**
 that is stamped onto every table it touches.  Fetches are *conditional*:
 a µproxy asks ``get(table, min_version)`` and the service answers
-``NOT_MODIFIED`` when the caller is already fresh, instead of JSON-dumping
+``NOT_MODIFIED`` when the caller is already fresh, instead of sending
 every table on every fetch.
+
+Both messages are declared XDR records: a fetched table travels as its
+name, version, epoch and (host, port) entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Dict, Mapping, NamedTuple, Sequence
 
 from repro.net import Address, Host
 from repro.rpc import RpcServer
 from repro.rpc import xdr
-from repro.rpc.xdr import Decoder, Encoder
+from repro.rpc.xdr import Decoder, XdrError
 from repro.core.routing import RoutingTable
 from repro.util.bytesim import EMPTY
 
 __all__ = [
     "ConfigService",
     "ConfigFetch",
-    "decode_tables",
     "ConfigGetArgs",
     "SLICE_CONFIG_PROGRAM",
     "CONFIG_GET",
@@ -66,13 +68,38 @@ class ConfigGetArgs(NamedTuple):
     min_version: int = 0
 
 
-@dataclass
-class ConfigFetch:
-    """Decoded CONFIG_GET reply."""
+_TABLES = xdr.array(xdr.tuple_of(
+    xdr.string(256), xdr.U64, xdr.U64,
+    xdr.array(xdr.tuple_of(xdr.string(255), xdr.U32)),
+))
+
+
+def _put_tables(enc, tables: Mapping[str, RoutingTable]) -> None:
+    _TABLES.put(enc, [
+        (name, table.version, table.epoch,
+         [(addr.host, addr.port) for addr in table.entries])
+        for name, table in tables.items()
+    ])
+
+
+def _get_tables(dec: Decoder) -> Dict[str, RoutingTable]:
+    try:
+        return {
+            name: RoutingTable([Address(host, port) for host, port in entries],
+                               version, epoch)
+            for name, version, epoch, entries in _TABLES.get(dec)
+        }
+    except ValueError as exc:  # an empty table or a port past 16 bits
+        raise XdrError(f"bad routing table: {exc}") from None
+
+
+@xdr.record(xdr.U32, xdr.U64, xdr.ok(xdr.Field(_put_tables, _get_tables)))
+class ConfigFetch(NamedTuple):
+    """CONFIG_GET reply: the tables follow only a CONFIG_OK status."""
 
     status: int
     epoch: int
-    tables: Dict[str, RoutingTable] = field(default_factory=dict)
+    tables: Mapping[str, RoutingTable] = MappingProxyType({})
 
     @property
     def modified(self) -> bool:
@@ -151,10 +178,9 @@ class ConfigService:
             raise RpcAcceptError(PROC_UNAVAIL)
         self.fetches += 1
         name, min_version = ConfigGetArgs.decode(dec)
-        enc = Encoder()
         if name == ALL_TABLES:
             fresh = min_version >= self.epoch
-            doc = {n: t.to_wire() for n, t in self.tables.items()}
+            tables = self.tables
         else:
             table = self.tables.get(name)
             if table is None:
@@ -163,29 +189,8 @@ class ConfigService:
 
                 raise RpcAcceptError(GARBAGE_ARGS)
             fresh = min_version >= table.version
-            doc = {name: table.to_wire()}
+            tables = {name: table}
         if fresh and min_version > 0:
             self.not_modified += 1
-            enc.u32(CONFIG_NOT_MODIFIED)
-            enc.u64(self.epoch)
-            return enc.to_bytes(), EMPTY
-        enc.u32(CONFIG_OK)
-        enc.u64(self.epoch)
-        xdr.JSON.put(enc, doc)
-        return enc.to_bytes(), EMPTY
-
-
-def decode_tables(dec: Decoder) -> ConfigFetch:
-    """Decode a CONFIG_GET reply into a :class:`ConfigFetch`.
-
-    ``fetch.tables`` is empty when the reply is ``NOT_MODIFIED``.
-    """
-    status = dec.u32()
-    epoch = dec.u64()
-    if status == CONFIG_NOT_MODIFIED:
-        return ConfigFetch(status, epoch)
-    doc = xdr.JSON.get(dec)
-    return ConfigFetch(
-        status, epoch,
-        {name: RoutingTable.from_wire(w) for name, w in doc.items()},
-    )
+            return ConfigFetch(CONFIG_NOT_MODIFIED, self.epoch).encode(), EMPTY
+        return ConfigFetch(CONFIG_OK, self.epoch, tables).encode(), EMPTY

@@ -2,13 +2,12 @@
 
 from .engine import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
 from .rand import RandomStreams
-from .resources import Gate, Resource, Store
+from .resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Gate",
     "Interrupt",
     "Process",
     "RandomStreams",

@@ -12,7 +12,7 @@ from typing import Any, Generator, Optional
 
 from .engine import Event, Simulator
 
-__all__ = ["Resource", "Store", "Gate"]
+__all__ = ["Resource", "Store"]
 
 
 class Request(Event):
@@ -160,38 +160,3 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-class Gate:
-    """A reusable open/closed barrier.
-
-    ``wait()`` returns immediately while open; while closed it returns an
-    event that triggers on the next ``open()``.
-    """
-
-    def __init__(self, sim: Simulator, is_open: bool = True):
-        self.sim = sim
-        self._open = is_open
-        self._waiters: list = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def close(self) -> None:
-        self._open = False
-
-    def open(self) -> None:
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            if not ev.triggered:
-                ev.succeed(None)
-
-    def wait(self) -> Event:
-        ev = self.sim.event()
-        if self._open:
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
-        return ev

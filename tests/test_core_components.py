@@ -68,8 +68,13 @@ def test_routing_replace_refuses_same_version_fork():
 
 
 def test_routing_wire_roundtrip():
+    """A table crosses the wire in a configuration-service reply."""
+    from repro.ensemble.configsvc import CONFIG_OK, ConfigFetch
+    from repro.rpc.xdr import Decoder
+
     table = RoutingTable([addr(0), addr(1), addr(0)], version=7, epoch=3)
-    again = RoutingTable.from_wire(table.to_wire())
+    wire = ConfigFetch(CONFIG_OK, 3, {"dir": table}).encode()
+    again = ConfigFetch.decode(Decoder(wire)).tables["dir"]
     assert again.entries == table.entries
     assert again.version == 7
     assert again.epoch == 3

@@ -111,8 +111,8 @@ def test_config_service_serves_tables():
         CONFIG_GET,
         CONFIG_V1,
         SLICE_CONFIG_PROGRAM,
+        ConfigFetch,
         ConfigGetArgs,
-        decode_tables,
     )
     from repro.rpc import RpcAcceptError, RpcClient
     from repro.rpc.messages import GARBAGE_ARGS
@@ -125,7 +125,7 @@ def test_config_service_serves_tables():
             cluster.configsvc.address, SLICE_CONFIG_PROGRAM, CONFIG_V1,
             CONFIG_GET, ConfigGetArgs().encode(),
         )
-        return decode_tables(dec)
+        return ConfigFetch.decode(dec)
 
     def fetch_empty_body():
         try:

@@ -31,8 +31,8 @@ from repro.ensemble.configsvc import (
     CONFIG_NOT_MODIFIED,
     CONFIG_V1,
     SLICE_CONFIG_PROGRAM,
+    ConfigFetch,
     ConfigGetArgs,
-    decode_tables,
 )
 from repro.ensemble.params import ClusterParams
 from repro.net import Address
@@ -339,7 +339,7 @@ def test_config_get_named_and_not_modified():
             svc.address, SLICE_CONFIG_PROGRAM, CONFIG_V1,
             CONFIG_GET, ConfigGetArgs(table, min_version).encode(),
         )
-        return decode_tables(dec)
+        return ConfigFetch.decode(dec)
 
     fetch = cluster.run(probe("storage", 0))
     assert fetch.modified and set(fetch.tables) == {"storage"}

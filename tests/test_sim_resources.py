@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, and Gate queueing primitives."""
+"""Unit tests for the Resource and Store queueing primitives."""
 
 import pytest
 
-from repro.sim import Gate, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 from repro.sim.rand import RandomStreams
 
 
@@ -142,33 +142,6 @@ def test_store_fifo_ordering():
     sim.run()
     assert got == [0, 1, 2, 3, 4]
     assert len(store) == 0
-
-
-def test_gate_blocks_when_closed():
-    sim = Simulator()
-    gate = Gate(sim, is_open=False)
-
-    def waiter():
-        yield gate.wait()
-        return sim.now
-
-    def opener():
-        yield sim.timeout(7)
-        gate.open()
-
-    sim.process(opener())
-    assert sim.run_process(waiter()) == 7
-
-
-def test_gate_passes_when_open():
-    sim = Simulator()
-    gate = Gate(sim)
-
-    def waiter():
-        yield gate.wait()
-        return sim.now
-
-    assert sim.run_process(waiter()) == 0
 
 
 def test_random_streams_are_deterministic():

@@ -34,9 +34,11 @@ def run_once(benchmark, fn):
 
 def pytest_sessionfinish(session, exitstatus):
     """When tracing is on (REPRO_TRACE=1 / run_all.sh --with-traces), dump
-    every live tracer's metrics tables at the end of the benchmark run."""
+    every live tracer's counts and handle-time tables at the end of the
+    benchmark run."""
     if not os.environ.get("REPRO_TRACE"):
         return
+    from repro.metrics.report import metric_tables
     from repro.obs import all_tracers
 
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")
@@ -48,6 +50,7 @@ def pytest_sessionfinish(session, exitstatus):
     for i, tracer in enumerate(tracers):
         write("")
         write(f"-- repro.obs tracer {i} summary: {tracer.summary()}")
-        for line in tracer.metrics.format_tables().splitlines():
+        tables = metric_tables(tracer.counts, tracer.histograms)
+        for line in tables.splitlines():
             write(line)
 

@@ -180,6 +180,21 @@ class UProxy(PacketFilter):
             "cpu_util": self.host.cpu.utilization(),
         }
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative counts since construction."""
+        return {
+            "requests_routed": self.requests_routed,
+            "replies_returned": self.replies_returned,
+            "synthesized": self.synthesized,
+            "commits_absorbed": self.commits_absorbed,
+            "misdirects_seen": self.misdirects_seen,
+            "retransmissions": self.client.retransmissions,
+            "attr_cache_hits": self.attr_cache.hits,
+            "attr_cache_misses": self.attr_cache.misses,
+            "block_map_hits": self.block_maps.hits,
+            "block_map_misses": self.block_maps.misses,
+        }
+
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------

@@ -165,6 +165,15 @@ class DirectoryServer:
             "cpu_util": self.host.cpu.utilization(),
         }
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative counts since construction."""
+        return {
+            **self.server.counters(),
+            "ops_served": self.ops_served,
+            "cross_site_ops": self.cross_site_ops,
+            "misdirected": self.misdirected,
+        }
+
     # ------------------------------------------------------------------
     # site lifecycle
     # ------------------------------------------------------------------
@@ -252,11 +261,6 @@ class DirectoryServer:
         state = self.sites.get(site)
         if state is None:
             self.misdirected += 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    f"dirsvc:{self.host.name}", "misdirected",
-                    self.sim.now, site=site,
-                )
             raise _Misdirected(site)
         return state
 

@@ -157,14 +157,11 @@ class SliceCluster:
 
     # -- telemetry ----------------------------------------------------------
 
-    def gauges(self) -> Dict[str, float]:
-        """Every component's current readings as ``"scope.name"`` keys.
+    def _scoped_components(self):
+        """``("<scope>:<host>.", component)`` for every live component.
 
-        Scopes are ``storage:<host>``, ``uproxy:<host>``, ``dirsvc:<host>``,
-        ``sf:<host>``, ``coord:<host>`` and ``net`` (per-host switch port
-        and NIC), plus ``coord.intents_open`` from the tracer's intent
-        ledger when there is one.  The component lists are walked on every
-        call, so whatever any ``add_*`` method brought up is included.
+        The lists are walked on every call, so whatever any ``add_*``
+        method brought up is included.
         """
         groups = (
             ("storage", self.storage_nodes),
@@ -173,12 +170,22 @@ class SliceCluster:
             ("sf", self.sf_servers),
             ("coord", self.coordinators),
         )
-        out: Dict[str, float] = {}
         for scope, components in groups:
             for component in components:
-                prefix = f"{scope}:{component.host.name}."
-                for name, value in component.gauges().items():
-                    out[prefix + name] = value
+                yield f"{scope}:{component.host.name}.", component
+
+    def gauges(self) -> Dict[str, float]:
+        """Every component's current readings as ``"scope.name"`` keys.
+
+        Scopes are ``storage:<host>``, ``uproxy:<host>``, ``dirsvc:<host>``,
+        ``sf:<host>``, ``coord:<host>`` and ``net`` (per-host switch port
+        and NIC), plus ``coord.intents_open`` from the tracer's intent
+        ledger when there is one.
+        """
+        out: Dict[str, float] = {}
+        for prefix, component in self._scoped_components():
+            for name, value in component.gauges().items():
+                out[prefix + name] = value
         if self.tracer is not None:
             out["coord.intents_open"] = self.tracer.open_intent_count
         for name, host in self.net.hosts.items():
@@ -190,21 +197,36 @@ class SliceCluster:
             )
         return out
 
+    def counters(self) -> Dict[str, int]:
+        """Every component's cumulative counts as ``"scope.name"`` keys.
+
+        Same scopes as :meth:`gauges`, plus the fabric totals under
+        ``net`` and, when traced, the tracer's route, absorb and split
+        counts (``uproxy.route.<reason>``, ...).
+        """
+        out: Dict[str, int] = {}
+        for prefix, component in self._scoped_components():
+            for name, value in component.counters().items():
+                out[prefix + name] = value
+        for name, value in self.net.counters().items():
+            out["net." + name] = value
+        if self.tracer is not None:
+            out.update(self.tracer.counts)
+        return out
+
     def start_telemetry(self, interval: float = 0.05, maxlen: int = 512):
         """Arm time-series telemetry on this cluster, traced or not.
 
         Starts a :class:`~repro.obs.timeseries.TimeSeriesSampler` that
         records :meth:`gauges` every ``interval`` simulated seconds, plus
-        per-second rates of the tracer's counters when there is a tracer.
-        Idempotent; returns the sampler.
+        the per-second rate of every :meth:`counters` entry.  Idempotent;
+        returns the sampler.
         """
         from repro.obs.timeseries import TimeSeriesSampler
 
         if self._telemetry is None:
-            tracer = self.tracer
-            registry = tracer.metrics if tracer is not None else None
             self._telemetry = TimeSeriesSampler(
-                self.sim, self.gauges, registry,
+                self.sim, self.gauges, self.counters,
                 interval=interval, maxlen=maxlen,
             ).start()
         return self._telemetry

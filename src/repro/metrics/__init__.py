@@ -1,12 +1,12 @@
 """Measurement and reporting utilities."""
 
-from .report import banner, format_series, format_table
-from .stats import Counter, LatencyRecorder
+from .report import banner, format_series, format_table, metric_tables
+from .stats import LatencyRecorder
 
 __all__ = [
-    "Counter",
     "LatencyRecorder",
     "banner",
     "format_series",
     "format_table",
+    "metric_tables",
 ]

@@ -2,14 +2,15 @@
 
 Each benchmark regenerates a paper table or figure; these helpers print the
 same rows/series the paper reports, side by side with the paper's numbers
-where available.
+where available.  :func:`metric_tables` prints flat counter and histogram
+dicts (a cluster's ``counters()``, a tracer's ``histograms``) the same way.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "banner"]
+__all__ = ["format_table", "format_series", "banner", "metric_tables"]
 
 
 def banner(title: str) -> str:
@@ -50,6 +51,32 @@ def format_series(
     header = f"{name}  ({x_label} -> {y_label})"
     points = "  ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in zip(xs, ys))
     return f"{header}\n  {points}"
+
+
+def metric_tables(counters: Mapping[str, float],
+                  histograms: Optional[Mapping] = None) -> str:
+    """Counter and histogram tables for flat ``{"scope.name": ...}`` dicts.
+
+    ``histograms`` values are :class:`~repro.metrics.stats.LatencyRecorder`
+    objects, such as a tracer's ``handle_s`` recorders.
+    """
+    parts = []
+    if counters:
+        parts.append(format_table(
+            ["counter", "value"], sorted(counters.items()),
+            title="repro metrics",
+        ))
+    if histograms:
+        rows = []
+        for name, hist in sorted(histograms.items()):
+            stats = (hist.mean(), hist.percentile(0.95), hist.max())
+            # Three significant digits: handle times are sub-millisecond
+            # seconds, which format_table's fixed decimals print as 0.
+            rows.append((name, hist.count, *(f"{v:.3g}" for v in stats)))
+        parts.append(format_table(
+            ["histogram", "n", "mean", "p95", "max"], rows,
+        ))
+    return "\n".join(parts) if parts else "(no metrics recorded)"
 
 
 def _fmt(value) -> str:

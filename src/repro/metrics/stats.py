@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-__all__ = ["LatencyRecorder", "Counter"]
+__all__ = ["LatencyRecorder"]
 
 
 class LatencyRecorder:
@@ -100,7 +100,7 @@ class LatencyRecorder:
         self._max = None
 
     def summary(self) -> dict:
-        """Compact stats dict (used by registry snapshots and exporters)."""
+        """Compact stats dict (used by the exporters)."""
         return {
             "n": self.count,
             "mean": self.mean(),
@@ -108,15 +108,3 @@ class LatencyRecorder:
             "p95": self.percentile(0.95),
             "max": self.max(),
         }
-
-
-class Counter:
-    """A named monotonic counter."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-

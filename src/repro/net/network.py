@@ -62,6 +62,17 @@ class Network:
         """Total drops (legacy aggregate of fault + no-route)."""
         return self.packets_dropped_fault + self.packets_dropped_noroute
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative fabric totals (telemetry view)."""
+        return {
+            "packets_delivered": self.packets_delivered,
+            "bytes_delivered": self.bytes_delivered,
+            "packets_dropped_fault": self.packets_dropped_fault,
+            "packets_dropped_noroute": self.packets_dropped_noroute,
+            "packets_duplicated": self.packets_duplicated,
+            "packets_delayed": self.packets_delayed,
+        }
+
     # -- topology --------------------------------------------------------
 
     def add_host(

@@ -1,13 +1,17 @@
-"""repro.obs: zero-dependency tracing, metrics, and invariant checking.
+"""repro.obs: zero-dependency tracing, telemetry, and invariant checking.
 
-The observability subsystem for the Slice reproduction:
+The observability subsystem for the Slice reproduction.  Counting is not
+part of it: each component keeps its own cumulative counts and reports
+them from ``counters()`` next to its ``gauges()``, and
+:meth:`SliceCluster.counters <repro.ensemble.cluster.SliceCluster.counters>`
+gathers them under ``"scope.name"`` keys, traced or not.
 
 - :mod:`repro.obs.trace` — :class:`Tracer`, per-exchange span trees
   threaded through the µproxy, the simulated fabric, the RPC servers, and
   the coordinator's intention log (off by default; attach one to a
-  :class:`~repro.ensemble.cluster.SliceCluster` to enable).
-- :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, per-component
-  counters/histograms that dump through the benchmark table formatter.
+  :class:`~repro.ensemble.cluster.SliceCluster` to enable).  It keeps
+  only the counts that need trace context (route reasons, absorptions,
+  splits) and the per-component server handle-time histograms.
 - :mod:`repro.obs.checker` — :class:`TraceChecker`, which replays
   completed traces and asserts cross-site protocol invariants, turning
   any end-to-end test into a correctness oracle.
@@ -18,7 +22,7 @@ The latency-anatomy layer builds on those primitives:
   exchange's latency into phases that tile the interval exactly.
 - :mod:`repro.obs.timeseries` — ring-buffered sampling, on a
   simulated-clock cadence, of each component's ``gauges()`` reading and
-  of counter rates; no tracer is needed.
+  of its ``counters()`` rates; no tracer is needed.
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto),
   Prometheus text exposition, and a JSONL structured log.
 - :mod:`repro.obs.dash` (``python -m repro.obs.dash``) — terminal
@@ -40,7 +44,6 @@ from .export import (
     read_jsonl,
     write_jsonl,
 )
-from .metrics import MetricsRegistry, MetricsScope
 from .timeseries import RingBuffer, TimeSeriesSampler
 from .trace import ExchangeTrace, Span, Tracer, all_tracers
 
@@ -48,8 +51,6 @@ __all__ = [
     "AnatomyReport",
     "ExchangeTrace",
     "InvariantViolation",
-    "MetricsRegistry",
-    "MetricsScope",
     "RingBuffer",
     "Span",
     "TimeSeriesSampler",

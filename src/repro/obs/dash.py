@@ -1,6 +1,7 @@
 """Terminal dashboard: phase breakdowns, sparkline time-series, slow log.
 
-Render a live traced cluster::
+Render a live cluster (the anatomy and handle-time tables need a tracer;
+counters and time-series do not)::
 
     from repro.obs.dash import render_live
     print(render_live(cluster))
@@ -12,8 +13,9 @@ or exported telemetry from the command line::
     python -m repro.obs.dash --demo                  # built-in traced run
 
 The demo builds a small traced cluster, runs a scaled-down untar plus a
-bulk dd write, and renders everything this PR adds: the critical-path
-anatomy tables, per-component gauge sparklines, and the slow-request log.
+bulk dd write, and renders all of it: the critical-path anatomy tables,
+the slow-request log, per-component gauge and counter-rate sparklines,
+and the counter and handle-time tables.
 """
 
 from __future__ import annotations
@@ -139,20 +141,29 @@ def render_anatomy(report_dict: Dict, width: int = 40) -> str:
 
 def render_live(cluster, width: int = 48, top_k: int = 8,
                 include: Optional[str] = None) -> str:
-    """One full dashboard for a live traced cluster."""
+    """One full dashboard for a live cluster, traced or not.
+
+    Counters and any time-series come from the components; the anatomy
+    tables and the ``handle_s`` histograms are added when a tracer is
+    attached.
+    """
+    from repro.metrics.report import metric_tables
+
     from .anatomy import analyze
 
-    if cluster.tracer is None:
-        return "(cluster has no tracer: pass tracer=Tracer())"
-    parts = [analyze(cluster.tracer, top_k=top_k).format_tables()]
-    sampler = getattr(cluster, "telemetry", None)
+    tracer = cluster.tracer
+    parts = []
+    if tracer is not None:
+        parts.append(analyze(tracer, top_k=top_k).format_tables())
+    sampler = cluster.telemetry
     if sampler is not None and sampler.series:
         parts.append("== time-series (gauges & rates) ==")
         parts.append(
             render_timeseries(sampler.series_dict(), width=width,
                               include=include)
         )
-    parts.append(cluster.tracer.metrics.format_tables())
+    histograms = tracer.histograms if tracer is not None else None
+    parts.append(metric_tables(cluster.counters(), histograms))
     return "\n\n".join(parts)
 
 

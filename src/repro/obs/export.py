@@ -6,10 +6,10 @@ Three interchange formats, all writable from one traced run:
   trace-event JSON — load the file at ``ui.perfetto.dev`` (or
   ``chrome://tracing``) and the whole cluster appears as one timeline,
   one process row per component, one track per exchange.
-- :func:`prometheus_text` renders a :class:`~repro.obs.metrics.MetricsRegistry`
-  and a ``{"scope.name": value}`` gauge reading in the Prometheus text
-  exposition format (counters, gauges, and histogram→summary families
-  labelled by component).
+- :func:`prometheus_text` renders flat ``{"scope.name": ...}`` counter,
+  gauge and histogram dicts in the Prometheus text exposition format
+  (counter, gauge, and histogram→summary families labelled by
+  component).
 - :func:`jsonl_events` / :func:`write_jsonl` / :func:`read_jsonl` give a
   structured event log that round-trips losslessly through JSON lines.
 
@@ -142,52 +142,55 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def prometheus_text(registry, gauges: Optional[Dict[str, float]] = None,
-                    prefix: str = "repro") -> str:
-    """Render a metrics registry in Prometheus text exposition format.
+def _families(flat: Optional[Dict]) -> Dict[str, List]:
+    """Group ``{"scope.name": value}`` by name: ``{name: [(scope, value)]}``.
 
-    Scopes become a ``component`` label; counters gain the conventional
-    ``_total`` suffix; histograms are exposed as summaries (quantile
-    series plus ``_count``/``_sum``).  ``gauges`` (e.g.
-    ``cluster.gauges()``) maps ``"scope.name"`` to a reading; each name
-    becomes a gauge family labelled by its scope.
+    The key splits at its first dot, so a dotted name such as
+    ``uproxy.route.mkdir-switch`` keeps scope ``uproxy``.  Scopes are
+    sorted within each family.
     """
-    # Group per metric name so each family gets exactly one TYPE line.
-    counters: Dict[str, List] = {}
-    gauge_families: Dict[str, List] = {}
-    summaries: Dict[str, List] = {}
-    for key, value in (gauges or {}).items():
-        scope, _, name = key.rpartition(".")
-        gauge_families.setdefault(name, []).append(
-            (_escape_label(scope), float(value))
-        )
-    for scope in sorted(registry.scopes.values(), key=lambda s: s.name):
-        label = _escape_label(scope.name)
-        for name in sorted(scope.counters):
-            counters.setdefault(name, []).append(
-                (label, scope.counters[name].value)
-            )
-        for name in sorted(scope.histograms):
-            summaries.setdefault(name, []).append(
-                (label, scope.histograms[name])
-            )
+    families: Dict[str, List] = {}
+    for key, value in (flat or {}).items():
+        scope, dot, name = key.partition(".")
+        if not dot:
+            scope, name = "", key
+        families.setdefault(name, []).append((_escape_label(scope), value))
+    for entries in families.values():
+        entries.sort(key=lambda entry: entry[0])
+    return families
+
+
+def prometheus_text(counters: Optional[Dict[str, int]] = None,
+                    gauges: Optional[Dict[str, float]] = None,
+                    histograms: Optional[Dict] = None,
+                    prefix: str = "repro") -> str:
+    """Render flat metric dicts in Prometheus text exposition format.
+
+    Each argument maps ``"scope.name"`` to a value: ``counters`` (e.g.
+    ``cluster.counters()``) to a cumulative count, ``gauges`` (e.g.
+    ``cluster.gauges()``) to a reading, and ``histograms`` (e.g.
+    ``tracer.histograms``) to a
+    :class:`~repro.metrics.stats.LatencyRecorder`.  Each name becomes one
+    family labelled by ``component`` (the scope); counters gain the
+    conventional ``_total`` suffix and histograms are exposed as
+    summaries (quantile series plus ``_count``/``_sum``).
+    """
     lines: List[str] = []
-    for name in sorted(counters):
-        metric = f"{prefix}_{_prom_name(name)}_total"
-        lines.append(f"# TYPE {metric} counter")
-        for label, value in counters[name]:
-            lines.append(f'{metric}{{component="{label}"}} {value}')
-    for name in sorted(gauge_families):
-        metric = f"{prefix}_{_prom_name(name)}"
-        lines.append(f"# TYPE {metric} gauge")
-        for label, value in sorted(gauge_families[name]):
-            lines.append(
-                f'{metric}{{component="{label}"}} {_prom_value(value)}'
-            )
-    for name in sorted(summaries):
+    for flat, kind, suffix in ((counters, "counter", "_total"),
+                               (gauges, "gauge", "")):
+        families = _families(flat)
+        for name in sorted(families):
+            metric = f"{prefix}_{_prom_name(name)}{suffix}"
+            lines.append(f"# TYPE {metric} {kind}")
+            for label, value in families[name]:
+                lines.append(
+                    f'{metric}{{component="{label}"}} {_prom_value(value)}'
+                )
+    families = _families(histograms)
+    for name in sorted(families):
         metric = f"{prefix}_{_prom_name(name)}"
         lines.append(f"# TYPE {metric} summary")
-        for label, hist in summaries[name]:
+        for label, hist in families[name]:
             for q in (0.5, 0.95, 0.99):
                 lines.append(
                     f'{metric}{{component="{label}",quantile="{q}"}} '
@@ -246,7 +249,13 @@ def jsonl_events(tracer) -> Iterator[Dict]:
     for ts, name, attrs in tracer.faults_injected:
         yield {"type": "fault", "ts": ts, "name": name,
                "attrs": _safe_attrs(dict(attrs))}
-    yield {"type": "metrics", "snapshot": tracer.metrics.snapshot()}
+    yield {
+        "type": "metrics",
+        "counts": dict(tracer.counts),
+        "histograms": {
+            name: hist.summary() for name, hist in tracer.histograms.items()
+        },
+    }
 
 
 def write_jsonl(path_or_file: Union[str, IO], events: Iterator[Dict]) -> int:
@@ -288,8 +297,9 @@ def export_bundle(tracer, out_dir: str, sampler=None,
     Files: ``trace.json`` (Perfetto), ``metrics.prom`` (Prometheus),
     ``events.jsonl`` (structured log), ``anatomy.json`` (critical-path
     report), and — when a :class:`~repro.obs.timeseries.TimeSeriesSampler`
-    is given — ``timeseries.json``.  ``metrics.prom`` carries gauges only
-    with a sampler: they are its current ``read()``.
+    is given — ``timeseries.json``.  ``metrics.prom`` carries the tracer's
+    counts and handle-time histograms; with a sampler it also carries the
+    sampler's current ``read()`` as gauges and its ``counters()``.
     """
     from .anatomy import analyze
 
@@ -302,9 +312,14 @@ def export_bundle(tracer, out_dir: str, sampler=None,
     paths["trace"] = trace_path
 
     prom_path = os.path.join(out_dir, "metrics.prom")
+    counters = dict(tracer.counts)
+    gauges = None
+    if sampler is not None:
+        gauges = sampler.read()
+        if sampler.counters is not None:
+            counters.update(sampler.counters())
     with open(prom_path, "w") as fh:
-        gauges = sampler.read() if sampler is not None else None
-        fh.write(prometheus_text(tracer.metrics, gauges))
+        fh.write(prometheus_text(counters, gauges, tracer.histograms))
     paths["metrics"] = prom_path
 
     jsonl_path = os.path.join(out_dir, "events.jsonl")

@@ -8,7 +8,7 @@ interval into bounded ring buffers.
 
 Usage::
 
-    sampler = TimeSeriesSampler(sim, cluster.gauges, tracer.metrics,
+    sampler = TimeSeriesSampler(sim, cluster.gauges, cluster.counters,
                                 interval=0.05)
     sampler.start()
     ... run workload ...
@@ -17,9 +17,12 @@ Usage::
 ``read`` is any callable returning ``{"scope.name": value}``, such as
 :meth:`SliceCluster.gauges <repro.ensemble.cluster.SliceCluster.gauges>`.
 It runs once per tick and components only compute their readings then,
-so the hot paths pay nothing.  When a metrics registry is given, its
-counters are differentiated into per-second rates (``name:rate`` series)
-so throughput curves come for free.
+so the hot paths pay nothing.  ``counters``, when given, is a callable of
+the same shape returning cumulative counts, such as
+:meth:`SliceCluster.counters
+<repro.ensemble.cluster.SliceCluster.counters>`; each count is
+differentiated into a per-second rate (a ``name:rate`` series) so
+throughput curves come for free.
 """
 
 from __future__ import annotations
@@ -72,22 +75,23 @@ class RingBuffer:
 
 
 class TimeSeriesSampler:
-    """Samples ``read()`` (and a registry's counter rates) periodically.
+    """Samples ``read()`` (and the rates of ``counters()``) periodically.
 
-    Each tick records every reading and, when ``registry`` is given, every
-    counter's per-second rate (first difference over the interval) into
+    Each tick records every reading and, when ``counters`` is given, every
+    count's per-second rate (first difference over the interval) into
     per-metric ring buffers.  The sampling loop is an ordinary sim
     process, so the cadence is *simulated* seconds — deterministic across
     runs.
     """
 
     def __init__(self, sim, read: Callable[[], Dict[str, float]],
-                 registry=None, interval: float = 0.05, maxlen: int = 512):
+                 counters: Optional[Callable[[], Dict[str, int]]] = None,
+                 interval: float = 0.05, maxlen: int = 512):
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval}")
         self.sim = sim
         self.read = read
-        self.registry = registry
+        self.counters = counters
         self.interval = interval
         self.maxlen = maxlen
         self.series: Dict[str, RingBuffer] = {}
@@ -132,17 +136,16 @@ class TimeSeriesSampler:
         now = self.sim.now
         for name, value in self.read().items():
             self._buf(name).append(now, float(value))
-        if self.registry is not None:
-            for scope in self.registry:
-                for cname, counter in scope.counters.items():
-                    key = f"{scope.name}.{cname}"
-                    value = counter.value
-                    prev = self._prev_counters.get(key)
-                    self._prev_counters[key] = value
-                    if prev is None:
-                        continue  # no interval to differentiate over yet
-                    rate = (value - prev) / self.interval
-                    self._buf(f"{key}:rate").append(now, rate)
+        if self.counters is not None:
+            counts = self.counters()
+            prev_counts = self._prev_counters
+            for key, value in counts.items():
+                prev = prev_counts.get(key)
+                if prev is None:
+                    continue  # no interval to differentiate over yet
+                rate = (value - prev) / self.interval
+                self._buf(key + ":rate").append(now, rate)
+            self._prev_counters = dict(counts)
         self.samples_taken += 1
 
     # -- export ------------------------------------------------------------

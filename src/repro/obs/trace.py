@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from .metrics import MetricsRegistry
+from repro.metrics.stats import LatencyRecorder
 
 __all__ = ["Span", "ExchangeTrace", "Tracer", "all_tracers"]
 
@@ -187,24 +187,31 @@ INTENT_RECOVERED = "recovered"
 
 
 class Tracer:
-    """Collects exchange traces, intent lifecycles, and component metrics.
+    """Collects exchange traces, intent lifecycles, and the few counts that
+    need trace context.
+
+    Components count their own work (see their ``counters()`` methods);
+    the tracer keeps only what a component cannot see: route reasons,
+    absorptions and split kinds in :attr:`counts`, and per-component
+    server handle times in :attr:`histograms`.
 
     One tracer per cluster.  All record methods are safe to call from any
     simulated process; nothing here yields or blocks.
     """
 
-    #: Reservoir cap applied to histograms in a tracer-owned registry: a
-    #: tracer rides along on arbitrarily long chaos runs, so its latency
-    #: histograms must be bounded (mean/max stay exact; see
+    #: Reservoir cap of every handle-time histogram: a tracer rides along
+    #: on arbitrarily long chaos runs, so its latency histograms must be
+    #: bounded (mean/max stay exact; see
     #: :class:`repro.metrics.stats.LatencyRecorder`).
     HISTOGRAM_RESERVOIR = 4096
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 capacity: int = 1 << 18, keep_component_events: int = 4096):
-        self.metrics = metrics or MetricsRegistry(
-            histogram_reservoir=self.HISTOGRAM_RESERVOIR
-        )
+    def __init__(self, capacity: int = 1 << 18):
         self.capacity = capacity
+        #: ``"uproxy.route.<reason>"``, ``"uproxy.absorb.<what>"`` and
+        #: ``"uproxy.split.<kind>"`` -> count.
+        self.counts: Counter = Counter()
+        #: ``"<component>.handle_s"`` -> server handle-time recorder.
+        self.histograms: Dict[str, LatencyRecorder] = {}
         self.exchanges: "OrderedDict[Tuple, ExchangeTrace]" = OrderedDict()
         self._by_tid: Dict[int, Tuple] = {}
         self._tid_counter = itertools.count(1)
@@ -230,8 +237,6 @@ class Tracer:
         # Injected faults, in order: (ts, name, attrs) — part of the run's
         # deterministic digest, so two runs agree on the adversary too.
         self.faults_injected: List[Tuple[float, str, Tuple]] = []
-        # Small ring of free-form component events (debugging aid).
-        self.component_events = deque(maxlen=keep_component_events)
         # -- reconfiguration ledgers (see repro.reconfig) -------------------
         # Epochs installed at the config service, in install order:
         # (ts, epoch, moves) — the reconfig-epoch-monotonic invariant's
@@ -280,7 +285,6 @@ class Tracer:
         exchange = self._get_or_create(client, xid, ts)
         exchange.proc = proc
         exchange.new_call(ts, proc=proc, size=size)
-        self.metrics.scope("uproxy").inc("calls_intercepted")
         return exchange.trace_id
 
     def route(self, client, xid: int, ts: float, dst, reason: str,
@@ -293,7 +297,7 @@ class Tracer:
             attrs["site"] = site
         exchange.add("uproxy", "route", ts, parent=exchange.current_call,
                      dst=str(dst), reason=reason, **attrs)
-        self.metrics.scope("uproxy").inc(f"route.{reason}")
+        self.counts["uproxy.route." + reason] += 1
 
     def absorb(self, client, xid: int, ts: float, what: str, **attrs) -> None:
         """The µproxy absorbed the request (it will synthesize the reply)."""
@@ -302,7 +306,7 @@ class Tracer:
             return
         exchange.add("uproxy", "absorb", ts, parent=exchange.current_call,
                      what=what, **attrs)
-        self.metrics.scope("uproxy").inc(f"absorb.{what}")
+        self.counts["uproxy.absorb." + what] += 1
 
     def split(self, client, xid: int, ts: float, kind: str, offset: int,
               count: int, segments: List[Tuple[int, int]]) -> Optional[Span]:
@@ -316,7 +320,7 @@ class Tracer:
             "uproxy", "split", ts, parent=exchange.current_call,
             kind=kind, offset=offset, count=count, segments=len(segs),
         )
-        self.metrics.scope("uproxy").inc(f"split.{kind}")
+        self.counts["uproxy.split." + kind] += 1
         return span
 
     def segment(self, client, xid: int, ts: float, offset: int, length: int,
@@ -337,10 +341,6 @@ class Tracer:
             return
         exchange.n_replies += 1
         exchange.add("uproxy", "reply", ts, synthesized=synthesized, **attrs)
-        scope = self.metrics.scope("uproxy")
-        scope.inc("replies_returned")
-        if synthesized:
-            scope.inc("replies_synthesized")
         if exchange.root.end_ts is None:
             exchange.root.finish(ts)
 
@@ -349,7 +349,6 @@ class Tracer:
         if exchange is not None:
             exchange.add("uproxy", "misdirected", ts,
                          parent=exchange.current_call)
-        self.metrics.scope("uproxy").inc("misdirects")
 
     def rewrite_check(self, pkt, where: str) -> None:
         """Record a rewritten packet's incremental checksum next to a full
@@ -365,23 +364,18 @@ class Tracer:
         exchange.rewrite_checks.append(
             (where, pkt.cksum, pkt.compute_checksum())
         )
-        self.metrics.scope("uproxy").inc("rewrites_checked")
 
     # ------------------------------------------------------------------
     # network side
     # ------------------------------------------------------------------
 
     def packet_delivered(self, pkt, ts: float) -> None:
-        scope = self.metrics.scope("net")
-        scope.inc("packets_delivered")
-        scope.inc("bytes_delivered", pkt.size)
         self.packets_checked += 1
         if pkt.cksum is not None and not pkt.checksum_ok():
             self.checksum_failures.append(
                 f"{pkt!r} cksum={pkt.cksum:#06x} "
                 f"recomputed={pkt.compute_checksum():#06x}"
             )
-            scope.inc("checksum_failures")
         key = self._by_tid.get(pkt.trace_id)
         if key is not None:
             exchange = self.exchanges.get(key)
@@ -391,7 +385,6 @@ class Tracer:
                              size=pkt.size)
 
     def packet_dropped(self, pkt, ts: float, reason: str = "fault") -> None:
-        self.metrics.scope("net").inc(f"packets_dropped.{reason}")
         key = self._by_tid.get(pkt.trace_id)
         if key is not None:
             exchange = self.exchanges.get(key)
@@ -405,7 +398,6 @@ class Tracer:
 
     def server_begin(self, component: str, trace_id: int, proc: int,
                      ts: float) -> Optional[Span]:
-        self.metrics.scope(component).inc("requests_handled")
         key = self._by_tid.get(trace_id)
         if key is None:
             return None
@@ -418,7 +410,12 @@ class Tracer:
         if span is None:
             return
         span.finish(ts, **attrs)
-        self.metrics.scope(span.component).observe("handle_s", span.duration)
+        key = span.component + ".handle_s"
+        hist = self.histograms.get(key)
+        if hist is None:
+            hist = LatencyRecorder(key, reservoir=self.HISTOGRAM_RESERVOIR)
+            self.histograms[key] = hist
+        hist.record(span.duration)
 
     # ------------------------------------------------------------------
     # coordinator intention-log lifecycle
@@ -434,7 +431,6 @@ class Tracer:
             self.intent_times[op_id] = [ts, None]
         else:
             times[1] = None  # replay re-opened it: hold extends
-        self.metrics.scope("coord").inc("intents_logged")
 
     def _close_intent(self, op_id: int, state: str, ts: float) -> None:
         prev = self.intents.get(op_id)
@@ -447,18 +443,12 @@ class Tracer:
             self.intent_times[op_id] = [ts, ts]
         elif times[1] is None:
             times[1] = ts
-            if times[0] is not None:
-                self.metrics.scope("coord").observe(
-                    "intent_hold_s", max(0.0, ts - times[0])
-                )
 
     def intent_completed(self, op_id: int, ts: float) -> None:
         self._close_intent(op_id, INTENT_COMPLETED, ts)
-        self.metrics.scope("coord").inc("intents_completed")
 
     def intent_recovered(self, op_id: int, ts: float) -> None:
         self._close_intent(op_id, INTENT_RECOVERED, ts)
-        self.metrics.scope("coord").inc("intents_recovered")
 
     def open_intents(self) -> List[int]:
         return [op_id for op_id, (state, _k) in self.intents.items()
@@ -470,7 +460,6 @@ class Tracer:
 
     def fault_injected(self, name: str, ts: float, **attrs) -> None:
         """A chaos-engine fault fired (drop/dup/reorder/crash/...)."""
-        self.metrics.scope("faults").inc(name)
         self.faults_injected.append(
             (ts, name, tuple(sorted(attrs.items())))
         )
@@ -482,16 +471,11 @@ class Tracer:
         self.wal_crashes.append(
             (log_name, stable_before, survivors, appended, ts)
         )
-        self.metrics.scope("wal").inc("crashes")
-        if survivors > stable_before:
-            self.metrics.scope("wal").inc("torn_tail_records",
-                                          survivors - stable_before)
 
     def duplicate_execution(self, component: str, key, ts: float) -> None:
         """An RPC server ran the same (client, xid) twice in one boot epoch
         — a violation of at-most-once execution the checker will flag."""
         self.duplicate_executions.append((component, key, ts))
-        self.metrics.scope(component).inc("duplicate_executions")
 
     # ------------------------------------------------------------------
     # reconfiguration lifecycle (see repro.reconfig)
@@ -501,23 +485,16 @@ class Tracer:
                          moves=()) -> None:
         """The config service installed a new binding generation."""
         self.epochs_installed.append((ts, epoch, tuple(moves)))
-        scope = self.metrics.scope("reconfig")
-        scope.inc("rebinds_installed")
-        scope.inc("sites_moved", len(tuple(moves)))
 
     def migration_started(self, object_id: bytes, site: int, src, dst,
                           ts: float) -> None:
         """The rebalancer began moving one (object, site) placement."""
         self.migrations[(object_id.hex(), site)] = "open"
-        self.metrics.scope("reconfig").inc("migrations_started")
 
-    def migration_finished(self, object_id: bytes, site: int, ts: float,
-                           bytes_moved: int = 0) -> None:
+    def migration_finished(self, object_id: bytes, site: int,
+                           ts: float) -> None:
         """One (object, site) placement finished moving."""
         self.migrations[(object_id.hex(), site)] = "done"
-        scope = self.metrics.scope("reconfig")
-        scope.inc("migrations_finished")
-        scope.inc("bytes_migrated", bytes_moved)
 
     def stale_write_accepted(self, component: str, object_id: bytes,
                              site: int, ts: float) -> None:
@@ -525,21 +502,10 @@ class Tracer:
         that write is stranded on a server the routing tables no longer
         name, i.e. a lost write.  Must never happen."""
         self.stale_writes.append((component, object_id.hex(), site, ts))
-        self.metrics.scope("reconfig").inc("stale_writes_accepted")
 
     def open_migrations(self) -> List[Tuple[str, int]]:
         return [unit for unit, state in self.migrations.items()
                 if state == "open"]
-
-    # ------------------------------------------------------------------
-    # free-form component events
-    # ------------------------------------------------------------------
-
-    def event(self, component: str, name: str, ts: float = 0.0,
-              **attrs) -> None:
-        """Counter bump plus a bounded ring entry for debugging."""
-        self.metrics.scope(component).inc(name)
-        self.component_events.append((ts, component, name, attrs))
 
     # ------------------------------------------------------------------
     # summaries

@@ -225,9 +225,7 @@ class Rebalancer:
         report.units_moved += 1
         report.bytes_moved += moved
         if tracer is not None:
-            tracer.migration_finished(
-                unit.object_id, unit.site, self.sim.now, bytes_moved=moved
-            )
+            tracer.migration_finished(unit.object_id, unit.site, self.sim.now)
 
     def _coordinator(self) -> Optional[Address]:
         addrs = getattr(self.cluster, "coordinator_addrs", None)

@@ -207,6 +207,14 @@ class RpcServer:
     def register(self, prog: int, service) -> None:
         self.services[prog] = service
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative request counts of this endpoint."""
+        return {
+            "requests_handled": self.requests_handled,
+            "duplicates_dropped": self.duplicates_dropped,
+            "duplicates_replayed": self.duplicates_replayed,
+        }
+
     def clear_duplicate_cache(self) -> None:
         """Forget all cached replies (server reboot = new boot epoch)."""
         self._drc.clear()

@@ -203,6 +203,18 @@ class SmallFileServer:
             "cpu_util": self.host.cpu.utilization(),
         }
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative counts since construction."""
+        return {
+            **self.server.counters(),
+            "reads": self.reads,
+            "writes": self.writes,
+            "backing_reads": self.backing_reads,
+            "backing_writes": self.backing_writes,
+            "cache_hits": self.cache.hits,
+            "cache_misses": self.cache.misses,
+        }
+
     def _new_verf(self) -> int:
         digest = hashlib.md5(
             f"sf:{self.host.name}:{self._boot_count}".encode()

@@ -98,6 +98,14 @@ class Coordinator:
             "cpu_util": self.host.cpu.utilization(),
         }
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative counts since construction."""
+        return {
+            **self.server.counters(),
+            "intents_logged": self.intents_logged,
+            "recoveries": self.recoveries,
+        }
+
     # -- placement policy ---------------------------------------------------
 
     def place_block(self, fh: bytes, block: int) -> int:

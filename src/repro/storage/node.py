@@ -175,6 +175,22 @@ class StorageNode:
             "dirty_blocks": sum(len(b) for b in self._dirty.values()),
         }
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative counts since construction."""
+        return {
+            **self.server.counters(),
+            "reads": self.reads,
+            "writes": self.writes,
+            "bytes_read": self.bytes_read,
+            "bytes_written": self.bytes_written,
+            "misdirects": self.misdirects,
+            "migrate_reads": self.migrate_reads,
+            "migrate_writes": self.migrate_writes,
+            "cache_hits": self.cache.hits,
+            "cache_misses": self.cache.misses,
+            "disk_seeks": sum(d.seeks for d in self.array.disks),
+        }
+
     def _new_verf(self) -> int:
         digest = hashlib.md5(
             f"{self.host.name}:boot:{self._boot_count}".encode()
@@ -270,10 +286,6 @@ class StorageNode:
         mine = sites & self.hosted_sites
         if not mine:
             self.misdirects += 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    f"storage:{self.host.name}", "misdirected", self.sim.now
-                )
             return True, ()
         return False, mine
 

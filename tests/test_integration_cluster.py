@@ -167,7 +167,7 @@ def test_replies_returned_matches_ops_sent_and_tracer():
 
     cluster.run(run())
     assert proxy.commits_absorbed == 2
-    traced = cluster.tracer.metrics.snapshot()["uproxy"]["replies_returned"]
+    traced = cluster.tracer.summary()["replies"]
     assert proxy.replies_returned == client.ops_sent == traced
 
 

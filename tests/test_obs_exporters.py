@@ -104,7 +104,8 @@ _SAMPLE_RE = re.compile(
 
 
 def test_prometheus_text_parses_line_by_line(traced_run):
-    text = prometheus_text(traced_run.tracer.metrics, traced_run.gauges())
+    text = prometheus_text(traced_run.counters(), traced_run.gauges(),
+                           traced_run.tracer.histograms)
     lines = text.splitlines()
     assert lines, "no metrics rendered"
     types_seen = set()
@@ -122,9 +123,15 @@ def test_prometheus_text_parses_line_by_line(traced_run):
 
 
 def test_prometheus_counter_and_summary_families(traced_run):
-    text = prometheus_text(traced_run.tracer.metrics)
+    text = prometheus_text(traced_run.counters(),
+                           histograms=traced_run.tracer.histograms)
     assert re.search(
-        r'repro_calls_intercepted_total\{component="uproxy"\} \d+', text
+        r'repro_requests_routed_total\{component="uproxy:client0"\} \d+',
+        text,
+    )
+    # The tracer's own counts split at the first dot like every key.
+    assert re.search(
+        r'repro_route_name_entry_total\{component="uproxy"\} \d+', text
     )
     # Histogram -> summary: quantiles plus _count/_sum.
     assert 'quantile="0.95"' in text
@@ -136,6 +143,29 @@ def test_prometheus_counter_and_summary_families(traced_run):
         if line.startswith("# TYPE"):
             name = line.split()[2]
         assert re.fullmatch(r"[a-zA-Z_:][a-zA-Z0-9_:]*", name), line
+
+
+def test_prometheus_splits_every_key_at_its_first_dot():
+    from repro.metrics.stats import LatencyRecorder
+
+    hist = LatencyRecorder()
+    hist.record(0.5)
+    text = prometheus_text(
+        {"uproxy.route.mkdir-switch": 3, "uproxy:client0.requests_routed": 4,
+         "undotted": 1},
+        {"storage:store0.disk_util": 0.25, "net.port_sf0_util": 0.5},
+        {"dirsvc:dir0.handle_s": hist},
+    )
+    lines = text.splitlines()
+    assert '# TYPE repro_route_mkdir_switch_total counter' in lines
+    assert 'repro_route_mkdir_switch_total{component="uproxy"} 3' in lines
+    assert ('repro_requests_routed_total{component="uproxy:client0"} 4'
+            in lines)
+    assert 'repro_undotted_total{component=""} 1' in lines
+    assert 'repro_disk_util{component="storage:store0"} 0.25' in lines
+    assert 'repro_port_sf0_util{component="net"} 0.5' in lines
+    assert 'repro_handle_s_count{component="dirsvc:dir0"} 1' in lines
+    assert prometheus_text() == ""
 
 
 # -- JSONL ----------------------------------------------------------------
@@ -152,6 +182,9 @@ def test_jsonl_round_trip(tmp_path, traced_run):
     assert path.read_bytes() == path2.read_bytes()
     kinds = {e["type"] for e in events}
     assert {"meta", "exchange", "span", "metrics"} <= kinds
+    metrics = next(e for e in events if e["type"] == "metrics")
+    assert metrics["counts"] == dict(traced_run.tracer.counts)
+    assert metrics["histograms"]["dirsvc:dir0.handle_s"]["n"] > 0
     spans = [e for e in events if e["type"] == "span"]
     total_spans = sum(
         len(x.spans) for x in traced_run.tracer.exchanges.values()
@@ -174,12 +207,36 @@ def test_export_bundle_writes_everything(tmp_path, traced_run):
     with open(paths["anatomy"]) as fh:
         anatomy = json.load(fh)
     assert anatomy["exchanges"] > 0
-    # With a sampler, metrics.prom carries the cluster's gauge readings.
+    # With a sampler, metrics.prom carries the cluster's counters and
+    # gauge readings next to the tracer's handle-time summaries.
     with open(paths["metrics"]) as fh:
         prom = fh.read()
     assert '# TYPE repro_disk_util gauge' in prom
     assert 'repro_disk_util{component="storage:store0"}' in prom
+    assert '# TYPE repro_packets_delivered_total counter' in prom
+    assert 'repro_route_name_entry_total{component="uproxy"}' in prom
+    assert '# TYPE repro_handle_s summary' in prom
     # The dash CLI renders the bundle without raising.
     from repro.obs.dash import render_file
 
     assert "critical-path anatomy" in render_file(str(out))
+
+
+# -- dashboard ------------------------------------------------------------
+
+
+def test_render_live_without_a_tracer():
+    from repro.obs.dash import render_live
+
+    cluster = SliceCluster(params=ClusterParams(num_storage_nodes=1))
+    cluster.start_telemetry(interval=0.005)
+    client, _proxy = cluster.add_client()
+    untar = UntarWorkload(
+        client, cluster.root_fh, UntarSpec(total_entries=10), seed=3
+    )
+    cluster.run(untar.run(), name="untar")
+    text = render_live(cluster)
+    assert "net.packets_delivered:rate" in text
+    assert "uproxy:client0.requests_routed" in text
+    assert "anatomy" not in text
+    assert "handle_s" not in text

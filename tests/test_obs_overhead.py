@@ -34,14 +34,32 @@ def _run_workload(tracer, telemetry):
     cluster.run(
         dd_write(client, cluster.root_fh, "pay.bin", 2 << 20), name="dd"
     )
-    return cluster.sim.now
+    return cluster.sim.now, _component_counters(cluster)
+
+
+def _component_counters(cluster):
+    """``cluster.counters()`` without the tracer's own ``uproxy.*`` counts."""
+    return {
+        name: value for name, value in cluster.counters().items()
+        if not name.startswith("uproxy.")
+    }
 
 
 def test_tracing_and_telemetry_add_no_simulated_overhead():
-    baseline = _run_workload(tracer=None, telemetry=False)
-    traced = _run_workload(tracer=Tracer(), telemetry=False)
-    telemetered = _run_workload(tracer=Tracer(), telemetry=True)
-    untraced_telemetry = _run_workload(tracer=None, telemetry=True)
+    baseline, counts = _run_workload(tracer=None, telemetry=False)
+    traced, traced_counts = _run_workload(tracer=Tracer(), telemetry=False)
+    telemetered, telemetered_counts = _run_workload(
+        tracer=Tracer(), telemetry=True
+    )
+    untraced_telemetry, untraced_telemetry_counts = _run_workload(
+        tracer=None, telemetry=True
+    )
+    # Observers count nothing on the components' behalf: every component
+    # counter reads the same with or without a tracer or a sampler.
+    assert counts["net.packets_delivered"] > 0
+    assert traced_counts == counts
+    assert telemetered_counts == counts
+    assert untraced_telemetry_counts == counts
     assert baseline > 0.0
     assert abs(traced - baseline) / baseline < OVERHEAD_BUDGET
     assert abs(telemetered - baseline) / baseline < OVERHEAD_BUDGET

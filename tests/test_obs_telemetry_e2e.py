@@ -89,7 +89,8 @@ def test_full_bundle_and_dash(big_run, tmp_path):
     )
     trace = json.load(open(paths["trace"]))
     assert len(trace["traceEvents"]) > 5000
-    text = prometheus_text(big_run.tracer.metrics)
+    text = prometheus_text(big_run.counters(), big_run.gauges(),
+                           big_run.tracer.histograms)
     assert text.count("\n") > 50
     # Both render paths work on the same data.
     live = render_live(big_run)

@@ -1,6 +1,6 @@
 """Time-series telemetry: ring buffers, the sampler's sim-clock cadence,
-cluster gauge readings across components (traced or not), reservoir-capped
-histograms, and the registry snapshot."""
+cluster gauge readings and counter rates across components (traced or
+not), and reservoir-capped histograms."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
 from repro.metrics.stats import LatencyRecorder
 from repro.obs import RingBuffer, TimeSeriesSampler, Tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.workloads.bulkio import dd_write
 from repro.workloads.untar import UntarSpec, UntarWorkload
@@ -43,18 +42,17 @@ def test_ring_buffer_empty():
 
 def test_sampler_cadence_and_counter_rates():
     sim = Simulator()
-    registry = MetricsRegistry()
-    scope = registry.scope("comp")
-    state = {"v": 0.0}
+    state = {"v": 0.0, "ops": 0}
 
     def workload():
         for _ in range(20):
             yield sim.timeout(0.1)
             state["v"] += 1.0
-            scope.inc("ops", 5)
+            state["ops"] += 5
 
     sampler = TimeSeriesSampler(
-        sim, lambda: {"comp.level": state["v"]}, registry,
+        sim, lambda: {"comp.level": state["v"]},
+        lambda: {"comp.ops": state["ops"]},
         interval=0.1, maxlen=8,
     )
     sampler.start()
@@ -201,6 +199,42 @@ SAMPLED_CLUSTER_GAUGES = {
     "uproxy:client0.pending_ops",
 }
 
+# Every counter key of the sampled_cluster fixture, per scope: each
+# component's counters(), the fabric totals and the tracer's own counts.
+_RPC = {"requests_handled", "duplicates_dropped", "duplicates_replayed"}
+_SCOPED_COUNTERS = {
+    "coord:coord0": _RPC | {"intents_logged", "recoveries"},
+    "dirsvc:dir0": _RPC | {"ops_served", "cross_site_ops", "misdirected"},
+    "net": {
+        "packets_delivered", "bytes_delivered", "packets_dropped_fault",
+        "packets_dropped_noroute", "packets_duplicated", "packets_delayed",
+    },
+    "uproxy": {"route.attr-site", "route.mkdir-switch", "route.name-entry",
+               "route.small-file", "route.bulk-write", "route.commit-fanout",
+               "absorb.commit"},
+    "uproxy:client0": {
+        "requests_routed", "replies_returned", "synthesized",
+        "commits_absorbed", "misdirects_seen", "retransmissions",
+        "attr_cache_hits", "attr_cache_misses", "block_map_hits",
+        "block_map_misses",
+    },
+}
+for _sf in ("sf:sf0", "sf:sf1"):
+    _SCOPED_COUNTERS[_sf] = _RPC | {
+        "reads", "writes", "backing_reads", "backing_writes",
+        "cache_hits", "cache_misses",
+    }
+for _store in ("storage:store0", "storage:store1"):
+    _SCOPED_COUNTERS[_store] = _RPC | {
+        "reads", "writes", "bytes_read", "bytes_written", "misdirects",
+        "migrate_reads", "migrate_writes", "cache_hits", "cache_misses",
+        "disk_seeks",
+    }
+SAMPLED_CLUSTER_COUNTERS = {
+    f"{scope}.{name}"
+    for scope, names in _SCOPED_COUNTERS.items() for name in names
+}
+
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +299,22 @@ def test_sampled_cluster_gauge_series_names(sampled_cluster):
     assert gauges == SAMPLED_CLUSTER_GAUGES
 
 
-def test_untraced_cluster_samples_gauges_without_rates():
+def test_sampled_cluster_counter_names_and_rates(sampled_cluster):
+    counters = sampled_cluster.counters()
+    assert set(counters) == SAMPLED_CLUSTER_COUNTERS
+    assert all(isinstance(v, int) and v >= 0 for v in counters.values())
+    series = sampled_cluster.telemetry.series
+    rates = {name for name in series if name.endswith(":rate")}
+    assert rates == {name + ":rate" for name in SAMPLED_CLUSTER_COUNTERS}
+    # Counts are cumulative, so no rate may ever dip below zero.
+    negative = [
+        (name, t, v) for name in rates for t, v in series[name] if v < 0
+    ]
+    assert not negative
+    assert series["net.packets_delivered:rate"].minmax()[1] > 0.0
+
+
+def test_untraced_cluster_samples_gauges_and_rates():
     cluster = SliceCluster(params=ClusterParams(num_storage_nodes=1))
     assert cluster.tracer is None
     cluster.start_telemetry(interval=0.005)
@@ -278,7 +327,11 @@ def test_untraced_cluster_samples_gauges_without_rates():
     assert any(name.startswith("storage:") for name in series)
     assert any(name.startswith("net.port_") for name in series)
     assert "coord.intents_open" not in series
-    assert not [name for name in series if name.endswith(":rate")]
+    # Counter rates come from the components, not from a tracer.
+    rate = series["net.packets_delivered:rate"]
+    assert rate.minmax()[1] > 0.0
+    assert "uproxy:client0.requests_routed:rate" in series
+    assert not [name for name in series if name.startswith("uproxy.")]
 
 
 def test_servers_added_after_start_telemetry_are_sampled():
@@ -356,31 +409,15 @@ def test_reservoir_validation_and_clear():
 
 
 def test_tracer_registry_histograms_are_capped():
+    from repro.net import Address
+
     tracer = Tracer()
     cap = Tracer.HISTOGRAM_RESERVOIR
-    hist = tracer.metrics.scope("storage:x").histogram("handle_s")
-    assert hist.reservoir == cap
+    tid = tracer.call_intercepted(Address("c", 700), 1, 6, 0.0)
     for i in range(cap + 500):
-        hist.record(0.001)
+        span = tracer.server_begin("storage:x", tid, 6, 0.0)
+        tracer.server_end(span, 0.001)
+    hist = tracer.histograms["storage:x.handle_s"]
+    assert hist.reservoir == cap
     assert len(hist.samples) == cap
     assert hist.count == cap + 500
-
-
-# -- registry snapshot -----------------------------------------------------
-
-
-def test_registry_snapshot_merges_all_metric_kinds():
-    registry = MetricsRegistry()
-    scope = registry.scope("uproxy")
-    scope.inc("calls_intercepted", 3)
-    scope.observe("route_s", 0.010)
-    scope.observe("route_s", 0.030)
-    snap = registry.snapshot()
-    view = snap["uproxy"]
-    # Counters keep their historical plain-int shape.
-    assert view["calls_intercepted"] == 3
-    # Histograms appear as summary dicts.
-    assert view["route_s"]["n"] == 2
-    assert view["route_s"]["mean"] == pytest.approx(0.020)
-    assert view["route_s"]["max"] == pytest.approx(0.030)
-    assert set(view["route_s"]) == {"n", "mean", "p50", "p95", "max"}

@@ -1,9 +1,9 @@
-"""Unit tests for the repro.obs tracing + metrics subsystem."""
+"""Unit tests for the repro.obs tracer: spans, ledgers and its own counts."""
 
 import pytest
 
 from repro.net import Address, Packet
-from repro.obs import MetricsRegistry, Tracer, all_tracers
+from repro.obs import Tracer, all_tracers
 from repro.obs.trace import INTENT_COMPLETED, INTENT_OPEN, INTENT_RECOVERED
 
 CLIENT = Address("client0", 700)
@@ -153,42 +153,43 @@ def test_intent_lifecycle():
     assert tracer.intents[0xCC][0] == INTENT_OPEN
 
 
-# -- metrics ------------------------------------------------------------------
-
-
-def test_metrics_scopes_and_snapshot():
-    registry = MetricsRegistry()
-    registry.scope("uproxy:client0").inc("requests_routed")
-    registry.scope("uproxy:client0").inc("requests_routed", 2)
-    registry.scope("storage:store1").observe("handle_s", 0.002)
-    registry.scope("storage:store1").observe("handle_s", 0.004)
-    snap = registry.snapshot()
-    assert snap["uproxy:client0"]["requests_routed"] == 3
-    hist = registry.scope("storage:store1").histogram("handle_s")
-    assert hist.count == 2
-    assert hist.mean() == pytest.approx(0.003)
-
-
-def test_metrics_format_tables():
-    registry = MetricsRegistry()
-    registry.scope("net").inc("packets_delivered", 42)
-    registry.scope("net").observe("latency_s", 0.001)
-    text = registry.format_tables()
-    assert "packets_delivered" in text
-    assert "42" in text
-    assert "latency_s" in text
-    assert MetricsRegistry().format_tables() == "(no metrics recorded)"
+# -- the tracer's own counts and histograms ---------------------------------
 
 
 def test_tracer_metrics_integration():
     tracer = Tracer()
     make_exchange(tracer, xid=41)
     tracer.route(CLIENT, 41, 1.0, Address("sf0", 3050), "small-file")
+    tracer.absorb(CLIENT, 41, 1.1, "commit")
     tracer.reply_sent(CLIENT, 41, 1.2)
-    snap = tracer.metrics.snapshot()
-    assert snap["uproxy"]["calls_intercepted"] == 1
-    assert snap["uproxy"]["route.small-file"] == 1
-    assert snap["uproxy"]["replies_returned"] == 1
+    # Only what needs trace context is counted here; calls and replies
+    # are the µproxy's own counters.
+    assert tracer.counts == {
+        "uproxy.route.small-file": 1,
+        "uproxy.absorb.commit": 1,
+    }
+    span = tracer.server_begin("storage:store1", 0, 6, 2.0)
+    tracer.server_end(span, 2.5)  # trace id 0: no exchange, no span
+    tid = tracer.trace_id_of(CLIENT, 41)
+    tracer.server_end(tracer.server_begin("storage:store1", tid, 6, 2.0),
+                      2.004)
+    hist = tracer.histograms["storage:store1.handle_s"]
+    assert hist.count == 1
+    assert hist.mean() == pytest.approx(0.004)
+
+
+def test_metrics_format_tables():
+    from repro.metrics import LatencyRecorder, metric_tables
+
+    hist = LatencyRecorder("storage:store1.handle_s")
+    hist.record(0.00021)
+    text = metric_tables({"net.packets_delivered": 42},
+                         {"storage:store1.handle_s": hist})
+    assert "net.packets_delivered" in text
+    assert "42" in text
+    # Sub-millisecond seconds keep their significant digits.
+    assert "storage:store1.handle_s" in text and "0.00021" in text
+    assert metric_tables({}) == "(no metrics recorded)"
 
 
 def test_all_tracers_registry_is_weak():

@@ -3,9 +3,11 @@
 Directory servers use "a simple peer-peer protocol to update link counts
 for create/link/remove and mkdir/rmdir operations that cross sites, and to
 follow cross-site links for lookup, getattr/setattr, and readdir".  Cross-
-site *updates* run as two-participant transactions: the serving site
-prepares its peer, logs its own decision, then commits — the two-phase
-commit §3.3.2 prescribes for fixed placement.
+site *updates* run as two-phase commit, the protocol §3.3.2 prescribes for
+fixed placement: the serving site prepares every remote site the update
+touches, logs its own decision, then commits.  A participant left prepared
+asks the coordinator with RESOLVE, which answers committed, aborted or
+still in flight.
 
 Every message is a declared XDR record.  Keys travel as the 16-byte cell
 keys, and cells as :class:`~repro.dirsvc.state.AttrCell` and
@@ -36,7 +38,7 @@ __all__ = [
     "PREPARE_REJECT",
     "RESOLVE_COMMITTED",
     "RESOLVE_ABORTED",
-    "RESOLVE_UNKNOWN",
+    "RESOLVE_IN_FLIGHT",
     "KeyArgs",
     "EntryArgs",
     "CountArgs",
@@ -46,6 +48,7 @@ __all__ = [
     "AdjLink",
     "TouchDir",
     "SetParent",
+    "PutAttr",
     "OP",
     "PrepareArgs",
     "TxidArgs",
@@ -71,8 +74,8 @@ PREPARE_CONFLICT = 1  # busy lock: abort and retry
 PREPARE_REJECT = 2  # semantic validation failed (reason carried alongside)
 
 RESOLVE_COMMITTED = 0
-RESOLVE_ABORTED = 1
-RESOLVE_UNKNOWN = 2
+RESOLVE_ABORTED = 1  # decided abort, or unknown to the coordinator
+RESOLVE_IN_FLIGHT = 2  # not decided yet: ask again later
 
 TXID = xdr.string(64)
 #: An attribute-cell key.
@@ -141,8 +144,10 @@ class AdjLink(NamedTuple):
 
 @xdr.record(KEY, xdr.F64, xdr.I32)
 class TouchDir(NamedTuple):
-    """Advance a directory's mtime and ctime and add ``nlink_delta`` to its
-    link count (never below 1)."""
+    """Advance a directory's mtime and ctime (never back) and add
+    ``nlink_delta`` to its link count.  The count is not clamped: a
+    decrement may commit before the increment it pairs with, and only
+    exact deltas commute."""
 
     key: bytes
     mtime: float
@@ -158,8 +163,15 @@ class SetParent(NamedTuple):
     parent_site: int
 
 
+@xdr.record(xdr.nested(AttrCell))
+class PutAttr(NamedTuple):
+    """Install a new object's attribute cell."""
+
+    cell: AttrCell
+
+
 #: One transaction op: the arm index is its class's place in this list.
-OP = xdr.union(PutName, DelName, AdjLink, TouchDir, SetParent)
+OP = xdr.union(PutName, DelName, AdjLink, TouchDir, SetParent, PutAttr)
 
 
 @xdr.record(TXID, xdr.U32, xdr.U32, xdr.array(OP))

@@ -6,10 +6,18 @@ name-routing policy (mkdir switching or name hashing); the same code base
 serves both because name cells carry remote keys to attribute cells on
 other sites.
 
+Every namespace mutation is one list of typed ops (PutAttr, PutName,
+DelName, AdjLink, TouchDir, SetParent), each bound to the logical site of
+its cell, committed by :meth:`DirectoryServer._mutate` as one transaction
+that the serving site coordinates: one group commit when this server hosts
+every site, else two-phase commit with the remote groups in PREPAREs.
+Local mutations and PREPAREs lock the same keys, and a participant left
+prepared asks the coordinator how the transaction ended, so no lost
+message strands it.
+
 Durability follows the dataless-manager design: every mutation is journaled
 to the site's write-ahead log in shared backing storage and synced (group
-commit) before the reply; cross-site updates run two-phase commit with the
-serving site as coordinator.  Recovery — which the paper's prototype left
+commit) before the reply.  Recovery — which the paper's prototype left
 unimplemented — rebuilds a site from checkpoint + log and resolves in-doubt
 transactions with their coordinators.
 """
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.net import Address, Host
 from repro.nfs import proto
@@ -36,7 +44,7 @@ from repro.nfs.errors import (
     NFS3_OK,
     SLICEERR_MISDIRECTED,
 )
-from repro.nfs.fhandle import FHandle
+from repro.nfs.fhandle import FLAG_MIRRORED, FHandle
 from repro.nfs.types import (
     DirEntry,
     Fattr3,
@@ -90,10 +98,32 @@ class _OpError(Exception):
         self.status = status
 
 
+#: What :meth:`DirectoryServer._commit` returns when a lock was busy.
+_CONFLICT = -1
+
+
+class _Tx:
+    """One namespace mutation at its serving site: the owner of the locks
+    it holds here and, from its first PREPARE on, a transaction that keeps
+    its txid (and so its age) across conflict retries."""
+
+    __slots__ = ("txid", "held", "prepared")
+
+    def __init__(self):
+        self.txid: Optional[str] = None
+        self.held: List[Tuple[KeyLocks, bytes]] = []
+        self.prepared: Dict[int, List[NamedTuple]] = {}  # site -> its ops
+
+
+def _age(txid: str) -> Tuple[int, str]:
+    """Orders transactions by when they first prepared at their
+    coordinator, then by coordinator."""
+    host, number = txid.rsplit(":", 1)
+    return int(number), host
+
+
 class DirectoryServer:
     """One physical directory server hosting one or more logical sites."""
-
-    _txid_counter = itertools.count(1)
 
     def __init__(
         self,
@@ -134,10 +164,18 @@ class DirectoryServer:
         )
         self.sites: Dict[int, SiteState] = {}
         self.locks: Dict[int, KeyLocks] = {}
-        # txid -> "c"/"a", this server acting as transaction coordinator.
-        self.tx_outcomes: Dict[str, str] = {}
-        # txid -> (site_id, ops), this server acting as participant.
-        self.prepared: Dict[str, Tuple[int, List[NamedTuple]]] = {}
+        # Numbered per server, so a run's txids (and message sizes) do not
+        # depend on what else ran in the process.
+        self._txids = itertools.count(1)
+        # As transaction coordinator: the txids decided commit (journaled
+        # as ``tx_decide``), and those not decided yet.
+        self.committed: Set[str] = set()
+        self.in_flight: Set[str] = set()
+        # (txid, site_id) -> ops, this server acting as participant (one
+        # transaction may prepare several sites hosted here).
+        self.prepared: Dict[Tuple[str, int], List[NamedTuple]] = {}
+        # Bumped by every crash: work begun before it must not go on.
+        self.boots = 0
         self.ops_served = 0
         self.cross_site_ops = 0
         self.misdirected = 0
@@ -189,18 +227,19 @@ class DirectoryServer:
             elif op in ("tx_commit", "tx_abort"):
                 pending.pop(record.get("txid"), None)
             elif op == "tx_decide":
-                self.tx_outcomes[record["txid"]] = record["outcome"]
+                self.committed.add(record["txid"])
             else:
                 state.apply_record(record)
         state.finish_recovery()
         self.sites[site_id] = state
-        self.locks[site_id] = KeyLocks(self.sim)
+        self.locks[site_id] = locks = KeyLocks(self.sim)
+        # In-doubt transactions hold their locks again and ask at once: the
+        # COMMIT they waited for may have died with this server.
         for txid, record in pending.items():
-            self.prepared[txid] = (site_id, record["ops"])
-            self.sim.process(
-                self._resolve_in_doubt(txid, site_id, record),
-                name=f"dir-resolve:{self.host.name}",
-            )
+            for key in self._lock_keys(record["ops"]):
+                locks.try_acquire(key, txid)
+            self._hold_prepared(txid, site_id, record["ops"],
+                                record["coord_site"], wait=0.0)
 
     def unload_site(self, site_id: int) -> int:
         """Checkpoint a site and stop hosting it (reconfiguration step).
@@ -236,6 +275,8 @@ class DirectoryServer:
         self.sites.clear()
         self.locks.clear()
         self.prepared.clear()
+        self.in_flight.clear()
+        self.boots += 1
         self.server.clear_duplicate_cache()
 
     def restart(self, site_ids: Optional[List[int]] = None) -> None:
@@ -267,12 +308,6 @@ class DirectoryServer:
     def _log(self, site: int):
         return self.backing.site("dir", site).log
 
-    def _journal(self, site: int, records: List[Dict]):
-        log = self._log(site)
-        for record in records:
-            log.append(record)
-        yield from log.sync()
-
     def _journal_pairs(self, pairs: List[Tuple[int, Dict]]):
         """Journal (site, record) pairs, each to its own site's log, then
         sync every touched log (group commit batches concurrent ops)."""
@@ -295,7 +330,7 @@ class DirectoryServer:
             raise _OpError(NFS3ERR_STALE)
 
     def _new_txid(self) -> str:
-        return f"{self.host.name}:{next(self._txid_counter)}"
+        return f"{self.host.name}:{next(self._txids)}"
 
     # ------------------------------------------------------------------
     # NFS service
@@ -400,14 +435,21 @@ class DirectoryServer:
             yield from ()
             return state.get_attr_cell(key)
         self.cross_site_ops += 1
+        dec = yield from self._peer_call(
+            site, pp.PEER_GET_ATTRS, pp.KeyArgs(site, key))
+        return pp.AttrRes.decode(dec).cell if dec is not None else None
+
+    def _peer_call(self, site: int, proc: int, args):
+        """Generator: one dir-peer call to the server hosting ``site``;
+        returns the reply's decoder, or None when the call timed out."""
         try:
             dec, _ = yield from self.client.call(
                 self.peer_lookup(site), pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                pp.PEER_GET_ATTRS, pp.KeyArgs(site, key).encode(),
+                proc, args.encode(),
             )
         except RpcTimeout:
             return None
-        return pp.AttrRes.decode(dec).cell
+        return dec
 
     # -- readdir -----------------------------------------------------------
 
@@ -509,7 +551,7 @@ class DirectoryServer:
         if sattr.mtime is not None:
             cell.mtime = now if sattr.mtime == "server" else sattr.mtime
         cell.ctime = now
-        yield from self._journal(fh.home_site, [state.put_attr_cell(cell)])
+        yield from self._journal_pairs([(fh.home_site, state.put_attr_cell(cell))])
         if truncating and self.coordinator is not None:
             yield from self._reclaim(fh, truncate_to=sattr.size, remove=False)
         return proto.SetattrRes(NFS3_OK, cell.to_fattr())
@@ -544,10 +586,8 @@ class DirectoryServer:
             raise _OpError(NFS3ERR_NOTDIR)
         site = self.config.entry_site(dir_fh, name)
         state = self._state(site)
-        locks = self.locks[site]
-        name_key = name_key_for(dir_fh.fileid, name)
-        yield from locks.acquire(name_key)
-        try:
+
+        def build():
             existing = state.get_name_cell(dir_fh.fileid, name)
             if existing is not None:
                 if mode != 0:  # GUARDED / EXCLUSIVE
@@ -556,17 +596,9 @@ class DirectoryServer:
                 attr = yield from self._fetch_attrs(
                     existing.target_site, target_fh.key
                 )
-                return proto.CreateRes(
-                    NFS3_OK, target_fh.pack(),
-                    attr.to_fattr() if attr else None,
-                    self._local_dir_attr(dir_fh),
-                )
+                return None, (target_fh, attr)
             now = self._now()
-            flags = 0
-            if ftype == NF3REG and self.mirror_files:
-                from repro.nfs.fhandle import FLAG_MIRRORED
-
-                flags = FLAG_MIRRORED
+            flags = FLAG_MIRRORED if ftype == NF3REG and self.mirror_files else 0
             cell = AttrCell(
                 fileid=state.alloc_fileid(), ftype=ftype,
                 mode=sattr.mode if sattr.mode is not None else 0o644,
@@ -575,56 +607,30 @@ class DirectoryServer:
                 atime=now, mtime=now, ctime=now,
                 flags=flags, home_site=site,
                 symlink_target=linkpath,
+                parent_fileid=dir_fh.fileid, parent_site=dir_fh.home_site,
             )
-            cell.parent_fileid = dir_fh.fileid
-            cell.parent_site = dir_fh.home_site
             name_cell = NameCell(
                 dir_fh.fileid, name, cell.fileid, ftype, flags, site
             )
-            pairs = [
-                (site, state.put_attr_cell(cell)),
-                (site, state.put_name_cell(name_cell)),
+            ops = [
+                (site, pp.PutAttr(cell)),
+                (site, pp.PutName(name_cell, must_not_exist=True)),
+                self._touch(dir_fh, now),
             ]
-            pairs.extend(self._touch_local_dir(dir_fh, now))
-            yield from self._journal_pairs(pairs)
-            yield from self._touch_remote_dir(dir_fh, now)
-            return proto.CreateRes(
-                NFS3_OK, cell.to_fh(self.volume).pack(), cell.to_fattr(),
-                self._local_dir_attr(dir_fh),
-            )
-        finally:
-            locks.release(name_key)
+            return ops, (cell.to_fh(self.volume), cell)
 
-    def _touch_local_dir(self, dir_fh: FHandle, now: float,
-                         nlink_delta: int = 0) -> List[Tuple[int, Dict]]:
-        """Update the parent directory's mtime (and optionally nlink) if its
-        attribute cell is hosted here; returns (site, record) pairs."""
-        state = self.sites.get(dir_fh.home_site)
-        if state is None:
-            return []
-        cell = state.get_attr_cell(dir_fh.key)
-        if cell is None:
-            return []
-        cell.mtime = now
-        cell.ctime = now
-        if nlink_delta:
-            cell.nlink = max(1, cell.nlink + nlink_delta)
-        return [(dir_fh.home_site, state.put_attr_cell(cell))]
+        fh, attr = yield from self._mutate(
+            site, [(site, name_key_for(dir_fh.fileid, name))], build
+        )
+        return proto.CreateRes(
+            NFS3_OK, fh.pack(), attr.to_fattr() if attr else None,
+            self._local_dir_attr(dir_fh),
+        )
 
-    def _touch_remote_dir(self, dir_fh: FHandle, now: float):
-        """Best-effort remote parent mtime update (timestamps are allowed to
-        drift; link counts are not, and go through transactions instead)."""
-        if dir_fh.home_site in self.sites:
-            return
-        self.cross_site_ops += 1
-        try:
-            yield from self.client.call(
-                self.peer_lookup(dir_fh.home_site), pp.SLICE_PEER_PROGRAM,
-                pp.PEER_V1, pp.PEER_TOUCH,
-                pp.TouchArgs(dir_fh.home_site, dir_fh.key, now).encode(),
-            )
-        except RpcTimeout:
-            pass
+    @staticmethod
+    def _touch(dir_fh: FHandle, now: float, nlink_delta: int = 0):
+        """The op advancing a parent directory's mtime (and link count)."""
+        return dir_fh.home_site, pp.TouchDir(dir_fh.key, now, nlink_delta)
 
     def _op_mkdir(self, args):
         dir_fh = self._fh(args.dir_fh)
@@ -632,6 +638,8 @@ class DirectoryServer:
             raise _OpError(NFS3ERR_NOTDIR)
         # The µproxy and the server derive the same (deterministic) mkdir
         # switching decision, so the new directory's home is unambiguous.
+        # When the name entry lives elsewhere the directory is orphaned
+        # (§3.3.2) and the mutation commits across sites.
         site = self.config.mkdir_site(dir_fh, args.name)
         entry_site = self.config.entry_site(dir_fh, args.name)
         state = self._state(site)
@@ -647,45 +655,15 @@ class DirectoryServer:
         name_cell = NameCell(
             dir_fh.fileid, args.name, cell.fileid, NF3DIR, 0, site
         )
+        ops = [
+            (site, pp.PutAttr(cell)),
+            (entry_site, pp.PutName(name_cell, must_not_exist=True)),
+            self._touch(dir_fh, now, 1),
+        ]
+        keys = []
         if entry_site in self.sites:
-            # Name entry hosted here: single-server commit.
-            entry_state = self.sites[entry_site]
-            locks = self.locks[entry_site]
-            name_key = name_key_for(dir_fh.fileid, args.name)
-            yield from locks.acquire(name_key)
-            try:
-                if entry_state.get_name_cell(dir_fh.fileid, args.name):
-                    raise _OpError(NFS3ERR_EXIST)
-                pairs = [
-                    (site, state.put_attr_cell(cell)),
-                    (entry_site, entry_state.put_name_cell(name_cell)),
-                ]
-                pairs.extend(self._touch_local_dir(dir_fh, now, nlink_delta=1))
-                yield from self._journal_pairs(pairs)
-            finally:
-                locks.release(name_key)
-            if dir_fh.home_site not in self.sites:
-                # Parent attributes on a remote server (name hashing):
-                # bump its link count transactionally.
-                status = yield from self._run_remote_tx(
-                    dir_fh.home_site, site, [pp.TouchDir(dir_fh.key, now, 1)],
-                    local_records=lambda: [],
-                )
-                if status != NFS3_OK:
-                    raise _OpError(status)
-        else:
-            # Orphaned directory (§3.3.2): the name entry and parent link
-            # count live on another server — two-phase commit.
-            ops = [
-                pp.PutName(name_cell, must_not_exist=True),
-                pp.TouchDir(dir_fh.key, now, 1),
-            ]
-            status = yield from self._run_remote_tx(
-                entry_site, site, ops,
-                local_records=lambda: [(site, state.put_attr_cell(cell))],
-            )
-            if status != NFS3_OK:
-                raise _OpError(status)
+            keys.append((entry_site, name_key_for(dir_fh.fileid, args.name)))
+        yield from self._mutate(site, keys, ops)
         return proto.MkdirRes(
             NFS3_OK, cell.to_fh(self.volume).pack(), cell.to_fattr(),
             self._local_dir_attr(dir_fh),
@@ -707,10 +685,9 @@ class DirectoryServer:
             raise _OpError(NFS3ERR_NOTDIR)
         site = self.config.entry_site(dir_fh, name)
         state = self._state(site)
-        locks = self.locks[site]
-        name_key = name_key_for(dir_fh.fileid, name)
-        yield from locks.acquire(name_key)
-        try:
+        now = self._now()
+
+        def build():
             cell = state.get_name_cell(dir_fh.fileid, name)
             if cell is None:
                 raise _OpError(NFS3ERR_NOENT)
@@ -718,90 +695,43 @@ class DirectoryServer:
                 raise _OpError(NFS3ERR_NOTDIR)
             if not rmdir and cell.target_ftype == NF3DIR:
                 raise _OpError(NFS3ERR_ISDIR)
-            now = self._now()
-            if rmdir:
-                empty = yield from self._dir_is_empty(cell.target_fileid)
-                if not empty:
-                    raise _OpError(NFS3ERR_NOTEMPTY)
+            if rmdir and not (yield from self._dir_is_empty(cell)):
+                raise _OpError(NFS3ERR_NOTEMPTY)
             key = attr_key_for(cell.target_fileid)
-            delta, parent_delta = (-2, -1) if rmdir else (-1, 0)
-            if cell.target_site in self.sites:
-                pairs = [(site, state.del_name_cell(dir_fh.fileid, name))]
-                pairs += self._adjust_links(cell.target_site, key, delta, now)
-                pairs += self._touch_local_dir(dir_fh, now, parent_delta)
-                yield from self._journal_pairs(pairs)
-            else:
-                status = yield from self._run_remote_tx(
-                    cell.target_site, site, [pp.AdjLink(key, delta, now)],
-                    local_records=lambda: (
-                        [(site, state.del_name_cell(dir_fh.fileid, name))]
-                        + self._touch_local_dir(dir_fh, now, parent_delta)
-                    ),
-                )
-                if status != NFS3_OK:
-                    raise _OpError(status)
-            yield from self._touch_remote_dir(dir_fh, now)
-            return proto.RemoveRes(NFS3_OK, self._local_dir_attr(dir_fh))
-        finally:
-            locks.release(name_key)
+            return [
+                (site, pp.DelName(dir_fh.fileid, name)),
+                (cell.target_site, pp.AdjLink(key, -2 if rmdir else -1, now)),
+                self._touch(dir_fh, now, -1 if rmdir else 0),
+            ], None
 
-    def _adjust_links(self, site: int, key: bytes, delta: int,
-                      ctime: float) -> List[Tuple[int, Dict]]:
-        """Add ``delta`` to a hosted object's link count; a cell left with
-        no links is deleted, and a regular file's data reclaimed."""
-        state = self.sites[site]
-        cell = state.get_attr_cell(key)
-        if cell is None:
-            return []
-        cell.nlink += delta
-        cell.ctime = ctime
-        if cell.nlink <= 0:
-            record = state.del_attr_cell(key)
-            if cell.ftype == NF3REG and self.coordinator is not None:
-                self.sim.process(
-                    self._reclaim(cell.to_fh(self.volume)),
-                    name=f"reclaim:{self.host.name}",
-                )
-            return [(site, record)]
-        return [(site, state.put_attr_cell(cell))]
+        yield from self._mutate(
+            site, [(site, name_key_for(dir_fh.fileid, name))], build
+        )
+        return proto.RemoveRes(NFS3_OK, self._local_dir_attr(dir_fh))
 
-    def _dir_is_empty(self, dir_fileid: int):
-        """Generator: check a directory has no entries on any relevant site."""
+    def _dir_is_empty(self, cell: NameCell):
+        """Generator: True if the directory ``cell`` names has no entries.
+
+        Under mkdir switching they all live at the directory's home site;
+        under name hashing on every site, with one COUNT per other server.
+        """
         if self.config.readdir_spans_sites():
-            sites = list(range(self.config.num_logical_sites))
+            sites = range(self.config.num_logical_sites)
         else:
-            # Entries of a directory live only on its home site.
-            sites = None  # all hosted + the home site (see below)
-        if sites is None:
-            # mkdir switching: every entry of dir is at the dir's home site,
-            # which is where the unlinked attr cell lives.  Check every
-            # hosted site plus (via peers) the home if remote.
-            local_total = sum(
-                state.count_entries(dir_fileid) for state in self.sites.values()
-            )
-            if local_total:
-                return False
-            # The home site may be remote; find it from any name cell?  The
-            # caller holds the target fhandle's site via the name cell; to
-            # keep this simple and correct we also ask all peers.
-            sites = list(range(self.config.num_logical_sites))
+            sites = [cell.target_site]
         by_server: Dict[Address, List[int]] = {}
-        local_count = 0
         for s in sites:
             if s in self.sites:
-                local_count += self.sites[s].count_entries(dir_fileid)
+                if self.sites[s].count_entries(cell.target_fileid):
+                    return False
             else:
                 by_server.setdefault(self.peer_lookup(s), []).append(s)
-        if local_count:
-            return False
-        for addr, remote_sites in by_server.items():
+        for remote_sites in by_server.values():
             self.cross_site_ops += 1
-            try:
-                dec, _ = yield from self.client.call(
-                    addr, pp.SLICE_PEER_PROGRAM, pp.PEER_V1, pp.PEER_COUNT,
-                    pp.CountArgs(dir_fileid, remote_sites).encode(),
-                )
-            except RpcTimeout:
+            dec = yield from self._peer_call(
+                remote_sites[0], pp.PEER_COUNT,
+                pp.CountArgs(cell.target_fileid, remote_sites))
+            if dec is None:
                 raise _OpError(NFS3ERR_JUKEBOX)
             if pp.U32Res.decode(dec).value:
                 return False
@@ -817,51 +747,30 @@ class DirectoryServer:
         if file_fh.ftype == NF3DIR:
             raise _OpError(NFS3ERR_ISDIR)
         site = self.config.entry_site(dir_fh, args.name)
-        state = self._state(site)
-        locks = self.locks[site]
-        name_key = name_key_for(dir_fh.fileid, args.name)
-        yield from locks.acquire(name_key)
-        try:
-            if state.get_name_cell(dir_fh.fileid, args.name):
-                raise _OpError(NFS3ERR_EXIST)
-            now = self._now()
-            name_cell = NameCell(
-                dir_fh.fileid, args.name, file_fh.fileid, file_fh.ftype,
-                file_fh.flags, file_fh.home_site,
-            )
-            if file_fh.home_site in self.sites:
-                target_state = self.sites[file_fh.home_site]
-                cell = target_state.get_attr_cell(file_fh.key)
-                if cell is None:
-                    raise _OpError(NFS3ERR_STALE)
-                cell.nlink += 1
-                cell.ctime = now
-                pairs = [
-                    (site, state.put_name_cell(name_cell)),
-                    (file_fh.home_site, target_state.put_attr_cell(cell)),
-                ]
-                pairs.extend(self._touch_local_dir(dir_fh, now))
-                yield from self._journal_pairs(pairs)
-                file_attr = cell.to_fattr()
-            else:
-                status = yield from self._run_remote_tx(
-                    file_fh.home_site, site, [pp.AdjLink(file_fh.key, 1, now)],
-                    local_records=lambda: (
-                        [(site, state.put_name_cell(name_cell))]
-                        + self._touch_local_dir(dir_fh, now)
-                    ),
-                )
-                if status != NFS3_OK:
-                    raise _OpError(status)
-                attr = yield from self._fetch_attrs(file_fh.home_site, file_fh.key)
-                file_attr = attr.to_fattr() if attr else None
-            yield from self._touch_remote_dir(dir_fh, now)
-            return proto.LinkRes(NFS3_OK, file_attr, self._local_dir_attr(dir_fh))
-        finally:
-            locks.release(name_key)
+        self._state(site)
+        now = self._now()
+        name_cell = NameCell(
+            dir_fh.fileid, args.name, file_fh.fileid, file_fh.ftype,
+            file_fh.flags, file_fh.home_site,
+        )
+        ops = [
+            (site, pp.PutName(name_cell, must_not_exist=True)),
+            (file_fh.home_site, pp.AdjLink(file_fh.key, 1, now)),
+            self._touch(dir_fh, now),
+        ]
+        yield from self._mutate(
+            site, [(site, name_key_for(dir_fh.fileid, args.name))], ops
+        )
+        attr = yield from self._fetch_attrs(file_fh.home_site, file_fh.key)
+        return proto.LinkRes(
+            NFS3_OK, attr.to_fattr() if attr else None,
+            self._local_dir_attr(dir_fh),
+        )
 
     def _op_rename(self, args):
-        """Rename, implemented as link-then-remove across sites (§4.3)."""
+        """Rename: install the new entry, delete the old one, unlink what
+        it overwrites and, for a directory changing parents, move its
+        parent link and pointer, all in one transaction (§4.3)."""
         from_dir = self._fh(args.from_dir)
         to_dir = self._fh(args.to_dir)
         if from_dir.ftype != NF3DIR or to_dir.ftype != NF3DIR:
@@ -869,141 +778,64 @@ class DirectoryServer:
         to_site = self.config.entry_site(to_dir, args.to_name)
         from_site = self.config.entry_site(from_dir, args.from_name)
         state = self._state(to_site)
-        locks = self.locks[to_site]
-        to_key = name_key_for(to_dir.fileid, args.to_name)
-        yield from locks.acquire(to_key)
-        try:
-            # 1. Find the source entry.
+        now = self._now()
+        keys = {(to_site, name_key_for(to_dir.fileid, args.to_name))}
+        if from_site in self.sites:
+            keys.add((from_site, name_key_for(from_dir.fileid, args.from_name)))
+
+        def build():
             if from_site in self.sites:
-                src_cell = self.sites[from_site].get_name_cell(
+                src = self.sites[from_site].get_name_cell(
                     from_dir.fileid, args.from_name
                 )
             else:
-                src_cell = yield from self._peer_get_entry(
+                src = yield from self._peer_get_entry(
                     from_site, from_dir.fileid, args.from_name
                 )
-            if src_cell is None:
+            if src is None:
                 raise _OpError(NFS3ERR_NOENT)
-            now = self._now()
-            same_entry = (
-                from_dir.fileid == to_dir.fileid
-                and args.from_name == args.to_name
-            )
-            if same_entry:
-                return proto.RenameRes(
-                    NFS3_OK, self._local_dir_attr(from_dir),
-                    self._local_dir_attr(to_dir),
-                )
-            # 2. Deal with an existing target entry (overwrite semantics).
+            if (from_dir.fileid, args.from_name) == (to_dir.fileid, args.to_name):
+                return None, None
+            moved = src.target_ftype == NF3DIR and from_dir.fileid != to_dir.fileid
+            ops = [
+                (to_site, pp.PutName(NameCell(
+                    to_dir.fileid, args.to_name, src.target_fileid,
+                    src.target_ftype, src.target_flags, src.target_site,
+                ))),
+                (from_site, pp.DelName(from_dir.fileid, args.from_name)),
+            ]
+            to_links = int(moved)
             existing = state.get_name_cell(to_dir.fileid, args.to_name)
             if existing is not None:
-                if existing.target_ftype == NF3DIR:
-                    empty = yield from self._dir_is_empty(existing.target_fileid)
-                    if not empty:
-                        raise _OpError(NFS3ERR_NOTEMPTY)
-                yield from self._unlink_target(state, existing, now)
-            # 3. Install the new entry locally.
-            new_cell = NameCell(
-                to_dir.fileid, args.to_name, src_cell.target_fileid,
-                src_cell.target_ftype, src_cell.target_flags,
-                src_cell.target_site,
-            )
-            pairs = [(to_site, state.put_name_cell(new_cell))]
-            pairs.extend(self._touch_local_dir(to_dir, now))
-            yield from self._journal_pairs(pairs)
-            # 4. Remove the old entry (locally or via the peer tx).
-            if from_site in self.sites:
-                from_state = self.sites[from_site]
-                pairs = [(
-                    from_site,
-                    from_state.del_name_cell(from_dir.fileid, args.from_name),
-                )]
-                pairs.extend(self._touch_local_dir(from_dir, now))
-                yield from self._journal_pairs(pairs)
-            else:
-                status = yield from self._run_remote_tx(
-                    from_site, to_site,
-                    [pp.DelName(from_dir.fileid, args.from_name)],
-                    local_records=lambda: [],
-                )
-                if status != NFS3_OK:
-                    raise _OpError(status)
-            # 5. Directory link counts & parent pointer for moved dirs.
-            if (
-                src_cell.target_ftype == NF3DIR
-                and from_dir.fileid != to_dir.fileid
-            ):
-                yield from self._move_dir_bookkeeping(
-                    src_cell, from_dir, to_dir, now
-                )
-            yield from self._touch_remote_dir(from_dir, now)
-            yield from self._touch_remote_dir(to_dir, now)
-            return proto.RenameRes(
-                NFS3_OK, self._local_dir_attr(from_dir),
-                self._local_dir_attr(to_dir),
-            )
-        finally:
-            locks.release(to_key)
+                is_dir = existing.target_ftype == NF3DIR
+                if is_dir and not (yield from self._dir_is_empty(existing)):
+                    raise _OpError(NFS3ERR_NOTEMPTY)
+                to_links -= is_dir
+                ops.append((existing.target_site, pp.AdjLink(
+                    attr_key_for(existing.target_fileid), -2 if is_dir else -1,
+                    now,
+                )))
+            if moved:
+                ops.append((src.target_site, pp.SetParent(
+                    attr_key_for(src.target_fileid), to_dir.fileid,
+                    to_dir.home_site,
+                )))
+            if from_dir.fileid != to_dir.fileid:
+                ops.append(self._touch(from_dir, now, -int(moved)))
+            ops.append(self._touch(to_dir, now, to_links))
+            return ops, None
 
-    def _unlink_target(self, state: SiteState, cell: NameCell, now: float):
-        """Drop the object a rename overwrites."""
-        key = attr_key_for(cell.target_fileid)
-        delta = -2 if cell.target_ftype == NF3DIR else -1
-        if cell.target_site in self.sites:
-            pairs = self._adjust_links(cell.target_site, key, delta, now)
-            if pairs:
-                yield from self._journal_pairs(pairs)
-            return
-        status = yield from self._run_remote_tx(
-            cell.target_site, cell.target_site, [pp.AdjLink(key, delta, now)],
-            local_records=lambda: [],
+        yield from self._mutate(to_site, sorted(keys), build)
+        return proto.RenameRes(
+            NFS3_OK, self._local_dir_attr(from_dir),
+            self._local_dir_attr(to_dir),
         )
-        if status != NFS3_OK:
-            raise _OpError(status)
-
-    def _move_dir_bookkeeping(self, src_cell, from_dir, to_dir, now):
-        """A directory moved between parents: fix nlink and parent pointer."""
-        for dfh, delta in ((from_dir, -1), (to_dir, +1)):
-            if dfh.home_site in self.sites:
-                st = self.sites[dfh.home_site]
-                cell = st.get_attr_cell(dfh.key)
-                if cell:
-                    cell.nlink = max(2, cell.nlink + delta)
-                    cell.ctime = now
-                    yield from self._journal(
-                        dfh.home_site, [st.put_attr_cell(cell)]
-                    )
-            else:
-                yield from self._run_remote_tx(
-                    dfh.home_site, dfh.home_site,
-                    [pp.TouchDir(dfh.key, now, delta)], local_records=lambda: [],
-                )
-        # Update the moved directory's parent pointer at its home site.
-        key = attr_key_for(src_cell.target_fileid)
-        if src_cell.target_site in self.sites:
-            st = self.sites[src_cell.target_site]
-            cell = st.get_attr_cell(key)
-            if cell:
-                cell.parent_fileid = to_dir.fileid
-                cell.parent_site = to_dir.home_site
-                yield from self._journal(
-                    src_cell.target_site, [st.put_attr_cell(cell)]
-                )
-        else:
-            yield from self._run_remote_tx(
-                src_cell.target_site, src_cell.target_site,
-                [pp.SetParent(key, to_dir.fileid, to_dir.home_site)],
-                local_records=lambda: [],
-            )
 
     def _peer_get_entry(self, site: int, parent_fileid: int, name: str):
         self.cross_site_ops += 1
-        try:
-            dec, _ = yield from self.client.call(
-                self.peer_lookup(site), pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                pp.PEER_GET_ENTRY, pp.EntryArgs(site, parent_fileid, name).encode(),
-            )
-        except RpcTimeout:
+        dec = yield from self._peer_call(
+            site, pp.PEER_GET_ENTRY, pp.EntryArgs(site, parent_fileid, name))
+        if dec is None:
             raise _OpError(NFS3ERR_JUKEBOX)
         return pp.EntryRes.decode(dec).cell
 
@@ -1033,52 +865,216 @@ class DirectoryServer:
         return proto.PathconfRes(NFS3_OK, self._local_dir_attr(fh))
 
     # ------------------------------------------------------------------
-    # distributed transactions (serving site = coordinator)
+    # namespace transactions (serving site = coordinator)
     # ------------------------------------------------------------------
 
-    def _run_remote_tx(
-        self, remote_site: int, local_site: int, ops: List[NamedTuple],
-        local_records: Callable[[], List[Dict]],
-    ):
-        """Generator: 2PC with one remote participant.
+    def _mutate(self, site: int, keys: List[Tuple[int, bytes]], build):
+        """Generator: run one namespace mutation, coordinated by the serving
+        ``site``; returns ``build``'s value, or raises :class:`_OpError`.
 
-        PREPARE validates and locks at the remote; the local decision record
-        plus local mutations are forced to the local log; COMMIT applies at
-        the remote.  Lock conflicts abort and retry with backoff; validation
-        failures surface as NFS statuses.
+        The ``(site, name key)`` pairs ``keys``, every entry the mutation
+        reads or changes at a site hosted here, are locked before ``build``
+        runs: a generator reading state under them that returns ``(ops,
+        value)``, ops being ``(site, op)`` pairs or None for no change (or
+        ``build`` is the ops list itself).  On a busy lock every lock held
+        here is released before backing off, and the mutation is built
+        again under the same txid (see :meth:`_peer_prepare`).
         """
-        self.cross_site_ops += 1
-        remote_addr = self.peer_lookup(remote_site)
-        for attempt in range(self.params.prepare_retries):
-            txid = self._new_txid()
-            try:
-                dec, _ = yield from self.client.call(
-                    remote_addr, pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                    pp.PEER_PREPARE,
-                    pp.PrepareArgs(txid, remote_site, local_site, ops).encode(),
+        tx = _Tx()
+        boot = self.boots
+        try:
+            for attempt in range(self.params.prepare_retries):
+                for key_site, key in keys:
+                    locks = self.locks[key_site]
+                    yield from locks.acquire(key, tx)
+                    tx.held.append((locks, key))
+                try:
+                    ops, value = ((yield from build()) if callable(build)
+                                  else (build, None))
+                    status = NFS3_OK
+                    if ops is not None:
+                        status = yield from self._commit(site, tx, ops, boot)
+                finally:
+                    for locks, key in tx.held:
+                        locks.release(key)
+                    tx.held.clear()
+                if status == NFS3_OK:
+                    return value
+                if status != _CONFLICT:
+                    raise _OpError(status)
+                yield self.sim.timeout(self.params.retry_backoff * (attempt + 1))
+                if self.boots != boot:
+                    break  # crashed while backing off: retry nothing
+            raise _OpError(NFS3ERR_JUKEBOX)
+        finally:
+            self.in_flight.discard(tx.txid)
+
+    def _commit(self, site: int, tx: _Tx, ops, boot: int):
+        """Generator: commit one mutation's ``(site, op)`` pairs, grouped by
+        site; returns an NFS status, or ``_CONFLICT`` on a busy lock.
+
+        Groups hosted here lock, validate and apply (:meth:`_apply_ops`).
+        Remote groups are prepared first, and the decision is journaled
+        with the local effects before any COMMIT or reply.  A remote parent
+        whose mtime alone changes is touched after the commit, best effort:
+        timestamps may drift, link counts may not.
+        """
+        groups: Dict[int, List[NamedTuple]] = {}
+        touches = []
+        for op_site, op in ops:
+            if (op_site not in self.sites and type(op) is pp.TouchDir
+                    and not op.nlink_delta):
+                touches.append((op_site, op))
+            else:
+                groups.setdefault(op_site, []).append(op)
+        remote = [s for s in groups if s not in self.sites]
+        for op_site, group in groups.items():
+            if op_site in remote:
+                continue
+            locks = self.locks[op_site]
+            for key in self._lock_keys(group, local=True):
+                if not locks.try_acquire(key, tx):
+                    return _CONFLICT
+                tx.held.append((locks, key))
+            status = self._validate_ops(self.sites[op_site], group)
+            if status is not None:
+                return status
+        pairs = []
+        if remote:
+            status = yield from self._prepare(site, tx, groups, remote)
+            if status != NFS3_OK:
+                return status
+            if self.boots != boot:
+                return NFS3ERR_JUKEBOX
+            pairs.append((site, {"op": "tx_decide", "txid": tx.txid,
+                                 "outcome": "c"}))
+        for op_site, group in groups.items():
+            if op_site not in remote:
+                pairs.extend(
+                    (op_site, record)
+                    for record in self._apply_ops(op_site, group)
                 )
-            except RpcTimeout:
+        yield from self._journal_pairs(pairs)
+        if remote:
+            if self.boots != boot:
+                return NFS3ERR_JUKEBOX  # the decision may not have survived
+            self.in_flight.discard(tx.txid)
+            self.committed.add(tx.txid)
+            for op_site in remote:  # a participant left out asks (RESOLVE)
+                yield from self._peer_call(
+                    op_site, pp.PEER_COMMIT, pp.TxidArgs(tx.txid, op_site))
+        for op_site, op in touches:
+            self.cross_site_ops += 1
+            yield from self._peer_call(
+                op_site, pp.PEER_TOUCH, pp.TouchArgs(op_site, op.key, op.mtime))
+        return NFS3_OK
+
+    def _prepare(self, site: int, tx: _Tx, groups, remote: List[int]):
+        """Generator: PREPARE each remote group an earlier attempt did not;
+        returns an NFS status or ``_CONFLICT``.  A timeout or a rejection
+        ends the transaction (presumed abort: prepared groups ask)."""
+        if tx.txid is None:
+            tx.txid = self._new_txid()
+            self.cross_site_ops += 1
+        self.in_flight.add(tx.txid)
+        if any(groups.get(s) != ops for s, ops in tx.prepared.items()):
+            return NFS3ERR_JUKEBOX  # rebuilt otherwise: cannot be withdrawn
+        for op_site in remote:
+            if op_site in tx.prepared:
+                continue
+            dec = yield from self._peer_call(op_site, pp.PEER_PREPARE, (
+                pp.PrepareArgs(tx.txid, op_site, site, groups[op_site])))
+            if dec is None:
                 return NFS3ERR_JUKEBOX
             res = pp.PrepareRes.decode(dec)
             if res.status == pp.PREPARE_CONFLICT:
-                yield self.sim.timeout(self.params.retry_backoff * (attempt + 1))
-                continue
+                return _CONFLICT
             if res.status == pp.PREPARE_REJECT:
                 return res.nfs_status
-            # Decision: commit.  Force the decision + local effects.
-            self.tx_outcomes[txid] = "c"
-            pairs = [(local_site, {"op": "tx_decide", "txid": txid, "outcome": "c"})]
-            pairs.extend(local_records())
-            yield from self._journal_pairs(pairs)
-            try:
-                yield from self.client.call(
-                    remote_addr, pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                    pp.PEER_COMMIT, pp.TxidArgs(txid, remote_site).encode(),
-                )
-            except RpcTimeout:
-                pass  # participant resolves with us after it recovers
-            return NFS3_OK
-        return NFS3ERR_JUKEBOX
+            tx.prepared[op_site] = groups[op_site]
+        return NFS3_OK
+
+    @staticmethod
+    def _lock_keys(ops: List[NamedTuple], local: bool = False) -> List[bytes]:
+        """The keys a group of ops locks: its name entries and the cells it
+        changes, but no new cell.  A group applied here leaves out its name
+        entries, which its handler locked before reading them, and the
+        parents its TouchDir ops touch (touches commute, and concurrent
+        creates in one directory share a group commit)."""
+        keys = []
+        for op in ops:
+            kind = type(op)
+            if kind is pp.AdjLink or kind is pp.SetParent or (
+                    kind is pp.TouchDir and not local):
+                keys.append(op.key)
+            elif local or kind is pp.PutAttr:
+                continue
+            elif kind is pp.PutName:
+                keys.append(name_key_for(op.cell.parent_fileid, op.cell.name))
+            else:  # DelName
+                keys.append(name_key_for(op.parent_fileid, op.name))
+        return list(dict.fromkeys(keys))
+
+    @staticmethod
+    def _validate_ops(state: SiteState, ops: List[NamedTuple]) -> Optional[int]:
+        """Returns an NFS error status if any op cannot apply, else None.
+        Dropping a link needs no cell: a name whose object is gone can
+        still be removed."""
+        for op in ops:
+            kind = type(op)
+            if kind is pp.PutName:
+                cell = op.cell
+                if op.must_not_exist and state.get_name_cell(
+                    cell.parent_fileid, cell.name
+                ):
+                    return NFS3ERR_EXIST
+            elif kind is pp.DelName:
+                if not state.get_name_cell(op.parent_fileid, op.name):
+                    return NFS3ERR_NOENT
+            elif kind is pp.PutAttr or (kind is pp.AdjLink and op.delta < 0):
+                continue
+            elif state.get_attr_cell(op.key) is None:
+                return NFS3ERR_STALE
+        return None
+
+    def _apply_ops(self, site: int, ops: List[NamedTuple]) -> List[Dict]:
+        """Apply a group of ops to a hosted site; returns its journal
+        records.  This is the only place a typed op changes state."""
+        state = self.sites[site]
+        records: List[Dict] = []
+        for op in ops:
+            kind = type(op)
+            if kind is pp.PutName:
+                records.append(state.put_name_cell(op.cell))
+            elif kind is pp.DelName:
+                records.append(state.del_name_cell(op.parent_fileid, op.name))
+            elif kind is pp.PutAttr:
+                records.append(state.put_attr_cell(op.cell))
+            else:
+                cell = state.get_attr_cell(op.key)
+                if cell is None:
+                    continue
+                if kind is pp.AdjLink:
+                    cell.nlink += op.delta
+                    cell.ctime = op.ctime
+                    if cell.nlink <= 0:
+                        # No links left: the cell goes, a file's data too.
+                        records.append(state.del_attr_cell(op.key))
+                        if cell.ftype == NF3REG and self.coordinator is not None:
+                            self.sim.process(
+                                self._reclaim(cell.to_fh(self.volume)),
+                                name=f"reclaim:{self.host.name}",
+                            )
+                        continue
+                elif kind is pp.TouchDir:
+                    cell.mtime = max(cell.mtime, op.mtime)
+                    cell.ctime = max(cell.ctime, op.mtime)
+                    cell.nlink += op.nlink_delta
+                else:  # SetParent
+                    cell.parent_fileid = op.parent_fileid
+                    cell.parent_site = op.parent_site
+                records.append(state.put_attr_cell(cell))
+        return records
 
     # ------------------------------------------------------------------
     # peer service (this server as participant)
@@ -1122,138 +1118,118 @@ class DirectoryServer:
             return result.encode(), EMPTY
         if procnum == pp.PEER_COMMIT:
             args = pp.TxidArgs.decode(dec)
-            self._peer_commit(args.txid, args.site)
+            self._finish_prepared(args.txid, args.site, commit=True)
             return pp.U32Res(0).encode(), EMPTY
         if procnum == pp.PEER_RESOLVE:
-            args = pp.TxidArgs.decode(dec)
-            outcome = self.tx_outcomes.get(args.txid)
-            code = {
-                "c": pp.RESOLVE_COMMITTED, "a": pp.RESOLVE_ABORTED,
-            }.get(outcome, pp.RESOLVE_UNKNOWN)
+            txid = pp.TxidArgs.decode(dec).txid
+            if txid in self.committed:
+                code = pp.RESOLVE_COMMITTED
+            elif txid in self.in_flight:
+                code = pp.RESOLVE_IN_FLIGHT
+            else:  # decided abort, or begun before this server restarted
+                code = pp.RESOLVE_ABORTED
             return pp.U32Res(code).encode(), EMPTY
         raise RpcAcceptError(PROC_UNAVAIL)
 
-    @staticmethod
-    def _op_lock_keys(ops: List[NamedTuple]) -> List[bytes]:
-        keys = []
-        for op in ops:
-            if type(op) is pp.PutName:
-                keys.append(name_key_for(op.cell.parent_fileid, op.cell.name))
-            elif type(op) is pp.DelName:
-                keys.append(name_key_for(op.parent_fileid, op.name))
-            else:
-                keys.append(op.key)
-        return keys
-
-    @staticmethod
-    def _validate_ops(state: SiteState, ops: List[NamedTuple]) -> Optional[int]:
-        """Returns an NFS error status if any op cannot apply, else None."""
-        for op in ops:
-            if type(op) is pp.PutName:
-                cell = op.cell
-                if op.must_not_exist and state.get_name_cell(
-                    cell.parent_fileid, cell.name
-                ):
-                    return NFS3ERR_EXIST
-            elif type(op) is pp.DelName:
-                if not state.get_name_cell(op.parent_fileid, op.name):
-                    return NFS3ERR_NOENT
-            elif state.get_attr_cell(op.key) is None:
-                return NFS3ERR_STALE
-        return None
-
     def _peer_prepare(self, args: pp.PrepareArgs):
+        """Generator: lock and validate a remote group and hold it prepared.
+
+        A group prepared here already answers OK again.  A busy key
+        conflicts, except that a PREPARE holding no lock yet waits for a
+        younger mutation in progress here, which either commits or, on a
+        conflict, releases its locks before backing off.  So of two crossed
+        mutations the older goes through; any longer wait ends when the
+        coordinator's PREPARE call times out.
+        """
         state = self.sites.get(args.site)
         if state is None:
             return pp.PrepareRes(pp.PREPARE_REJECT, SLICEERR_MISDIRECTED)
+        if (args.txid, args.site) in self.prepared:
+            return pp.PrepareRes(pp.PREPARE_OK)
         locks = self.locks[args.site]
         acquired = []
-        for key in self._op_lock_keys(args.ops):
-            if locks.try_acquire(("tx", key)):
-                acquired.append(("tx", key))
-            else:
-                locks.release_all(acquired)
-                return pp.PrepareRes(pp.PREPARE_CONFLICT)
+        for key in self._lock_keys(args.ops):
+            if not locks.try_acquire(key, args.txid):
+                holder = locks.owner(key)
+                if (acquired or not isinstance(holder, _Tx)
+                        or holder.txid is None
+                        or _age(holder.txid) < _age(args.txid)):
+                    locks.release_all(acquired)
+                    return pp.PrepareRes(pp.PREPARE_CONFLICT)
+                yield from locks.acquire(key, args.txid)
+            acquired.append(key)
         nfs_status = self._validate_ops(state, args.ops)
         if nfs_status is not None:
             locks.release_all(acquired)
             return pp.PrepareRes(pp.PREPARE_REJECT, nfs_status)
-        self.prepared[args.txid] = (args.site, args.ops)
-        yield from self._journal(args.site, [{
+        self._hold_prepared(args.txid, args.site, args.ops, args.coord_site,
+                            wait=self._resolve_after())
+        yield from self._journal_pairs([(args.site, {
             "op": "tx_prepare", "txid": args.txid, "coord_site": args.coord_site,
             "ops": args.ops,
-        }])
+        })])
         return pp.PrepareRes(pp.PREPARE_OK)
 
-    def _peer_commit(self, txid: str, site: int) -> None:
-        entry = self.prepared.pop(txid, None)
+    def _hold_prepared(self, txid: str, site: int, ops: List[NamedTuple],
+                       coord_site: int, wait: float) -> None:
+        """Keep a locked group prepared until its COMMIT, or until the
+        resolver learns the outcome from the coordinator."""
+        self.prepared[txid, site] = ops
+        self.sim.spawn(self._resolve(txid, site, coord_site, wait),
+                       name=f"dir-resolve:{self.host.name}")
+
+    def _finish_prepared(self, txid: str, site: int, commit: bool) -> None:
+        """End a transaction prepared here: apply its ops when it
+        committed, release its locks and log the outcome."""
+        ops = self.prepared.pop((txid, site), None)
         log = self._log(site)
-        if entry is not None:
-            _site, ops = entry
-            if site in self.sites:
+        if ops is not None:
+            if commit and site in self.sites:
                 for record in self._apply_ops(site, ops):
                     log.append(record)
-            self._peer_release_keys(site, ops)
-        log.append({"op": "tx_commit", "txid": txid})
+            locks = self.locks.get(site)
+            if locks is not None:
+                locks.release_all(self._lock_keys(ops))
+        log.append({"op": "tx_commit" if commit else "tx_abort", "txid": txid})
 
-    def _peer_release(self, txid: str, site: int) -> None:
-        entry = self.prepared.pop(txid, None)
-        if entry is not None:
-            self._peer_release_keys(site, entry[1])
+    def _resolve_after(self) -> float:
+        """The coordinator's whole PREPARE budget: one PREPARE call's full
+        retransmission schedule, then a backoff after each conflict.  A
+        participant waits this long before it asks, so a transaction that
+        commits as usual costs no extra message."""
+        p, client = self.params, self.client
+        schedule = sum(
+            min(p.peer_retrans_timeout * client.backoff ** i,
+                client.max_retrans_timeout)
+            for i in range(p.peer_max_tries)
+        )
+        backoffs = p.retry_backoff * p.prepare_retries * (p.prepare_retries + 1) / 2
+        return schedule * (1 + client.jitter) + backoffs
 
-    def _peer_release_keys(self, site: int, ops: List[NamedTuple]) -> None:
-        locks = self.locks.get(site)
-        if locks is None:
-            return
-        for key in self._op_lock_keys(ops):
-            locks.release(("tx", key))
-
-    def _apply_ops(self, site: int, ops: List[NamedTuple]) -> List[Dict]:
-        """Apply transaction ops; returns the journal records produced."""
-        state = self.sites[site]
-        records: List[Dict] = []
-        for op in ops:
-            kind = type(op)
-            if kind is pp.PutName:
-                records.append(state.put_name_cell(op.cell))
-            elif kind is pp.DelName:
-                records.append(state.del_name_cell(op.parent_fileid, op.name))
-            elif kind is pp.AdjLink:
-                records.extend(record for _site, record in self._adjust_links(
-                    site, op.key, op.delta, op.ctime,
-                ))
-            else:
-                cell = state.get_attr_cell(op.key)
-                if cell is None:
-                    continue
-                if kind is pp.TouchDir:
-                    cell.mtime = max(cell.mtime, op.mtime)
-                    cell.ctime = max(cell.ctime, op.mtime)
-                    cell.nlink = max(1, cell.nlink + op.nlink_delta)
-                else:  # SetParent
-                    cell.parent_fileid = op.parent_fileid
-                    cell.parent_site = op.parent_site
-                records.append(state.put_attr_cell(cell))
-        return records
-
-    def _resolve_in_doubt(self, txid: str, site: int, record: Dict):
-        """Ask the transaction coordinator how an in-doubt tx ended."""
-        coord_site = record["coord_site"]
-        try:
-            dec, _ = yield from self.client.call(
-                self.peer_lookup(coord_site), pp.SLICE_PEER_PROGRAM, pp.PEER_V1,
-                pp.PEER_RESOLVE, pp.TxidArgs(txid, coord_site).encode(),
-            )
-            outcome = pp.U32Res.decode(dec).value
-        except RpcTimeout:
-            outcome = pp.RESOLVE_UNKNOWN
-        if outcome == pp.RESOLVE_COMMITTED:
-            self._peer_commit(txid, site)
-        else:
-            # Aborted or unknown: presume abort (coordinator never logged a
-            # commit decision that we could have missed).
-            self._peer_release(txid, site)
-            self._log(site).append({"op": "tx_abort", "txid": txid})
+    def _resolve(self, txid: str, site: int, coord_site: int, wait: float):
+        """Generator: after ``wait`` seconds, unless a COMMIT came first,
+        ask the coordinator how a transaction prepared here ended.  Presumed
+        abort is sound: the coordinator syncs its decision before anyone
+        hears of it.  In flight, or no answer, means ask again later.
+        """
+        boot = self.boots
+        while True:
+            if wait:
+                yield self.sim.timeout(wait)
+            if self.boots != boot or (txid, site) not in self.prepared:
+                return
+            dec = yield from self._peer_call(
+                coord_site, pp.PEER_RESOLVE, pp.TxidArgs(txid, coord_site))
+            outcome = (pp.RESOLVE_IN_FLIGHT if dec is None
+                       else pp.U32Res.decode(dec).value)
+            if self.boots != boot or (txid, site) not in self.prepared:
+                return
+            if outcome != pp.RESOLVE_IN_FLIGHT:
+                self._finish_prepared(
+                    txid, site, commit=outcome == pp.RESOLVE_COMMITTED
+                )
+                return
+            wait = self._resolve_after()
 
 
 #: One ``_op_<name>`` per served procedure; a renamed method drops out of

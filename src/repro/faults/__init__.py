@@ -34,8 +34,10 @@ from .harness import ChaosHarness, ChaosReport, FaultController, instrument_wals
 from .scenarios import (
     BulkIOChaosScenario,
     MixedOpsChaosScenario,
+    NamespaceChaosScenario,
     RebalanceChaosScenario,
     UntarChaosScenario,
+    check_namespace,
 )
 
 __all__ = [
@@ -53,6 +55,8 @@ __all__ = [
     "instrument_wals",
     "BulkIOChaosScenario",
     "MixedOpsChaosScenario",
+    "NamespaceChaosScenario",
     "RebalanceChaosScenario",
     "UntarChaosScenario",
+    "check_namespace",
 ]

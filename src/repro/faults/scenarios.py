@@ -25,13 +25,15 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.dirsvc.state import attr_key_for
 from repro.nfs.errors import (
     NFS3ERR_EXIST,
     NFS3ERR_NOENT,
     NFS3_OK,
     NfsError,
 )
-from repro.nfs.types import Sattr3
+from repro.nfs.fhandle import FHandle
+from repro.nfs.types import NF3DIR, NF3REG, Sattr3
 from repro.util.bytesim import PatternData
 from repro.workloads.untar import UntarSpec, build_tree_plan
 
@@ -39,7 +41,9 @@ __all__ = [
     "UntarChaosScenario",
     "BulkIOChaosScenario",
     "MixedOpsChaosScenario",
+    "NamespaceChaosScenario",
     "RebalanceChaosScenario",
+    "check_namespace",
 ]
 
 
@@ -425,3 +429,188 @@ class MixedOpsChaosScenario:
                 assert data == payload, f"content mismatch for {key}"
             verified += 1
         return verified
+
+
+# -- scenario 4: cross-server namespace mutations -------------------------------
+
+
+class NamespaceChaosScenario:
+    """Directory mutations that cross directory servers: mkdir, create,
+    link, rename (directories between parents too), remove and rmdir.
+
+    Run it under name hashing, where almost every mutation is a two-phase
+    commit between servers, with the dir-peer program lossy and a
+    directory server crashing.  The scenario's picture of the tree only
+    chooses plausible targets: any answer but OK (a retransmission's EXIST
+    or NOENT, a lost race's JUKEBOX) makes it re-read the tree.
+    Verification walks the tree through NFS (every listed name resolves
+    to live attributes) and then checks the servers' cells with
+    :func:`check_namespace`.
+    """
+
+    name = "namespace"
+
+    def __init__(self, ops: int = 60, seed: int = 0, client_index: int = 0):
+        self.ops = ops
+        self.seed = seed
+        self.client_index = client_index
+        # Directory fileid -> fh; directory fileid -> {name: (fh, is_dir)}.
+        self._dirs: Dict[int, bytes] = {}
+        self._entries: Dict[int, Dict[str, Tuple[bytes, bool]]] = {}
+        self._root = 0
+        self.ops_executed = 0
+
+    def drive(self, harness):
+        client = harness.client(self.client_index)
+        rng = random.Random(self.seed * 6271 + 5)  # scenario-private stream
+        root_fh = yield from ensure_dir(client, harness.cluster.root_fh, "ns")
+        self._root = _fileid(root_fh)
+        yield from self._resync(client, root_fh)
+        for index in range(self.ops):
+            status = yield from self._step(client, rng, index)
+            if status != NFS3_OK:
+                yield from self._resync(client, root_fh)
+            self.ops_executed += 1
+        return self.ops_executed
+
+    def _step(self, client, rng: random.Random, index: int):
+        """Generator: one random mutation; returns its status."""
+        dir_id = rng.choice(sorted(self._dirs))
+        dir_fh = self._dirs[dir_id]
+        files = sorted((d, n) for d, names in self._entries.items()
+                       for n, (_fh, is_dir) in names.items() if not is_dir)
+        subdirs = sorted((d, n) for d, names in self._entries.items()
+                         for n, (_fh, is_dir) in names.items() if is_dir)
+        roll = rng.random()
+        if roll < 0.15 and len(self._dirs) < 8:
+            res = yield from client.mkdir(dir_fh, f"d{index}")
+            if res.status == NFS3_OK:
+                self._dirs[_fileid(res.fh)] = res.fh
+                self._entries[_fileid(res.fh)] = {}
+                self._entries[dir_id][f"d{index}"] = (res.fh, True)
+            return res.status
+        if roll < 0.40 or not files:
+            res = yield from client.create(dir_fh, f"f{index}")
+            if res.status == NFS3_OK:
+                self._entries[dir_id][f"f{index}"] = (res.fh, False)
+            return res.status
+        if roll < 0.50:
+            src_dir, src = rng.choice(files)
+            fh = self._entries[src_dir][src][0]
+            res = yield from client.link(fh, dir_fh, f"l{index}")
+            if res.status == NFS3_OK:
+                self._entries[dir_id][f"l{index}"] = (fh, False)
+            return res.status
+        if roll < 0.72:
+            src_dir, src = rng.choice(files + subdirs)
+            fh, is_dir = self._entries[src_dir][src]
+            if is_dir and self._under(dir_id, _fileid(fh)):
+                dir_id, dir_fh = self._root, self._dirs[self._root]
+            targets = sorted(n for n, (_fh, d) in self._entries[dir_id].items()
+                             if not d and not is_dir)
+            dst = (rng.choice(targets) if targets and rng.random() < 0.3
+                   else f"r{index}")
+            res = yield from client.rename(self._dirs[src_dir], src,
+                                           dir_fh, dst)
+            if res.status == NFS3_OK and (src_dir, src) != (dir_id, dst):
+                del self._entries[src_dir][src]
+                self._entries[dir_id][dst] = (fh, is_dir)
+            return res.status
+        if roll < 0.88:
+            src_dir, src = rng.choice(files)
+            res = yield from client.remove(self._dirs[src_dir], src)
+            if res.status == NFS3_OK:
+                del self._entries[src_dir][src]
+            return res.status
+        empty = [(d, n) for d, n in subdirs
+                 if not self._entries[_fileid(self._entries[d][n][0])]]
+        if not empty:
+            return NFS3_OK
+        parent, name = rng.choice(empty)
+        res = yield from client.rmdir(self._dirs[parent], name)
+        if res.status == NFS3_OK:
+            gone = _fileid(self._entries[parent].pop(name)[0])
+            del self._dirs[gone], self._entries[gone]
+        return res.status
+
+    def _under(self, dir_id: int, ancestor: int) -> bool:
+        """True if ``dir_id`` is ``ancestor`` or lies beneath it."""
+        if dir_id == ancestor:
+            return True
+        return any(
+            is_dir and self._under(dir_id, _fileid(fh))
+            for fh, is_dir in self._entries.get(ancestor, {}).values()
+        )
+
+    def _resync(self, client, root_fh: bytes):
+        """Generator: re-read the tree under the scenario root; every listed
+        name must resolve to live attributes.  Returns the names seen."""
+        self._dirs = {self._root: root_fh}
+        self._entries = {}
+        pending = [self._root]
+        seen = 0
+        while pending:
+            dir_id = pending.pop()
+            entries = self._entries[dir_id] = {}
+            for name in sorted((yield from _readdir_names(
+                    client, self._dirs[dir_id]))):
+                res = yield from client.lookup(self._dirs[dir_id], name)
+                assert res.status == NFS3_OK, f"lookup {name}: {res.status}"
+                attrs = yield from client.getattr(res.fh)
+                assert attrs.status == NFS3_OK, (
+                    f"{name} names a dead object: {attrs.status}")
+                is_dir = attrs.attr.ftype == NF3DIR
+                entries[name] = (res.fh, is_dir)
+                if is_dir:
+                    self._dirs[_fileid(res.fh)] = res.fh
+                    pending.append(_fileid(res.fh))
+                seen += 1
+        return seen
+
+    def verify(self, harness):
+        client = harness.client(self.client_index)
+        seen = yield from self._resync(client, self._dirs[self._root])
+        check_namespace(harness.cluster)
+        return seen
+
+
+def _fileid(fh: bytes) -> int:
+    return FHandle.unpack(fh).fileid
+
+
+def check_namespace(cluster) -> None:
+    """Assert the directory servers' cells form one consistent namespace:
+    no transaction is left prepared, every name cell's target attribute
+    cell exists, each regular file's link count equals its names, and
+    each directory's is two plus its subdirectories and it points back at
+    its parent.  Every logical site must be loaded."""
+    attrs: Dict[bytes, object] = {}
+    names = []
+    for server in cluster.dir_servers:
+        assert not server.prepared, (
+            f"{server.host.name} left prepared: {sorted(server.prepared)}")
+        for state in server.sites.values():
+            attrs.update(state.attr_cells)
+            names.extend(state.name_cells.values())
+    links: Dict[bytes, int] = {}
+    for cell in names:
+        key = attr_key_for(cell.target_fileid)
+        assert key in attrs, (
+            f"{cell.name!r} in directory {cell.parent_fileid} names a "
+            f"missing object {cell.target_fileid}")
+        if cell.target_ftype == NF3DIR:
+            parent = attrs[key].parent_fileid
+            assert parent == cell.parent_fileid, (
+                f"directory {cell.target_fileid} points at {parent}, named "
+                f"in {cell.parent_fileid}")
+            key = attr_key_for(cell.parent_fileid)
+        links[key] = links.get(key, 0) + 1
+    for key, cell in attrs.items():
+        if cell.ftype == NF3REG:
+            assert cell.nlink == links.get(key, 0), (
+                f"file {cell.fileid}: nlink {cell.nlink}, "
+                f"{links.get(key, 0)} names")
+        elif cell.ftype == NF3DIR:
+            assert cell.nlink == 2 + links.get(key, 0), (
+                f"directory {cell.fileid}: nlink {cell.nlink}, "
+                f"{links.get(key, 0)} subdirectories")

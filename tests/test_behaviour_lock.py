@@ -4,7 +4,8 @@ the model does in simulated time fails tier-1.
 Two kinds of value are pinned:
 
 - ``Tracer.digest()`` of the untar, bulk and mixed-ops chaos scenarios under
-  seeded fault plans.  The digest covers span timestamps and attributes,
+  seeded fault plans, and of one namespace scenario under name hashing
+  with the dir-peer traffic lossy.  The digest covers span timestamps and attributes,
   injected faults, coordinator intents and the WAL crash ledger.
 - An untraced fingerprint of small workload runs: small untar, bulk and
   SPECsfs-mix runs on Slice ensembles built with :mod:`repro.api`, and an
@@ -43,12 +44,14 @@ from repro.api import ClusterSpec, build
 from repro.dirsvc import peerproto as pp
 from repro.dirsvc.config import MKDIR_SWITCHING, NAME_HASHING
 from repro.ensemble.baseline import BaselineParams, MonolithicServer
+from repro.ensemble.params import ClusterParams
 from repro.faults import (
     BulkIOChaosScenario,
     ChaosHarness,
     CrashWindow,
     FaultPlan,
     MixedOpsChaosScenario,
+    NamespaceChaosScenario,
     PacketFaultRule,
     SlowDiskWindow,
     UntarChaosScenario,
@@ -76,6 +79,7 @@ CHAOS_DIGESTS = {
     "mixed-1": "f2542b0b5f2e4de25612d254c72b42c4c24f750c855473813db777682536c55b",
     "mixed-2": "3664a68bf53ba350010487d5d06b7c93353e2d07912aaaa0da35a1f0aaeb3ec3",
     "mixed-3": "63c507782964e81cfa8a4bce14855d6f37ec42bc131584a56aef85bfc2655d25",
+    "namespace-1": "c5f0513ae583bd3ec7d476c4c897108c1cc4ce8dc7666bfdcfc98b9a4b615f48",
     "untar-1": "beb58783c31eaa68738537e0ea966cf376442c82d3bba7585203ef3413e92116",
     "untar-2": "2e866af87bdcb7209bda901c4427046df92d84b0a6ae23dd35913e50ebabb3bd",
     "untar-3": "0199dc987a757ea73699ad5229d50ecc3ecdb059a7f2f121f61eb3215083b12e",
@@ -86,10 +90,10 @@ FINGERPRINTS = {
     "baseline-ffs": "2625fc45bb87aa96590817d3ff30c190",
     "baseline-mfs": "58d85b5b4c759ddf4860069d7961f808",
     "slice-bulk": "c2f2ab56e49d11841505db3e5df01bfe",
-    "slice-peer": "f610be16c103568cbcd60afa399484a6",
+    "slice-peer": "7ee2fcf8f532a538a31c30dde9689cd2",
     "slice-sfs": "dbebea673cd1a2b570e3c5b9f6000d0a",
     "slice-untar": "4b01a29b29421475aadcf205172d260e",
-    "slice-untar-hashed": "63de85d7a5ebde462862dc8dbbe99456",
+    "slice-untar-hashed": "738d20ab6b5325f91bcd31d19af4ac53",
 }
 
 
@@ -127,17 +131,31 @@ def _mixed(seed):
     return plan, MixedOpsChaosScenario(ops=40, seed=seed)
 
 
+def _namespace(seed):
+    """Returns the cluster shape and settle time too: name hashing, and
+    long enough for every prepared transaction to be resolved."""
+    plan = FaultPlan(seed=seed, packet_faults=[
+        PacketFaultRule(prog=pp.SLICE_PEER_PROGRAM, loss=0.1),
+        PacketFaultRule(src="dir", dst="dir", loss=0.1),
+    ], crashes=[CrashWindow("dir", index=1, at=0.1, restart_at=0.5)])
+    params = ClusterParams(**ChaosHarness.DEFAULT_SHAPE,
+                           name_mode=NAME_HASHING)
+    return plan, NamespaceChaosScenario(ops=40, seed=seed), params, 30.0
+
+
 CHAOS_RUNS = {
     f"{kind}-{seed}": (make, seed)
     for kind, make in (("untar", _untar), ("bulk", _bulk), ("mixed", _mixed))
     for seed in (1, 2, 3)
 }
+CHAOS_RUNS["namespace-1"] = (_namespace, 1)
 
 
 def chaos_digest(name: str) -> str:
     make, seed = CHAOS_RUNS[name]
-    plan, scenario = make(seed)
-    return ChaosHarness(plan).run(scenario, settle=5.0).digest
+    plan, scenario, *shape = make(seed)
+    params, settle = shape or (None, 5.0)
+    return ChaosHarness(plan, params=params).run(scenario, settle=settle).digest
 
 
 # -- untraced fingerprints ---------------------------------------------------
@@ -235,22 +253,24 @@ def run_slice_bulk() -> str:
 
 
 def _count_peer_traffic(cluster) -> tuple:
-    """Wraps every directory server's peer service and transaction apply
-    step; returns the sets of peer procedures served and ops applied."""
+    """Wraps every directory server's peer service and the step where a
+    participant ends a transaction it prepared; returns the sets of peer
+    procedures served and of ops applied for a remote coordinator."""
     procs, ops = set(), set()
     for server in cluster.dir_servers:
-        serve, apply_ops = server._peer_service, server._apply_ops
+        serve, finish = server._peer_service, server._finish_prepared
 
         def counted(procnum, dec, body, src, serve=serve):
             procs.add(procnum)
             return serve(procnum, dec, body, src)
 
-        def applied(site, op_list, apply_ops=apply_ops):
-            ops.update(_op_kind(op) for op in op_list)
-            return apply_ops(site, op_list)
+        def finished(txid, site, commit, server=server, finish=finish):
+            if commit:
+                ops.update(map(_op_kind, server.prepared.get((txid, site), ())))
+            return finish(txid, site, commit)
 
         server.server.register(pp.SLICE_PEER_PROGRAM, counted)
-        server._apply_ops = applied
+        server._finish_prepared = finished
     return procs, ops
 
 
@@ -435,7 +455,7 @@ def test_workload_fingerprint_is_pinned(name):
 def _current_values():
     """(name, pinned, current) for every pinned value."""
     for name in sorted(CHAOS_RUNS):
-        yield name, CHAOS_DIGESTS[name], chaos_digest(name)
+        yield name, CHAOS_DIGESTS.get(name), chaos_digest(name)
     for name in sorted(FINGERPRINT_RUNS):
         yield name, FINGERPRINTS.get(name), FINGERPRINT_RUNS[name]()
 

@@ -19,12 +19,16 @@ Run with ``pytest -m chaos`` (excluded from the default suite).
 
 import pytest
 
+from repro.dirsvc import peerproto as pp
+from repro.dirsvc.config import NAME_HASHING
+from repro.ensemble.params import ClusterParams
 from repro.faults import (
     BulkIOChaosScenario,
     ChaosHarness,
     CrashWindow,
     FaultPlan,
     MixedOpsChaosScenario,
+    NamespaceChaosScenario,
     PacketFaultRule,
     Partition,
     SlowDiskWindow,
@@ -128,6 +132,36 @@ def test_mixed_ops_under_combined_faults(seed):
     report = harness.run(scenario)
     assert report.result == 100
     assert report.crashes_executed == 1
+    assert report.fault_counters["drops_loss"] > 0
+
+
+def namespace_plan(seed):
+    """Cross-server namespace chaos: dir-peer calls and every dir-to-dir
+    packet (so the replies too) lossy, and a directory server reboot."""
+    return FaultPlan(
+        seed=seed,
+        packet_faults=[
+            PacketFaultRule(prog=pp.SLICE_PEER_PROGRAM, loss=0.1),
+            PacketFaultRule(src="dir", dst="dir", loss=0.1),
+        ],
+        crashes=[CrashWindow("dir", index=seed % 2, at=0.2, restart_at=0.6)],
+    )
+
+
+def name_hashing_params():
+    return ClusterParams(**ChaosHarness.DEFAULT_SHAPE, name_mode=NAME_HASHING)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_namespace_under_name_hashing(seed):
+    """Name hashing makes almost every mutation a transaction between the
+    two directory servers.  After settle no transaction is left prepared,
+    every name has its object, and link counts match the names (the
+    scenario's verify)."""
+    harness = ChaosHarness(namespace_plan(seed), params=name_hashing_params())
+    report = harness.run(NamespaceChaosScenario(ops=120, seed=seed))
+    assert report.result == 120
+    assert report.crashes_executed == report.restarts_executed == 1
     assert report.fault_counters["drops_loss"] > 0
 
 

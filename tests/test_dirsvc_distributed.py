@@ -1,12 +1,15 @@
 """Distributed directory-service tests: name hashing across servers, orphan
-mkdir two-phase commit, misdirection, crash recovery, failover, migration."""
+mkdir two-phase commit, misdirection, crash recovery, failover, migration,
+and cross-server mutations that no lost message or crossed race strands."""
 
 import pytest
 
 from repro.dirsvc import NAME_HASHING, NameConfig
+from repro.dirsvc import peerproto as pp
 from repro.nfs import proto
 from repro.nfs.errors import (
     NFS3ERR_EXIST,
+    NFS3ERR_JUKEBOX,
     NFS3ERR_NOENT,
     NFS3ERR_NOTEMPTY,
     NFS3_OK,
@@ -14,6 +17,8 @@ from repro.nfs.errors import (
 )
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import Sattr3
+from repro.rpc.messages import CallHeader
+from repro.rpc.xdr import Decoder
 
 from dir_harness import DirHarness
 from drops import DropWhen
@@ -423,3 +428,211 @@ def test_move_dir_site_stale_proxies_refetch_exactly_once():
         == cluster.dir_servers[1].address
         for ci in (0, 1)
     )
+
+
+# -- one mutation path: no lost message strands a transaction ---------------
+
+
+def _peer_call(pkt):
+    """``(xid, proc)`` of a dir-peer call packet, else None."""
+    try:
+        call = CallHeader.decode(Decoder(pkt.header))
+    except Exception:
+        return None
+    if call.prog != pp.SLICE_PEER_PROGRAM:
+        return None
+    return call.xid, call.proc
+
+
+class _Replies:
+    """DropWhen predicate: the replies to the ``proc`` calls that
+    ``client`` sends."""
+    def __init__(self, client, proc):
+        self.address = client.address
+        self.proc = proc
+        self.xids = set()
+
+    def __call__(self, pkt):
+        call = _peer_call(pkt)
+        if call is not None:
+            if pkt.src == self.address and call[1] == self.proc:
+                self.xids.add(call[0])
+            return False
+        return (pkt.dst == self.address
+                and int.from_bytes(pkt.header[:4], "big") in self.xids)
+
+
+def _calls_to(proc):
+    """DropWhen predicate: every dir-peer call of procedure ``proc``."""
+    return lambda pkt: (_peer_call(pkt) or (0, None))[1] == proc
+
+
+def _orphan_on_server_1(h):
+    """A root mkdir that server 1 serves while its entry (the root's home
+    site) lives on server 0."""
+    return next(
+        name for name in (f"orphan-{i}" for i in range(200))
+        if h.site_map[h.config.mkdir_site(h.root_fh, name)] == 1
+    )
+
+
+def _after(h, delay, op):
+    def run():
+        yield h.sim.timeout(delay)
+        res = yield from op()
+        return res
+
+    return h.run(run())
+
+
+def test_lost_prepare_reply_does_not_strand_the_name():
+    """Every PREPARE reply lost: the mkdir gives up, and the participant,
+    left prepared, learns the abort from the coordinator by itself."""
+    h = DirHarness(num_servers=2, num_sites=8, mkdir_p=1.0)
+    name = _orphan_on_server_1(h)
+    h.net.fault_injector = DropWhen(
+        _Replies(h.servers[1].client, pp.PEER_PREPARE))
+    assert h.run(h.mkdir(h.root_fh, name)).status == NFS3ERR_JUKEBOX
+    assert len(h.servers[0].prepared) == 1
+    h.net.fault_injector = None
+
+    res = _after(h, 60.0, lambda: h.mkdir(h.root_fh, name))
+    assert res.status in (NFS3_OK, NFS3ERR_EXIST)
+    assert h.run(h.lookup(h.root_fh, name)).status == NFS3_OK
+    assert not any(server.prepared for server in h.servers)
+
+
+def test_lost_commit_is_resolved_without_a_restart():
+    """Every COMMIT lost: the client has its OK, and the participant
+    applies the entry once it asks the coordinator; nobody restarts."""
+    h = DirHarness(num_servers=2, num_sites=8, mkdir_p=1.0)
+    name = _orphan_on_server_1(h)
+    h.net.fault_injector = DropWhen(_calls_to(pp.PEER_COMMIT))
+    assert h.run(h.mkdir(h.root_fh, name)).status == NFS3_OK
+    h.net.fault_injector = None
+
+    assert _after(h, 60.0, lambda: h.lookup(h.root_fh, name)).status == NFS3_OK
+    assert not any(server.prepared for server in h.servers)
+
+
+def test_committed_transaction_sends_no_resolve():
+    """The happy path costs no message beyond PREPARE and COMMIT."""
+    h = DirHarness(num_servers=2, num_sites=8, mkdir_p=1.0)
+    procs = []
+    h.net.fault_injector = DropWhen(
+        lambda pkt: procs.append((_peer_call(pkt) or (0, None))[1]) and False)
+    assert h.run(h.mkdir(h.root_fh, _orphan_on_server_1(h))).status == NFS3_OK
+    _after(h, 60.0, lambda: h.lookup(h.root_fh, "."))
+    assert procs.count(pp.PEER_PREPARE) == procs.count(pp.PEER_COMMIT) == 1
+    assert pp.PEER_RESOLVE not in procs
+
+
+def _names_on(h, servers):
+    """The first ``(a<i>, b<j>)`` root names whose entries live on the
+    given servers under name hashing."""
+    def first(prefix, server):
+        return next(
+            name for name in (f"{prefix}{i}" for i in range(200))
+            if h.site_map[h.config.entry_site(h.root_fh, name)] == server
+        )
+
+    return first("a", servers[0]), first("b", servers[1])
+
+
+def _names_consistent(h, names):
+    """Generator: every name that looks up OK has attributes (no name
+    whose object is gone)."""
+    for name in names:
+        res = yield from h.lookup(h.root_fh, name)
+        if res.status == NFS3_OK:
+            attrs = yield from h.getattr(FHandle.unpack(res.fh))
+            assert attrs.status == NFS3_OK, (name, attrs.status)
+        else:
+            assert res.status == NFS3ERR_NOENT, (name, res.status)
+
+
+@pytest.mark.parametrize("settle", [0.0, 60.0])
+def test_lossy_rename_leaves_one_name_and_no_dangling_remove(settle):
+    """A cross-server RENAME whose PREPARE replies are lost gives up.  The
+    entry install and the source delete are one transaction, so one name
+    stays; and a REMOVE of the source waits for the prepared delete
+    instead of bypassing it."""
+    h = DirHarness(num_servers=2, mode=NAME_HASHING, num_sites=8)
+    a, b = _names_on(h, (0, 1))
+    created = h.run(h.create(h.root_fh, a))
+    assert created.status == NFS3_OK
+    h.net.fault_injector = DropWhen(
+        _Replies(h.servers[1].client, pp.PEER_PREPARE))
+    res = h.run(h.rename(h.root_fh, a, h.root_fh, b))
+    assert res.status == NFS3ERR_JUKEBOX
+    h.net.fault_injector = None
+
+    found = [
+        name for name in (a, b)
+        if _after(h, settle, lambda n=name: h.lookup(h.root_fh, n)).status
+        == NFS3_OK
+    ]
+    assert len(found) == 1
+    assert h.run(h.remove(h.root_fh, found[0])).status == NFS3_OK
+    h.run(_names_consistent(h, (a, b)))
+    gone = h.run(h.getattr(FHandle.unpack(created.fh)))
+    assert gone.status != NFS3_OK
+    _after(h, 60.0, lambda: h.lookup(h.root_fh, "."))
+    assert not any(server.prepared for server in h.servers)
+
+
+def test_crossed_renames_both_go_through():
+    """``a -> b`` served by one server and ``b -> a`` by the other, at
+    once: each needs the other's name.  The older transaction wins the
+    tie and the younger goes after it; neither answers JUKEBOX."""
+    h = DirHarness(num_servers=2, mode=NAME_HASHING, num_sites=8)
+    a, b = _names_on(h, (0, 1))
+    for name in (a, b):
+        assert h.run(h.create(h.root_fh, name)).status == NFS3_OK
+    results = []
+
+    def rename(src, dst):
+        res = yield from h.rename(h.root_fh, src, h.root_fh, dst)
+        results.append(res.status)
+
+    def both():
+        yield h.sim.all_of([h.sim.process(rename(a, b)),
+                            h.sim.process(rename(b, a))])
+
+    h.run(both())
+    assert NFS3ERR_JUKEBOX not in results
+    assert set(results) <= {NFS3_OK, NFS3ERR_NOENT}
+    h.run(_names_consistent(h, (a, b)))
+    names = [n for n in (a, b)
+             if h.run(h.lookup(h.root_fh, n)).status == NFS3_OK]
+    assert len(names) == 1
+    survivor = h.run(h.lookup(h.root_fh, names[0]))
+    assert survivor.attr.nlink == 1
+    assert not any(server.prepared for server in h.servers)
+
+
+@pytest.mark.parametrize("mkdir_p", [0.0, 1.0])
+def test_rmdir_asks_only_the_home_site_under_mkdir_switching(mkdir_p):
+    """Every entry of a directory lives at its home site, so an rmdir
+    counts there: no COUNT when the home is hosted by the serving server,
+    one when it is not."""
+    h = DirHarness(num_servers=4, num_sites=16, mkdir_p=mkdir_p)
+    names = [f"gone-{i}" for i in range(8)]
+
+    def make():
+        for name in names:
+            assert (yield from h.mkdir(h.root_fh, name)).status == NFS3_OK
+
+    h.run(make())
+    procs = []
+    h.net.fault_injector = DropWhen(
+        lambda pkt: procs.append((_peer_call(pkt) or (0, None))[1]) and False)
+    serving = h.site_map[h.root_fh.home_site]
+    remote_homes = sum(
+        h.site_map[h.config.mkdir_site(h.root_fh, name)] != serving
+        for name in names
+    )
+    for name in names:
+        assert h.run(h.rmdir(h.root_fh, name)).status == NFS3_OK
+    assert procs.count(pp.PEER_COUNT) == remote_homes
+    assert (remote_homes == 0) == (mkdir_p == 0.0)

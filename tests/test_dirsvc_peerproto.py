@@ -62,7 +62,7 @@ def test_prepare_op_arm_past_the_arms_is_refused():
     # The arm index is the word after txid, site, coord_site and count.
     at = len(xdr_string("t")) + 12
     assert ok[at:at + 4] == struct.pack(">I", 4)
-    bad = ok[:at] + struct.pack(">I", 5) + ok[at + 4:]
+    bad = ok[:at] + struct.pack(">I", 6) + ok[at + 4:]
     with pytest.raises(XdrError):
         pp.PrepareArgs.decode(Decoder(bad))
 

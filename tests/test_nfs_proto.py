@@ -618,6 +618,11 @@ def golden_messages():
          "00000003c3a92e000000982d"),
         (cfg.ConfigFetch(cfg.CONFIG_NOT_MODIFIED, u64()),
          "000000010ca68ec83da6256d"),
+        (pp.PutAttr(attr_cell()),
+         "7ee772f9532f84b6000000060000010f000000034042045aa9de2f6a"
+         "cd2ef5887b8ca9ab798c173f9cea9dec41c7d8c04975d55641d77845"
+         "dd90000041b984c4b34000005c98d1b61c47a0f800000007392f2e2e"
+         "c3a96200644b4a7d7d275809e99ecf2c"),
     ]
 
 
@@ -668,7 +673,7 @@ def test_golden_covers_every_declared_message():
         if isinstance(value, type) and "decode" in vars(value)
     }
     assert declared == set(MESSAGE_CLASSES)
-    assert len(declared) == 61
+    assert len(declared) == 62
 
 
 @pytest.mark.parametrize("msg, wire_hex", GOLDEN, ids=GOLDEN_IDS)

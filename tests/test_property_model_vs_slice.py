@@ -17,6 +17,7 @@ from repro.dirsvc.config import MKDIR_SWITCHING, NAME_HASHING
 from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.modelfs import ModelFS
 from repro.ensemble.params import ClusterParams
+from repro.nfs.fhandle import FHandle
 from repro.nfs.types import NF3DIR, Sattr3
 from repro.util.bytesim import PatternData
 
@@ -28,19 +29,21 @@ from repro.util.bytesim import PatternData
 pytestmark = pytest.mark.usefixtures("trace_invariants")
 
 NAMES = [f"n{i}" for i in range(8)]
+#: Name operations act in the root or in one fixed subdirectory of it
+#: (named outside NAMES, so no op removes or renames it).  Renames and
+#: links between the two move files and directories between parents.
+PARENTS = ["root", "sub"]
+names = st.sampled_from(NAMES)
+parents = st.sampled_from(PARENTS)
 
 op_strategy = st.one_of(
-    st.tuples(st.just("create"), st.sampled_from(NAMES)),
-    st.tuples(st.just("mkdir"), st.sampled_from(NAMES)),
-    st.tuples(st.just("remove"), st.sampled_from(NAMES)),
-    st.tuples(st.just("rmdir"), st.sampled_from(NAMES)),
-    st.tuples(st.just("lookup"), st.sampled_from(NAMES)),
-    st.tuples(
-        st.just("rename"), st.sampled_from(NAMES), st.sampled_from(NAMES)
-    ),
-    st.tuples(
-        st.just("link"), st.sampled_from(NAMES), st.sampled_from(NAMES)
-    ),
+    st.tuples(st.just("create"), names, parents),
+    st.tuples(st.just("mkdir"), names, parents),
+    st.tuples(st.just("remove"), names, parents),
+    st.tuples(st.just("rmdir"), names, parents),
+    st.tuples(st.just("lookup"), names, parents),
+    st.tuples(st.just("rename"), names, names, parents, parents),
+    st.tuples(st.just("link"), names, names, parents, parents),
     st.tuples(
         st.just("write"),
         st.sampled_from(NAMES),
@@ -50,8 +53,16 @@ op_strategy = st.one_of(
     st.tuples(
         st.just("truncate"), st.sampled_from(NAMES), st.integers(0, 120_000)
     ),
-    st.tuples(st.just("readdir")),
+    st.tuples(st.just("readdir"), parents),
+    st.tuples(st.just("dotdot"), names, parents),
+    st.tuples(st.just("statdirs")),
 )
+
+
+def _in(op, index):
+    """The parent an op names at ``index``; ops without one act in the
+    root."""
+    return op[index] if len(op) > index else "root"
 
 
 def apply_ops(ops, mode):
@@ -71,86 +82,107 @@ def apply_ops(ops, mode):
     sim = cluster.sim
     slice_root = cluster.root_fh
     model_root = model.root_fh()
-    # name -> (slice_fh, model_fh) for created objects
+    # (parent, name) -> (slice_fh, model_fh) for created objects
     handles = {}
+    # parent -> (slice_fh, model_fh) of the root and the subdirectory
+    dirs = {"root": (slice_root, model_root)}
     divergences = []
 
     def check(op, field, slice_value, model_value):
         if slice_value != model_value:
             divergences.append((op, field, slice_value, model_value))
 
+    def statdirs(op):
+        for parent, (sfh, mfh) in sorted(dirs.items()):
+            s_attr = yield from client.getattr(sfh)
+            m_attr = model.getattr(mfh)
+            check(op, parent + ".status", s_attr.status, m_attr.status)
+            if s_attr.status == 0 and m_attr.status == 0:
+                check(op, parent + ".nlink", s_attr.attr.nlink,
+                      m_attr.attr.nlink)
+
     def driver():
+        sub = yield from client.mkdir(slice_root, "sub")
+        msub = model.mkdir(model_root, "sub", Sattr3(), sim.now)
+        dirs["sub"] = (sub.fh, msub.fh)
         seed = 0
         for op in ops:
             kind = op[0]
             if kind == "create":
-                name = op[1]
-                sres = yield from client.create(slice_root, name)
-                mres = model.create(model_root, name, 1, Sattr3(), sim.now)
+                name, parent = op[1], _in(op, 2)
+                sdir, mdir = dirs[parent]
+                sres = yield from client.create(sdir, name)
+                mres = model.create(mdir, name, 1, Sattr3(), sim.now)
                 check(op, "status", sres.status, mres.status)
                 if sres.status == 0:
-                    handles[name] = (sres.fh, mres.fh)
+                    handles[parent, name] = (sres.fh, mres.fh)
             elif kind == "mkdir":
-                name = op[1]
-                sres = yield from client.mkdir(slice_root, name)
-                mres = model.mkdir(model_root, name, Sattr3(), sim.now)
+                name, parent = op[1], _in(op, 2)
+                sdir, mdir = dirs[parent]
+                sres = yield from client.mkdir(sdir, name)
+                mres = model.mkdir(mdir, name, Sattr3(), sim.now)
                 check(op, "status", sres.status, mres.status)
                 if sres.status == 0:
-                    handles[name] = (sres.fh, mres.fh)
+                    handles[parent, name] = (sres.fh, mres.fh)
             elif kind == "remove":
-                name = op[1]
-                sres = yield from client.remove(slice_root, name)
-                mres = model.remove(model_root, name, sim.now)
+                name, parent = op[1], _in(op, 2)
+                sdir, mdir = dirs[parent]
+                sres = yield from client.remove(sdir, name)
+                mres = model.remove(mdir, name, sim.now)
                 check(op, "status", sres.status, mres.status)
                 if sres.status == 0:
                     # Architectural deviation (documented in DESIGN.md):
                     # data servers accept I/O on handles whose last name is
                     # gone, so the differential test retires the handle.
-                    handles.pop(name, None)
+                    handles.pop((parent, name), None)
             elif kind == "rmdir":
-                name = op[1]
-                sres = yield from client.rmdir(slice_root, name)
-                mres = model.rmdir(model_root, name, sim.now)
+                name, parent = op[1], _in(op, 2)
+                sdir, mdir = dirs[parent]
+                sres = yield from client.rmdir(sdir, name)
+                mres = model.rmdir(mdir, name, sim.now)
                 check(op, "status", sres.status, mres.status)
                 if sres.status == 0:
-                    handles.pop(name, None)
+                    handles.pop((parent, name), None)
             elif kind == "lookup":
-                name = op[1]
-                sres = yield from client.lookup(slice_root, name)
-                mres = model.lookup(model_root, name)
+                name, parent = op[1], _in(op, 2)
+                sdir, mdir = dirs[parent]
+                sres = yield from client.lookup(sdir, name)
+                mres = model.lookup(mdir, name)
                 check(op, "status", sres.status, mres.status)
                 if sres.status == 0 and mres.status == 0:
                     check(op, "ftype", sres.attr.ftype, mres.attr.ftype)
                     check(op, "nlink", sres.attr.nlink, mres.attr.nlink)
                     check(op, "size", sres.attr.size, mres.attr.size)
             elif kind == "rename":
-                _k, src, dst = op
-                sres = yield from client.rename(
-                    slice_root, src, slice_root, dst
-                )
-                mres = model.rename(model_root, src, model_root, dst, sim.now)
+                _k, src, dst = op[:3]
+                src_parent, dst_parent = _in(op, 3), _in(op, 4)
+                (sfrom, mfrom), (sto, mto) = dirs[src_parent], dirs[dst_parent]
+                sres = yield from client.rename(sfrom, src, sto, dst)
+                mres = model.rename(mfrom, src, mto, dst, sim.now)
                 check(op, "status", sres.status, mres.status)
                 if sres.status == 0:
-                    moved = handles.pop(src, None)
+                    moved = handles.pop((src_parent, src), None)
                     if moved is not None:
-                        handles[dst] = moved
+                        handles[dst_parent, dst] = moved
                     else:
-                        handles.pop(dst, None)
+                        handles.pop((dst_parent, dst), None)
             elif kind == "link":
-                _k, src, dst = op
-                if src not in handles:
+                _k, src, dst = op[:3]
+                src_parent, dst_parent = _in(op, 3), _in(op, 4)
+                if (src_parent, src) not in handles:
                     continue
-                sfh, mfh = handles[src]
-                sres = yield from client.link(sfh, slice_root, dst)
-                mres = model.link(mfh, model_root, dst, sim.now)
+                sfh, mfh = handles[src_parent, src]
+                sdir, mdir = dirs[dst_parent]
+                sres = yield from client.link(sfh, sdir, dst)
+                mres = model.link(mfh, mdir, dst, sim.now)
                 check(op, "status", sres.status, mres.status)
                 if sres.status == 0:
-                    handles[dst] = (sfh, mfh)
+                    handles[dst_parent, dst] = (sfh, mfh)
             elif kind == "write":
                 _k, name, offset, length = op
-                if name not in handles:
+                if ("root", name) not in handles:
                     continue
-                sfh, mfh = handles[name]
+                sfh, mfh = handles["root", name]
                 seed += 1
                 data = PatternData(length, seed=seed)
                 sres = yield from client.write(sfh, offset, data)
@@ -158,20 +190,39 @@ def apply_ops(ops, mode):
                 check(op, "status", sres.status, mres.status)
             elif kind == "truncate":
                 _k, name, size = op
-                if name not in handles:
+                if ("root", name) not in handles:
                     continue
-                sfh, mfh = handles[name]
+                sfh, mfh = handles["root", name]
                 sres = yield from client.setattr(sfh, Sattr3(size=size))
                 mres = model.setattr(mfh, Sattr3(size=size), None, sim.now)
                 check(op, "status", sres.status, mres.status)
                 yield sim.timeout(0.5)  # let truncate reclaim settle
             elif kind == "readdir":
-                s_status, s_entries = yield from client.readdir(slice_root)
-                mres = model.readdir(model_root, 0, max_entries=512)
+                sdir, mdir = dirs[_in(op, 1)]
+                s_status, s_entries = yield from client.readdir(sdir)
+                mres = model.readdir(mdir, 0, max_entries=512)
                 check(op, "status", s_status, mres.status)
                 s_names = sorted(e.name for e in s_entries)
                 m_names = sorted(e.name for e in mres.entries)
                 check(op, "names", s_names, m_names)
+            elif kind == "dotdot":
+                # ".." of a directory names its parent: the moved
+                # directory's parent pointer followed a rename.
+                key = (op[2], op[1])
+                if key not in handles:
+                    continue
+                sfh, mfh = handles[key]
+                sres = yield from client.lookup(sfh, "..")
+                mres = model.lookup(mfh, "..")
+                check(op, "status", sres.status, mres.status)
+                if sres.status == 0 and mres.status == 0:
+                    parent = next(p for p, (_s, m) in dirs.items()
+                                  if m == mres.fh)
+                    check(op, "parent", FHandle.unpack(sres.fh).fileid,
+                          FHandle.unpack(dirs[parent][0]).fileid)
+            elif kind == "statdirs":
+                yield from statdirs(op)
+        yield from statdirs(("final", "dirs"))
         # Final content pass: every live regular file must match bytewise.
         for name, (sfh, mfh) in handles.items():
             m_attr = model.getattr(mfh)

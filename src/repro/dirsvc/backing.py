@@ -31,10 +31,11 @@ class SiteBacking:
         self.generation = 0  # bumped on every checkpoint
 
     def checkpoint(self, snapshot: Dict) -> None:
-        """Install a new checkpoint and discard the journal prefix."""
+        """Install a new checkpoint, which holds the effects of every
+        record journaled so far, synced or not: replay skips them all."""
         self.snapshot = snapshot
         self.generation += 1
-        self.log.checkpoint(len(self.log.records))
+        self.log.checkpoint(self.log.end_lsn)
 
 
 class BackingRegistry:

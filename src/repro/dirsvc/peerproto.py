@@ -12,8 +12,8 @@ still in flight.
 Every message is a declared XDR record.  Keys travel as the 16-byte cell
 keys, and cells as :class:`~repro.dirsvc.state.AttrCell` and
 :class:`~repro.dirsvc.state.NameCell` records.  A PREPARE carries its
-transaction as a list of typed ops, one record class per kind of mutation
-(:data:`OP`).
+transaction as a list of the typed ops of :mod:`repro.dirsvc.state`, one
+record class per kind of mutation (:data:`OP`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional
 
 from repro.rpc import xdr
-from .state import AttrCell, NameCell
+from .state import (
+    KEY, OPS, AdjLink, AttrCell, DelName, NameCell, PutAttr, PutName,
+    SetParent, TouchDir,
+)
 
 __all__ = [
     "SLICE_PEER_PROGRAM",
@@ -78,8 +81,6 @@ RESOLVE_ABORTED = 1  # decided abort, or unknown to the coordinator
 RESOLVE_IN_FLIGHT = 2  # not decided yet: ask again later
 
 TXID = xdr.string(64)
-#: An attribute-cell key.
-KEY = xdr.fixed(16)
 
 
 @xdr.record(xdr.U32, KEY)
@@ -114,64 +115,8 @@ class TouchArgs(NamedTuple):
     mtime: float
 
 
-# -- transaction ops -------------------------------------------------------
-
-
-@xdr.record(xdr.nested(NameCell), xdr.BOOL)
-class PutName(NamedTuple):
-    """Install a name entry; with ``must_not_exist`` an existing entry
-    rejects the transaction with EXIST."""
-
-    cell: NameCell
-    must_not_exist: bool = False
-
-
-@xdr.record(xdr.U64, xdr.string(255))
-class DelName(NamedTuple):
-    parent_fileid: int
-    name: str
-
-
-@xdr.record(KEY, xdr.I32, xdr.F64)
-class AdjLink(NamedTuple):
-    """Add ``delta`` to an object's link count and set its ctime; a cell
-    left with no links is deleted (and a regular file's data reclaimed)."""
-
-    key: bytes
-    delta: int
-    ctime: float
-
-
-@xdr.record(KEY, xdr.F64, xdr.I32)
-class TouchDir(NamedTuple):
-    """Advance a directory's mtime and ctime (never back) and add
-    ``nlink_delta`` to its link count.  The count is not clamped: a
-    decrement may commit before the increment it pairs with, and only
-    exact deltas commute."""
-
-    key: bytes
-    mtime: float
-    nlink_delta: int
-
-
-@xdr.record(KEY, xdr.U64, xdr.U32)
-class SetParent(NamedTuple):
-    """Repoint a moved directory at its new parent."""
-
-    key: bytes
-    parent_fileid: int
-    parent_site: int
-
-
-@xdr.record(xdr.nested(AttrCell))
-class PutAttr(NamedTuple):
-    """Install a new object's attribute cell."""
-
-    cell: AttrCell
-
-
-#: One transaction op: the arm index is its class's place in this list.
-OP = xdr.union(PutName, DelName, AdjLink, TouchDir, SetParent, PutAttr)
+#: One transaction op: the arm index is its class's place in ``OPS``.
+OP = xdr.union(*OPS)
 
 
 @xdr.record(TXID, xdr.U32, xdr.U32, xdr.array(OP))

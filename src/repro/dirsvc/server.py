@@ -15,11 +15,13 @@ Local mutations and PREPAREs lock the same keys, and a participant left
 prepared asks the coordinator how the transaction ended, so no lost
 message strands it.
 
-Durability follows the dataless-manager design: every mutation is journaled
-to the site's write-ahead log in shared backing storage and synced (group
-commit) before the reply.  Recovery — which the paper's prototype left
-unimplemented — rebuilds a site from checkpoint + log and resolves in-doubt
-transactions with their coordinators.
+Durability follows the dataless-manager design: each site a mutation
+touches journals its group of ops as one record in the site's write-ahead
+log in shared backing storage, synced (group commit) before the reply; the
+serving site's record carries the commit decision.  Recovery — which the
+paper's prototype left unimplemented — rebuilds a site from checkpoint +
+log, replaying each record through the same :meth:`SiteState.play` the
+live path ran, and resolves in-doubt transactions with their coordinators.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ from . import peerproto as pp
 from .backing import BackingRegistry
 from .config import NameConfig
 from .locks import KeyLocks
-from .state import AttrCell, NameCell, SiteState, attr_key_for, name_key_for
+from .state import (
+    AttrCell, NameCell, SiteState, attr_key_for, group_record, name_key_for,
+    outcome_record, prepare_record,
+)
 
 __all__ = ["DirectoryServer", "DirServerParams", "DIR_PORT", "COOKIE_SITE_SHIFT"]
 
@@ -167,13 +172,9 @@ class DirectoryServer:
         # Numbered per server, so a run's txids (and message sizes) do not
         # depend on what else ran in the process.
         self._txids = itertools.count(1)
-        # As transaction coordinator: the txids decided commit (journaled
-        # as ``tx_decide``), and those not decided yet.
-        self.committed: Set[str] = set()
+        # As transaction coordinator: the txids not decided yet.  A decided
+        # one is in its serving site's ``SiteState.decided``.
         self.in_flight: Set[str] = set()
-        # (txid, site_id) -> ops, this server acting as participant (one
-        # transaction may prepare several sites hosted here).
-        self.prepared: Dict[Tuple[str, int], List[NamedTuple]] = {}
         # Bumped by every crash: work begun before it must not go on.
         self.boots = 0
         self.ops_served = 0
@@ -186,6 +187,16 @@ class DirectoryServer:
     @property
     def address(self) -> Address:
         return self.server.address
+
+    @property
+    def prepared(self) -> Dict[Tuple[str, int], List[NamedTuple]]:
+        """(txid, site) -> ops of every group held prepared here (one
+        transaction may prepare several sites hosted here)."""
+        return {
+            (txid, site_id): ops
+            for site_id, state in self.sites.items()
+            for txid, (_coord, ops) in state.prepared.items()
+        }
 
     # ------------------------------------------------------------------
     # telemetry
@@ -218,28 +229,17 @@ class DirectoryServer:
 
     def _load_site(self, site_id: int) -> None:
         site_backing = self.backing.site("dir", site_id)
-        state = SiteState.from_snapshot(site_backing.snapshot, site_id)
-        pending: Dict[str, Dict] = {}
-        for record in site_backing.log.stable_records():
-            op = record.get("op")
-            if op == "tx_prepare":
-                pending[record["txid"]] = record
-            elif op in ("tx_commit", "tx_abort"):
-                pending.pop(record.get("txid"), None)
-            elif op == "tx_decide":
-                self.committed.add(record["txid"])
-            else:
-                state.apply_record(record)
-        state.finish_recovery()
+        state = SiteState.recover(site_backing.snapshot,
+                                  site_backing.log.stable_records(), site_id)
         self.sites[site_id] = state
         self.locks[site_id] = locks = KeyLocks(self.sim)
         # In-doubt transactions hold their locks again and ask at once: the
         # COMMIT they waited for may have died with this server.
-        for txid, record in pending.items():
-            for key in self._lock_keys(record["ops"]):
+        for txid, (coord_site, ops) in state.prepared.items():
+            for key in self._lock_keys(ops):
                 locks.try_acquire(key, txid)
-            self._hold_prepared(txid, site_id, record["ops"],
-                                record["coord_site"], wait=0.0)
+            self.sim.spawn(self._resolve(txid, site_id, coord_site, 0.0),
+                           name=f"dir-resolve:{self.host.name}")
 
     def unload_site(self, site_id: int) -> int:
         """Checkpoint a site and stop hosting it (reconfiguration step).
@@ -274,7 +274,6 @@ class DirectoryServer:
         self.host.crash()
         self.sites.clear()
         self.locks.clear()
-        self.prepared.clear()
         self.in_flight.clear()
         self.boots += 1
         self.server.clear_duplicate_cache()
@@ -292,7 +291,8 @@ class DirectoryServer:
             for site_id, state in list(self.sites.items()):
                 site_backing = self.backing.site("dir", site_id)
                 yield from site_backing.log.sync()
-                site_backing.checkpoint(state.snapshot())
+                if self.sites.get(site_id) is state:  # not lost or moved
+                    site_backing.checkpoint(state.snapshot())
 
     # ------------------------------------------------------------------
     # helpers
@@ -308,11 +308,20 @@ class DirectoryServer:
     def _log(self, site: int):
         return self.backing.site("dir", site).log
 
-    def _journal_pairs(self, pairs: List[Tuple[int, Dict]]):
-        """Journal (site, record) pairs, each to its own site's log, then
-        sync every touched log (group commit batches concurrent ops)."""
+    def _play(self, site: int, record: Dict) -> None:
+        """Apply a journal record to a hosted site, as replay would, and
+        reclaim the data of the files it leaves with no links."""
+        for cell in self.sites[site].play(record):
+            if cell.ftype == NF3REG and self.coordinator is not None:
+                self.sim.process(self._reclaim(cell.to_fh(self.volume)),
+                                 name=f"reclaim:{self.host.name}")
+
+    def _journal(self, pairs: List[Tuple[int, Dict]]):
+        """Play (site, record) pairs, journal each to its own site's log,
+        then sync every touched log (group commit batches concurrent ops)."""
         logs = []
         for site, record in pairs:
+            self._play(site, record)
             log = self._log(site)
             log.append(record)
             if log not in logs:
@@ -533,6 +542,7 @@ class DirectoryServer:
             return proto.SetattrRes(NFS3ERR_NOT_SYNC)
         now = self._now()
         sattr = args.sattr
+        cell = AttrCell(**vars(cell))
         if sattr.mode is not None:
             cell.mode = sattr.mode
         if sattr.uid is not None:
@@ -551,7 +561,8 @@ class DirectoryServer:
         if sattr.mtime is not None:
             cell.mtime = now if sattr.mtime == "server" else sattr.mtime
         cell.ctime = now
-        yield from self._journal_pairs([(fh.home_site, state.put_attr_cell(cell))])
+        yield from self._journal(
+            [(fh.home_site, group_record([pp.PutAttr(cell)]))])
         if truncating and self.coordinator is not None:
             yield from self._reclaim(fh, truncate_to=sattr.size, remove=False)
         return proto.SetattrRes(NFS3_OK, cell.to_fattr())
@@ -913,13 +924,14 @@ class DirectoryServer:
         """Generator: commit one mutation's ``(site, op)`` pairs, grouped by
         site; returns an NFS status, or ``_CONFLICT`` on a busy lock.
 
-        Groups hosted here lock, validate and apply (:meth:`_apply_ops`).
-        Remote groups are prepared first, and the decision is journaled
-        with the local effects before any COMMIT or reply.  A remote parent
+        Groups hosted here lock, validate and are journaled, one record
+        per site.  Remote groups are prepared first, and the decision
+        rides on the serving site's record (every handler gives the serving
+        site an op), synced before any COMMIT or reply.  A remote parent
         whose mtime alone changes is touched after the commit, best effort:
         timestamps may drift, link counts may not.
         """
-        groups: Dict[int, List[NamedTuple]] = {}
+        groups: Dict[int, List[NamedTuple]] = {site: []}
         touches = []
         for op_site, op in ops:
             if (op_site not in self.sites and type(op) is pp.TouchDir
@@ -939,27 +951,21 @@ class DirectoryServer:
             status = self._validate_ops(self.sites[op_site], group)
             if status is not None:
                 return status
-        pairs = []
         if remote:
             status = yield from self._prepare(site, tx, groups, remote)
             if status != NFS3_OK:
                 return status
             if self.boots != boot:
                 return NFS3ERR_JUKEBOX
-            pairs.append((site, {"op": "tx_decide", "txid": tx.txid,
-                                 "outcome": "c"}))
-        for op_site, group in groups.items():
-            if op_site not in remote:
-                pairs.extend(
-                    (op_site, record)
-                    for record in self._apply_ops(op_site, group)
-                )
-        yield from self._journal_pairs(pairs)
+        yield from self._journal([
+            (op_site, group_record(
+                group, tx.txid if remote and op_site == site else None))
+            for op_site, group in groups.items() if op_site not in remote
+        ])
         if remote:
             if self.boots != boot:
                 return NFS3ERR_JUKEBOX  # the decision may not have survived
             self.in_flight.discard(tx.txid)
-            self.committed.add(tx.txid)
             for op_site in remote:  # a participant left out asks (RESOLVE)
                 yield from self._peer_call(
                     op_site, pp.PEER_COMMIT, pp.TxidArgs(tx.txid, op_site))
@@ -1037,45 +1043,6 @@ class DirectoryServer:
                 return NFS3ERR_STALE
         return None
 
-    def _apply_ops(self, site: int, ops: List[NamedTuple]) -> List[Dict]:
-        """Apply a group of ops to a hosted site; returns its journal
-        records.  This is the only place a typed op changes state."""
-        state = self.sites[site]
-        records: List[Dict] = []
-        for op in ops:
-            kind = type(op)
-            if kind is pp.PutName:
-                records.append(state.put_name_cell(op.cell))
-            elif kind is pp.DelName:
-                records.append(state.del_name_cell(op.parent_fileid, op.name))
-            elif kind is pp.PutAttr:
-                records.append(state.put_attr_cell(op.cell))
-            else:
-                cell = state.get_attr_cell(op.key)
-                if cell is None:
-                    continue
-                if kind is pp.AdjLink:
-                    cell.nlink += op.delta
-                    cell.ctime = op.ctime
-                    if cell.nlink <= 0:
-                        # No links left: the cell goes, a file's data too.
-                        records.append(state.del_attr_cell(op.key))
-                        if cell.ftype == NF3REG and self.coordinator is not None:
-                            self.sim.process(
-                                self._reclaim(cell.to_fh(self.volume)),
-                                name=f"reclaim:{self.host.name}",
-                            )
-                        continue
-                elif kind is pp.TouchDir:
-                    cell.mtime = max(cell.mtime, op.mtime)
-                    cell.ctime = max(cell.ctime, op.mtime)
-                    cell.nlink += op.nlink_delta
-                else:  # SetParent
-                    cell.parent_fileid = op.parent_fileid
-                    cell.parent_site = op.parent_site
-                records.append(state.put_attr_cell(cell))
-        return records
-
     # ------------------------------------------------------------------
     # peer service (this server as participant)
     # ------------------------------------------------------------------
@@ -1109,9 +1076,8 @@ class DirectoryServer:
             if state is not None:
                 cell = state.get_attr_cell(args.key)
                 if cell is not None and args.mtime > cell.mtime:
-                    cell.mtime = args.mtime
-                    cell.ctime = max(cell.ctime, args.mtime)
-                    state.put_attr_cell(cell)  # journaled lazily at checkpoint
+                    # Journaled lazily, by the next checkpoint.
+                    state.apply([pp.TouchDir(args.key, args.mtime, 0)])
             return pp.U32Res(0).encode(), EMPTY
         if procnum == pp.PEER_PREPARE:
             result = yield from self._peer_prepare(pp.PrepareArgs.decode(dec))
@@ -1121,11 +1087,12 @@ class DirectoryServer:
             self._finish_prepared(args.txid, args.site, commit=True)
             return pp.U32Res(0).encode(), EMPTY
         if procnum == pp.PEER_RESOLVE:
-            txid = pp.TxidArgs.decode(dec).txid
-            if txid in self.committed:
+            args = pp.TxidArgs.decode(dec)
+            state = self.sites.get(args.site)
+            if args.txid in self.in_flight or state is None:
+                code = pp.RESOLVE_IN_FLIGHT  # ask again (later, or elsewhere)
+            elif args.txid in state.decided:
                 code = pp.RESOLVE_COMMITTED
-            elif txid in self.in_flight:
-                code = pp.RESOLVE_IN_FLIGHT
             else:  # decided abort, or begun before this server restarted
                 code = pp.RESOLVE_ABORTED
             return pp.U32Res(code).encode(), EMPTY
@@ -1144,7 +1111,7 @@ class DirectoryServer:
         state = self.sites.get(args.site)
         if state is None:
             return pp.PrepareRes(pp.PREPARE_REJECT, SLICEERR_MISDIRECTED)
-        if (args.txid, args.site) in self.prepared:
+        if args.txid in state.prepared:
             return pp.PrepareRes(pp.PREPARE_OK)
         locks = self.locks[args.site]
         acquired = []
@@ -1162,35 +1129,25 @@ class DirectoryServer:
         if nfs_status is not None:
             locks.release_all(acquired)
             return pp.PrepareRes(pp.PREPARE_REJECT, nfs_status)
-        self._hold_prepared(args.txid, args.site, args.ops, args.coord_site,
-                            wait=self._resolve_after())
-        yield from self._journal_pairs([(args.site, {
-            "op": "tx_prepare", "txid": args.txid, "coord_site": args.coord_site,
-            "ops": args.ops,
-        })])
+        self.sim.spawn(self._resolve(args.txid, args.site, args.coord_site,
+                                     self._resolve_after()),
+                       name=f"dir-resolve:{self.host.name}")
+        yield from self._journal([(args.site, prepare_record(
+            args.txid, args.coord_site, args.ops))])
         return pp.PrepareRes(pp.PREPARE_OK)
 
-    def _hold_prepared(self, txid: str, site: int, ops: List[NamedTuple],
-                       coord_site: int, wait: float) -> None:
-        """Keep a locked group prepared until its COMMIT, or until the
-        resolver learns the outcome from the coordinator."""
-        self.prepared[txid, site] = ops
-        self.sim.spawn(self._resolve(txid, site, coord_site, wait),
-                       name=f"dir-resolve:{self.host.name}")
-
     def _finish_prepared(self, txid: str, site: int, commit: bool) -> None:
-        """End a transaction prepared here: apply its ops when it
-        committed, release its locks and log the outcome."""
-        ops = self.prepared.pop((txid, site), None)
-        log = self._log(site)
-        if ops is not None:
-            if commit and site in self.sites:
-                for record in self._apply_ops(site, ops):
-                    log.append(record)
-            locks = self.locks.get(site)
-            if locks is not None:
-                locks.release_all(self._lock_keys(ops))
-        log.append({"op": "tx_commit" if commit else "tx_abort", "txid": txid})
+        """End a transaction prepared here: log the outcome (a commit
+        applies the prepared ops) and release its locks.  The record is
+        synced by whatever syncs the log next; until then a crash leaves
+        the group prepared, and it asks again."""
+        ops = self.prepared.get((txid, site))
+        if ops is None:
+            return
+        record = outcome_record(txid, commit)
+        self._play(site, record)
+        self._log(site).append(record)
+        self.locks[site].release_all(self._lock_keys(ops))
 
     def _resolve_after(self) -> float:
         """The coordinator's whole PREPARE budget: one PREPARE call's full

@@ -7,17 +7,23 @@ other servers ("remote keys"), which is what lets both mkdir switching and
 name hashing share one code base.  Both cell classes are also declared
 XDR records: the dir-peer protocol carries them whole between servers.
 
-Each logical site's cells live in a :class:`SiteState`, journaled to a
-write-ahead log and periodically checkpointed to its backing object; a
-crashed or migrated site is rebuilt from checkpoint + log replay (the paper
+Cells change only through typed ops (:data:`OPS`), which
+:meth:`SiteState.apply` applies.  Each logical site's state lives in a
+:class:`SiteState`, journaled to a write-ahead log one record per
+transaction and periodically checkpointed to its backing object; a crashed
+or migrated site is rebuilt from checkpoint + log replay, which plays each
+record through the same :meth:`SiteState.play` the live path ran (the paper
 described but did not implement this recovery path; we complete it).
+
+Journal records are dicts of three kinds, built by :func:`group_record`,
+:func:`prepare_record` and :func:`outcome_record`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import Fattr3, NF3DIR
@@ -28,6 +34,16 @@ __all__ = [
     "name_key_for",
     "AttrCell",
     "NameCell",
+    "PutName",
+    "DelName",
+    "AdjLink",
+    "TouchDir",
+    "SetParent",
+    "PutAttr",
+    "OPS",
+    "group_record",
+    "prepare_record",
+    "outcome_record",
     "SiteState",
     "ROOT_FILEID",
     "make_root_cell",
@@ -123,8 +139,93 @@ class NameCell:
         return max(3, int.from_bytes(key[:8], "big") >> 16)
 
 
+#: An attribute-cell key.
+KEY = xdr.fixed(16)
+
+
+# -- typed ops: the only way a cell changes -----------------------------------
+
+
+@xdr.record(xdr.nested(NameCell), xdr.BOOL)
+class PutName(NamedTuple):
+    """Install a name entry; with ``must_not_exist`` an existing entry
+    rejects the transaction with EXIST."""
+
+    cell: NameCell
+    must_not_exist: bool = False
+
+
+@xdr.record(xdr.U64, xdr.string(255))
+class DelName(NamedTuple):
+    parent_fileid: int
+    name: str
+
+
+@xdr.record(KEY, xdr.I32, xdr.F64)
+class AdjLink(NamedTuple):
+    """Add ``delta`` to an object's link count and set its ctime; a cell
+    left with no links is deleted (and a regular file's data reclaimed)."""
+
+    key: bytes
+    delta: int
+    ctime: float
+
+
+@xdr.record(KEY, xdr.F64, xdr.I32)
+class TouchDir(NamedTuple):
+    """Advance a directory's mtime and ctime (never back) and add
+    ``nlink_delta`` to its link count.  The count is not clamped: a
+    decrement may commit before the increment it pairs with, and only
+    exact deltas commute."""
+
+    key: bytes
+    mtime: float
+    nlink_delta: int
+
+
+@xdr.record(KEY, xdr.U64, xdr.U32)
+class SetParent(NamedTuple):
+    """Repoint a moved directory at its new parent."""
+
+    key: bytes
+    parent_fileid: int
+    parent_site: int
+
+
+@xdr.record(xdr.nested(AttrCell))
+class PutAttr(NamedTuple):
+    """Install a new object's attribute cell."""
+
+    cell: AttrCell
+
+
+#: Every op kind, in the order of its arm in the dir-peer ``OP`` union.
+OPS = (PutName, DelName, AdjLink, TouchDir, SetParent, PutAttr)
+
+
+# -- journal records -----------------------------------------------------------
+
+
+def group_record(ops: List[NamedTuple], txid: Optional[str] = None) -> Dict:
+    """A group of ops committed at a site.  On the serving site's record of
+    a transaction with remote groups, ``txid`` is the commit decision."""
+    return {"kind": "group", "txid": txid, "ops": ops}
+
+
+def prepare_record(txid: str, coord_site: int, ops: List[NamedTuple]) -> Dict:
+    """A group held prepared for a remote coordinator."""
+    return {"kind": "tx_prepare", "txid": txid, "coord_site": coord_site,
+            "ops": ops}
+
+
+def outcome_record(txid: str, commit: bool) -> Dict:
+    """How a prepared group ended; a commit applies the prepared ops."""
+    return {"kind": "tx_commit" if commit else "tx_abort", "txid": txid}
+
+
 class SiteState:
-    """All cells hosted by one logical directory-server site."""
+    """All cells hosted by one logical directory-server site, with the
+    groups held prepared here and the transactions decided here."""
 
     def __init__(self, site_id: int):
         self.site_id = site_id
@@ -133,26 +234,23 @@ class SiteState:
         # dir fileid -> name-cell keys hosted here (site-local index)
         self.dir_index: Dict[int, Set[bytes]] = {}
         self.next_local_id = 1
+        # txid -> (coordinator site, ops): groups prepared for a remote
+        # coordinator and not ended yet.
+        self.prepared: Dict[str, Tuple[int, List[NamedTuple]]] = {}
+        # Transactions this site coordinated and decided commit.
+        self.decided: Set[str] = set()
 
-    # -- mutation (each returns a journal record) ---------------------------
-    # Every cell field is a scalar, so a shallow copy of a cell's fields is
-    # a snapshot that later in-place updates of the cell do not reach.
+    # -- cell index -----------------------------------------------------------
 
-    def put_attr_cell(self, cell: AttrCell) -> Dict:
+    def put_attr_cell(self, cell: AttrCell) -> None:
         self.attr_cells[attr_key_for(cell.fileid)] = cell
-        return {"op": "put_attr", "cell": dict(vars(cell))}
 
-    def del_attr_cell(self, key: bytes) -> Dict:
-        self.attr_cells.pop(key, None)
-        return {"op": "del_attr", "key": key}
-
-    def put_name_cell(self, cell: NameCell) -> Dict:
+    def put_name_cell(self, cell: NameCell) -> None:
         key = name_key_for(cell.parent_fileid, cell.name)
         self.name_cells[key] = cell
         self.dir_index.setdefault(cell.parent_fileid, set()).add(key)
-        return {"op": "put_name", "cell": dict(vars(cell))}
 
-    def del_name_cell(self, parent_fileid: int, name: str) -> Dict:
+    def del_name_cell(self, parent_fileid: int, name: str) -> None:
         key = name_key_for(parent_fileid, name)
         self.name_cells.pop(key, None)
         index = self.dir_index.get(parent_fileid)
@@ -160,7 +258,62 @@ class SiteState:
             index.discard(key)
             if not index:
                 del self.dir_index[parent_fileid]
-        return {"op": "del_name", "parent": parent_fileid, "name": name}
+
+    # -- mutation -------------------------------------------------------------
+
+    def apply(self, ops: List[NamedTuple]) -> List[AttrCell]:
+        """Apply a group of ops; returns the attribute cells left with no
+        links (the caller reclaims their data, replay does not).
+
+        Live and at replay, this is the only code that changes a cell.  A
+        put installs a copy of its op's cell, so a later in-place update
+        never reaches the op (which the journal holds).
+        """
+        freed = []
+        for op in ops:
+            kind = type(op)
+            if kind is PutName:
+                self.put_name_cell(NameCell(**vars(op.cell)))
+            elif kind is DelName:
+                self.del_name_cell(op.parent_fileid, op.name)
+            elif kind is PutAttr:
+                self.put_attr_cell(AttrCell(**vars(op.cell)))
+            else:
+                cell = self.attr_cells.get(op.key)
+                if cell is None:
+                    continue
+                if kind is AdjLink:
+                    cell.nlink += op.delta
+                    cell.ctime = op.ctime
+                    if cell.nlink <= 0:
+                        # No links left: the cell goes, a file's data too.
+                        del self.attr_cells[op.key]
+                        freed.append(cell)
+                elif kind is TouchDir:
+                    cell.mtime = max(cell.mtime, op.mtime)
+                    cell.ctime = max(cell.ctime, op.mtime)
+                    cell.nlink += op.nlink_delta
+                else:  # SetParent
+                    cell.parent_fileid = op.parent_fileid
+                    cell.parent_site = op.parent_site
+        return freed
+
+    def play(self, record: Dict) -> List[AttrCell]:
+        """Apply one journal record; returns what :meth:`apply` freed.
+
+        The live path plays every record it journals, and recovery plays
+        the log, so a record does the same thing both times.
+        """
+        kind, txid = record["kind"], record["txid"]
+        if kind == "group":
+            if txid is not None:
+                self.decided.add(txid)
+            return self.apply(record["ops"])
+        if kind == "tx_prepare":
+            self.prepared[txid] = record["coord_site"], record["ops"]
+            return []
+        ops = self.prepared.pop(txid)[1]  # tx_commit or tx_abort
+        return self.apply(ops) if kind == "tx_commit" else []
 
     # -- lookup ----------------------------------------------------------
 
@@ -189,47 +342,40 @@ class SiteState:
     # -- checkpoint & recovery -----------------------------------------------
 
     def snapshot(self) -> Dict:
+        """Every cell as a dict of its fields, the prepared groups and the
+        decided txids.  Ops are immutable and no applied cell is an op's,
+        so the snapshot may share them."""
         return {
             "site_id": self.site_id,
             "attrs": [dict(vars(c)) for c in self.attr_cells.values()],
             "names": [dict(vars(c)) for c in self.name_cells.values()],
+            "prepared": [(txid, coord_site, ops) for txid, (coord_site, ops)
+                         in self.prepared.items()],
+            "decided": sorted(self.decided),
         }
 
     @classmethod
-    def from_snapshot(cls, snap: Optional[Dict], site_id: int) -> "SiteState":
+    def recover(cls, snap: Optional[Dict], records: List[Dict],
+                site_id: int) -> "SiteState":
+        """Rebuild a site from its checkpoint and the journal records
+        after it."""
         state = cls(site_id)
         if snap:
             for raw in snap["attrs"]:
                 state.put_attr_cell(AttrCell(**raw))
             for raw in snap["names"]:
                 state.put_name_cell(NameCell(**raw))
-        state._restore_counter()
-        return state
-
-    def apply_record(self, record: Dict) -> None:
-        """Replay one journal record (idempotent)."""
-        op = record["op"]
-        if op == "put_attr":
-            self.put_attr_cell(AttrCell(**record["cell"]))
-        elif op == "del_attr":
-            self.attr_cells.pop(record["key"], None)
-        elif op == "put_name":
-            self.put_name_cell(NameCell(**record["cell"]))
-        elif op == "del_name":
-            self.del_name_cell(record["parent"], record["name"])
-        else:
-            raise ValueError(f"unknown journal record: {op!r}")
-
-    def _restore_counter(self) -> None:
+            for txid, coord_site, ops in snap["prepared"]:
+                state.prepared[txid] = coord_site, ops
+            state.decided.update(snap["decided"])
+        for record in records:
+            state.play(record)
         high = 0
-        for cell in self.attr_cells.values():
-            if cell.fileid >> 40 == self.site_id:
+        for cell in state.attr_cells.values():
+            if cell.fileid >> 40 == site_id:
                 high = max(high, cell.fileid & ((1 << 40) - 1))
-        self.next_local_id = high + 1
-
-    def finish_recovery(self) -> None:
-        """Call after snapshot + full log replay."""
-        self._restore_counter()
+        state.next_local_id = high + 1
+        return state
 
     def cell_count(self) -> int:
         return len(self.attr_cells) + len(self.name_cells)

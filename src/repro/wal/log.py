@@ -4,7 +4,10 @@ Every Slice file manager is *dataless*: its state is backed by storage
 objects plus this journal, and "the system can recover the state of any
 manager from its backing objects together with its log" (§2.3).  Records
 are plain dicts; the log guarantees that a record reported stable survives
-a crash, and that records never reported stable vanish with one.
+a crash, and that records never reported stable vanish with one.  Positions
+are absolute LSNs.  A checkpoint tells the log which records the caller's
+snapshot holds, synced or not, and replay skips them, so a record whose
+effect is a delta is replayed exactly once.
 
 Group commit (Hagmann-style, [10] in the paper): concurrent sync() callers
 share one sequential disk write, amortizing log I/O — the reason each
@@ -38,7 +41,6 @@ class WriteAheadLog:
         self.record_bytes = record_bytes
         self.name = name  # observability label (set by the chaos harness)
         self.records: List[Dict] = []
-        self.stable_count = 0
         self.bytes_logged = 0
         self.syncs = 0
         self.crashes = 0
@@ -51,9 +53,18 @@ class WriteAheadLog:
         # wal-prefix invariant input).
         self.torn_tail: Optional[Callable[[int], int]] = None
         self.on_crash: Optional[Callable[["WriteAheadLog", int, int, int], None]] = None
-        # Absolute LSN of records[0] (advanced by checkpoint truncation),
-        # so observers can reason about prefixes across checkpoints.
+        # Positions are absolute LSNs, which checkpoint truncation does not
+        # shift: records[0] has ``base_lsn``, every record below
+        # ``stable_lsn`` is stable, and the caller's checkpoint holds the
+        # effects of every record below ``checkpoint_lsn``.
         self.base_lsn = 0
+        self.stable_lsn = 0
+        self.checkpoint_lsn = 0
+
+    @property
+    def end_lsn(self) -> int:
+        """The LSN the next appended record gets."""
+        return self.base_lsn + len(self.records)
 
     # -- appending ---------------------------------------------------------
 
@@ -62,16 +73,17 @@ class WriteAheadLog:
         if not isinstance(record, dict):
             raise TypeError(f"log records are dicts, got {type(record)!r}")
         self.records.append(dict(record))
-        return len(self.records) - 1
+        return self.end_lsn - 1
 
     def sync(self):
-        """Generator: return once every record appended so far is stable.
+        """Generator: return once every record appended so far is stable,
+        or lost to a crash.
 
         Concurrent callers piggyback on the in-flight flush when it covers
         their records (group commit).
         """
-        target = len(self.records)
-        while self.stable_count < target:
+        target, crashes = self.end_lsn, self.crashes
+        while self.stable_lsn < target and self.crashes == crashes:
             if self._flush_done is not None:
                 yield self._flush_done
             else:
@@ -86,13 +98,15 @@ class WriteAheadLog:
     def _flush(self):
         self._flush_done = self.sim.event()
         try:
-            pending_upto = len(self.records)
-            nbytes = (pending_upto - self.stable_count) * self.record_bytes
+            pending_upto, crashes = self.end_lsn, self.crashes
+            nbytes = (pending_upto - self.stable_lsn) * self.record_bytes
             if self.write_cost is not None and nbytes > 0:
                 yield from self.write_cost(nbytes)
             else:
                 yield self.sim.timeout(0)
-            self.stable_count = pending_upto
+            if self.crashes == crashes:  # else the buffer died mid-write
+                self.stable_lsn = max(self.stable_lsn, pending_upto)
+                self._discard()
             self.bytes_logged += nbytes
             self.syncs += 1
         finally:
@@ -120,22 +134,32 @@ class WriteAheadLog:
             keep = max(0, min(unsynced, int(self.torn_tail(unsynced))))
         del self.records[stable_before + keep:]
         # Torn-tail survivors were physically written: they are stable now.
-        self.stable_count = stable_before + keep
+        self.stable_lsn = self.end_lsn
         if self.on_crash is not None:
             self.on_crash(self, stable_before, self.stable_count, appended)
+        # Records the checkpoint holds may be lost; their LSNs stay used.
+        self.stable_lsn = max(self.stable_lsn, self.checkpoint_lsn)
+        self._discard()
 
     def stable_records(self) -> List[Dict]:
-        """The records guaranteed to survive a crash right now."""
-        return [dict(r) for r in self.records[: self.stable_count]]
+        """The records guaranteed to survive a crash right now that the
+        caller's checkpoint does not hold (what recovery replays)."""
+        first = max(0, self.checkpoint_lsn - self.base_lsn)
+        return [dict(r) for r in self.records[first:self.stable_count]]
 
-    def checkpoint(self, keep_from_lsn: int) -> None:
-        """Discard records below ``keep_from_lsn`` (caller checkpointed)."""
-        if keep_from_lsn <= 0:
-            return
-        keep_from_lsn = min(keep_from_lsn, self.stable_count)
-        del self.records[:keep_from_lsn]
-        self.stable_count -= keep_from_lsn
-        self.base_lsn += keep_from_lsn
+    def checkpoint(self, upto_lsn: int) -> None:
+        """The caller checkpointed the effects of every record below
+        ``upto_lsn``: replay skips them from now on.  Each is discarded
+        once it is stable; one not yet synced stays held until its write
+        lands."""
+        self.checkpoint_lsn = max(self.checkpoint_lsn, upto_lsn)
+        self._discard()
+
+    def _discard(self) -> None:
+        upto = min(self.checkpoint_lsn, self.stable_lsn)
+        if upto > self.base_lsn:
+            del self.records[:upto - self.base_lsn]
+            self.base_lsn = upto
 
     # -- telemetry ---------------------------------------------------------
 
@@ -145,9 +169,14 @@ class WriteAheadLog:
         return len(self.records)
 
     @property
+    def stable_count(self) -> int:
+        """Records held that are stable."""
+        return self.stable_lsn - self.base_lsn
+
+    @property
     def unsynced(self) -> int:
         """Appended records not yet acknowledged stable."""
-        return len(self.records) - self.stable_count
+        return self.end_lsn - self.stable_lsn
 
     def __len__(self) -> int:
         return len(self.records)

@@ -79,7 +79,7 @@ CHAOS_DIGESTS = {
     "mixed-1": "f2542b0b5f2e4de25612d254c72b42c4c24f750c855473813db777682536c55b",
     "mixed-2": "3664a68bf53ba350010487d5d06b7c93353e2d07912aaaa0da35a1f0aaeb3ec3",
     "mixed-3": "63c507782964e81cfa8a4bce14855d6f37ec42bc131584a56aef85bfc2655d25",
-    "namespace-1": "c5f0513ae583bd3ec7d476c4c897108c1cc4ce8dc7666bfdcfc98b9a4b615f48",
+    "namespace-1": "2ad85190aaf362e129667e1b8f3039ea6e97a64e9e717d252f1dd45a0cdbd5e9",
     "untar-1": "beb58783c31eaa68738537e0ea966cf376442c82d3bba7585203ef3413e92116",
     "untar-2": "2e866af87bdcb7209bda901c4427046df92d84b0a6ae23dd35913e50ebabb3bd",
     "untar-3": "0199dc987a757ea73699ad5229d50ecc3ecdb059a7f2f121f61eb3215083b12e",
@@ -89,11 +89,11 @@ CHAOS_DIGESTS = {
 FINGERPRINTS = {
     "baseline-ffs": "2625fc45bb87aa96590817d3ff30c190",
     "baseline-mfs": "58d85b5b4c759ddf4860069d7961f808",
-    "slice-bulk": "c2f2ab56e49d11841505db3e5df01bfe",
-    "slice-peer": "7ee2fcf8f532a538a31c30dde9689cd2",
-    "slice-sfs": "dbebea673cd1a2b570e3c5b9f6000d0a",
-    "slice-untar": "4b01a29b29421475aadcf205172d260e",
-    "slice-untar-hashed": "738d20ab6b5325f91bcd31d19af4ac53",
+    "slice-bulk": "b96562ee1751dc910bfbafbfa98bd006",
+    "slice-peer": "fabfca0c51945bc1aa056ce84562fe30",
+    "slice-sfs": "27b57494f2c7a7126269ae610f85b5db",
+    "slice-untar": "9c70ee652e6c1c57321d7792b2660916",
+    "slice-untar-hashed": "482d8747dc33dd350da5c09cfc38245c",
 }
 
 

@@ -165,6 +165,35 @@ def test_namespace_under_name_hashing(seed):
     assert report.fault_counters["drops_loss"] > 0
 
 
+def torn_namespace_plan(seed):
+    """Both directory servers crash with torn journal tails, under mkdir
+    switching with the fabric and the dir-peer traffic lossy."""
+    return FaultPlan(
+        seed=seed,
+        packet_faults=[
+            PacketFaultRule(loss=0.02),
+            PacketFaultRule(prog=pp.SLICE_PEER_PROGRAM, loss=0.1),
+            PacketFaultRule(src="dir", dst="dir", loss=0.1),
+        ],
+        crashes=[
+            CrashWindow("dir", 0, at=0.611, restart_at=1.011, torn_tail=True),
+            CrashWindow("dir", 1, at=0.923, restart_at=1.323, torn_tail=True),
+        ],
+    )
+
+
+def test_namespace_with_torn_journal_tails():
+    """A torn tail keeps a prefix of the unsynced records.  Each site
+    journals a transaction's group as one record, and a participant's
+    commit as one more, so no crash keeps half a mutation or applies a
+    commit twice (this plan tore ``dir:0`` after a commit's cells but
+    before its ``tx_commit`` when commits were several records)."""
+    harness = ChaosHarness(torn_namespace_plan(30))
+    report = harness.run(NamespaceChaosScenario(ops=200, seed=30))
+    assert report.result == 200
+    assert report.crashes_executed == report.restarts_executed == 2
+
+
 # -- determinism oracle -------------------------------------------------------
 
 

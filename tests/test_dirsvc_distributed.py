@@ -4,7 +4,7 @@ and cross-server mutations that no lost message or crossed race strands."""
 
 import pytest
 
-from repro.dirsvc import NAME_HASHING, NameConfig
+from repro.dirsvc import NAME_HASHING, DirServerParams, NameConfig
 from repro.dirsvc import peerproto as pp
 from repro.nfs import proto
 from repro.nfs.errors import (
@@ -512,6 +512,47 @@ def test_lost_commit_is_resolved_without_a_restart():
     h.net.fault_injector = None
 
     assert _after(h, 60.0, lambda: h.lookup(h.root_fh, name)).status == NFS3_OK
+    assert not any(server.prepared for server in h.servers)
+
+
+def _restart(server):
+    """Crash ``server`` and restart it with the sites it hosted."""
+    sites = server.hosted_sites()
+    server.crash()
+    server.restart(site_ids=sites)
+
+
+def test_torn_commit_applies_the_prepared_ops_once():
+    """A participant's commit is one unsynced record: a torn tail keeps it
+    whole or not at all, so the mkdir's +1 on the parent applies once."""
+    h = DirHarness(num_servers=2, num_sites=8, mkdir_p=1.0)
+    name = _orphan_on_server_1(h)
+    assert h.run(h.mkdir(h.root_fh, name)).status == NFS3_OK
+    root_log = h.backing.site("dir", h.root_fh.home_site).log
+    root_log.torn_tail = lambda unsynced: unsynced - 1
+    _restart(h.servers[0])
+    assert _after(h, 60.0, lambda: h.lookup(h.root_fh, name)).status == NFS3_OK
+    assert h.run(h.getattr(h.root_fh)).attr.nlink == 3
+    assert not any(server.prepared for server in h.servers)
+
+
+def test_checkpoint_keeps_an_in_doubt_transaction():
+    """Every COMMIT lost and both servers checkpointing every 2 s: the
+    checkpoint holds the prepared group and the coordinator's decision, so
+    the participant that restarts at 5 s, while the coordinator still
+    retries its COMMIT, commits the entry."""
+    h = DirHarness(num_servers=2, num_sites=8, mkdir_p=1.0,
+                   params=DirServerParams(checkpoint_interval=2.0))
+    name = _orphan_on_server_1(h)
+    h.net.fault_injector = DropWhen(_calls_to(pp.PEER_COMMIT))
+    mkdir = h.sim.process(h.mkdir(h.root_fh, name))
+    h.sim.run(until=5.0)
+    assert h.backing.site("dir", h.root_fh.home_site).generation > 1
+    _restart(h.servers[0])
+    assert len(h.servers[0].prepared) == 1
+    h.sim.run(until=65.0)
+    assert mkdir.value.status == NFS3_OK
+    assert h.run(h.lookup(h.root_fh, name)).status == NFS3_OK
     assert not any(server.prepared for server in h.servers)
 
 

@@ -144,3 +144,67 @@ def test_rejects_non_dict_records():
     log = WriteAheadLog(sim)
     with pytest.raises(TypeError):
         log.append(["not", "a", "dict"])
+
+
+def _slow_log(write_s=0.01):
+    sim = Simulator()
+
+    def write(nbytes):
+        yield sim.timeout(write_s)
+
+    return sim, WriteAheadLog(sim, write_cost=write)
+
+
+def test_checkpoint_during_an_in_flight_flush():
+    """r1 synced, r2's flush in flight, then a checkpoint that holds both:
+    the flush lands without shifting any position, and r3 gets a write of
+    its own."""
+    sim, log = _slow_log()
+    sim.run_process(log.append_sync({"op": "r1"}))
+    log.append({"op": "r2"})
+    sim.process(log.sync())
+    sim.run(until=sim.now + 0.005)
+    assert log._flush_done is not None
+    log.checkpoint(log.end_lsn)
+    sim.run(until=sim.now + 0.01)
+    assert (log.stable_count, log.unsynced, len(log)) == (0, 0, 0)
+    assert log.base_lsn == 2
+    start = sim.now
+    assert sim.run_process(log.append_sync({"op": "r3"})) == 2
+    assert sim.now - start == pytest.approx(0.01)
+    assert (log.syncs, log.bytes_logged) == (3, 288)
+    assert [r["op"] for r in log.stable_records()] == ["r3"]
+
+
+@pytest.mark.parametrize("torn", [False, True])
+def test_checkpointed_records_are_not_replayed_after_a_crash(torn):
+    """A record the checkpoint holds is skipped by replay even when it was
+    never synced, and its LSN is not handed out again."""
+    sim = Simulator()
+    log = WriteAheadLog(sim)
+    sim.run_process(log.append_sync({"op": "a"}))
+    log.append({"op": "b"})
+    log.checkpoint(log.end_lsn)
+    assert len(log) == 1  # b waits for its write
+    if torn:
+        log.torn_tail = lambda unsynced: unsynced
+    log.crash()
+    assert log.stable_records() == []
+    assert log.append({"op": "c"}) == 2
+    sim.run_process(log.sync())
+    assert [r["op"] for r in log.stable_records()] == ["c"]
+
+
+def test_a_flush_cut_by_a_crash_makes_nothing_stable():
+    """A write in flight at a crash lands afterwards: it must not make the
+    records appended after the crash stable."""
+    sim, log = _slow_log()
+    log.append({"op": "a"})
+    sim.process(log.sync())
+    sim.run(until=0.005)
+    log.crash()
+    log.append({"op": "b"})
+    sim.run(until=0.02)
+    assert (log.stable_count, log.unsynced) == (0, 1)
+    sim.run_process(log.sync())
+    assert [r["op"] for r in log.stable_records()] == ["b"]

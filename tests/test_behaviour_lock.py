@@ -1,7 +1,7 @@
 """Behaviour lock: hashes of seeded runs, pinned so that a change to what
 the model does in simulated time fails tier-1.
 
-Two kinds of value are pinned:
+Three kinds of value are pinned:
 
 - ``Tracer.digest()`` of the untar, bulk and mixed-ops chaos scenarios under
   seeded fault plans, and of one namespace scenario under name hashing
@@ -15,6 +15,11 @@ Two kinds of value are pinned:
   request, packet, byte and WAL-record counts of every component.
   Kernel step counts are left out: fewer steps for the same behaviour is
   a speed-up, not a model change.
+- The µproxy cycles of each Slice fingerprint run: the ``repr`` of every
+  µproxy's ``CostModel.cycles`` and ``packets``.  Cycles are never charged
+  to simulated time, so attaching the cost model leaves the fingerprints
+  alone; pinning them makes a µproxy that decodes, rewrites or keeps more
+  or less per packet fail tier-1.
 
 Every Slice cluster here has two directory servers, so dir-peer RPCs run:
 two-phase commits under mkdir switching, and attribute and entry fetches
@@ -36,11 +41,13 @@ differ from the pinned ones (as ``name: old -> new``)::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import pytest
 
 from repro.api import ClusterSpec, build
+from repro.core.cost import CostModel
 from repro.dirsvc import peerproto as pp
 from repro.dirsvc.config import MKDIR_SWITCHING, NAME_HASHING
 from repro.ensemble.baseline import BaselineParams, MonolithicServer
@@ -94,6 +101,28 @@ FINGERPRINTS = {
     "slice-sfs": "27b57494f2c7a7126269ae610f85b5db",
     "slice-untar": "9c70ee652e6c1c57321d7792b2660916",
     "slice-untar-hashed": "482d8747dc33dd350da5c09cfc38245c",
+}
+
+#: slice workload run -> per µproxy, repr((cycles, packets))
+UPROXY_CYCLES = {
+    "slice-bulk": (
+        "({'intercept': 101920.0, 'decode': 548000.0, 'rewrite': 241632.0, 'softstate': 277500.0}, 182)",
+    ),
+    "slice-peer": (
+        "({'intercept': 13440.0, 'decode': 64280.0, 'rewrite': 10396.0, 'softstate': 16250.0}, 24)",
+    ),
+    "slice-sfs": (
+        "({'intercept': 138880.0, 'decode': 838640.0, 'rewrite': 185828.0, 'softstate': 257500.0}, 248)",
+        "({'intercept': 63840.0, 'decode': 377736.0, 'rewrite': 52788.0, 'softstate': 76250.0}, 114)",
+    ),
+    "slice-untar": (
+        "({'intercept': 437920.0, 'decode': 2383448.0, 'rewrite': 353464.0, 'softstate': 488750.0}, 782)",
+        "({'intercept': 434560.0, 'decode': 2360816.0, 'rewrite': 350752.0, 'softstate': 485000.0}, 776)",
+    ),
+    "slice-untar-hashed": (
+        "({'intercept': 437920.0, 'decode': 2262488.0, 'rewrite': 353464.0, 'softstate': 488750.0}, 782)",
+        "({'intercept': 434560.0, 'decode': 2221712.0, 'rewrite': 350752.0, 'softstate': 485000.0}, 776)",
+    ),
 }
 
 
@@ -195,9 +224,13 @@ def _digest(state) -> str:
     return hashlib.sha256(repr(state).encode()).hexdigest()[:32]
 
 
-def _slice_state(cluster, latencies: list) -> str:
+def _slice_state(cluster, latencies: list) -> tuple:
+    """The run's fingerprint, and per µproxy the ``repr`` of its cycles
+    and packet count."""
     servers = (cluster.dir_servers + cluster.sf_servers
                + cluster.storage_nodes + cluster.coordinators)
+    cycles = tuple(repr((p.cost.cycles, p.cost.packets))
+                   for _c, p in cluster.clients)
     return _digest((
         [repr(x) for x in latencies],
         repr(cluster.sim.now),
@@ -210,7 +243,7 @@ def _slice_state(cluster, latencies: list) -> str:
         [(key, _wal_counts(b.log))
          for key, b in sorted(cluster.backing._sites.items())],
         [_wal_counts(c.log) for c in cluster.coordinators],
-    ))
+    )), cycles
 
 
 def _slice_cluster(clients: int, name_mode: str = MKDIR_SWITCHING):
@@ -221,13 +254,14 @@ def _slice_cluster(clients: int, name_mode: str = MKDIR_SWITCHING):
     latencies: list = []
     nfs = []
     for i in range(clients):
-        client, _proxy = cluster.add_client(f"c{i}", port=700 + i)
+        client, _proxy = cluster.add_client(f"c{i}", port=700 + i,
+                                            cost=CostModel())
         _time_calls(client, latencies)
         nfs.append(client)
     return cluster, nfs, latencies
 
 
-def run_slice_untar(name_mode: str = MKDIR_SWITCHING) -> str:
+def run_slice_untar(name_mode: str = MKDIR_SWITCHING) -> tuple:
     cluster, clients, latencies = _slice_cluster(2, name_mode)
     procs = [
         UntarWorkload(client, cluster.root_fh, UntarSpec(total_entries=60),
@@ -239,7 +273,7 @@ def run_slice_untar(name_mode: str = MKDIR_SWITCHING) -> str:
     return _slice_state(cluster, latencies)
 
 
-def run_slice_bulk() -> str:
+def run_slice_bulk() -> tuple:
     cluster, (client,), latencies = _slice_cluster(1)
 
     def drive():
@@ -286,7 +320,7 @@ PEER_PROCS = {pp.PEER_GET_ATTRS, pp.PEER_GET_ENTRY, pp.PEER_COUNT,
 PEER_OPS = {"AdjLink+1", "AdjLink-1", "DelName", "SetParent", "TouchDir"}
 
 
-def run_slice_peer() -> str:
+def run_slice_peer() -> tuple:
     """Name hashing on two directory servers, with names picked so that
     each dir-peer procedure and transaction op runs; then a directory
     site moves and the stale µproxy refetches its tables."""
@@ -364,7 +398,7 @@ def _sfs_config() -> SfsConfig:
     )
 
 
-def run_slice_sfs() -> str:
+def run_slice_sfs() -> tuple:
     cluster, clients, latencies = _slice_cluster(2)
     run = SfsRun(cluster.sim, clients, cluster.root_fh, _sfs_config())
     cluster.run(run.execute())
@@ -401,7 +435,7 @@ def _every_baseline_proc(client: NfsClient, root: bytes):
     yield from client.null()
 
 
-def run_baseline(mode: str) -> str:
+def run_baseline(mode: str) -> tuple:
     sim = Simulator()
     net = Network(sim, NetParams())
     server = MonolithicServer(sim, net.add_host("nfs-server"),
@@ -425,7 +459,7 @@ def run_baseline(mode: str) -> str:
         _host_counts(net),
         server.ops_served,
         _rpc_counts(server.server),
-    ))
+    )), None
 
 
 FINGERPRINT_RUNS = {
@@ -439,6 +473,13 @@ FINGERPRINT_RUNS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def workload_run(name: str) -> tuple:
+    """(fingerprint, µproxy cycles or None) of one workload run; each run
+    runs once per process, for both of its pinned values."""
+    return FINGERPRINT_RUNS[name]()
+
+
 # -- the lock ---------------------------------------------------------------------
 
 
@@ -449,7 +490,12 @@ def test_chaos_digest_is_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(FINGERPRINT_RUNS))
 def test_workload_fingerprint_is_pinned(name):
-    assert FINGERPRINT_RUNS[name]() == FINGERPRINTS[name]
+    assert workload_run(name)[0] == FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(UPROXY_CYCLES))
+def test_uproxy_cycles_are_pinned(name):
+    assert workload_run(name)[1] == UPROXY_CYCLES[name]
 
 
 def _current_values():
@@ -457,7 +503,9 @@ def _current_values():
     for name in sorted(CHAOS_RUNS):
         yield name, CHAOS_DIGESTS.get(name), chaos_digest(name)
     for name in sorted(FINGERPRINT_RUNS):
-        yield name, FINGERPRINTS.get(name), FINGERPRINT_RUNS[name]()
+        yield name, FINGERPRINTS.get(name), workload_run(name)[0]
+    for name in sorted(UPROXY_CYCLES):
+        yield f"cycles {name}", UPROXY_CYCLES[name], workload_run(name)[1]
 
 
 def _print_diff() -> None:
@@ -475,7 +523,16 @@ def _print_pinned() -> None:
         print(f'    "{name}": "{chaos_digest(name)}",')
     print("}\n\n#: workload run -> fingerprint\nFINGERPRINTS = {")
     for name in sorted(FINGERPRINT_RUNS):
-        print(f'    "{name}": "{FINGERPRINT_RUNS[name]()}",')
+        print(f'    "{name}": "{workload_run(name)[0]}",')
+    print("}\n\n#: slice workload run -> per µproxy, repr((cycles, packets))")
+    print("UPROXY_CYCLES = {")
+    for name in sorted(FINGERPRINT_RUNS):
+        cycles = workload_run(name)[1]
+        if cycles is not None:
+            print(f'    "{name}": (')
+            for one in cycles:
+                print(f'        "{one}",')
+            print("    ),")
     print("}")
 
 

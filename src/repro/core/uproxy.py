@@ -9,6 +9,17 @@ write verifiers, chains multi-site readdirs, and absorbs/synthesizes
 packets where the architecture calls for it (commit fan-out, misdirected
 request retry, block-map fetches).
 
+Each routing decision is written once, as a table or one method:
+
+- ``_FH_ROUTES``: procedures sent to their file handle's home directory
+  site, and the argument prefix read to find the handle;
+- ``_NAME_ROUTES``: procedures sent to the site of the (directory, name)
+  pair they name, by name hashing or mkdir switching (§3.2);
+- READDIR goes to the site its cookie names, READ and WRITE by the I/O
+  threshold and stripe unit (§3.1), and every redirect is ``_redirect``;
+- ``_ATTR_REPLIES``: replies whose attributes the µproxy learns, and
+  whether it patches a dirty cached copy into them (§4.1).
+
 Everything it keeps is bounded soft state: pending-request records, the
 attribute cache, dirty-site sets, block-map fragments, and routing-table
 hints.  ``discard_state()`` throws all of it away; end-to-end NFS
@@ -25,8 +36,15 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.dirsvc.config import NameConfig
 from repro.net import Address, Host, Packet, PacketFilter
 from repro.nfs import proto
-from repro.nfs.errors import NFS3_OK, SLICEERR_MISDIRECTED
+from repro.nfs.errors import (
+    NFS3_OK,
+    NFS3ERR_INVAL,
+    NFS3ERR_IO,
+    NFS3ERR_ISDIR,
+    SLICEERR_MISDIRECTED,
+)
 from repro.nfs.fhandle import FHandle
+from repro.nfs.types import NF3DIR, NF3REG, Sattr3
 from repro.rpc import RpcClient, RpcTimeout
 from repro.rpc.messages import CALL, CallHeader, ReplyHeader
 from repro.rpc.xdr import Decoder, XdrError
@@ -44,6 +62,63 @@ __all__ = ["UProxy", "ProxyParams"]
 
 COOKIE_SITE_SHIFT = 48
 
+#: Procedures routed to the home site of the file handle they start with
+#: -> the argument prefix decoded to find it (ACCESS's mask is not read).
+_FH_ROUTES = {
+    proto.PROC_GETATTR: proto.FhArgs,
+    proto.PROC_SETATTR: proto.SetattrArgs,
+    proto.PROC_ACCESS: proto.FhArgs,
+    proto.PROC_READLINK: proto.FhArgs,
+    proto.PROC_FSSTAT: proto.FhArgs,
+    proto.PROC_FSINFO: proto.FhArgs,
+    proto.PROC_PATHCONF: proto.FhArgs,
+}
+
+_ENTRY, _MKDIR = NameConfig.entry_site, NameConfig.mkdir_site
+
+#: Procedures routed by the (directory handle, name) pair they name ->
+#: (argument fields decoded before the pair, how the pair picks a site,
+#: trace reason).  RENAME goes to its target entry's site.
+_NAME_ROUTES = {
+    proto.PROC_LOOKUP: ((), _ENTRY, "name-entry"),
+    proto.PROC_CREATE: ((), _ENTRY, "name-entry"),
+    proto.PROC_MKDIR: ((), _MKDIR, "mkdir-switch"),
+    proto.PROC_SYMLINK: ((), _ENTRY, "name-entry"),
+    proto.PROC_MKNOD: ((), _ENTRY, "name-entry"),
+    proto.PROC_REMOVE: ((), _ENTRY, "name-entry"),
+    proto.PROC_RMDIR: ((), _ENTRY, "name-entry"),
+    proto.PROC_RENAME: ((proto.FH, proto.NAME), _ENTRY, "rename-target"),
+    proto.PROC_LINK: ((proto.FH,), _ENTRY, "name-entry"),
+}
+
+#: Replies whose attributes the µproxy learns -> (the attributes are those
+#: of the handle the reply returns, not the request's; a dirty cached copy
+#: is patched into the reply, §4.1).  READ, WRITE and READDIR replies have
+#: their own fixups.
+_ATTR_REPLIES = {
+    proto.PROC_GETATTR: (False, True),
+    proto.PROC_SETATTR: (False, False),
+    proto.PROC_LOOKUP: (True, True),
+    proto.PROC_CREATE: (True, False),
+    proto.PROC_MKDIR: (True, False),
+    proto.PROC_SYMLINK: (True, False),
+}
+
+
+def _fit(data: Data, length: int) -> Data:
+    """``data`` cut, or zero-padded past its end, to ``length`` bytes."""
+    if data.length < length:
+        return concat([data, ZeroData(length - data.length)])
+    return data.slice(0, length)
+
+
+def _site_cookie(site: int) -> int:
+    """The READDIR cookie that starts a listing at a logical site.
+
+    The low bit keeps the cookie nonzero (cookie 0 means "start over at the
+    home site"); per-entry cookies start at 3, so 1 is safe."""
+    return (site << COOKIE_SITE_SHIFT) | 1
+
 
 @dataclass
 class ProxyParams:
@@ -59,22 +134,18 @@ class _Pending:
     """Soft-state record pairing a request with its reply(ies)."""
 
     __slots__ = (
-        "proc", "fh", "offset", "count", "dst", "expected", "got",
-        "site", "plus", "stable",
+        "proc", "fh", "offset", "count", "dst", "expected", "got", "site",
     )
 
-    def __init__(self, proc, fh=None, offset=0, count=0, dst=None,
-                 expected=1, site=0, plus=False, stable=0):
+    def __init__(self, proc, fh=None, offset=0, count=0, site=0):
         self.proc = proc
         self.fh = fh
         self.offset = offset
         self.count = count
-        self.dst = dst
-        self.expected = expected
+        self.dst = None
+        self.expected = 1
         self.got = 0
         self.site = site
-        self.plus = plus
-        self.stable = stable
 
 
 class UProxy(PacketFilter):
@@ -89,12 +160,10 @@ class UProxy(PacketFilter):
         io_policy: IoPolicy,
         dir_table: RoutingTable,
         sf_table: Optional[RoutingTable],
-        storage_nodes: List[Address],
+        storage_table: RoutingTable,
+        configsvc: Address,
         *,
-        storage_table: Optional[RoutingTable] = None,
         coordinators: Optional[List[Address]] = None,
-        configsvc: Optional[Address] = None,
-        num_sf_sites: Optional[int] = None,
         cost: Optional[CostModel] = None,
         params: Optional[ProxyParams] = None,
         proxy_id: int = 0,
@@ -108,23 +177,12 @@ class UProxy(PacketFilter):
         self.io = io_policy
         self.dir_table = dir_table
         self.sf_table = sf_table
-        #: optional logical-site -> node-address table for bulk storage.
-        #: When present it is the authoritative hint: ``storage_nodes`` is
-        #: derived from it and refreshed on every conditional refetch, and
-        #: placement is sized to the table's logical-site count so only
-        #: ~1/Nth of blocks move when a node joins or leaves.
+        #: logical-site -> node-address table for bulk storage; placement
+        #: is sized to its logical-site count, so only ~1/Nth of blocks
+        #: move when a node joins or leaves.
         self.storage_table = storage_table
-        if storage_table is not None:
-            self.storage_nodes = storage_table.servers()
-            num_storage_sites = storage_table.num_sites
-        else:
-            self.storage_nodes = list(storage_nodes)
-            num_storage_sites = max(1, len(self.storage_nodes))
         self.coordinators = list(coordinators or [])
         self.configsvc = configsvc
-        self.num_sf_sites = num_sf_sites or (
-            sf_table.num_sites if sf_table else 1
-        )
         self.cost = cost or CostModel(enabled=False)
         self.params = params or ProxyParams()
         self.proxy_id = proxy_id
@@ -132,14 +190,14 @@ class UProxy(PacketFilter):
         # coordinator intents), and a process-global counter would make
         # otherwise-identical runs diverge in the trace digest.
         self._op_counter = itertools.count(1)
-        self.placement = StaticPlacement(num_storage_sites, io_policy)
+        self.placement = StaticPlacement(storage_table.num_sites, io_policy)
         #: cluster reconfiguration epoch of the last table generation this
         #: µproxy installed; conditional refetches quote it so a fresh
         #: proxy gets NOT_MODIFIED instead of the whole table dump.
         self.config_epoch = max(
             dir_table.epoch,
             sf_table.epoch if sf_table is not None else 0,
-            storage_table.epoch if storage_table is not None else 0,
+            storage_table.epoch,
         )
         self.block_maps = BlockMapCache()
         self.attr_cache = AttrCache(self.params.attr_cache_capacity)
@@ -222,17 +280,9 @@ class UProxy(PacketFilter):
         known = set(self.dir_table.entries)
         if self.sf_table is not None:
             known.update(self.sf_table.entries)
-        if self.storage_table is not None:
-            known.update(self.storage_table.entries)
-        known.update(self.storage_nodes)
+        known.update(self.storage_table.entries)
         known.update(self.coordinators)
         return known
-
-    def _storage_addr(self, site: int) -> Address:
-        """Physical node currently bound to a logical storage site."""
-        if self.storage_table is not None:
-            return self.storage_table.lookup(site)
-        return self.storage_nodes[site % len(self.storage_nodes)]
 
     def _storage_targets(self, sites) -> List[Address]:
         """Distinct node addresses for a replica site list, in order.
@@ -242,7 +292,7 @@ class UProxy(PacketFilter):
         wasteful (and would double-count replies)."""
         targets: List[Address] = []
         for site in sites:
-            addr = self._storage_addr(site)
+            addr = self.storage_table.lookup(site)
             if addr not in targets:
                 targets.append(addr)
         return targets
@@ -256,7 +306,7 @@ class UProxy(PacketFilter):
         ]
 
     def _sf_addr(self, fileid: int) -> Address:
-        site = sf_site_for(fileid, self.num_sf_sites)
+        site = sf_site_for(fileid, self.sf_table.num_sites)
         return self.sf_table.lookup(site)
 
     def _note_dirty(self, fileid: int, addr: Address) -> None:
@@ -316,191 +366,10 @@ class UProxy(PacketFilter):
             pkt.trace_id = tracer.call_intercepted(
                 pkt.src, call.xid, proc, now, size=pkt.size
             )
-
-        def redirect(dst: Address, rec: _Pending, reason: str = "dir-site"):
-            rec.dst = dst
-            self._remember(key, rec)
-            pkt.rewrite_dst(dst)
-            self.cost.rewrite(6)
-            self.requests_routed += 1
-            if tracer is not None:
-                tracer.route(pkt.src, call.xid, now, dst, reason,
-                             site=rec.site)
-                tracer.rewrite_check(pkt, "redirect")
-            return (pkt,)
-
-        if proc == proto.PROC_NULL:
-            return redirect(self.dir_table.lookup(0), _Pending(proc), "null")
-
-        if proc in (proto.PROC_GETATTR, proto.PROC_ACCESS, proto.PROC_READLINK,
-                    proto.PROC_FSSTAT, proto.PROC_FSINFO, proto.PROC_PATHCONF):
-            fh = self._unpack_fh(proto.FhArgs.decode(dec).fh)
-            if proc == proto.PROC_GETATTR and fh is not None:
-                entry = self.attr_cache.peek(fh.fileid)
-                if entry is not None and entry.dirty:
-                    # For files with in-flight I/O the µproxy's attributes
-                    # are *more* current than the directory server's (§4.1);
-                    # answer from the cache without a server hop.
-                    self.cost.softstate()
-                    if tracer is not None:
-                        tracer.absorb(pkt.src, call.xid, now, "getattr-cache")
-                    res = proto.GetattrRes(NFS3_OK, entry.attrs.copy())
-                    self._synthesize_reply(pkt.src, call.xid, res)
-                    return ()
-            site = fh.home_site if fh else 0
-            return redirect(
-                self.dir_table.lookup(site), _Pending(proc, fh=fh, site=site),
-                "attr-site",
-            )
-
-        if proc == proto.PROC_SETATTR:
-            args = proto.SetattrArgs.decode(dec)
-            fh = self._unpack_fh(args.fh)
-            if fh is not None and args.sattr.size is not None:
-                self.attr_cache.note_truncate(fh, args.sattr.size, now)
-                self.cost.softstate()
-            site = fh.home_site if fh else 0
-            return redirect(
-                self.dir_table.lookup(site), _Pending(proc, fh=fh, site=site),
-                "attr-site",
-            )
-
-        if proc in (proto.PROC_LOOKUP, proto.PROC_REMOVE, proto.PROC_RMDIR):
-            args = proto.DirOpArgs.decode(dec)
-            fh = self._unpack_fh(args.dir_fh)
-            site = self.name_config.entry_site(fh, args.name) if fh else 0
-            return redirect(
-                self.dir_table.lookup(site), _Pending(proc, fh=fh, site=site),
-                "name-entry",
-            )
-
-        if proc in (proto.PROC_CREATE, proto.PROC_SYMLINK, proto.PROC_MKNOD):
-            # First two fields are (dir fh, name) for this family.
-            dir_fh_raw = proto.FH.get(dec)
-            name = proto.NAME.get(dec)
-            fh = self._unpack_fh(dir_fh_raw)
-            site = self.name_config.entry_site(fh, name) if fh else 0
-            return redirect(
-                self.dir_table.lookup(site), _Pending(proc, fh=fh, site=site),
-                "name-entry",
-            )
-
-        if proc == proto.PROC_MKDIR:
-            dir_fh_raw = proto.FH.get(dec)
-            name = proto.NAME.get(dec)
-            fh = self._unpack_fh(dir_fh_raw)
-            site = self.name_config.mkdir_site(fh, name) if fh else 0
-            return redirect(
-                self.dir_table.lookup(site), _Pending(proc, fh=fh, site=site),
-                "mkdir-switch",
-            )
-
-        if proc == proto.PROC_RENAME:
-            args = proto.RenameArgs.decode(dec)
-            to_fh = self._unpack_fh(args.to_dir)
-            site = (
-                self.name_config.entry_site(to_fh, args.to_name) if to_fh else 0
-            )
-            return redirect(
-                self.dir_table.lookup(site),
-                _Pending(proc, fh=to_fh, site=site),
-                "rename-target",
-            )
-
-        if proc == proto.PROC_LINK:
-            args = proto.LinkArgs.decode(dec)
-            dir_fh = self._unpack_fh(args.dir_fh)
-            site = (
-                self.name_config.entry_site(dir_fh, args.name) if dir_fh else 0
-            )
-            return redirect(
-                self.dir_table.lookup(site),
-                _Pending(proc, fh=dir_fh, site=site),
-                "name-entry",
-            )
-
-        if proc in (proto.PROC_READDIR, proto.PROC_READDIRPLUS):
-            plus = proc == proto.PROC_READDIRPLUS
-            if plus:
-                args = proto.ReaddirplusArgs.decode(dec)
-            else:
-                args = proto.ReaddirArgs.decode(dec)
-            fh = self._unpack_fh(args.dir_fh)
-            if fh is None:
-                return ()
-            site = (
-                (args.cookie >> COOKIE_SITE_SHIFT)
-                if args.cookie else fh.home_site
-            )
-            return redirect(
-                self.dir_table.lookup(site),
-                _Pending(proc, fh=fh, site=site, plus=plus),
-                "readdir-cookie",
-            )
-
-        if proc == proto.PROC_READ:
-            args = proto.ReadArgs.decode(dec)
-            fh = self._unpack_fh(args.fh)
-            if fh is None:
-                return ()
-            bad = self._io_ftype_error(fh)
-            if bad is not None:
-                self._synthesize_reply(pkt.src, call.xid, proto.ReadRes(bad))
-                return ()
-            segments = self._io_segments(args.offset, args.count)
-            if len(segments) > 1:
-                # Straddles the threshold or a stripe boundary: scatter
-                # the read and gather one reply (§2.1: the µproxy may
-                # initiate and absorb packets).
-                if tracer is not None:
-                    tracer.split(pkt.src, call.xid, now, "read",
-                                 args.offset, args.count, segments)
-                self.sim.process(
-                    self._split_read(pkt.src, call.xid, fh, segments),
-                    name=f"uproxy-split-read:{self.host.name}",
-                )
-                return ()
-            rec = _Pending(proc, fh=fh, offset=args.offset, count=args.count)
-            if self.sf_table is not None and args.offset < self.io.threshold:
-                return redirect(self._sf_addr(fh.fileid), rec, "small-file")
-            return self._route_bulk_read(pkt, key, args, fh, rec)
-
-        if proc == proto.PROC_WRITE:
-            args = proto.WriteArgs.decode(dec)
-            fh = self._unpack_fh(args.fh)
-            if fh is None:
-                return ()
-            bad = self._io_ftype_error(fh)
-            if bad is not None:
-                self._synthesize_reply(pkt.src, call.xid, proto.WriteRes(bad))
-                return ()
-            self.attr_cache.note_write(fh, args.offset, args.count, now)
-            self.cost.softstate()
-            segments = self._io_segments(args.offset, args.count)
-            if len(segments) > 1:
-                if tracer is not None:
-                    tracer.split(pkt.src, call.xid, now, "write",
-                                 args.offset, args.count, segments)
-                self.sim.process(
-                    self._split_write(
-                        pkt.src, call.xid, fh, segments, args, pkt.body
-                    ),
-                    name=f"uproxy-split-write:{self.host.name}",
-                )
-                return ()
-            rec = _Pending(
-                proc, fh=fh, offset=args.offset, count=args.count,
-                stable=args.stable,
-            )
-            if self.sf_table is not None and args.offset < self.io.threshold:
-                addr = self._sf_addr(fh.fileid)
-                self._note_dirty(fh.fileid, addr)
-                return redirect(addr, rec, "small-file")
-            return self._route_bulk_write(pkt, key, args, fh, rec)
-
+        if proc in (proto.PROC_READ, proto.PROC_WRITE):
+            return self._route_io(pkt, key, proc, dec, now)
         if proc == proto.PROC_COMMIT:
-            args = proto.CommitArgs.decode(dec)
-            fh = self._unpack_fh(args.fh)
+            fh = self._unpack_fh(proto.CommitArgs.decode(dec).fh)
             if fh is None:
                 return ()
             self.commits_absorbed += 1
@@ -513,17 +382,111 @@ class UProxy(PacketFilter):
             )
             return ()
 
-        return ()
+        # Everything else goes to one directory site.
+        layout = _FH_ROUTES.get(proc)
+        route = _NAME_ROUTES.get(proc)
+        if layout is not None:
+            args = layout.decode(dec)
+            fh = self._unpack_fh(args.fh)
+            if fh is not None and proc == proto.PROC_GETATTR:
+                entry = self.attr_cache.peek(fh.fileid)
+                if entry is not None and entry.dirty:
+                    # For files with in-flight I/O the µproxy's attributes
+                    # are *more* current than the directory server's (§4.1);
+                    # answer from the cache without a server hop.
+                    self.cost.softstate()
+                    if tracer is not None:
+                        tracer.absorb(pkt.src, call.xid, now, "getattr-cache")
+                    res = proto.GetattrRes(NFS3_OK, entry.attrs.copy())
+                    self._synthesize_reply(pkt.src, call.xid, res)
+                    return ()
+            if (fh is not None and proc == proto.PROC_SETATTR
+                    and args.sattr.size is not None):
+                self.attr_cache.note_truncate(fh, args.sattr.size, now)
+                self.cost.softstate()
+            site = fh.home_site if fh else 0
+            reason = "attr-site"
+        elif route is not None:
+            skipped, site_of, reason = route
+            for kind in skipped:
+                kind.get(dec)
+            fh = self._unpack_fh(proto.FH.get(dec))
+            name = proto.NAME.get(dec)
+            site = site_of(self.name_config, fh, name) if fh else 0
+        elif proc in (proto.PROC_READDIR, proto.PROC_READDIRPLUS):
+            args = proto.PROCS[proc].args.decode(dec)
+            fh = self._unpack_fh(args.dir_fh)
+            if fh is None:
+                return ()
+            site = (
+                (args.cookie >> COOKIE_SITE_SHIFT)
+                if args.cookie else fh.home_site
+            )
+            reason = "readdir-cookie"
+        elif proc == proto.PROC_NULL:
+            fh, site, reason = None, 0, "null"
+        else:
+            return ()
+        return self._redirect(pkt, key, _Pending(proc, fh=fh, site=site),
+                              self.dir_table.lookup(site), reason)
 
-    def _io_ftype_error(self, fh: FHandle) -> Optional[int]:
-        """NFS forbids READ/WRITE on non-regular files; the µproxy knows
-        the type from the fhandle and answers without a server hop."""
-        from repro.nfs.errors import NFS3ERR_INVAL, NFS3ERR_ISDIR
-        from repro.nfs.types import NF3DIR, NF3REG
+    def _route_io(self, pkt: Packet, key, proc: int, dec: Decoder, now):
+        """READ and WRITE: by the I/O threshold and stripe unit (§3.1)."""
+        xid = key[1]
+        write = proc == proto.PROC_WRITE
+        args = proto.PROCS[proc].args.decode(dec)
+        fh = self._unpack_fh(args.fh)
+        if fh is None:
+            return ()
+        if fh.ftype != NF3REG:
+            # NFS forbids READ/WRITE on non-regular files; the µproxy knows
+            # the type from the fhandle and answers without a server hop.
+            status = NFS3ERR_ISDIR if fh.ftype == NF3DIR else NFS3ERR_INVAL
+            res = proto.PROCS[proc].result(status)
+            self._synthesize_reply(pkt.src, xid, res)
+            return ()
+        if write:
+            self.attr_cache.note_write(fh, args.offset, args.count, now)
+            self.cost.softstate()
+        segments = self._io_segments(args.offset, args.count)
+        if len(segments) > 1:
+            # Straddles the threshold or a stripe boundary: scatter the
+            # request and gather one reply (§2.1: the µproxy may initiate
+            # and absorb packets).
+            kind = proto.PROCS[proc].name
+            if self.tracer is not None:
+                self.tracer.split(pkt.src, xid, now, kind, args.offset,
+                                  args.count, segments)
+            split = (
+                self._split_write(pkt.src, xid, fh, segments, args, pkt.body)
+                if write else self._split_read(pkt.src, xid, fh, segments)
+            )
+            self.sim.process(split,
+                             name=f"uproxy-split-{kind}:{self.host.name}")
+            return ()
+        rec = _Pending(proc, fh=fh, offset=args.offset, count=args.count)
+        if self.sf_table is not None and args.offset < self.io.threshold:
+            addr = self._sf_addr(fh.fileid)
+            if write:
+                self._note_dirty(fh.fileid, addr)
+            return self._redirect(pkt, key, rec, addr, "small-file")
+        if write:
+            return self._route_bulk_write(pkt, key, args, fh, rec)
+        return self._route_bulk_read(pkt, key, args, fh, rec)
 
-        if fh.ftype == NF3REG:
-            return None
-        return NFS3ERR_ISDIR if fh.ftype == NF3DIR else NFS3ERR_INVAL
+    def _redirect(self, pkt: Packet, key, rec: _Pending, dst: Address,
+                  reason: str, check: str = "redirect", **attrs):
+        """Send a request on to ``dst`` and remember it for its reply."""
+        rec.dst = dst
+        self._remember(key, rec)
+        pkt.rewrite_dst(dst)
+        self.cost.rewrite(6)
+        self.requests_routed += 1
+        if self.tracer is not None:
+            self.tracer.route(pkt.src, key[1], self.host.clock(), dst, reason,
+                              site=rec.site, **attrs)
+            self.tracer.rewrite_check(pkt, check)
+        return (pkt,)
 
     def _reply_packet(self, src: Address, dst: Address, xid: int, res,
                       body: Data = EMPTY, trace_id: int = 0) -> Packet:
@@ -578,47 +541,73 @@ class UProxy(PacketFilter):
         sites = self.placement.sites_for_block(fh, block)
         return self._storage_targets(sites)
 
+    def _scatter(self, client_addr: Address, xid: int, proc: int, segments,
+                 send):
+        """Run ``send(seg_off, seg_len, call)`` for every segment of a split
+        READ or WRITE at once and wait for all of them.  ``send`` makes its
+        calls with ``call(seg_off, seg_len, addr, args, data)``, which
+        returns the decoded result (None on a timeout) and the reply body.
+
+        Returns the status of the reply to the client: NFS3_OK, the first
+        failure (NFS3ERR_IO for a timeout), or None after a MISDIRECTED
+        segment, which refreshes the tables and answers nothing, so the
+        client's retransmission splits again on the fresh tables."""
+        tracer = self.tracer
+        tid = tracer.trace_id_of(client_addr, xid) if tracer is not None else 0
+        statuses: List[int] = []
+
+        def call(seg_off, seg_len, addr, args, data=EMPTY):
+            res = body = None
+            try:
+                dec, body = yield from self.client.call(
+                    addr, proto.NFS_PROGRAM, proto.NFS_V3, proc,
+                    args.encode(), data, trace_id=tid,
+                )
+                res = proto.PROCS[proc].result.decode(dec)
+            except RpcTimeout:
+                pass
+            statuses.append(NFS3ERR_IO if res is None else res.status)
+            if tracer is not None:
+                tracer.segment(client_addr, xid, self.host.clock(),
+                               seg_off, seg_len, addr,
+                               -1 if res is None else res.status)
+            return res, body
+
+        yield self.sim.all_of([
+            self.sim.process(send(off, length, call))
+            for off, length in segments
+        ])
+        if SLICEERR_MISDIRECTED in statuses:
+            self._misdirected(client_addr, xid)
+            return None
+        return next((s for s in statuses if s != NFS3_OK), NFS3_OK)
+
     def _split_read(self, client_addr: Address, xid: int, fh: FHandle,
                     segments):
         """Scatter a straddling READ, gather the pieces, answer the client."""
-        pieces: Dict[int, object] = {}
-        tracer = self.tracer
-        tid = tracer.trace_id_of(client_addr, xid) if tracer is not None else 0
+        pieces: Dict[int, Data] = {}
 
-        def fetch(seg_off, seg_len):
+        def fetch(seg_off, seg_len, call):
             targets = self._segment_targets(fh, seg_off)
+            addr = targets[0]
             if fh.mirrored and len(targets) > 1:
-                toggle = self._mirror_toggle.get(fh.fileid, 0)
-                self._mirror_toggle[fh.fileid] = toggle + 1
-                targets = [targets[toggle % len(targets)]]
-            status = -1
-            try:
-                dec, body = yield from self.client.call(
-                    targets[0], proto.NFS_PROGRAM, proto.NFS_V3,
-                    proto.PROC_READ,
-                    proto.ReadArgs(fh.pack(), seg_off, seg_len).encode(),
-                    trace_id=tid,
-                )
-                res = proto.ReadRes.decode(dec)
-                status = res.status
-                if res.status == NFS3_OK:
-                    pieces[seg_off] = body
-            except RpcTimeout:
-                pass
-            if tracer is not None:
-                tracer.segment(client_addr, xid, self.host.clock(),
-                               seg_off, seg_len, targets[0], status)
+                addr = self._alternate(fh, targets)
+            _res, pieces[seg_off] = yield from call(
+                seg_off, seg_len, addr,
+                proto.ReadArgs(fh.pack(), seg_off, seg_len),
+            )
 
-        procs = [
-            self.sim.process(fetch(off, length)) for off, length in segments
-        ]
-        yield self.sim.all_of(procs)
+        status = yield from self._scatter(client_addr, xid, proto.PROC_READ,
+                                          segments, fetch)
+        if status is None:
+            return
+        if status != NFS3_OK:
+            self._synthesize_reply(client_addr, xid, proto.ReadRes(status),
+                                   kind="split-read")
+            return
         entry = self.attr_cache.get(fh.fileid)
         if entry is None:
-            size = max(
-                (off + piece.length for off, piece in pieces.items()),
-                default=0,
-            )
+            size = max(off + piece.length for off, piece in pieces.items())
             attrs = None
         else:
             size = entry.attrs.size
@@ -630,11 +619,8 @@ class UProxy(PacketFilter):
         parts = []
         pos = start
         for seg_off, seg_len in segments:
-            piece = pieces.get(seg_off, ZeroData(0))
             take = min(seg_len, max(0, start + want - pos))
-            if piece.length < take:
-                piece = concat([piece, ZeroData(take - piece.length)])
-            parts.append(piece.slice(0, take))
+            parts.append(_fit(pieces[seg_off], take))
             pos += take
         body = concat(parts)
         res = proto.ReadRes(
@@ -647,41 +633,23 @@ class UProxy(PacketFilter):
                      segments, args, body):
         """Scatter a straddling WRITE; reply once everything is placed."""
         start = args.offset
-        statuses = []
-        tracer = self.tracer
-        tid = tracer.trace_id_of(client_addr, xid) if tracer is not None else 0
 
-        def put(seg_off, seg_len):
+        def put(seg_off, seg_len, call):
             data = body.slice(seg_off - start, seg_off - start + seg_len)
             for addr in self._segment_targets(fh, seg_off):
                 self._note_dirty(fh.fileid, addr)
-                status = -1
-                try:
-                    dec, _ = yield from self.client.call(
-                        addr, proto.NFS_PROGRAM, proto.NFS_V3,
-                        proto.PROC_WRITE,
-                        proto.WriteArgs(
-                            fh.pack(), seg_off, seg_len, args.stable
-                        ).encode(),
-                        data,
-                        trace_id=tid,
-                    )
-                    res = proto.WriteRes.decode(dec)
-                    status = res.status
-                    statuses.append(res.status)
-                    if res.status == NFS3_OK:
-                        self._track_node_verf(addr, res.verf)
-                except RpcTimeout:
-                    statuses.append(NFS3_OK + 5)  # NFS3ERR_IO equivalent
-                if tracer is not None:
-                    tracer.segment(client_addr, xid, self.host.clock(),
-                                   seg_off, seg_len, addr, status)
+                res, _ = yield from call(
+                    seg_off, seg_len, addr,
+                    proto.WriteArgs(fh.pack(), seg_off, seg_len, args.stable),
+                    data,
+                )
+                if res is not None and res.status == NFS3_OK:
+                    self._track_node_verf(addr, res.verf)
 
-        procs = [
-            self.sim.process(put(off, length)) for off, length in segments
-        ]
-        yield self.sim.all_of(procs)
-        status = next((s for s in statuses if s != NFS3_OK), NFS3_OK)
+        status = yield from self._scatter(client_addr, xid, proto.PROC_WRITE,
+                                          segments, put)
+        if status is None:
+            return
         entry = self.attr_cache.peek(fh.fileid)
         attrs = entry.attrs.copy() if entry is not None else None
         res = proto.WriteRes(
@@ -691,6 +659,13 @@ class UProxy(PacketFilter):
         self._synthesize_reply(client_addr, xid, res, kind="split-write")
 
     # -- bulk I/O routing ---------------------------------------------------
+
+    def _alternate(self, fh: FHandle, replicas: list):
+        """The next of a mirrored file's replicas for a fresh read: reads
+        alternate between them to balance load (§3.1)."""
+        toggle = self._mirror_toggle.get(fh.fileid, 0)
+        self._mirror_toggle[fh.fileid] = toggle + 1
+        return replicas[toggle % len(replicas)]
 
     def _route_bulk_read(self, pkt, key, args, fh: FHandle, rec: _Pending):
         block = self.io.block_of(args.offset)
@@ -706,33 +681,22 @@ class UProxy(PacketFilter):
             sites = self.placement.sites_for_block(fh, block)
         prev = self.pending.get(key)
         if fh.mirrored and len(sites) > 1:
-            addrs = [self._storage_addr(s) for s in sites]
+            addrs = [self.storage_table.lookup(s) for s in sites]
             if prev is not None and prev.dst in addrs:
                 # Retransmission: the last replica we tried never answered
                 # (or the reply was lost) — deterministically rotate to the
                 # next one so a dead node cannot capture every retry.
                 site = sites[(addrs.index(prev.dst) + 1) % len(sites)]
             else:
-                # Fresh read: alternate replicas to balance load (§3.1).
-                toggle = self._mirror_toggle.get(fh.fileid, 0)
-                self._mirror_toggle[fh.fileid] = toggle + 1
-                site = sites[toggle % len(sites)]
+                site = self._alternate(fh, sites)
         else:
             site = sites[0]
-        dst = self._storage_addr(site)
-        rec.dst = dst
-        self._remember(key, rec)
-        pkt.rewrite_dst(dst)
-        self.cost.rewrite(6)
-        self.requests_routed += 1
-        if self.tracer is not None:
-            self.tracer.route(
-                pkt.src, key[1], self.host.clock(), dst, "bulk-read",
-                site=site, block=block, mirrored=fh.mirrored,
-                replicas=len(sites),
-            )
-            self.tracer.rewrite_check(pkt, "bulk-read")
-        return (pkt,)
+        rec.site = site
+        return self._redirect(
+            pkt, key, rec, self.storage_table.lookup(site), "bulk-read",
+            "bulk-read", block=block, mirrored=fh.mirrored,
+            replicas=len(sites),
+        )
 
     def _route_bulk_write(self, pkt, key, args, fh: FHandle, rec: _Pending):
         block = self.io.block_of(args.offset)
@@ -745,15 +709,14 @@ class UProxy(PacketFilter):
         else:
             sites = self.placement.sites_for_block(fh, block)
         targets = self._storage_targets(sites)
-        rec.dst = targets[0]
         rec.expected = len(targets)
-        self._remember(key, rec)
+        rec.site = sites[0]
         for addr in targets:
             self._note_dirty(fh.fileid, addr)
-        out = []
-        pkt.rewrite_dst(targets[0])
-        self.cost.rewrite(6)
-        out.append(pkt)
+        out = list(self._redirect(
+            pkt, key, rec, targets[0], "bulk-write", "bulk-write",
+            block=block, mirrored=fh.mirrored, replicas=len(targets),
+        ))
         for addr in targets[1:]:
             clone = Packet(
                 pkt.src, pkt.dst, pkt.header, pkt.body, pkt.cksum,
@@ -762,15 +725,8 @@ class UProxy(PacketFilter):
             clone.rewrite_dst(addr)
             self.cost.rewrite(6)
             out.append(clone)
-        self.requests_routed += 1
-        if self.tracer is not None:
-            self.tracer.route(
-                pkt.src, key[1], self.host.clock(), targets[0], "bulk-write",
-                site=sites[0], block=block, mirrored=fh.mirrored,
-                replicas=len(targets),
-            )
-            for rewritten in out:
-                self.tracer.rewrite_check(rewritten, "bulk-write")
+            if self.tracer is not None:
+                self.tracer.rewrite_check(clone, "bulk-write")
         return tuple(out)
 
     def _fetch_map_and_resend(self, pkt: Packet, fh: FHandle, block: int):
@@ -813,7 +769,7 @@ class UProxy(PacketFilter):
         if sites is None:
             # Soft state lost: conservatively commit everywhere this file
             # could have dirty data.
-            sites = set(self.storage_nodes)
+            sites = set(self.storage_table.entries)
             if self.sf_table is not None:
                 sites.add(self._sf_addr(fileid))
         targets = sorted(sites)
@@ -829,16 +785,12 @@ class UProxy(PacketFilter):
                 [(a.host, a.port) for a in targets],
             )
             if self.params.intent_sync:
-                try:
-                    yield from self.client.call(
-                        coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                        cp.COORD_INTENT, intent.encode(),
-                        trace_id=tid,
-                    )
-                except RpcTimeout:
-                    pass
+                yield from self._tell_coord(coord, cp.COORD_INTENT, intent,
+                                            tid)
             else:
-                self.sim.process(self._send_intent(coord, intent))
+                self.sim.process(
+                    self._tell_coord(coord, cp.COORD_INTENT, intent)
+                )
         procs = [
             self.sim.process(self._commit_site(addr, fh, trace_id=tid))
             for addr in targets
@@ -846,7 +798,8 @@ class UProxy(PacketFilter):
         if procs:
             yield self.sim.all_of(procs)
         if coord is not None and len(targets) > 1:
-            self.sim.process(self._send_complete(coord, op_id))
+            self.sim.process(self._tell_coord(coord, cp.COORD_COMPLETE,
+                                              cp.CompleteArgs(op_id)))
         # Push modified attributes back to the directory server (§4.1:
         # "when it intercepts an NFS V3 write commit request").
         entry = self.attr_cache.peek(fileid)
@@ -856,20 +809,13 @@ class UProxy(PacketFilter):
         res = proto.CommitRes(NFS3_OK, attrs, verf=self.verf_epoch)
         self._synthesize_reply(client_addr, xid, res, kind="commit")
 
-    def _send_intent(self, coord: Address, intent: cp.Intent):
+    def _tell_coord(self, coord: Address, proc: int, args,
+                    trace_id: int = 0):
+        """Best-effort call to a coordinator; a timeout is ignored."""
         try:
             yield from self.client.call(
-                coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                cp.COORD_INTENT, intent.encode(),
-            )
-        except RpcTimeout:
-            pass
-
-    def _send_complete(self, coord: Address, op_id: int):
-        try:
-            yield from self.client.call(
-                coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                cp.COORD_COMPLETE, cp.CompleteArgs(op_id).encode(),
+                coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1, proc,
+                args.encode(), trace_id=trace_id,
             )
         except RpcTimeout:
             pass
@@ -929,17 +875,21 @@ class UProxy(PacketFilter):
             pkt.header[dec.offset:dec.offset + 4], "big"
         ) if dec.remaining >= 4 else NFS3_OK
         if status == SLICEERR_MISDIRECTED:
-            # Stale routing hint: drop the reply, refresh tables; the
-            # client's retransmission re-routes via the new table.
-            self.misdirects_seen += 1
-            if self.tracer is not None:
-                self.tracer.misdirected(pkt.dst, xid, self.host.clock())
             del self.pending[key]
-            self._refresh_tables()
+            self._misdirected(pkt.dst, xid)
             return ()
         result = self._postprocess(pkt, key, rec, dec)
         self.cost.decode(dec.offset)
         return result
+
+    def _misdirected(self, client_addr: Address, xid: int) -> None:
+        """A server refused a request routed on a stale hint: drop the
+        reply and refresh the tables; the client's retransmission
+        re-routes via the new tables."""
+        self.misdirects_seen += 1
+        if self.tracer is not None:
+            self.tracer.misdirected(client_addr, xid, self.host.clock())
+        self._refresh_tables()
 
     def _finish(self, pkt: Packet, key) -> Tuple[Packet, ...]:
         self.pending.pop(key, None)
@@ -951,55 +901,43 @@ class UProxy(PacketFilter):
             self.tracer.rewrite_check(pkt, "finish")
         return (pkt,)
 
+    def _rebuild(self, pkt: Packet, key, res, body: Data = EMPTY):
+        """Replace a server's reply by one carrying ``res``, and finish it."""
+        rebuilt = self._reply_packet(pkt.src, pkt.dst, key[1], res, body,
+                                     pkt.trace_id)
+        self.cost.rewrite(len(rebuilt.header))
+        self.synthesized += 1
+        return self._finish(rebuilt, key)
+
     def _postprocess(self, pkt: Packet, key, rec: _Pending, dec: Decoder):
-        now = self.host.clock()
         proc = rec.proc
         if proc == proto.PROC_READ:
-            return self._post_read(pkt, key, rec, dec, now)
+            return self._post_read(pkt, key, rec, dec)
         if proc == proto.PROC_WRITE:
-            return self._post_write(pkt, key, rec, dec, now)
+            return self._post_write(pkt, key, rec, dec)
         if proc in (proto.PROC_READDIR, proto.PROC_READDIRPLUS):
             return self._post_readdir(pkt, key, rec, dec)
-        if proc == proto.PROC_GETATTR:
-            res = proto.GetattrRes.decode(dec)
-            if res.status == NFS3_OK and rec.fh is not None:
-                for evicted in self.attr_cache.update_from_server(rec.fh, res.attr):
-                    self._spawn_writeback(evicted)
-                entry = self.attr_cache.peek(rec.fh.fileid)
-                if entry is not None and entry.dirty:
-                    self.cost.rewrite(
-                        patch_attrs_from(pkt, res.attr_offset, entry.attrs)
-                    )
-            return self._finish(pkt, key)
-        if proc in (proto.PROC_LOOKUP, proto.PROC_CREATE, proto.PROC_MKDIR,
-                    proto.PROC_SYMLINK):
+        learns = _ATTR_REPLIES.get(proc)
+        if learns is not None:
+            new_handle, patch = learns
             res = proto.PROCS[proc].result.decode(dec)
-            if res.status == NFS3_OK and res.fh is not None and res.attr is not None:
-                fh = self._unpack_fh(res.fh)
+            if res.status == NFS3_OK and res.attr is not None:
+                fh = rec.fh
+                if new_handle:
+                    fh = self._unpack_fh(res.fh) if res.fh is not None else None
                 if fh is not None:
-                    for evicted in self.attr_cache.update_from_server(fh, res.attr):
-                        self._spawn_writeback(evicted)
-                    entry = self.attr_cache.peek(fh.fileid)
-                    if (
-                        entry is not None and entry.dirty
-                        and proc == proto.PROC_LOOKUP
-                        and res.attr_offset >= 0
-                    ):
+                    self._learn(fh, res.attr)
+                    entry = self.attr_cache.peek(fh.fileid) if patch else None
+                    if (entry is not None and entry.dirty
+                            and res.attr_offset >= 0):
                         self.cost.rewrite(
                             patch_attrs_from(pkt, res.attr_offset, entry.attrs)
                         )
-            return self._finish(pkt, key)
-        if proc == proto.PROC_SETATTR:
-            res = proto.SetattrRes.decode(dec)
-            if res.status == NFS3_OK and rec.fh is not None and res.attr is not None:
-                for evicted in self.attr_cache.update_from_server(rec.fh, res.attr):
-                    self._spawn_writeback(evicted)
-            return self._finish(pkt, key)
         return self._finish(pkt, key)
 
     # -- READ reply: clamp to the true file size, fix EOF, patch attrs -------
 
-    def _post_read(self, pkt: Packet, key, rec: _Pending, dec: Decoder, now):
+    def _post_read(self, pkt: Packet, key, rec: _Pending, dec: Decoder):
         res = proto.ReadRes.decode(dec)
         if res.status != NFS3_OK:
             return self._finish(pkt, key)
@@ -1013,7 +951,7 @@ class UProxy(PacketFilter):
                 name=f"uproxy-readfix:{self.host.name}",
             )
             return ()
-        self.attr_cache.note_read(fh, now)
+        self.attr_cache.note_read(fh, self.host.clock())
         self.cost.softstate()
         size = entry.attrs.size
         expected = min(rec.count, max(0, size - rec.offset))
@@ -1025,18 +963,10 @@ class UProxy(PacketFilter):
             )
             return self._finish(pkt, key)
         # Slow path: striped holes or stale EOF — rebuild the reply.
-        body = pkt.body.slice(0, min(res.count, expected))
-        if body.length < expected:
-            body = concat([body, ZeroData(expected - body.length)])
         new_res = proto.ReadRes(
             NFS3_OK, entry.attrs.copy(), count=expected, eof=eof
         )
-        xid = int.from_bytes(pkt.header[:4], "big")
-        rebuilt = self._reply_packet(pkt.src, pkt.dst, xid, new_res, body,
-                                     pkt.trace_id)
-        self.cost.rewrite(len(rebuilt.header))
-        self.synthesized += 1
-        return self._finish(rebuilt, key)
+        return self._rebuild(pkt, key, new_res, _fit(pkt.body, expected))
 
     def _read_fixup(self, pkt: Packet, rec: _Pending, res: proto.ReadRes):
         """Fetch attributes from the directory server, then deliver a
@@ -1052,34 +982,22 @@ class UProxy(PacketFilter):
         except RpcTimeout:
             gres = None
         if gres is not None and gres.status == NFS3_OK:
-            self.attr_cache.update_from_server(fh, gres.attr)
-            size = gres.attr.size
+            self._learn(fh, gres.attr)
+            attrs, size = gres.attr, gres.attr.size
         else:
-            size = rec.offset + res.count  # best effort
+            attrs, size = res.attr, rec.offset + res.count  # best effort
         expected = min(rec.count, max(0, size - rec.offset))
-        body = pkt.body.slice(0, min(res.count, expected))
-        if body.length < expected:
-            body = concat([body, ZeroData(expected - body.length)])
-        attrs = (
-            gres.attr if gres is not None and gres.status == NFS3_OK else res.attr
-        )
         new_res = proto.ReadRes(
             NFS3_OK, attrs, count=expected,
             eof=rec.offset + expected >= size,
         )
         xid = int.from_bytes(pkt.header[:4], "big")
-        reply = self._reply_packet(self.virtual, pkt.dst, xid, new_res, body,
-                                   pkt.trace_id)
-        self.synthesized += 1
-        self.replies_returned += 1
-        if self.tracer is not None:
-            self.tracer.reply_sent(pkt.dst, xid, self.host.clock(),
-                                   synthesized=True, kind="read-fixup")
-        self.host.loopback(reply)
+        self._synthesize_reply(pkt.dst, xid, new_res, _fit(pkt.body, expected),
+                               kind="read-fixup")
 
     # -- WRITE reply: virtualize the verifier, patch attrs, pair mirrors -----
 
-    def _post_write(self, pkt: Packet, key, rec: _Pending, dec: Decoder, now):
+    def _post_write(self, pkt: Packet, key, rec: _Pending, dec: Decoder):
         res = proto.WriteRes.decode(dec)
         if res.status == NFS3_OK:
             self._track_node_verf(pkt.src, res.verf)
@@ -1101,88 +1019,84 @@ class UProxy(PacketFilter):
 
     # -- READDIR reply: chain across logical sites ---------------------------
 
-    def _readdir_site_order(self, fh: FHandle) -> List[int]:
-        order = [fh.home_site]
-        order.extend(
-            s for s in range(self.name_config.num_logical_sites)
-            if s != fh.home_site
-        )
-        return order
+    def _next_readdir_site(self, fh: FHandle, site: int) -> Optional[int]:
+        """The logical site a name-hashed listing of ``fh`` moves on to
+        after ``site``: the home site first, then the others in order;
+        None after the last."""
+        nxt = 0 if site == fh.home_site else site + 1
+        if nxt == fh.home_site:
+            nxt += 1
+        return nxt if nxt < self.name_config.num_logical_sites else None
+
+    @staticmethod
+    def _chain_to(res: proto.ReaddirRes, site: int) -> None:
+        """Rewrite a site's last page so the client's next request enters
+        ``site``."""
+        res.entries[-1].cookie = _site_cookie(site)
+        res.eof = False
 
     def _post_readdir(self, pkt: Packet, key, rec: _Pending, dec: Decoder):
-        res = proto.ReaddirRes.decode(dec, plus=rec.plus)
-        if res.status != NFS3_OK or not res.eof:
+        res = proto.ReaddirRes.decode(
+            dec, plus=rec.proc == proto.PROC_READDIRPLUS
+        )
+        if (res.status != NFS3_OK or not res.eof
+                or not self.name_config.readdir_spans_sites()):
             return self._finish(pkt, key)
-        if not self.name_config.readdir_spans_sites():
-            return self._finish(pkt, key)
-        order = self._readdir_site_order(rec.fh)
-        idx = order.index(rec.site) if rec.site in order else len(order) - 1
-        if idx + 1 >= len(order):
+        site = self._next_readdir_site(rec.fh, rec.site)
+        if site is None:
             return self._finish(pkt, key)  # truly the last site
-        next_site = order[idx + 1]
-        # The low bit keeps the cookie nonzero (cookie 0 means "start over
-        # at the home site"); per-entry cookies start at 3, so 1 is safe.
-        next_cookie = (next_site << COOKIE_SITE_SHIFT) | 1
         if res.entries:
-            # Rewrite so the client's next request enters the next site.
-            res.entries[-1].cookie = next_cookie
-            res.eof = False
-            xid = int.from_bytes(pkt.header[:4], "big")
-            rebuilt = self._reply_packet(pkt.src, pkt.dst, xid, res,
-                                         trace_id=pkt.trace_id)
-            self.cost.rewrite(len(rebuilt.header))
-            self.synthesized += 1
-            return self._finish(rebuilt, key)
+            self._chain_to(res, site)
+            return self._rebuild(pkt, key, res)
         # Empty page at this site: chase the remaining sites ourselves.
         del self.pending[key]
-        xid = int.from_bytes(pkt.header[:4], "big")
         self.sim.process(
-            self._readdir_chain(pkt.dst, xid, rec, order[idx + 1:]),
+            self._readdir_chain(pkt.dst, key[1], rec, site),
             name=f"uproxy-readdir:{self.host.name}",
         )
         return ()
 
     def _readdir_chain(self, client_addr: Address, xid: int, rec: _Pending,
-                       remaining_sites: List[int]):
-        """Query further sites for a name-hashed directory until one returns
-        entries (or all are exhausted), then answer the client."""
+                       site: Optional[int]):
+        """Query further sites for a name-hashed directory, from ``site``
+        on, until one returns entries (or all are exhausted), then answer
+        the client."""
+        plus = rec.proc == proto.PROC_READDIRPLUS
         final = proto.ReaddirRes(NFS3_OK, None, cookieverf=1, entries=[],
-                                 eof=True, plus=rec.plus)
-        for position, site in enumerate(remaining_sites):
-            cookie = (site << COOKIE_SITE_SHIFT) | 1
-            procnum = (
-                proto.PROC_READDIRPLUS if rec.plus else proto.PROC_READDIR
-            )
-            if rec.plus:
-                args = proto.ReaddirplusArgs(
-                    rec.fh.pack(), cookie, 1, 4096, 32768
-                ).encode()
+                                 eof=True, plus=plus)
+        while site is not None:
+            raw, cookie = rec.fh.pack(), _site_cookie(site)
+            if plus:
+                args = proto.ReaddirplusArgs(raw, cookie, 1, 4096, 32768)
             else:
-                args = proto.ReaddirArgs(rec.fh.pack(), cookie, 1, 4096).encode()
+                args = proto.ReaddirArgs(raw, cookie, 1, 4096)
+            following = self._next_readdir_site(rec.fh, site)
             try:
                 dec, _ = yield from self.client.call(
                     self.dir_table.lookup(site), proto.NFS_PROGRAM,
-                    proto.NFS_V3, procnum, args,
+                    proto.NFS_V3, rec.proc, args.encode(),
                 )
             except RpcTimeout:
+                site = following
                 continue
-            res = proto.ReaddirRes.decode(dec, plus=rec.plus)
-            if res.status != NFS3_OK:
-                continue
-            if res.entries:
+            res = proto.ReaddirRes.decode(dec, plus=plus)
+            if res.status == NFS3_OK and res.entries:
                 final = res
-                is_last = position == len(remaining_sites) - 1
-                if res.eof and not is_last:
-                    final.entries[-1].cookie = (
-                        remaining_sites[position + 1] << COOKIE_SITE_SHIFT
-                    ) | 1
-                    final.eof = False
+                if res.eof and following is not None:
+                    self._chain_to(final, following)
                 break
+            site = following
         self._synthesize_reply(client_addr, xid, final, kind="readdir-chain")
 
     # ------------------------------------------------------------------
     # attribute write-back & table refresh
     # ------------------------------------------------------------------
+
+    def _learn(self, fh: FHandle, attrs) -> None:
+        """Merge a server's attributes into the cache, writing back the
+        dirty entries that this evicts."""
+        for evicted in self.attr_cache.update_from_server(fh, attrs):
+            self._spawn_writeback(evicted)
 
     def _spawn_writeback(self, entry) -> None:
         self.sim.process(
@@ -1192,8 +1106,6 @@ class UProxy(PacketFilter):
 
     def _writeback_entry(self, entry):
         """Push cached size/times to the directory server with SETATTR."""
-        from repro.nfs.types import Sattr3
-
         fh = entry.fh
         size = max(entry.attrs.size, entry.server_size)
         sattr = Sattr3(
@@ -1229,7 +1141,7 @@ class UProxy(PacketFilter):
         ``config_epoch`` so the configuration service answers NOT_MODIFIED
         when the proxy is already fresh (a burst of misdirects costs one
         table dump per epoch bump, not one per misdirect)."""
-        if self.configsvc is None or self._refreshing:
+        if self._refreshing:
             return
         self._refreshing = True
 
@@ -1292,13 +1204,12 @@ class UProxy(PacketFilter):
             self.sf_table.replace(fresh.entries, fresh.version,
                                   epoch=fresh.epoch)
         fresh = tables.get("storage")
-        if fresh is not None and self.storage_table is not None:
+        if fresh is not None:
             old = list(self.storage_table.entries)
             if self.storage_table.replace(fresh.entries, fresh.version,
                                           epoch=fresh.epoch):
                 moved = self._moved_sites(old, self.storage_table.entries)
                 self.block_maps.drop_sites(moved)
-                self.storage_nodes = self.storage_table.servers()
                 if self.storage_table.num_sites != self.placement.num_nodes:
                     self.placement = StaticPlacement(
                         self.storage_table.num_sites, self.io

@@ -291,7 +291,6 @@ class SliceCluster:
             self.sim, host, self.virtual, self.name_config, self.params.io,
             self.dir_table.copy(),
             self.sf_table.copy() if self.sf_table is not None else None,
-            self.storage_addrs,
             storage_table=self.storage_table.copy(),
             coordinators=self.coordinator_addrs,
             configsvc=self.configsvc.address,

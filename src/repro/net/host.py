@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.sim import Resource, Simulator
+from repro.sim import Link, Resource, Simulator
 from .address import Address
 from .packet import Packet
 
@@ -58,7 +58,7 @@ class Host:
         self.egress_filters: List[PacketFilter] = []
         self.ingress_filters: List[PacketFilter] = []
         # NIC transmit queue: one packet serializes onto the wire at a time.
-        self.nic_tx = Resource(sim, 1)
+        self.nic_tx = Link(sim)
         self.packets_sent = 0
         self.packets_received = 0
         self.packets_dropped = 0
@@ -126,7 +126,7 @@ class Host:
                 yield sim.timeout(0)
             self._dispatch(packet)
 
-        sim.process(arrive(), name=f"{self.name}-loopback")
+        sim.spawn(arrive(), name=f"{self.name}-loopback")
 
     def deliver(self, packet: Packet) -> None:
         """Called by the network when a packet arrives at this host."""

@@ -5,6 +5,14 @@ Models the paper's testbed fabric (Gigabit Ethernet, jumbo frames, one
 switch fabric, queues for the destination's output port, serializes again,
 and is delivered after propagation.  Per-frame overhead and MTU framing are
 charged so bandwidth numbers reflect goodput, not raw line rate.
+
+Each NIC and each switch output port is a :class:`~repro.sim.Link`: a FIFO
+serializer whose departure time follows from the packet's size the moment
+the packet reaches it, ``max(now, free_at) + wire_time``.  So a journey is
+two scheduled calls, not a process: :meth:`Network.transmit` books the
+sender's NIC and schedules the switch arrival; the arrival books the
+destination's port and schedules the delivery.  Same-host traffic skips the
+port and takes one call.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.sim import Resource, Simulator
+from repro.sim import Link, Simulator
 from .host import Host
 from .packet import Packet
 
@@ -44,7 +52,7 @@ class Network:
         self.params = params or NetParams()
         self.tracer = tracer
         self.hosts: Dict[str, Host] = {}
-        self._output_ports: Dict[str, Resource] = {}
+        self._output_ports: Dict[str, Link] = {}
         # Fault hook (see repro.faults): anything with
         # ``on_transmit(packet, now) -> FaultDecision``, consulted per transmit.
         self.fault_injector = None
@@ -95,7 +103,7 @@ class Network:
             clock_skew=clock_skew,
         )
         self.hosts[name] = host
-        self._output_ports[name] = Resource(self.sim, 1)
+        self._output_ports[name] = Link(self.sim)
         return host
 
     def host(self, name: str) -> Host:
@@ -105,15 +113,16 @@ class Network:
         """Per-destination switch-port occupancy (telemetry view).
 
         Each entry covers the output port feeding one host's downlink:
-        instantaneous queue depth, in-flight frames, peak backlog, and
-        cumulative utilisation of the port's serializer.
+        instantaneous queue depth, in-flight frames, peak backlog,
+        cumulative utilisation of the port's serializer, and the summed
+        time frames queued for it (``wait_time``).
         """
         return {
             name: port.stats() for name, port in self._output_ports.items()
         }
 
-    def output_port(self, name: str) -> Resource:
-        """The switch output-port resource feeding host ``name``."""
+    def output_port(self, name: str) -> Link:
+        """The switch output-port link feeding host ``name``."""
         return self._output_ports[name]
 
     # -- timing ----------------------------------------------------------
@@ -149,43 +158,47 @@ class Network:
                 self.tracer.packet_dropped(packet, self.sim.now, "no-route")
             return
         if delays is None:
-            self.sim.spawn(
-                self._journey(src_host, dst_host, packet),
-                name=f"pkt:{packet.src}->{packet.dst}",
-            )
+            self._launch(src_host, dst_host, packet)
             return
         # Fault-mangled path: one journey per surviving copy.  Copies after
         # the first are clones so an in-place µproxy rewrite on one arrival
         # cannot corrupt the other.
         self.packets_duplicated += len(delays) - 1
+        sim = self.sim
         for i, delay in enumerate(delays):
             copy = packet if i == 0 else packet.clone()
             if delay > 0:
+                # Fault-injected extra latency (reorder / duplicate spacing).
                 self.packets_delayed += 1
-            self.sim.spawn(
-                self._journey(src_host, dst_host, copy, launch_delay=delay),
-                name=f"pkt:{packet.src}->{packet.dst}",
-            )
+                sim.call_at(sim.now + delay, self._launch, src_host,
+                            dst_host, copy, sim.now)
+            else:
+                self._launch(src_host, dst_host, copy)
 
-    def _journey(self, src_host: Host, dst_host: Host, packet: Packet,
-                 launch_delay: float = 0.0):
+    def _launch(self, src_host: Host, dst_host: Host, packet: Packet,
+                sent: Optional[float] = None) -> None:
+        """Serialize out of the sender's NIC (``sent``: when a delayed
+        launch was scheduled); reach the switch, or for same-host traffic
+        the receiver, after propagation and fabric latency."""
         params = self.params
-        size = packet.size
-        if launch_delay > 0:
-            # Fault-injected extra latency (reorder / duplicate spacing).
-            yield self.sim.timeout(launch_delay)
-        # 1. Serialize out of the sender's NIC.
-        yield from src_host.nic_tx.use(self.wire_time(size, self._link_bw(src_host)))
-        yield self.sim.timeout(params.propagation + params.fabric_latency)
+        depart = src_host.nic_tx.reserve(
+            self.wire_time(packet.size, self._link_bw(src_host)), sent)
+        when = depart + (params.propagation + params.fabric_latency)
         if src_host is dst_host:
             # Same-host traffic short-circuits the switch output port.
-            self._arrive(dst_host, packet)
-            return
-        # 2. Queue for, then serialize onto, the destination's switch port.
-        port = self._output_ports[dst_host.name]
-        yield from port.use(self.wire_time(size, self._link_bw(dst_host)))
-        yield self.sim.timeout(params.propagation)
-        self._arrive(dst_host, packet)
+            self.sim.call_at(when, self._arrive, dst_host, packet)
+        else:
+            self.sim.call_at(when, self._forward, dst_host, packet, depart)
+
+    def _forward(self, dst_host: Host, packet: Packet, sent: float) -> None:
+        """At the switch: queue for, then serialize onto, the destination's
+        output port (``sent``: when the packet left its NIC); deliver after
+        propagation.  The port is booked here, not at send time, so packets
+        from different NICs take it in the order they reach it."""
+        depart = self._output_ports[dst_host.name].reserve(
+            self.wire_time(packet.size, self._link_bw(dst_host)), sent)
+        self.sim.call_at(depart + self.params.propagation, self._arrive,
+                         dst_host, packet)
 
     def _arrive(self, dst_host: Host, packet: Packet) -> None:
         self.packets_delivered += 1

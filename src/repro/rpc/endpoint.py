@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.net import Address, Host, Packet
 from repro.util.bytesim import EMPTY, Data
@@ -38,6 +38,24 @@ class RpcAcceptError(Exception):
     def __init__(self, accept_stat: int):
         super().__init__(f"rpc accept_stat={accept_stat}")
         self.accept_stat = accept_stat
+
+
+class _Pending:
+    """One outstanding call: where its reply must come from, the event its
+    current attempt waits on, and the reply once it came."""
+
+    __slots__ = ("dst", "wake", "reply")
+
+    def __init__(self, dst: Address):
+        self.dst = dst
+        self.wake = None
+        self.reply: Optional[Packet] = None
+
+
+def _expire(wake) -> None:
+    """The retransmit timer: wake the attempt if nothing has yet."""
+    if not wake.triggered:
+        wake.succeed()
 
 
 class RpcClient:
@@ -74,7 +92,7 @@ class RpcClient:
             (xid_seed * 0x9E3779B1 + port * 31 + 7) & 0xFFFFFFFF
         )
         self._next_xid = (xid_seed * 2654435761 + 1) & 0xFFFFFFFF
-        self._pending: Dict[int, Tuple[Address, object]] = {}
+        self._pending: Dict[int, _Pending] = {}
         self.retransmissions = 0
         self.calls_completed = 0
         host.bind(port, self._on_packet)
@@ -89,15 +107,15 @@ class RpcClient:
         if not pkt.checksum_ok():
             return  # corrupt: treat as loss, retransmission recovers
         xid = int.from_bytes(pkt.header[:4], "big")
-        entry = self._pending.get(xid)
-        if entry is None:
+        pending = self._pending.get(xid)
+        if pending is None:
             return  # late duplicate
-        expected_src, event = entry
-        if pkt.src != expected_src:
+        if pkt.src != pending.dst:
             return  # reply from an unexpected server: ignore
         del self._pending[xid]
-        if not event.triggered:
-            event.succeed(pkt)
+        pending.reply = pkt
+        if not pending.wake.triggered:
+            pending.wake.succeed()
 
     def call(
         self,
@@ -131,8 +149,7 @@ class RpcClient:
                 pkt.fill_checksum()
             return pkt
 
-        reply_event = sim.event()
-        self._pending[xid] = (dst, reply_event)
+        pending = self._pending[xid] = _Pending(dst)
         timeout = (
             retrans_timeout if retrans_timeout is not None
             else self.retrans_timeout
@@ -141,12 +158,17 @@ class RpcClient:
             for attempt in range(tries):
                 if attempt:
                     self.retransmissions += 1
+                # One event per attempt: the reply or the retransmit timer,
+                # whichever comes first, wakes it.
+                wake = pending.wake = sim.event()
                 self.host.send(fresh_packet())
                 wait = min(timeout, self.max_retrans_timeout)
                 if self.jitter:
                     wait *= 1.0 + self.jitter * self._rng.random()
-                yield sim.any_of([reply_event, sim.timeout(wait)])
-                if reply_event.triggered:
+                sim.call_at(sim.now + wait, _expire, wake)
+                yield wake
+                # A reply landing in the timer's instant still counts.
+                if pending.reply is not None:
                     break
                 timeout = min(timeout * self.backoff,
                               self.max_retrans_timeout)
@@ -156,7 +178,7 @@ class RpcClient:
                 )
         finally:
             self._pending.pop(xid, None)
-        reply_pkt: Packet = reply_event.value
+        reply_pkt: Packet = pending.reply
         dec = Decoder(reply_pkt.header)
         reply = ReplyHeader.decode(dec)
         if reply.accept_stat != SUCCESS:

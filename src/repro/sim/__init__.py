@@ -2,13 +2,14 @@
 
 from .engine import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
 from .rand import RandomStreams
-from .resources import Resource, Store
+from .resources import Link, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
     "Interrupt",
+    "Link",
     "Process",
     "RandomStreams",
     "Resource",

@@ -10,12 +10,14 @@ with the event's value when the event triggers, or throws the event's
 exception into it when the event fails.  Processes are themselves events that
 trigger when the generator returns, so processes can wait on each other;
 :meth:`Simulator.spawn` starts one whose end nobody waits for, which then
-costs no kernel step.
+costs no kernel step.  :meth:`Simulator.call_at` runs a plain function at a
+given time, for timed work that needs no coroutine at all.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Any, Generator, Iterable, Optional
 
 __all__ = [
@@ -260,6 +262,20 @@ class AllOf(Event):
             self.succeed({ev: ev._value for ev in self.events})
 
 
+class _Call:
+    """A function call scheduled by :meth:`Simulator.call_at`.
+
+    It sits in the heap like an already-triggered event; :meth:`Simulator.step`
+    runs ``fn(*args)`` in place of event callbacks.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn, args: tuple):
+        self.fn = fn
+        self.args = args
+
+
 class Simulator:
     """The event loop: a clock plus a priority queue of triggered events."""
 
@@ -268,6 +284,9 @@ class Simulator:
         self._heap: list = []
         self._eid = 0
         self._crashes: list = []
+        #: dead once the garbage collector reclaims this simulation (see
+        #: :meth:`_schedule`)
+        self._alive = weakref.ref(self)
 
     # -- construction helpers ------------------------------------------------
 
@@ -293,6 +312,19 @@ class Simulator:
         proc._detached = True
         return proc
 
+    def call_at(self, when: float, fn, *args) -> None:
+        """Run ``fn(*args)`` from :meth:`step` at the absolute time ``when``.
+
+        It costs one event id and one step, like a timeout, but no event
+        object, callback list or process.  The time is absolute because
+        ``now + (when - now)`` is not always ``when`` in floating point.
+        """
+        if when < self.now:
+            raise ValueError(f"call_at({when!r}) is in the past "
+                             f"(now={self.now!r})")
+        self._eid += 1
+        heapq.heappush(self._heap, (when, self._eid, _Call(fn, args)))
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -303,6 +335,12 @@ class Simulator:
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
+            return
+        if self._alive() is None:
+            # The garbage collector is finalizing this unreachable
+            # simulation's suspended processes, and a ``finally`` clause is
+            # waking a waiter.  A new heap entry would make the whole dead
+            # simulation reachable again until the next collection.
             return
         event._scheduled = True
         self._eid += 1
@@ -321,6 +359,9 @@ class Simulator:
     def step(self) -> None:
         when, _eid, event = heapq.heappop(self._heap)
         self.now = when
+        if event.__class__ is _Call:
+            event.fn(*event.args)
+            return
         if event._value is _UNSET:
             # Only Timeouts are scheduled before triggering; they fire now.
             event._value = event._pvalue

@@ -213,6 +213,18 @@ def test_loopback_bypasses_network():
     sim.run()
     assert len(got) == 1
     assert net.packets_delivered == 0
+    # A start and a zero timeout; nobody waits on its end, which costs none.
+    assert sim._eid == 2
+
+
+def test_loopback_delay_is_exact():
+    sim, net, a, _b = build()
+    got = []
+    a.bind(5, lambda pkt: got.append(sim.now))
+    sim.run(until=0.1)
+    a.loopback(Packet(Address("anywhere", 1), a.address(5), b"x"), delay=0.2)
+    sim.run()
+    assert got == [0.1 + 0.2]
 
 
 def test_same_host_traffic_short_circuits():

@@ -6,7 +6,7 @@ import pytest
 from repro.faults import FaultInjector, FaultPlan, PacketFaultRule
 from repro.net import NetParams, Network, Packet
 from repro.rpc import Decoder, Encoder, RpcAcceptError, RpcClient, RpcServer, RpcTimeout
-from repro.rpc.messages import GARBAGE_ARGS
+from repro.rpc.messages import GARBAGE_ARGS, ReplyHeader
 from repro.sim import Simulator
 from repro.util.bytesim import EMPTY, RealData
 
@@ -377,3 +377,94 @@ def test_retransmit_jitter_bounded_and_from_private_stream():
     # Four waits, each in [1.0, 1.1).
     assert 4.0 < elapsed < 4.4
     assert _random.random() == expected_global  # global stream untouched
+
+
+# -- one wait per attempt: the reply or the retransmit timer --------------------
+
+
+def answer_at(sim, client_host, server_host, xid, when, value=42):
+    """Deliver a reply to ``xid`` at the client at exactly ``when``,
+    bypassing the wire."""
+    header = (ReplyHeader(xid).encode().to_bytes()
+              + Encoder().u32(value).to_bytes())
+    reply = Packet(server_host.address(2049), client_host.address(700), header)
+    sim.call_at(when, client_host.deliver, reply)
+
+
+def raw_server(net, server_host, on_call):
+    """Bind the server port to ``on_call(xid)`` instead of an RpcServer."""
+    server_host.bind(
+        2049, lambda pkt: on_call(int.from_bytes(pkt.header[:4], "big")))
+
+
+@pytest.mark.parametrize("first", ["reply", "timer"])
+def test_reply_in_the_timer_instant_completes_the_call(first):
+    """The reply lands in the same simulated instant as the retransmit
+    timer, scheduled before it or after it: either way the call completes
+    with that reply and without a retransmission."""
+    sim = Simulator()
+    net = Network(sim, NetParams())
+    client_host, server_host = net.add_host("client"), net.add_host("server")
+    client = RpcClient(client_host, 700, retrans_timeout=0.7, jitter=0.0)
+    deadline = 0.0 + 0.7
+    if first == "reply":
+        answer_at(sim, client_host, server_host, client._next_xid, deadline)
+        raw_server(net, server_host, lambda xid: None)
+    else:
+        raw_server(net, server_host, lambda xid: answer_at(
+            sim, client_host, server_host, xid, deadline))
+
+    def run():
+        dec, _ = yield from client.call(server_host.address(2049), PROG, 1, 0,
+                                        Encoder().u32(21).to_bytes())
+        return dec.u32(), sim.now
+
+    assert sim.run_process(run()) == (42, deadline)
+    assert client.retransmissions == 0
+    assert client.calls_completed == 1
+
+
+def test_reply_to_an_earlier_attempt_after_a_retransmission_completes():
+    sim = Simulator()
+    net = Network(sim, NetParams())
+    client_host, server_host = net.add_host("client"), net.add_host("server")
+    client = RpcClient(client_host, 700, retrans_timeout=0.7, jitter=0.0)
+    heard = []
+
+    def on_call(xid):
+        # Answer only the first attempt, late: after the timer at 0.7 has
+        # sent the retransmission, before the second timer at 2.1.
+        if not heard:
+            answer_at(sim, client_host, server_host, xid, 1.0)
+        heard.append(sim.now)
+
+    raw_server(net, server_host, on_call)
+
+    def run():
+        dec, _ = yield from client.call(server_host.address(2049), PROG, 1, 0,
+                                        Encoder().u32(21).to_bytes())
+        return dec.u32(), sim.now
+
+    assert sim.run_process(run()) == (42, 1.0)
+    assert client.retransmissions == 1
+    assert len(heard) == 2 and heard[1] > 0.7
+    assert client._pending == {}
+
+
+def test_call_whose_every_reply_is_lost_times_out():
+    sim, net, client, server, _h = build()
+    server.register(PROG, echo_service)
+    net.fault_injector = DropWhen(lambda pkt: pkt.src.host == "server")
+    client.max_tries = 3
+
+    def run():
+        with pytest.raises(RpcTimeout):
+            yield from client.call(server.address, PROG, 1, 0,
+                                   Encoder().u32(5).to_bytes())
+
+    sim.run_process(run())
+    assert client.retransmissions == 2
+    assert server.requests_handled == 1
+    assert server.duplicates_replayed == 2
+    assert client.calls_completed == 0
+    assert client._pending == {}

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt, Resource, Simulator
 
 
 def test_timeout_advances_clock():
@@ -381,3 +383,78 @@ def test_spawn_keeps_the_order_of_a_random_process_tree():
         plain, plain_eids = _callback_log("process", seed)
         assert spawned == plain
         assert spawned_eids < plain_eids
+
+
+# -- call_at --------------------------------------------------------------------
+
+
+def test_call_at_runs_the_function_at_its_time_in_one_step():
+    sim = Simulator()
+    seen = []
+    sim.call_at(2.5, lambda *args: seen.append((sim.now, args)), "a", 1)
+    assert sim._eid == 1 and seen == []
+    sim.run()
+    assert seen == [(2.5, ("a", 1))]
+    assert sim._eid - len(sim._heap) == 1
+
+
+def test_call_at_takes_its_place_among_timeouts():
+    """A call and a timeout due at the same instant run in the order they
+    were scheduled, as two timeouts would."""
+    sim = Simulator()
+    seen = []
+
+    def waiter(tag, delay):
+        yield sim.timeout(delay)
+        seen.append((tag, sim.now))
+
+    sim.process(waiter("first", 1.0))
+    sim.run(until=0.5)
+    sim.call_at(1.0, lambda: seen.append(("call", sim.now)))
+    sim.process(waiter("last", 0.5))
+    sim.run()
+    assert seen == [("first", 1.0), ("call", 1.0), ("last", 1.0)]
+
+
+def test_call_at_time_is_absolute():
+    """``now + (when - now)`` can differ from ``when`` in the last bit; the
+    call runs at ``when`` itself."""
+    sim = Simulator()
+    sim.run(until=0.16814494622242826)
+    when = 28.745614808230652
+    assert sim.now + (when - sim.now) != when
+    times = []
+    sim.call_at(when, lambda: times.append(sim.now))
+    sim.run()
+    assert times == [when]
+
+
+def test_call_at_in_the_past_is_rejected():
+    sim = Simulator()
+    sim.run(until=1.0)
+    with pytest.raises(ValueError):
+        sim.call_at(0.5, lambda: None)
+
+
+def test_a_dropped_simulation_is_reclaimed_by_one_collection():
+    """Collecting an unreachable simulation finalizes its suspended
+    processes.  A ``finally`` that wakes a waiter (here the release that
+    grants the next request) must not make the simulation reachable again,
+    or it and everything its heap holds outlive the collection."""
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1)
+
+    def job():
+        yield from cpu.use(10.0)
+
+    for _ in range(2):
+        sim.process(job())
+    sim.run(until=1.0)
+    assert cpu.queue_length == 1
+    # A weak reference is cleared before finalizers run, even for an object
+    # they bring back, so look for the simulator itself.
+    sim_id = id(sim)
+    del sim, cpu
+    gc.collect()
+    assert not [o for o in gc.get_objects()
+                if type(o) is Simulator and id(o) == sim_id]

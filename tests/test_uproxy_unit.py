@@ -371,6 +371,32 @@ def test_readdirplus_chains_through_empty_sites():
     assert named["e0"].fh is not None and named["e1"].fh is not None
 
 
+# -- synthesized replies ----------------------------------------------------------
+
+
+def test_synthesized_getattr_reply_arrives_when_it_did():
+    """A GETATTR of a file with writes in flight is answered by the µproxy
+    through ``Host.loopback``; the reply reaches the client at the same
+    simulated time as when the loopback ran as a waited-for process."""
+    cluster = small_cluster()
+    client, proxy = cluster.add_client()
+    sim = cluster.sim
+    seen = {}
+
+    def run():
+        f = (yield from client.create(cluster.root_fh, "f")).fh
+        yield from client.write(f, 0, PatternData(1000, seed=1))
+        seen["sent"], before = sim.now, proxy.synthesized
+        res = yield from client.getattr(f)
+        assert res.status == NFS3_OK
+        seen["replied"] = sim.now
+        assert proxy.synthesized == before + 1
+
+    cluster.run(run())
+    assert (repr(seen["sent"]), repr(seen["replied"])) == (
+        "0.008889090424242421", "0.00894409042424242")
+
+
 # -- every procedure's route ----------------------------------------------------
 
 #: (procedure, the µproxy tracer counts its request adds, by one each)

@@ -62,6 +62,9 @@ __all__ = ["UProxy", "ProxyParams"]
 
 COOKIE_SITE_SHIFT = 48
 
+#: An XDR bool that is true, such as the eof word ending a READDIR reply.
+_XDR_TRUE = (1).to_bytes(4, "big")
+
 #: Procedures routed to the home site of the file handle they start with
 #: -> the argument prefix decoded to find it (ACCESS's mask is not read).
 _FH_ROUTES = {
@@ -202,6 +205,9 @@ class UProxy(PacketFilter):
         self.block_maps = BlockMapCache()
         self.attr_cache = AttrCache(self.params.attr_cache_capacity)
         self.pending: "OrderedDict[Tuple[int, int], _Pending]" = OrderedDict()
+        #: (client port, xid) of each split READ or WRITE whose scatter is
+        #: running; a retransmission of one is dropped, not split again.
+        self._splitting: Set[Tuple[int, int]] = set()
         self.dirty_sites: "OrderedDict[int, Set[Address]]" = OrderedDict()
         self._mirror_toggle: Dict[int, int] = {}
         self._node_verfs: Dict[Address, int] = {}
@@ -453,6 +459,9 @@ class UProxy(PacketFilter):
             # Straddles the threshold or a stripe boundary: scatter the
             # request and gather one reply (§2.1: the µproxy may initiate
             # and absorb packets).
+            if key in self._splitting:
+                return ()  # a retransmission: the running scatter answers
+            self._splitting.add(key)
             kind = proto.PROCS[proc].name
             if self.tracer is not None:
                 self.tracer.split(pkt.src, xid, now, kind, args.offset,
@@ -551,7 +560,9 @@ class UProxy(PacketFilter):
         Returns the status of the reply to the client: NFS3_OK, the first
         failure (NFS3ERR_IO for a timeout), or None after a MISDIRECTED
         segment, which refreshes the tables and answers nothing, so the
-        client's retransmission splits again on the fresh tables."""
+        client's retransmission splits again on the fresh tables.  Until
+        the segments are done, the request stays in ``_splitting`` and
+        its retransmissions are dropped."""
         tracer = self.tracer
         tid = tracer.trace_id_of(client_addr, xid) if tracer is not None else 0
         statuses: List[int] = []
@@ -577,6 +588,7 @@ class UProxy(PacketFilter):
             self.sim.process(send(off, length, call))
             for off, length in segments
         ])
+        self._splitting.discard((client_addr.port, xid))
         if SLICEERR_MISDIRECTED in statuses:
             self._misdirected(client_addr, xid)
             return None
@@ -1036,15 +1048,28 @@ class UProxy(PacketFilter):
         res.eof = False
 
     def _post_readdir(self, pkt: Packet, key, rec: _Pending, dec: Decoder):
-        res = proto.ReaddirRes.decode(
-            dec, plus=rec.proc == proto.PROC_READDIRPLUS
-        )
-        if (res.status != NFS3_OK or not res.eof
-                or not self.name_config.readdir_spans_sites()):
+        """Pass a site's page on, or chain the listing to the next site.
+
+        Under mkdir switching a directory lives at one site, so the reply
+        goes back untouched and unread.  Under name hashing the µproxy
+        reads the status and the eof word (the last word of a reply with
+        no body) and finishes every page but a successful last page of a
+        site that another site follows; only that page is decoded, to
+        chain the client on (``_chain_to``) or, when it is empty, to ask
+        the following sites itself (``_readdir_chain``)."""
+        if not self.name_config.readdir_spans_sites():
+            return self._finish(pkt, key)
+        start = dec.offset
+        if (dec.u32() != NFS3_OK or pkt.body.length
+                or pkt.header[-4:] != _XDR_TRUE):
             return self._finish(pkt, key)
         site = self._next_readdir_site(rec.fh, rec.site)
         if site is None:
             return self._finish(pkt, key)  # truly the last site
+        dec.offset = start
+        res = proto.ReaddirRes.decode(
+            dec, plus=rec.proc == proto.PROC_READDIRPLUS
+        )
         if res.entries:
             self._chain_to(res, site)
             return self._rebuild(pkt, key, res)

@@ -500,31 +500,25 @@ class DirectoryServer:
                     raw_fh if plus else None)
             if local_cookie < 2:
                 add(dir_cell.parent_fileid or dir_fh.fileid, "..", 2)
-        for cell in state.entries_of(dir_fh.fileid):
-            if cell.cookie <= local_cookie:
-                continue
-            if len(entries) >= budget:
-                break
-            attr = None
-            fh = None
+        for entry_cookie, cell in state.entries_after(
+                dir_fh.fileid, local_cookie, budget - len(entries)):
+            attr = fh = None
             if plus:
+                target_fh = cell.target_fh(self.volume)
                 target_state = self.sites.get(cell.target_site)
                 if target_state is not None:
-                    target_cell = target_state.get_attr_cell(
-                        attr_key_for(cell.target_fileid)
-                    )
+                    target_cell = target_state.get_attr_cell(target_fh.key)
                     if target_cell is not None:
                         attr = target_cell.to_fattr()
-                fh = cell.target_fh(self.volume).pack()
-            add(cell.target_fileid, cell.name, cell.cookie, attr, fh)
+                fh = target_fh.pack()
+            add(cell.target_fileid, cell.name, entry_cookie, attr, fh)
         yield from self.host.cpu_work(self.params.cpu_per_entry * len(entries))
         # eof for THIS site: nothing hosted here follows the last cookie we
         # emitted (the µproxy chains sites for name-hashed directories).
         last_local = (
             (entries[-1].cookie & COOKIE_LOCAL_MASK) if entries else local_cookie
         )
-        all_cells = state.entries_of(dir_fh.fileid)
-        eof = not any(cell.cookie > last_local for cell in all_cells)
+        eof = not state.entries_after(dir_fh.fileid, last_local, 1)
         dir_attr = self._local_dir_attr(dir_fh)
         return proto.ReaddirRes(
             NFS3_OK, dir_attr, cookieverf=1, entries=entries, eof=eof, plus=plus

@@ -22,6 +22,7 @@ Journal records are dicts of three kinds, built by :func:`group_record`,
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -32,6 +33,7 @@ from repro.rpc import xdr
 __all__ = [
     "attr_key_for",
     "name_key_for",
+    "cookie_of",
     "AttrCell",
     "NameCell",
     "PutName",
@@ -70,6 +72,12 @@ def name_key_for(parent_fileid: int, name: str) -> bytes:
     return hashlib.md5(
         b"name:" + parent_fileid.to_bytes(8, "big") + name.encode("utf-8")
     ).digest()
+
+
+def cookie_of(key: bytes) -> int:
+    """The stable readdir cookie of a name cell, from its key (3 upward;
+    0-2 are reserved for start, '.' and '..')."""
+    return max(3, int.from_bytes(key[:8], "big") >> 16)
 
 
 @xdr.record(xdr.U64, xdr.U32, xdr.U32, xdr.U32, xdr.U32, xdr.U32,
@@ -130,13 +138,6 @@ class NameCell:
             volume, self.target_ftype, self.target_flags, self.target_fileid,
             self.target_site, attr_key_for(self.target_fileid),
         )
-
-    @property
-    def cookie(self) -> int:
-        """Stable readdir cookie derived from the cell key (3.. upward;
-        0-2 are reserved for start/'.'/'..')."""
-        key = name_key_for(self.parent_fileid, self.name)
-        return max(3, int.from_bytes(key[:8], "big") >> 16)
 
 
 #: An attribute-cell key.
@@ -231,8 +232,9 @@ class SiteState:
         self.site_id = site_id
         self.attr_cells: Dict[bytes, AttrCell] = {}
         self.name_cells: Dict[bytes, NameCell] = {}
-        # dir fileid -> name-cell keys hosted here (site-local index)
-        self.dir_index: Dict[int, Set[bytes]] = {}
+        # dir fileid -> its entries hosted here as (cookie, name, key),
+        # in readdir order
+        self.dir_index: Dict[int, List[Tuple[int, str, bytes]]] = {}
         self.next_local_id = 1
         # txid -> (coordinator site, ops): groups prepared for a remote
         # coordinator and not ended yet.
@@ -247,17 +249,19 @@ class SiteState:
 
     def put_name_cell(self, cell: NameCell) -> None:
         key = name_key_for(cell.parent_fileid, cell.name)
+        if key not in self.name_cells:
+            insort(self.dir_index.setdefault(cell.parent_fileid, []),
+                   (cookie_of(key), cell.name, key))
         self.name_cells[key] = cell
-        self.dir_index.setdefault(cell.parent_fileid, set()).add(key)
 
     def del_name_cell(self, parent_fileid: int, name: str) -> None:
         key = name_key_for(parent_fileid, name)
-        self.name_cells.pop(key, None)
-        index = self.dir_index.get(parent_fileid)
-        if index is not None:
-            index.discard(key)
-            if not index:
-                del self.dir_index[parent_fileid]
+        if self.name_cells.pop(key, None) is None:
+            return
+        index = self.dir_index[parent_fileid]
+        del index[bisect_left(index, (cookie_of(key), name, key))]
+        if not index:
+            del self.dir_index[parent_fileid]
 
     # -- mutation -------------------------------------------------------------
 
@@ -323,12 +327,13 @@ class SiteState:
     def get_name_cell(self, parent_fileid: int, name: str) -> Optional[NameCell]:
         return self.name_cells.get(name_key_for(parent_fileid, name))
 
-    def entries_of(self, dir_fileid: int):
-        """Name cells of a directory hosted at this site, cookie order."""
-        keys = self.dir_index.get(dir_fileid, ())
-        cells = [self.name_cells[k] for k in keys]
-        cells.sort(key=lambda c: (c.cookie, c.name))
-        return cells
+    def entries_after(self, dir_fileid: int, cookie: int, limit: int):
+        """Up to ``limit`` entries of a directory hosted at this site whose
+        cookies follow ``cookie``, in readdir order, as (cookie, cell)."""
+        index = self.dir_index.get(dir_fileid, ())
+        start = bisect_left(index, (cookie + 1,))
+        cells = self.name_cells
+        return [(c, cells[key]) for c, _name, key in index[start:start + limit]]
 
     def count_entries(self, dir_fileid: int) -> int:
         return len(self.dir_index.get(dir_fileid, ()))

@@ -4,8 +4,9 @@ Messages declare their wire layout once, with :func:`repro.rpc.xdr.record`:
 arguments encode to / decode from the bytes that follow the RPC call
 header, results the bytes that follow the RPC reply header.  Only
 ``WriteArgs`` and ``ReadRes`` (which repeat the body length word) and
-``ReaddirRes`` (an entry list the µproxy rewrites) are written by hand,
-from the same field kinds.  Bulk data (READ results, WRITE arguments)
+``ReaddirRes`` (the largest reply, whose entry loop packs and unpacks
+precompiled structs, an entryplus3's fattr3 and handle included) are
+written by hand.  Bulk data (READ results, WRITE arguments)
 travels in the packet *body*, after these headers — matching the
 header-splitting NICs of the paper's testbed — and conveniently NFS V3
 puts opaque file data last in both messages.
@@ -16,12 +17,15 @@ and result class; every NFS server decodes and answers errors from it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 from repro.rpc import xdr
-from repro.rpc.xdr import Decoder, Encoder, ok
-from .types import TIME, DirEntry, Fattr3, Sattr3
+from repro.rpc.xdr import Decoder, Encoder, XdrError, ok
+from .types import (
+    FATTR3_FORMAT, TIME, DirEntry, Fattr3, Sattr3, nfstime3,
+)
 
 __all__ = [
     "NFS_PROGRAM",
@@ -93,9 +97,10 @@ PROC_PATHCONF = 20
 PROC_COMMIT = 21
 
 FH_MAX = 64
+NAME_MAX = 255
 
 FH = xdr.opaque(FH_MAX)
-NAME = xdr.string(255)
+NAME = xdr.string(NAME_MAX)
 OPTIONAL_FH = xdr.optional(FH)
 SATTR = xdr.nested(Sattr3)
 
@@ -398,9 +403,151 @@ class LinkRes:
     dir_attr: Optional[Fattr3] = None
 
 
+# READDIR entry layouts (RFC 1813 entry3 / entryplus3), precompiled.
+#: value_follows (1), fileid, name length.
+_ENTRY_HEAD = struct.Struct("!IQI")
+_WORD = struct.Struct("!I")
+_U64 = struct.Struct("!Q")
+#: A u64 and the word after it: fileid and name length, or cookie and
+#: the next value_follows.
+_U64_WORD = struct.Struct("!QI")
+#: READDIRPLUS: cookie, no attributes, fh value_follows.
+_COOKIE_NO_ATTR = struct.Struct("!QII")
+#: READDIRPLUS: cookie, attributes follow, fattr3, fh value_follows.
+_COOKIE_ATTR = struct.Struct("!QI" + FATTR3_FORMAT[1:] + "I")
+#: fattr3, then the fh value_follows.
+_ATTR_WORD = struct.Struct(FATTR3_FORMAT + "I")
+#: Zero padding, indexed by item length & 3.
+_PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+
+
+class _Malformed(Exception):
+    """An entry the fast READDIR decoder leaves to the field kinds."""
+
+
+def _encode_entries(parts: List[bytes], entries: List[DirEntry],
+                    plus: bool) -> None:
+    """Append each entry's words to ``parts``."""
+    append = parts.append
+    for entry in entries:
+        name = entry.name.encode("utf-8")
+        length = len(name)
+        if length > NAME_MAX:
+            raise XdrError(f"entry name of {length} bytes exceeds max "
+                           f"{NAME_MAX}")
+        append(_ENTRY_HEAD.pack(1, entry.fileid, length))
+        append(name)
+        append(_PAD[length & 3])
+        if not plus:
+            append(_U64.pack(entry.cookie))
+            continue
+        attr, fh = entry.attr, entry.fh
+        if attr is None:
+            append(_COOKIE_NO_ATTR.pack(entry.cookie, 0, fh is not None))
+        else:
+            # Plain arguments: a starred call builds a 20-item tuple per
+            # entry, and CPython kept 2,000 freed ones (368 KB) after sfs.
+            asec, ansec = nfstime3(attr.atime)
+            msec, mnsec = nfstime3(attr.mtime)
+            csec, cnsec = nfstime3(attr.ctime)
+            append(_COOKIE_ATTR.pack(
+                entry.cookie, 1, attr.ftype, attr.mode, attr.nlink,
+                attr.uid, attr.gid, attr.size, attr.used, 0, 0, attr.fsid,
+                attr.fileid, asec, ansec, msec, mnsec, csec, cnsec,
+                fh is not None,
+            ))
+        if fh is not None:
+            length = len(fh)
+            if length > FH_MAX:
+                raise XdrError(f"file handle of {length} bytes exceeds max "
+                               f"{FH_MAX}")
+            append(_WORD.pack(length))
+            append(fh)
+            append(_PAD[length & 3])
+
+
+def _read_entry(dec: Decoder, plus: bool) -> DirEntry:
+    """One entry after its value_follows word, field by field."""
+    fileid = dec.u64()
+    name = NAME.get(dec)
+    cookie = dec.u64()
+    if not plus:
+        return DirEntry(fileid, name, cookie)
+    return DirEntry(fileid, name, cookie, POST_OP_ATTR.get(dec),
+                    OPTIONAL_FH.get(dec))
+
+
+def _decode_entries(dec: Decoder, plus: bool) -> List[DirEntry]:
+    """The entry list, through the value_follows word that ends it.
+
+    Each entry is read with a few precompiled structs.  An entry that is
+    truncated, out of bounds, not UTF-8 or has a bad bool is read again
+    from its start with the field kinds, which raise the error (and leave
+    ``dec.offset``) exactly as a field-by-field decode would."""
+    data = dec.data
+    end = len(data)
+    entries: List[DirEntry] = []
+    append = entries.append
+    start = dec.offset  # the value_follows word of the entry being read
+    try:
+        follows = _WORD.unpack_from(data, start)[0]
+        while follows == 1:
+            fileid, length = _U64_WORD.unpack_from(data, start + 4)
+            at = start + 16
+            stop = at + length
+            after = stop + (-length & 3)
+            if length > NAME_MAX or after > end:
+                raise _Malformed
+            name = data[at:stop].decode("utf-8")
+            cookie, follows = _U64_WORD.unpack_from(data, after)
+            at = after + 12
+            if not plus:
+                append(DirEntry(fileid, name, cookie))
+                start = at - 4
+                continue
+            attr = fh = None
+            if follows == 1:
+                w = _ATTR_WORD.unpack_from(data, at)
+                attr = Fattr3(w[0], w[1], w[2], w[3], w[4], w[5], w[6],
+                              w[9], w[10], w[11] + w[12] / 1e9,
+                              w[13] + w[14] / 1e9, w[15] + w[16] / 1e9)
+                follows = w[17]
+                at += 88
+            elif follows == 0:
+                follows = _WORD.unpack_from(data, at)[0]
+                at += 4
+            else:
+                raise _Malformed
+            if follows == 1:
+                length = _WORD.unpack_from(data, at)[0]
+                stop = at + 4 + length
+                after = stop + (-length & 3)
+                if length > FH_MAX or after > end:
+                    raise _Malformed
+                fh = data[at + 4:stop]
+                at = after
+            elif follows != 0:
+                raise _Malformed
+            follows = _WORD.unpack_from(data, at)[0]
+            append(DirEntry(fileid, name, cookie, attr, fh))
+            start = at
+        if follows == 0:
+            dec.offset = start + 4
+            return entries
+    except (struct.error, UnicodeDecodeError, _Malformed):
+        pass
+    dec.offset = start
+    while dec.boolean():
+        append(_read_entry(dec, plus))
+    return entries
+
+
 @dataclass
 class ReaddirRes:
-    """READDIR / READDIRPLUS result (``plus`` selects the wire format)."""
+    """READDIR / READDIRPLUS result (``plus`` selects the wire format).
+
+    The entry loop is written by hand; ``tests/test_readdir_codec_oracle``
+    keeps the field-by-field codec it must match."""
 
     status: int
     dir_attr: Optional[Fattr3] = None
@@ -416,17 +563,14 @@ class ReaddirRes:
         if self.status != 0:
             return enc.to_bytes()
         enc.u64(self.cookieverf)
-        for entry in self.entries:
-            enc.boolean(True)
-            enc.u64(entry.fileid)
-            enc.string(entry.name)
-            enc.u64(entry.cookie)
-            if self.plus:
-                POST_OP_ATTR.put(enc, entry.attr)
-                OPTIONAL_FH.put(enc, entry.fh)
-        enc.boolean(False)
-        enc.boolean(self.eof)
-        return enc.to_bytes()
+        parts = [enc.to_bytes()]
+        try:
+            _encode_entries(parts, self.entries, self.plus)
+        except struct.error as exc:
+            raise XdrError(f"readdir entry field out of range: {exc}") from None
+        parts.append(_WORD.pack(0))
+        parts.append(_WORD.pack(1 if self.eof else 0))
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, dec: Decoder, plus: bool = False) -> "ReaddirRes":
@@ -435,16 +579,7 @@ class ReaddirRes:
         if status != 0:
             return cls(status, dir_attr)
         cookieverf = dec.u64()
-        entries = []
-        while dec.boolean():
-            fileid = dec.u64()
-            name = NAME.get(dec)
-            cookie = dec.u64()
-            attr = fh = None
-            if plus:
-                attr = POST_OP_ATTR.get(dec)
-                fh = OPTIONAL_FH.get(dec)
-            entries.append(DirEntry(fileid, name, cookie, attr, fh))
+        entries = _decode_entries(dec, plus)
         eof = dec.boolean()
         return cls(status, dir_attr, cookieverf, entries, eof, plus)
 

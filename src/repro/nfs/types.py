@@ -37,6 +37,7 @@ __all__ = [
     "Fattr3",
     "Sattr3",
     "DirEntry",
+    "FATTR3_FORMAT",
     "FATTR3_SIZE",
     "FATTR3_OFF_SIZE",
     "FATTR3_OFF_ATIME",
@@ -70,9 +71,10 @@ ACCESS_EXTEND = 0x0008
 ACCESS_DELETE = 0x0010
 ACCESS_EXECUTE = 0x0020
 
-# fattr3: ftype, mode, nlink, uid, gid; size, used; rdev (major, minor);
-# fsid, fileid; then atime, mtime and ctime, each (seconds, nanoseconds).
-_FATTR3 = struct.Struct("!5I2Q2I2Q6I")
+#: fattr3: ftype, mode, nlink, uid, gid; size, used; rdev (major, minor);
+#: fsid, fileid; then atime, mtime and ctime, each (seconds, nanoseconds).
+FATTR3_FORMAT = "!5I2Q2I2Q6I"
+_FATTR3 = struct.Struct(FATTR3_FORMAT)
 
 # fattr3 field offsets within its 84-byte encoding.
 FATTR3_SIZE = _FATTR3.size

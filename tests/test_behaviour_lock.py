@@ -37,7 +37,8 @@ It lists the old values, the new values and the reason in CHANGES.md.
 The values were pinned on CPython 3.11.7.
 
 To print the current values in the pinned format, or only those that
-differ from the pinned ones (as ``name: old -> new``)::
+differ from the pinned ones (as ``name: old -> new``; µproxy cycles one
+line per µproxy and phase, as ``cycles name[index] phase: old -> new``)::
 
     PYTHONPATH=src python -m tests.test_behaviour_lock
     PYTHONPATH=src python -m tests.test_behaviour_lock --diff
@@ -45,6 +46,7 @@ differ from the pinned ones (as ``name: old -> new``)::
 
 from __future__ import annotations
 
+import ast
 import functools
 import hashlib
 
@@ -116,8 +118,8 @@ UPROXY_CYCLES = {
         "({'intercept': 13440.0, 'decode': 64280.0, 'rewrite': 10396.0, 'softstate': 16250.0}, 24)",
     ),
     "slice-sfs": (
-        "({'intercept': 138880.0, 'decode': 838640.0, 'rewrite': 185828.0, 'softstate': 257500.0}, 248)",
-        "({'intercept': 63840.0, 'decode': 377736.0, 'rewrite': 52788.0, 'softstate': 76250.0}, 114)",
+        "({'intercept': 138880.0, 'decode': 775064.0, 'rewrite': 185828.0, 'softstate': 257500.0}, 248)",
+        "({'intercept': 63840.0, 'decode': 302856.0, 'rewrite': 52788.0, 'softstate': 76250.0}, 114)",
     ),
     "slice-untar": (
         "({'intercept': 437920.0, 'decode': 2383448.0, 'rewrite': 353464.0, 'softstate': 488750.0}, 782)",
@@ -529,9 +531,30 @@ def _current_values():
         yield f"steps {name}", KERNEL_STEPS[name], workload_run(name)[2]
 
 
+def _cycle_changes(pinned, current):
+    """The moved µproxy cycles of one run, one line per µproxy and phase
+    (and packet count): ``[index] phase: old -> new``."""
+    if pinned is None or current is None or len(pinned) != len(current):
+        yield f": {pinned} -> {current}"
+        return
+    for index, (old, new) in enumerate(zip(pinned, current)):
+        (old_cycles, old_packets), (new_cycles, new_packets) = (
+            ast.literal_eval(old), ast.literal_eval(new))
+        old_cycles["packets"], new_cycles["packets"] = old_packets, new_packets
+        for phase in {**old_cycles, **new_cycles}:
+            before, after = old_cycles.get(phase), new_cycles.get(phase)
+            if before != after:
+                yield f"[{index}] {phase}: {before} -> {after}"
+
+
 def _print_diff() -> None:
     for name, pinned, current in _current_values():
-        if current != pinned:
+        if current == pinned:
+            continue
+        if name.startswith("cycles "):
+            for change in _cycle_changes(pinned, current):
+                print(f"{name}{change}")
+        else:
             print(f"{name}: {pinned} -> {current}")
 
 

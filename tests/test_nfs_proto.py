@@ -725,6 +725,9 @@ BOUND_CASES = [
     (NameCell(1, "n" * 255, 2, NF3REG, 0, 0),
      NameCell(1, "n" * 256, 2, NF3REG, 0, 0)),
     (pp.EntryArgs(0, 1, "n" * 255), pp.EntryArgs(0, 1, "n" * 256)),
+    # A READDIR entry name past 255 bytes is refused on encode too.
+    (proto.ReaddirRes(0, entries=[DirEntry(1, "n" * 255, 3)]),
+     proto.ReaddirRes(0, entries=[DirEntry(1, "n" * 256, 3)])),
     (pp.TxidArgs("t" * 64, 0), pp.TxidArgs("t" * 65, 0)),
     (cfg.ConfigGetArgs("t" * 256), cfg.ConfigGetArgs("t" * 257)),
 ]

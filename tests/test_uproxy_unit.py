@@ -260,8 +260,11 @@ def test_readdirplus_through_proxy():
 def test_split_read_with_a_dead_segment_answers_an_error():
     """A READ straddling a stripe boundary whose second segment's node is
     down answers NFS3ERR_IO, not OK with the missing bytes zeroed; once
-    the node is back the same read returns the data."""
-    cluster = small_cluster()
+    the node is back the same read returns the data.  The client's
+    retransmissions while the first scatter waits on the dead segment are
+    dropped, not scattered again."""
+    cluster = small_cluster(tracer=Tracer())
+    splits = cluster.tracer.counts
     client, proxy = cluster.add_client()
     unit = cluster.params.io.stripe_unit
     base = 64 << 10
@@ -277,12 +280,15 @@ def test_split_read_with_a_dead_segment_answers_an_error():
         node.crash()
         failed, _ = yield from client.read(created.fh, base + unit - 1000,
                                            2000)
+        assert splits["uproxy.split.read"] == 1
         node.restart()
         res, data = yield from client.read(created.fh, base + unit - 1000,
                                            2000)
         return failed, res, data
 
     failed, res, data = cluster.run(run())
+    assert splits["uproxy.split.read"] == 2
+    assert not proxy._splitting
     assert (failed.status, failed.count) == (NFS3ERR_IO, 0)
     assert (res.status, res.count) == (NFS3_OK, 2000)
     assert data == payload.slice(unit - 1000, unit + 1000)

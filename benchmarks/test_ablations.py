@@ -99,7 +99,7 @@ def test_ablation_threshold_offset(benchmark):
             sf_bytes = sum(
                 zone.alloc.allocated_bytes
                 for server in cluster.sf_servers
-                for zone in server.zones.values()
+                for zone in server.core.states.values()
             )
             report[threshold] = sf_bytes / max(1, fileset.total_bytes)
         return report
@@ -238,7 +238,7 @@ def test_ablation_rebalance_granularity(benchmark):
         )
         # Move the busiest non-root site from server 0 to server 1.
         victim = max(
-            (s for s in cluster.dir_servers[0].hosted_sites() if s != 0),
+            (s for s in sorted(cluster.dir_servers[0].core.states) if s != 0),
             key=lambda s: cluster.dir_servers[0].sites[s].cell_count(),
         )
         moved = cluster.move_dir_site(victim, to_server=1)

@@ -63,11 +63,11 @@ def main():
             res = yield from client.create(root, f"doc{i}")
             assert res.status == 0
         dead = cluster.dir_servers[1]
-        dead_sites = dead.hosted_sites()
-        dead.crash()
+        dead_sites = sorted(dead.core.states)
+        dead.core.crash()
         print(f"directory server dir1 died (hosted sites {dead_sites})")
         for site in dead_sites:
-            cluster.dir_servers[0].load_site(site)
+            cluster.dir_servers[0].core.load(site)
             cluster.configsvc.rebind("dir", site, cluster.dir_servers[0].address)
         for i in range(10):
             res = yield from client.lookup(root, f"doc{i}")

@@ -22,6 +22,8 @@ serving site's record carries the commit decision.  Recovery — which the
 paper's prototype left unimplemented — rebuilds a site from checkpoint +
 log, replaying each record through the same :meth:`SiteState.play` the
 live path ran, and resolves in-doubt transactions with their coordinators.
+The site life cycle, checkpoints and journal are the
+:class:`~repro.dirsvc.backing.ManagerCore` small-file servers run on too.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from repro.rpc.xdr import Decoder
 from repro.storage import coordproto as cp
 from repro.util.bytesim import EMPTY
 from . import peerproto as pp
-from .backing import BackingRegistry
+from .backing import CHECKPOINT_INTERVAL, BackingRegistry, ManagerCore
 from .config import NameConfig
 from .locks import KeyLocks
 from .state import (
@@ -84,7 +86,7 @@ class DirServerParams:
     cpu_per_op: float = 160e-6
     cpu_per_entry: float = 2e-6
     readdir_max_entries: int = 128
-    checkpoint_interval: float = 120.0
+    checkpoint_interval: float = CHECKPOINT_INTERVAL
     prepare_retries: int = 10
     retry_backoff: float = 0.015
     # Server-to-server calls use a short bounded retry; the end client's
@@ -149,7 +151,6 @@ class DirectoryServer:
         self.sim = sim
         self.host = host
         self.config = config
-        self.backing = backing
         self.peer_lookup = peer_lookup
         self.coordinator = coordinator
         self.params = params or DirServerParams()
@@ -167,7 +168,6 @@ class DirectoryServer:
             retrans_timeout=self.params.peer_retrans_timeout,
             max_tries=self.params.peer_max_tries,
         )
-        self.sites: Dict[int, SiteState] = {}
         self.locks: Dict[int, KeyLocks] = {}
         # Numbered per server, so a run's txids (and message sizes) do not
         # depend on what else ran in the process.
@@ -175,14 +175,17 @@ class DirectoryServer:
         # As transaction coordinator: the txids not decided yet.  A decided
         # one is in its serving site's ``SiteState.decided``.
         self.in_flight: Set[str] = set()
-        # Bumped by every crash: work begun before it must not go on.
-        self.boots = 0
         self.ops_served = 0
         self.cross_site_ops = 0
         self.misdirected = 0
-        for site_id in site_ids:
-            self._load_site(site_id)
-        sim.process(self._checkpointer(), name=f"dir-ckpt:{host.name}")
+        self.core = ManagerCore(
+            sim, self.server, backing, "dir", SiteState, site_ids,
+            checkpoint_interval=self.params.checkpoint_interval,
+            on_load=self._on_load, on_play=self._reclaim_freed,
+            on_crash=self._on_crash,
+        )
+        #: site id -> state of every site hosted here (the core's dict).
+        self.sites: Dict[int, SiteState] = self.core.states
 
     @property
     def address(self) -> Address:
@@ -204,11 +207,8 @@ class DirectoryServer:
 
     def gauges(self) -> Dict[str, float]:
         """Current load readings (levels, not cumulative counts)."""
-        logs = [self.backing.site("dir", sid).log for sid in self.sites]
         return {
-            "loaded_sites": len(self.sites),
-            "wal_depth": sum(log.depth for log in logs),
-            "wal_unsynced": sum(log.unsynced for log in logs),
+            **self.core.gauges(),
             "prepared_tx": len(self.prepared),
             "cpu_queue": self.host.cpu.queue_length,
             "cpu_util": self.host.cpu.utilization(),
@@ -227,11 +227,7 @@ class DirectoryServer:
     # site lifecycle
     # ------------------------------------------------------------------
 
-    def _load_site(self, site_id: int) -> None:
-        site_backing = self.backing.site("dir", site_id)
-        state = SiteState.recover(site_backing.snapshot,
-                                  site_backing.log.stable_records(), site_id)
-        self.sites[site_id] = state
+    def _on_load(self, site_id: int, state: SiteState) -> None:
         self.locks[site_id] = locks = KeyLocks(self.sim)
         # In-doubt transactions hold their locks again and ask at once: the
         # COMMIT they waited for may have died with this server.
@@ -241,58 +237,9 @@ class DirectoryServer:
             self.sim.spawn(self._resolve(txid, site_id, coord_site, 0.0),
                            name=f"dir-resolve:{self.host.name}")
 
-    def unload_site(self, site_id: int) -> int:
-        """Checkpoint a site and stop hosting it (reconfiguration step).
-
-        Returns the number of cells handed over (the moved data)."""
-        state = self.sites.pop(site_id, None)
-        if state is None:
-            return 0
-        self.locks.pop(site_id, None)
-        site_backing = self.backing.site("dir", site_id)
-        site_backing.checkpoint(state.snapshot())
-        return state.cell_count()
-
-    def load_site(self, site_id: int) -> None:
-        """Start hosting a logical site (reconfiguration/failover step)."""
-        if site_id not in self.sites:
-            self._load_site(site_id)
-
-    def hosted_sites(self) -> List[int]:
-        return sorted(self.sites)
-
-    # -- crash / restart ---------------------------------------------------
-
-    def crash(self) -> None:
-        """Lose all in-memory state; backing storage (shared array) survives.
-
-        Log records appended but never synced lived in this server's memory
-        buffer, so they die with it.
-        """
-        for site_id in self.sites:
-            self.backing.site("dir", site_id).log.crash()
-        self.host.crash()
-        self.sites.clear()
+    def _on_crash(self) -> None:
         self.locks.clear()
         self.in_flight.clear()
-        self.boots += 1
-        self.server.clear_duplicate_cache()
-
-    def restart(self, site_ids: Optional[List[int]] = None) -> None:
-        self.host.restart()
-        for site_id in site_ids or []:
-            self._load_site(site_id)
-
-    def _checkpointer(self):
-        while True:
-            yield self.sim.timeout(self.params.checkpoint_interval)
-            if not self.host.up:
-                continue
-            for site_id, state in list(self.sites.items()):
-                site_backing = self.backing.site("dir", site_id)
-                yield from site_backing.log.sync()
-                if self.sites.get(site_id) is state:  # not lost or moved
-                    site_backing.checkpoint(state.snapshot())
 
     # ------------------------------------------------------------------
     # helpers
@@ -305,29 +252,13 @@ class DirectoryServer:
             raise _Misdirected(site)
         return state
 
-    def _log(self, site: int):
-        return self.backing.site("dir", site).log
-
-    def _play(self, site: int, record: Dict) -> None:
-        """Apply a journal record to a hosted site, as replay would, and
-        reclaim the data of the files it leaves with no links."""
-        for cell in self.sites[site].play(record):
+    def _reclaim_freed(self, cells: List[AttrCell]) -> None:
+        """Reclaim the data of the files a played record left with no
+        links."""
+        for cell in cells:
             if cell.ftype == NF3REG and self.coordinator is not None:
                 self.sim.process(self._reclaim(cell.to_fh(self.volume)),
                                  name=f"reclaim:{self.host.name}")
-
-    def _journal(self, pairs: List[Tuple[int, Dict]]):
-        """Play (site, record) pairs, journal each to its own site's log,
-        then sync every touched log (group commit batches concurrent ops)."""
-        logs = []
-        for site, record in pairs:
-            self._play(site, record)
-            log = self._log(site)
-            log.append(record)
-            if log not in logs:
-                logs.append(log)
-        for log in logs:
-            yield from log.sync()
 
     def _now(self) -> float:
         return self.host.clock()
@@ -555,7 +486,7 @@ class DirectoryServer:
         if sattr.mtime is not None:
             cell.mtime = now if sattr.mtime == "server" else sattr.mtime
         cell.ctime = now
-        yield from self._journal(
+        yield from self.core.journal(
             [(fh.home_site, group_record([pp.PutAttr(cell)]))])
         if truncating and self.coordinator is not None:
             yield from self._reclaim(fh, truncate_to=sattr.size, remove=False)
@@ -886,7 +817,7 @@ class DirectoryServer:
         again under the same txid (see :meth:`_peer_prepare`).
         """
         tx = _Tx()
-        boot = self.boots
+        boot = self.core.boots
         try:
             for attempt in range(self.params.prepare_retries):
                 for key_site, key in keys:
@@ -908,7 +839,7 @@ class DirectoryServer:
                 if status != _CONFLICT:
                     raise _OpError(status)
                 yield self.sim.timeout(self.params.retry_backoff * (attempt + 1))
-                if self.boots != boot:
+                if self.core.boots != boot:
                     break  # crashed while backing off: retry nothing
             raise _OpError(NFS3ERR_JUKEBOX)
         finally:
@@ -949,15 +880,15 @@ class DirectoryServer:
             status = yield from self._prepare(site, tx, groups, remote)
             if status != NFS3_OK:
                 return status
-            if self.boots != boot:
+            if self.core.boots != boot:
                 return NFS3ERR_JUKEBOX
-        yield from self._journal([
+        yield from self.core.journal([
             (op_site, group_record(
                 group, tx.txid if remote and op_site == site else None))
             for op_site, group in groups.items() if op_site not in remote
         ])
         if remote:
-            if self.boots != boot:
+            if self.core.boots != boot:
                 return NFS3ERR_JUKEBOX  # the decision may not have survived
             self.in_flight.discard(tx.txid)
             for op_site in remote:  # a participant left out asks (RESOLVE)
@@ -1126,7 +1057,7 @@ class DirectoryServer:
         self.sim.spawn(self._resolve(args.txid, args.site, args.coord_site,
                                      self._resolve_after()),
                        name=f"dir-resolve:{self.host.name}")
-        yield from self._journal([(args.site, prepare_record(
+        yield from self.core.journal([(args.site, prepare_record(
             args.txid, args.coord_site, args.ops))])
         return pp.PrepareRes(pp.PREPARE_OK)
 
@@ -1139,8 +1070,8 @@ class DirectoryServer:
         if ops is None:
             return
         record = outcome_record(txid, commit)
-        self._play(site, record)
-        self._log(site).append(record)
+        self.core.play(site, record)
+        self.core.log(site).append(record)
         self.locks[site].release_all(self._lock_keys(ops))
 
     def _resolve_after(self) -> float:
@@ -1163,17 +1094,17 @@ class DirectoryServer:
         abort is sound: the coordinator syncs its decision before anyone
         hears of it.  In flight, or no answer, means ask again later.
         """
-        boot = self.boots
+        boot = self.core.boots
         while True:
             if wait:
                 yield self.sim.timeout(wait)
-            if self.boots != boot or (txid, site) not in self.prepared:
+            if self.core.boots != boot or (txid, site) not in self.prepared:
                 return
             dec = yield from self._peer_call(
                 coord_site, pp.PEER_RESOLVE, pp.TxidArgs(txid, coord_site))
             outcome = (pp.RESOLVE_IN_FLIGHT if dec is None
                        else pp.U32Res.decode(dec).value)
-            if self.boots != boot or (txid, site) not in self.prepared:
+            if self.core.boots != boot or (txid, site) not in self.prepared:
                 return
             if outcome != pp.RESOLVE_IN_FLIGHT:
                 self._finish_prepared(

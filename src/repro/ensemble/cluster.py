@@ -97,7 +97,6 @@ class SliceCluster:
 
         # -- directory servers ---------------------------------------------------
         self.dir_servers: List[DirectoryServer] = []
-        self.dir_log_devices: List["LogDevice"] = []
         for i in range(p.num_dir_servers):
             host = self.net.add_host(f"dir{i}")
             sites = [
@@ -113,13 +112,6 @@ class SliceCluster:
                 tracer=tracer,
             )
             self.dir_servers.append(server)
-            # Each manager journals to its own dedicated log spindle; all of
-            # its logical sites' flushes append to the one sequential stream.
-            device = LogDevice(self.sim)
-            self.dir_log_devices.append(device)
-            for site in sites:
-                log = self.backing.site("dir", site).log
-                log.write_cost = device.cost_fn()
 
         # -- routing tables & configuration service ---------------------------------
         self.dir_table = RoutingTable(
@@ -235,6 +227,11 @@ class SliceCluster:
     def telemetry(self):
         """The running sampler, or None before :meth:`start_telemetry`."""
         return self._telemetry
+
+    @property
+    def dir_log_devices(self) -> List[LogDevice]:
+        """Each directory server's log spindle, in server order."""
+        return [server.core.log_device for server in self.dir_servers]
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -358,15 +355,8 @@ class SliceCluster:
         return self._rebalancer.apply(plan)
 
     def add_dir_server(self):
-        """Scale out the directory service by one manager (synchronous).
-
-        Directory cells live in the shared backing registry, so moving a
-        logical site is an unload/load pair — no bulk copy.  The whole
-        plan installs under a single epoch bump; stale µproxies learn via
-        MISDIRECTED.  Returns the applied plan.
-        """
-        from repro.reconfig import plan_add_server
-
+        """Scale out the directory service by one manager (synchronous);
+        stale µproxies learn via MISDIRECTED.  Returns the applied plan."""
         p = self.params
         host = self.net.add_host(f"dir{len(self.dir_servers)}")
         server = DirectoryServer(
@@ -377,30 +367,11 @@ class SliceCluster:
             mirror_files=p.mirror_files,
             tracer=self.tracer,
         )
-        self.dir_servers.append(server)
-        device = LogDevice(self.sim)
-        self.dir_log_devices.append(device)
-        plan = plan_add_server("dir", self.dir_table, server.address)
-        for move in plan.moves_for("dir"):
-            old_server = next(
-                s for s in self.dir_servers if s.address == move.src
-            )
-            old_server.unload_site(move.site)
-            server.load_site(move.site)
-            log = self.backing.site("dir", move.site).log
-            log.write_cost = device.cost_fn()
-        self.configsvc.install(plan.tables)
-        return plan
+        return self._add_manager("dir", self.dir_servers, self.dir_table, server)
 
     def add_sf_server(self):
         """Scale out the small-file service by one server (synchronous).
-
-        Small-file zones also live in the backing registry (their data is
-        striped across the storage nodes), so site moves are unload/load
-        pairs with no bulk copy.  Returns the applied plan.
-        """
-        from repro.reconfig import plan_add_server
-
+        Returns the applied plan."""
         if self.sf_table is None:
             raise ValueError("cluster has no small-file service")
         p = self.params
@@ -409,14 +380,22 @@ class SliceCluster:
             self.sim, host, self.backing, [], self.storage_addrs,
             p.sf_logical_sites, p.smallfile, tracer=self.tracer,
         )
-        self.sf_servers.append(server)
-        plan = plan_add_server("sf", self.sf_table, server.address)
-        for move in plan.moves_for("sf"):
-            old_server = next(
-                s for s in self.sf_servers if s.address == move.src
-            )
-            old_server.unload_site(move.site)
-            server.load_site(move.site)
+        return self._add_manager("sf", self.sf_servers, self.sf_table, server)
+
+    def _add_manager(self, kind: str, servers: List, table: RoutingTable,
+                     server):
+        """Add ``server`` and move it its share of ``kind`` sites under one
+        epoch bump.  Each move is an unload/load pair, no bulk copy: the
+        sites live in the backing registry (a small-file zone's data is
+        striped across the storage nodes)."""
+        from repro.reconfig import plan_add_server
+
+        servers.append(server)
+        plan = plan_add_server(kind, table, server.address)
+        for move in plan.moves_for(kind):
+            old_server = next(s for s in servers if s.address == move.src)
+            old_server.core.unload(move.site)
+            server.core.load(move.site)
         self.configsvc.install(plan.tables)
         return plan
 
@@ -430,11 +409,9 @@ class SliceCluster:
         old_server = next(
             s for s in self.dir_servers if s.address == old_addr
         )
-        moved = old_server.unload_site(site)
+        moved = old_server.core.unload(site).cell_count()
         target = self.dir_servers[to_server]
-        target.load_site(site)
-        log = self.backing.site("dir", site).log
-        log.write_cost = self.dir_log_devices[to_server].cost_fn()
+        target.core.load(site)
         self.configsvc.rebind("dir", site, target.address)
         return moved
 

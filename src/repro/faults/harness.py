@@ -147,31 +147,27 @@ class FaultController:
 
     # -- component resolution -------------------------------------------------
 
+    def _manager(self, component: str, index: int):
+        """The directory or small-file server named, else None."""
+        servers = {"dir": self.cluster.dir_servers,
+                   "sf": self.cluster.sf_servers}.get(component)
+        return servers[index] if servers is not None else None
+
     def _wals_of(self, component: str, index: int) -> List[object]:
         """The write-ahead logs that crash with this component."""
-        c = self.cluster
-        if component == "dir":
-            server = c.dir_servers[index]
-            return [
-                c.backing.site("dir", s).log for s in server.hosted_sites()
-            ]
-        if component == "sf":
-            server = c.sf_servers[index]
-            return [
-                c.backing.site("sf", s).log for s in server.hosted_sites()
-            ]
+        server = self._manager(component, index)
+        if server is not None:
+            return [server.core.log(s) for s in sorted(server.core.states)]
         if component == "coord":
-            return [c.coordinators[index].log]
+            return [self.cluster.coordinators[index].log]
         return []  # storage nodes and the config service keep no journal
 
     def _disks_of(self, component: str, index: int) -> List[object]:
-        c = self.cluster
+        server = self._manager(component, index)
+        if server is not None:
+            return [server.core.log_device.disk]
         if component == "storage":
-            return list(c.storage_nodes[index].array.disks)
-        if component == "dir":
-            return [c.dir_log_devices[index].disk]
-        if component == "sf":
-            return [c.sf_servers[index].log_device.disk]
+            return list(self.cluster.storage_nodes[index].array.disks)
         raise ValueError(
             f"component {component!r} has no disk to slow "
             "(only storage/dir/sf do)"
@@ -194,20 +190,16 @@ class FaultController:
             for log in logs:
                 log.torn_tail = lambda unsynced: rng.randint(0, unsynced)
         try:
-            if kind == "storage":
+            server = self._manager(kind, index)
+            if server is not None:
+                core = server.core
+                sites = sorted(core.states)
+                core.crash()
+                revive = lambda: core.restart(site_ids=sites)  # noqa: E731
+            elif kind == "storage":
                 node = c.storage_nodes[index]
                 node.crash()
                 revive = node.restart
-            elif kind == "dir":
-                server = c.dir_servers[index]
-                sites = server.hosted_sites()
-                server.crash()
-                revive = lambda: server.restart(site_ids=sites)  # noqa: E731
-            elif kind == "sf":
-                server = c.sf_servers[index]
-                sites = server.hosted_sites()
-                server.crash()
-                revive = lambda: server.restart(site_ids=sites)  # noqa: E731
             elif kind == "coord":
                 coord = c.coordinators[index]
                 coord.crash()

@@ -4,26 +4,32 @@ Handles I/O below the threshold offset for every file, managing each file
 as a sequence of 8 KB logical blocks whose physical homes are best-fit
 fragments inside large backing objects striped over the network storage
 array.  The server is dataless: its authoritative structures are the map
-records, journaled to a write-ahead log and checkpointed to shared backing
-storage; file data lives in the backing objects on the storage nodes and is
+records, changed only by typed ops (:class:`PutMap`, :class:`DelMap`)
+journaled and checkpointed to shared backing storage by the
+:class:`~repro.dirsvc.backing.ManagerCore` the directory servers run on
+too; file data lives in the backing objects on the storage nodes and is
 cached here in memory (the 1 GB ensemble cache whose overflow produces the
 latency jump in Figure 6).
 
 NFS V3 commit semantics are honoured end to end: unstable writes buffer in
 server memory and die with a crash; commit (or the periodic syncer) writes
-data fragments to the storage nodes and forces the map-record journal.
+data fragments to the storage nodes and forces the map-record journal.  A
+storage node that does not answer fails the request with ``NFS3ERR_IO``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.dirsvc.backing import BackingRegistry
+from repro.dirsvc.backing import BackingRegistry, ManagerCore
+from repro.dirsvc.state import group_record
 from repro.net import Address, Host
 from repro.nfs import proto
-from repro.nfs.errors import NFS3ERR_NOTSUPP, NFS3_OK, SLICEERR_MISDIRECTED
+from repro.nfs.errors import (
+    NFS3ERR_IO, NFS3ERR_NOTSUPP, NFS3_OK, SLICEERR_MISDIRECTED,
+)
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import DATA_SYNC, FILE_SYNC, Fattr3, NF3REG
 from repro.rpc import RpcAcceptError, RpcClient, RpcServer, RpcTimeout
@@ -41,9 +47,8 @@ SF_PORT = 6049
 BLOCK = 8 << 10
 
 # Pseudo-volumes for the backing objects each logical site keeps in the
-# storage array: data zone, journal, and map-record array.
+# storage array: data zone and map-record array.
 ZONE_VOLUME = 0xFFFE
-LOG_VOLUME = 0xFFFD
 MAP_VOLUME = 0xFFFC
 
 
@@ -56,59 +61,55 @@ def _zone_fh(volume: int, site: int) -> bytes:
     return FHandle(volume, NF3REG, 0, site, 0, bytes(16)).pack()
 
 
-@dataclass
-class MapRecord:
-    """Per-file map: logical 8 KB block -> (zone offset, fragment size)."""
+class PutMap(NamedTuple):
+    """A file's map record: its size, and each logical 8 KB block's
+    (zone offset, fragment size).  A site's maps hold the ops they played,
+    so nothing changes one after it is journaled."""
 
-    size: int = 0
-    extents: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    fileid: int
+    size: int
+    extents: Dict[int, Tuple[int, int]]
 
-    def to_journal(self, fileid: int) -> Dict:
-        return {
-            "op": "map", "fileid": fileid, "size": self.size,
-            "extents": [[b, o, s] for b, (o, s) in self.extents.items()],
-        }
 
-    @classmethod
-    def from_journal(cls, record: Dict) -> "MapRecord":
-        return cls(
-            record["size"],
-            {b: (o, s) for b, o, s in record["extents"]},
-        )
+class DelMap(NamedTuple):
+    fileid: int
 
 
 class SiteZone:
-    """In-memory state of one logical small-file site."""
+    """In-memory state of one logical small-file site.  Its maps change
+    only through :meth:`play`, live and at replay alike; the allocator is
+    rebuilt from them on recovery."""
 
     def __init__(self, site_id: int):
         self.site_id = site_id
-        self.maps: Dict[int, MapRecord] = {}
+        self.maps: Dict[int, PutMap] = {}
         self.alloc = FragmentAllocator()
         # Mirror of the backing object, filled lazily from storage nodes.
         self.mirror = ExtentMap()
 
+    def play(self, record: Dict) -> None:
+        """Apply one journal record, a :func:`group_record` of map ops."""
+        for op in record["ops"]:
+            if type(op) is PutMap:
+                self.maps[op.fileid] = op
+            else:
+                self.maps.pop(op.fileid, None)
+
     def snapshot(self) -> Dict:
-        return {
-            "maps": [rec.to_journal(fid) for fid, rec in self.maps.items()],
-        }
+        return group_record(list(self.maps.values()))
 
     @classmethod
-    def recover(cls, site_id: int, snapshot: Optional[Dict], records) -> "SiteZone":
+    def recover(cls, snap: Optional[Dict], records: List[Dict],
+                site_id: int) -> "SiteZone":
+        """Rebuild a site from its checkpoint and the journal records
+        after it."""
         zone = cls(site_id)
-        if snapshot:
-            for rec in snapshot["maps"]:
-                zone.maps[rec["fileid"]] = MapRecord.from_journal(rec)
-        for record in records:
-            if record["op"] == "map":
-                zone.maps[record["fileid"]] = MapRecord.from_journal(record)
-            elif record["op"] == "del":
-                zone.maps.pop(record["fileid"], None)
-        live = [
-            extent
-            for rec in zone.maps.values()
+        for record in [snap] + records if snap else records:
+            zone.play(record)
+        zone.alloc = FragmentAllocator.rebuild(
+            extent for rec in zone.maps.values()
             for extent in rec.extents.values()
-        ]
-        zone.alloc = FragmentAllocator.rebuild(live)
+        )
         return zone
 
 
@@ -123,6 +124,11 @@ class SmallFileParams:
     map_records_per_block: int = 64
     peer_retrans_timeout: float = 0.5
     peer_max_tries: int = 4
+
+
+class _SiteLost(Exception):
+    """The site a flush works on was lost to a crash or moved away: the
+    flush neither writes nor journals any more."""
 
 
 class SmallFileServer:
@@ -142,7 +148,6 @@ class SmallFileServer:
     ):
         self.sim = sim
         self.host = host
-        self.backing = backing
         self.storage_nodes = list(storage_nodes)
         self.num_logical_sites = num_logical_sites
         self.params = params or SmallFileParams()
@@ -158,29 +163,24 @@ class SmallFileServer:
             max_tries=self.params.peer_max_tries,
         )
         from repro.storage.cache import BufferCache
-        from repro.storage.disk import LogDevice
 
         self.cache = BufferCache(self.params.cache_bytes)
-        # Dedicated journal spindle (sequential appends for all sites).
-        self.log_device = LogDevice(sim)
-        self.zones: Dict[int, SiteZone] = {}
         # (site, fileid) -> unstable overlay of file content
         self.pending: Dict[Tuple[int, int], ExtentMap] = {}
-        # (site, fileid) -> completion event of the in-progress flush.
-        # Flushes must serialize per file: a flush claims the overlay at
-        # its *start* but only makes it durable at its *end*, so a commit
-        # that merely observed an empty overlay must still wait out the
-        # in-flight flush before acknowledging stability.
-        self._flushing: Dict[Tuple[int, int], object] = {}
-        self._log_offsets: Dict[int, int] = {}
-        self._boot_count = 0
-        self.verf = self._new_verf()
+        # (site, fileid) -> (completion event, claimed overlay) of the
+        # in-progress flush.  Flushes serialize per file: a flush claims
+        # the overlay at its *start* but only makes it durable at its
+        # *end*, so a commit that merely observed an empty overlay must
+        # still wait out the in-flight flush before acknowledging
+        # stability; reads see the claimed overlay until then.
+        self._flushing: Dict[Tuple[int, int], Tuple[object, ExtentMap]] = {}
         self.reads = 0
         self.writes = 0
         self.backing_reads = 0
         self.backing_writes = 0
-        for site_id in site_ids:
-            self._load_site(site_id)
+        self.core = ManagerCore(sim, self.server, backing, "sf", SiteZone,
+                                site_ids, on_crash=self._on_crash)
+        self.verf = self._new_verf()
         sim.process(self._syncer(), name=f"sf-syncer:{host.name}")
 
     @property
@@ -191,11 +191,8 @@ class SmallFileServer:
 
     def gauges(self) -> Dict[str, float]:
         """Current load readings (levels, not cumulative counts)."""
-        logs = [self.backing.site("sf", sid).log for sid in self.zones]
         return {
-            "loaded_sites": len(self.zones),
-            "wal_depth": sum(log.depth for log in logs),
-            "wal_unsynced": sum(log.unsynced for log in logs),
+            **self.core.gauges(),
             "pending_overlays": len(self.pending),
             "cache_used_frac": self.cache.used / self.cache.capacity,
             "cache_hit_rate": self.cache.hit_ratio(),
@@ -217,58 +214,32 @@ class SmallFileServer:
 
     def _new_verf(self) -> int:
         digest = hashlib.md5(
-            f"sf:{self.host.name}:{self._boot_count}".encode()
+            f"sf:{self.host.name}:{self.core.boots}".encode()
         ).digest()
         return int.from_bytes(digest[:8], "big")
 
-    # -- site lifecycle -----------------------------------------------------
-
-    def _load_site(self, site_id: int) -> None:
-        site_backing = self.backing.site("sf", site_id)
-        zone = SiteZone.recover(
-            site_id, site_backing.snapshot, site_backing.log.stable_records()
-        )
-        site_backing.log.write_cost = self.log_device.cost_fn()
-        self.zones[site_id] = zone
-
-    def unload_site(self, site_id: int) -> int:
-        """Checkpoint and stop hosting a site; returns live map count."""
-        zone = self.zones.pop(site_id, None)
-        if zone is None:
-            return 0
-        site_backing = self.backing.site("sf", site_id)
-        site_backing.checkpoint(zone.snapshot())
-        return len(zone.maps)
-
-    def load_site(self, site_id: int) -> None:
-        if site_id not in self.zones:
-            self._load_site(site_id)
-
-    def hosted_sites(self) -> List[int]:
-        return sorted(self.zones)
-
-    def crash(self) -> None:
-        """Unstable data and caches are lost; backing state survives."""
-        for site_id in self.zones:
-            self.backing.site("sf", site_id).log.crash()
-        self.host.crash()
-        self.zones.clear()
+    def _on_crash(self) -> None:
+        """Unstable data and caches are lost; the next boot answers with a
+        new write verifier."""
         self.pending.clear()
         self.cache.clear()
-        self.server.clear_duplicate_cache()
-
-    def restart(self, site_ids: Optional[List[int]] = None) -> None:
-        self._boot_count += 1
         self.verf = self._new_verf()
-        self.host.restart()
-        for site_id in site_ids or []:
-            self._load_site(site_id)
 
     # -- backing I/O ---------------------------------------------------------
+    #
+    # A backing call that times out raises RpcTimeout out of these helpers
+    # and caches nothing; the request fails with NFS3ERR_IO.
 
     def _node_for(self, offset: int) -> Address:
         index = (offset // self.params.stripe) % len(self.storage_nodes)
         return self.storage_nodes[index]
+
+    def _stripes(self, pos: int, end: int):
+        """(offset, length) of each piece of [pos, end) one stripe holds."""
+        while pos < end:
+            step = min(self.params.stripe - pos % self.params.stripe, end - pos)
+            yield pos, step
+            pos += step
 
     def _read_backing(self, zone: SiteZone, offset: int, length: int):
         """Generator: ensure [offset, offset+length) of the zone's backing
@@ -276,37 +247,26 @@ class SmallFileServer:
         fh = _zone_fh(ZONE_VOLUME, zone.site_id)
         first = offset // BLOCK
         last = (offset + length - 1) // BLOCK if length else first
-        missing: List[int] = []
+        # Coalesce missing blocks into contiguous runs [start, stop), each
+        # one RPC (split at stripe boundaries by the node mapping).
+        runs: List[List[int]] = []
         for block in range(first, last + 1):
-            if not self.cache.lookup(("z", zone.site_id, block)):
-                missing.append(block)
-        # Coalesce missing blocks into contiguous runs, each one RPC
-        # (split at stripe boundaries by the node mapping).
-        runs: List[Tuple[int, int]] = []
-        for block in missing:
-            if runs and runs[-1][0] + runs[-1][1] == block:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+            if self.cache.lookup(("z", zone.site_id, block)):
+                continue
+            if runs and runs[-1][1] == block:
+                runs[-1][1] += 1
             else:
-                runs.append((block, 1))
-        for start_block, nblocks in runs:
-            run_off = start_block * BLOCK
-            run_len = nblocks * BLOCK
-            pos = run_off
-            while pos < run_off + run_len:
-                in_stripe = self.params.stripe - (pos % self.params.stripe)
-                step = min(in_stripe, run_off + run_len - pos)
-                try:
-                    dec, data = yield from self.client.call(
-                        self._node_for(pos), proto.NFS_PROGRAM, proto.NFS_V3,
-                        proto.PROC_READ, proto.ReadArgs(fh, pos, step).encode(),
-                    )
-                    self.backing_reads += 1
-                    if data.length:
-                        zone.mirror.write(pos, data)
-                except RpcTimeout:
-                    pass
-                pos += step
-            for block in range(start_block, start_block + nblocks):
+                runs.append([block, block + 1])
+        for start, stop in runs:
+            for pos, step in self._stripes(start * BLOCK, stop * BLOCK):
+                dec, data = yield from self.client.call(
+                    self._node_for(pos), proto.NFS_PROGRAM, proto.NFS_V3,
+                    proto.PROC_READ, proto.ReadArgs(fh, pos, step).encode(),
+                )
+                self.backing_reads += 1
+                if data.length:
+                    zone.mirror.write(pos, data)
+            for block in range(start, stop):
                 self._cache_insert(("z", zone.site_id, block))
         return zone.mirror.read(offset, length)
 
@@ -319,11 +279,9 @@ class SmallFileServer:
         """Generator: write-through a zone region to the storage array."""
         fh = _zone_fh(ZONE_VOLUME, zone.site_id)
         zone.mirror.write(offset, data)
-        pos = offset
         end = offset + data.length
-        while pos < end:
-            in_stripe = self.params.stripe - (pos % self.params.stripe)
-            step = min(in_stripe, end - pos)
+        blocks = range(offset // BLOCK, (end - 1) // BLOCK + 1)
+        for pos, step in self._stripes(offset, end):
             try:
                 yield from self.client.call(
                     self._node_for(pos), proto.NFS_PROGRAM, proto.NFS_V3,
@@ -331,11 +289,13 @@ class SmallFileServer:
                     proto.WriteArgs(fh, pos, step, FILE_SYNC).encode(),
                     data.slice(pos - offset, pos - offset + step),
                 )
-                self.backing_writes += 1
             except RpcTimeout:
-                pass
-            pos += step
-        for block in range(offset // BLOCK, (end - 1) // BLOCK + 1):
+                # The mirror holds bytes the array may not: read it again.
+                for block in blocks:
+                    self.cache.discard(("z", zone.site_id, block))
+                raise
+            self.backing_writes += 1
+        for block in blocks:
             self._cache_insert(("z", zone.site_id, block))
 
     def _load_map(self, zone: SiteZone, fileid: int):
@@ -345,14 +305,11 @@ class SmallFileServer:
         if not self.cache.lookup(key):
             fh = _zone_fh(MAP_VOLUME, zone.site_id)
             offset = (fileid // self.params.map_records_per_block) * BLOCK
-            try:
-                yield from self.client.call(
-                    self._node_for(offset), proto.NFS_PROGRAM, proto.NFS_V3,
-                    proto.PROC_READ, proto.ReadArgs(fh, offset, BLOCK).encode(),
-                )
-                self.backing_reads += 1
-            except RpcTimeout:
-                pass
+            yield from self.client.call(
+                self._node_for(offset), proto.NFS_PROGRAM, proto.NFS_V3,
+                proto.PROC_READ, proto.ReadArgs(fh, offset, BLOCK).encode(),
+            )
+            self.backing_reads += 1
             self.cache.insert(key, BLOCK)
         return zone.maps.get(fileid)
 
@@ -360,7 +317,7 @@ class SmallFileServer:
 
     def _site_of(self, fh: FHandle) -> Optional[SiteZone]:
         site = sf_site_for(fh.fileid, self.num_logical_sites)
-        return self.zones.get(site)
+        return self.core.states.get(site)
 
     def _attrs(self, fh: FHandle, size: int) -> Fattr3:
         now = self.host.clock()
@@ -369,12 +326,20 @@ class SmallFileServer:
             atime=now, mtime=now, ctime=now,
         )
 
-    def _file_size(self, zone: SiteZone, fileid: int, rec) -> int:
-        size = rec.size if rec else 0
-        overlay = self.pending.get((zone.site_id, fileid))
-        if overlay is not None:
-            size = max(size, overlay.size)
-        return size
+    def _overlays(self, zone: SiteZone, fileid: int) -> List[ExtentMap]:
+        """A file's unstable writes, oldest first: the overlay a flush in
+        progress claimed, then the one pending."""
+        key = (zone.site_id, fileid)
+        flushing = self._flushing.get(key)
+        overlays = [flushing[1]] if flushing is not None else []
+        if key in self.pending:
+            overlays.append(self.pending[key])
+        return overlays
+
+    @staticmethod
+    def _file_size(rec: Optional[PutMap], overlays: List[ExtentMap]) -> int:
+        return max([rec.size if rec else 0]
+                   + [overlay.size for overlay in overlays])
 
     # -- NFS service -----------------------------------------------------
 
@@ -387,29 +352,32 @@ class SmallFileServer:
         handler = self._HANDLERS.get(procnum)
         if handler is None:
             return proc.result(NFS3ERR_NOTSUPP).encode(), EMPTY
-        result = yield from handler(self, proc.args.decode(dec), body)
-        return result
-
-    def _do_getattr(self, args, body):
+        args = proc.args.decode(dec)
         fh = FHandle.unpack(args.fh)
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        count = args.count if procnum in (proto.PROC_READ, proto.PROC_WRITE) else 0
+        yield from self.host.cpu_work(
+            self.params.cpu_per_op + self.params.cpu_per_byte * count)
         zone = self._site_of(fh)
         if zone is None:
-            return proto.GetattrRes(SLICEERR_MISDIRECTED).encode(), EMPTY
+            return proc.result(SLICEERR_MISDIRECTED).encode(), EMPTY
+        try:
+            return (yield from handler(self, zone, fh, args, body))
+        except RpcTimeout:
+            return proc.result(NFS3ERR_IO).encode(), EMPTY
+        except _SiteLost:
+            return None  # begun before a crash or a move: the client retries
+
+    def _do_getattr(self, zone, fh, args, body):
         rec = yield from self._load_map(zone, fh.fileid)
-        size = self._file_size(zone, fh.fileid, rec)
+        size = self._file_size(rec, self._overlays(zone, fh.fileid))
         return proto.GetattrRes(NFS3_OK, self._attrs(fh, size)).encode(), EMPTY
 
-    def _do_read(self, args, body):
-        fh = FHandle.unpack(args.fh)
-        yield from self.host.cpu_work(
-            self.params.cpu_per_op + self.params.cpu_per_byte * args.count
-        )
-        zone = self._site_of(fh)
-        if zone is None:
-            return proto.ReadRes(SLICEERR_MISDIRECTED).encode(), EMPTY
+    def _do_read(self, zone, fh, args, body):
         rec = yield from self._load_map(zone, fh.fileid)
-        size = self._file_size(zone, fh.fileid, rec)
+        # The unstable writes as of now: one a flush claims meanwhile
+        # stays in the view until its map record is journaled.
+        overlays = self._overlays(zone, fh.fileid)
+        size = self._file_size(rec, overlays)
         stop = min(args.offset + args.count, size)
         view = ExtentMap()
         if rec is not None and stop > args.offset:
@@ -424,8 +392,7 @@ class SmallFileServer:
                 want = min(BLOCK, max(0, rec.size - block * BLOCK))
                 data = yield from self._read_backing(zone, zone_off, want)
                 view.write(block * BLOCK, data)
-        overlay = self.pending.get((zone.site_id, fh.fileid))
-        if overlay is not None:
+        for overlay in overlays:
             for off, data in overlay.extents():
                 view.write(off, data)
         view.truncate(max(view.size, stop))
@@ -437,14 +404,7 @@ class SmallFileServer:
         )
         return res.encode(), payload
 
-    def _do_write(self, args, body):
-        fh = FHandle.unpack(args.fh)
-        yield from self.host.cpu_work(
-            self.params.cpu_per_op + self.params.cpu_per_byte * args.count
-        )
-        zone = self._site_of(fh)
-        if zone is None:
-            return proto.WriteRes(SLICEERR_MISDIRECTED).encode(), EMPTY
+    def _do_write(self, zone, fh, args, body):
         overlay = self.pending.setdefault(
             (zone.site_id, fh.fileid), ExtentMap()
         )
@@ -455,22 +415,17 @@ class SmallFileServer:
             committed = FILE_SYNC
         self.writes += 1
         rec = zone.maps.get(fh.fileid)
-        size = self._file_size(zone, fh.fileid, rec)
+        size = self._file_size(rec, self._overlays(zone, fh.fileid))
         res = proto.WriteRes(
             NFS3_OK, self._attrs(fh, size), count=args.count,
             committed=committed, verf=self.verf,
         )
         return res.encode(), EMPTY
 
-    def _do_commit(self, args, body):
-        fh = FHandle.unpack(args.fh)
-        yield from self.host.cpu_work(self.params.cpu_per_op)
-        zone = self._site_of(fh)
-        if zone is None:
-            return proto.CommitRes(SLICEERR_MISDIRECTED).encode(), EMPTY
+    def _do_commit(self, zone, fh, args, body):
         yield from self._flush_file(zone, fh.fileid)
         rec = zone.maps.get(fh.fileid)
-        size = self._file_size(zone, fh.fileid, rec)
+        size = self._file_size(rec, self._overlays(zone, fh.fileid))
         res = proto.CommitRes(NFS3_OK, self._attrs(fh, size), verf=self.verf)
         return res.encode(), EMPTY
 
@@ -482,6 +437,13 @@ class SmallFileServer:
     }
 
     # -- flushing -------------------------------------------------------------
+
+    def _settle(self, zone: SiteZone, key: Tuple[int, int]):
+        """Generator: wait out the file's flush in progress, if any;
+        returns whether ``zone`` is still the live state of its site."""
+        while key in self._flushing:
+            yield self._flushing[key][0]
+        return self.core.states.get(zone.site_id) is zone
 
     def _flush_file(self, zone: SiteZone, fileid: int):
         """Generator: make a file's pending writes stable — allocate
@@ -495,73 +457,91 @@ class SmallFileServer:
         immediately, and acknowledge stability for data the in-flight flush
         had not yet written — a window the chaos suite catches as a
         zero-filled tail after a lost-reply retransmission.
+
+        A backing timeout journals nothing and puts the claimed writes back
+        under any newer ones, for a later flush; it raises RpcTimeout.
         """
         key = (zone.site_id, fileid)
-        while True:
-            inflight = self._flushing.get(key)
-            if inflight is None:
-                break
-            yield inflight
+        yield from self._settle(zone, key)
         overlay = self.pending.pop(key, None)
         if overlay is None or not overlay.extents():
             return
         done = self.sim.event()
-        self._flushing[key] = done
+        self._flushing[key] = done, overlay
         try:
             yield from self._flush_overlay(zone, fileid, overlay)
+        except RpcTimeout:
+            if self.core.states.get(zone.site_id) is zone:
+                newer = self.pending.get(key)
+                for off, data in newer.extents() if newer else ():
+                    overlay.write(off, data)
+                self.pending[key] = overlay
+            raise
         finally:
-            if self._flushing.get(key) is done:
+            if self._flushing.get(key, (None,))[0] is done:
                 del self._flushing[key]
             done.succeed(None)
 
     def _flush_overlay(self, zone: SiteZone, fileid: int, overlay: ExtentMap):
-        """Generator: the flush body — caller holds the per-file flush lock."""
-        rec = zone.maps.get(fileid)
-        if rec is None:
-            rec = MapRecord()
-            zone.maps[fileid] = rec
+        """Generator: the flush body — caller holds the per-file flush lock.
+
+        It builds the new map on a copy and frees the fragments it
+        replaces only once every block is written, so the live maps and
+        allocator never hold what the journal does not."""
+        rec = zone.maps.get(fileid) or PutMap(fileid, 0, {})
+        extents = dict(rec.extents)
         new_size = max(rec.size, overlay.size)
+        fresh, replaced = [], []
         first_dirty = min(off for off, _d in overlay.extents())
         last_dirty = max(off + d.length for off, d in overlay.extents())
-        for block in range(first_dirty // BLOCK, (last_dirty - 1) // BLOCK + 1):
-            block_lo = block * BLOCK
-            block_hi = min(block_lo + BLOCK, new_size)
-            dirty = any(
-                off < block_hi and off + d.length > block_lo
-                for off, d in overlay.extents()
-            )
-            if not dirty:
-                continue
-            want = block_hi - block_lo
-            # Assemble the block's new content: stable base + overlay.
-            base = ExtentMap()
-            old_extent = rec.extents.get(block)
-            if old_extent is not None:
-                old_len = min(BLOCK, max(0, rec.size - block_lo))
-                stable = yield from self._read_backing(
-                    zone, old_extent[0], old_len
+        try:
+            for block in range(first_dirty // BLOCK,
+                               (last_dirty - 1) // BLOCK + 1):
+                block_lo = block * BLOCK
+                block_hi = min(block_lo + BLOCK, new_size)
+                dirty = any(
+                    off < block_hi and off + d.length > block_lo
+                    for off, d in overlay.extents()
                 )
-                base.write(block_lo, stable)
-            for off, d in overlay.extents():
-                lo, hi = max(off, block_lo), min(off + d.length, block_hi)
-                if hi > lo:
-                    base.write(lo, d.slice(lo - off, hi - off))
-            base.truncate(max(base.size, block_hi))
-            content = base.read(block_lo, want)
-            rounded = round_fragment(want)
-            if old_extent is not None and old_extent[1] >= rounded:
-                zone_off = old_extent[0]
-                alloc_size = old_extent[1]
-            else:
+                if not dirty:
+                    continue
+                if self.core.states.get(zone.site_id) is not zone:
+                    raise _SiteLost(zone.site_id)
+                want = block_hi - block_lo
+                # Assemble the block's new content: stable base + overlay.
+                base = ExtentMap()
+                old_extent = extents.get(block)
                 if old_extent is not None:
-                    zone.alloc.free(*old_extent)
-                zone_off, alloc_size = zone.alloc.allocate(want)
-            rec.extents[block] = (zone_off, alloc_size)
-            yield from self._write_backing(zone, zone_off, content)
-        rec.size = new_size
-        log = self.backing.site("sf", zone.site_id).log
-        log.append(rec.to_journal(fileid))
-        yield from log.sync()
+                    old_len = min(BLOCK, max(0, rec.size - block_lo))
+                    stable = yield from self._read_backing(
+                        zone, old_extent[0], old_len
+                    )
+                    base.write(block_lo, stable)
+                for off, d in overlay.extents():
+                    lo, hi = max(off, block_lo), min(off + d.length, block_hi)
+                    if hi > lo:
+                        base.write(lo, d.slice(lo - off, hi - off))
+                base.truncate(max(base.size, block_hi))
+                content = base.read(block_lo, want)
+                if old_extent is not None and old_extent[1] >= round_fragment(want):
+                    extent = old_extent
+                else:
+                    if old_extent is not None:
+                        replaced.append(old_extent)
+                    extent = zone.alloc.allocate(want)
+                    fresh.append(extent)
+                extents[block] = extent
+                yield from self._write_backing(zone, extent[0], content)
+        except RpcTimeout:
+            for extent in fresh:
+                zone.alloc.free(*extent)
+            raise
+        if self.core.states.get(zone.site_id) is not zone:
+            raise _SiteLost(zone.site_id)
+        for extent in replaced:
+            zone.alloc.free(*extent)
+        yield from self.core.journal([(zone.site_id, group_record(
+            [PutMap(fileid, new_size, extents)]))])
 
     def _syncer(self):
         while True:
@@ -569,9 +549,12 @@ class SmallFileServer:
             if not self.host.up:
                 continue
             for (site_id, fileid) in list(self.pending):
-                zone = self.zones.get(site_id)
+                zone = self.core.states.get(site_id)
                 if zone is not None:
-                    yield from self._flush_file(zone, fileid)
+                    try:
+                        yield from self._flush_file(zone, fileid)
+                    except (RpcTimeout, _SiteLost):
+                        pass  # a later pass, or the client, tries again
 
     # -- control service ---------------------------------------------------
 
@@ -584,14 +567,16 @@ class SmallFileServer:
             zone = self._site_of(fh)
             if zone is None:
                 return ctrlproto.StatusRes(1).encode(), EMPTY
-            self.pending.pop((zone.site_id, fh.fileid), None)
-            rec = zone.maps.pop(fh.fileid, None)
+            key = (zone.site_id, fh.fileid)
+            self.pending.pop(key, None)
+            if not (yield from self._settle(zone, key)):
+                return None  # lost or moved meanwhile: the caller retries
+            rec = zone.maps.get(fh.fileid)
             if rec is not None:
                 for extent in rec.extents.values():
                     zone.alloc.free(*extent)
-                log = self.backing.site("sf", zone.site_id).log
-                log.append({"op": "del", "fileid": fh.fileid})
-                yield from log.sync()
+                yield from self.core.journal([(zone.site_id, group_record(
+                    [DelMap(fh.fileid)]))])
             return ctrlproto.StatusRes(0 if rec else 1).encode(), EMPTY
         if procnum == ctrlproto.CTRL_OBJ_TRUNCATE:
             args = ctrlproto.TruncateArgs.decode(dec)
@@ -599,26 +584,31 @@ class SmallFileServer:
             zone = self._site_of(fh)
             if zone is None:
                 return ctrlproto.StatusRes(1).encode(), EMPTY
-            overlay = self.pending.get((zone.site_id, fh.fileid))
+            key = (zone.site_id, fh.fileid)
+            overlay = self.pending.get(key)
             if overlay is not None:
                 overlay.truncate(min(overlay.size, args.size))
+            if not (yield from self._settle(zone, key)):
+                return None  # lost or moved meanwhile: the caller retries
             rec = zone.maps.get(fh.fileid)
             if rec is not None and args.size < rec.size:
                 cutoff = (args.size + BLOCK - 1) // BLOCK
-                for block in [b for b in rec.extents if b >= cutoff]:
-                    zone.alloc.free(*rec.extents.pop(block))
-                rec.size = args.size
-                log = self.backing.site("sf", zone.site_id).log
-                log.append(rec.to_journal(fh.fileid))
-                yield from log.sync()
+                for block, extent in rec.extents.items():
+                    if block >= cutoff:
+                        zone.alloc.free(*extent)
+                kept = {b: e for b, e in rec.extents.items() if b < cutoff}
+                yield from self.core.journal([(zone.site_id, group_record(
+                    [PutMap(fh.fileid, args.size, kept)]))])
             return ctrlproto.StatusRes(0).encode(), EMPTY
         if procnum == ctrlproto.CTRL_OBJ_STAT:
             fh = FHandle.unpack(ctrlproto.ObjArgs.decode(dec).fh)
             zone = self._site_of(fh)
-            rec = zone.maps.get(fh.fileid) if zone else None
-            overlay = self.pending.get((zone.site_id, fh.fileid)) if zone else None
-            exists = rec is not None or overlay is not None
-            size = self._file_size(zone, fh.fileid, rec) if zone else 0
-            unstable = overlay.stored_bytes() if overlay else 0
+            if zone is None:
+                return ctrlproto.ObjStat(False, 0, 0).encode(), EMPTY
+            rec = zone.maps.get(fh.fileid)
+            overlays = self._overlays(zone, fh.fileid)
+            exists = rec is not None or bool(overlays)
+            size = self._file_size(rec, overlays)
+            unstable = sum(overlay.stored_bytes() for overlay in overlays)
             return ctrlproto.ObjStat(exists, size, unstable).encode(), EMPTY
         raise RpcAcceptError(PROC_UNAVAIL)

@@ -42,6 +42,8 @@ line per µproxy and phase, as ``cycles name[index] phase: old -> new``)::
 
     PYTHONPATH=src python -m tests.test_behaviour_lock
     PYTHONPATH=src python -m tests.test_behaviour_lock --diff
+
+``--diff`` exits 1 when any value differs from its pinned one, else 0.
 """
 
 from __future__ import annotations
@@ -133,11 +135,11 @@ UPROXY_CYCLES = {
 
 #: slice workload run -> kernel steps
 KERNEL_STEPS = {
-    "slice-bulk": 3825,
-    "slice-peer": 476,
-    "slice-sfs": 5638,
-    "slice-untar": 9005,
-    "slice-untar-hashed": 9754,
+    "slice-bulk": 3827,
+    "slice-peer": 478,
+    "slice-sfs": 5640,
+    "slice-untar": 9007,
+    "slice-untar-hashed": 9756,
 }
 
 
@@ -547,15 +549,19 @@ def _cycle_changes(pinned, current):
                 yield f"[{index}] {phase}: {before} -> {after}"
 
 
-def _print_diff() -> None:
+def _print_diff() -> bool:
+    """Print every moved value; returns whether any moved."""
+    moved = False
     for name, pinned, current in _current_values():
         if current == pinned:
             continue
+        moved = True
         if name.startswith("cycles "):
             for change in _cycle_changes(pinned, current):
                 print(f"{name}{change}")
         else:
             print(f"{name}: {pinned} -> {current}")
+    return moved
 
 
 def _print_pinned() -> None:
@@ -588,4 +594,7 @@ def _print_pinned() -> None:
 if __name__ == "__main__":
     import sys
 
-    _print_diff() if "--diff" in sys.argv[1:] else _print_pinned()
+    if "--diff" not in sys.argv[1:]:
+        _print_pinned()
+    elif _print_diff():
+        sys.exit(1)

@@ -228,8 +228,8 @@ def test_crash_recovery_preserves_synced_state():
             assert res.status == NFS3_OK
 
     h.run(phase1())
-    server.crash()
-    server.restart(site_ids=[0, 1, 2, 3])
+    server.core.crash()
+    server.core.restart(site_ids=[0, 1, 2, 3])
 
     def phase2():
         for i in range(10):
@@ -254,12 +254,12 @@ def test_failover_to_surviving_server():
 
     handles = h.run(phase1())
     dead = h.servers[1]
-    dead_sites = dead.hosted_sites()
-    dead.crash()
+    dead_sites = sorted(dead.core.states)
+    dead.core.crash()
     # Failover: rebind the dead server's sites to server 0.
     for site in dead_sites:
         h.site_map[site] = 0
-        h.servers[0].load_site(site)
+        h.servers[0].core.load(site)
 
     def phase2():
         for name, fh in handles.items():
@@ -285,12 +285,12 @@ def test_migration_moves_single_site():
     )
     # Pick a populated site on server 0 other than the root's site 0.
     victim_site = max(
-        (s for s in h.servers[0].hosted_sites() if s != 0),
+        (s for s in sorted(h.servers[0].core.states) if s != 0),
         key=lambda s: h.servers[0].sites[s].cell_count(),
     )
-    moved = h.servers[0].unload_site(victim_site)
+    moved = h.servers[0].core.unload(victim_site).cell_count()
     h.site_map[victim_site] = 1
-    h.servers[1].load_site(victim_site)
+    h.servers[1].core.load(victim_site)
     assert 0 < moved < total_cells / 2  # roughly 1/Nth of the data
 
     def phase2():
@@ -353,9 +353,9 @@ def test_in_doubt_transaction_resolved_after_participant_crash():
 
     # Crash and restart the participant: recovery resolves the in-doubt tx
     # with the coordinator and applies the prepared ops.
-    sites0 = h.servers[0].hosted_sites()
-    h.servers[0].crash()
-    h.servers[0].restart(site_ids=sites0)
+    sites0 = sorted(h.servers[0].core.states)
+    h.servers[0].core.crash()
+    h.servers[0].core.restart(site_ids=sites0)
 
     def settle_and_lookup():
         yield h.sim.timeout(5.0)
@@ -517,9 +517,9 @@ def test_lost_commit_is_resolved_without_a_restart():
 
 def _restart(server):
     """Crash ``server`` and restart it with the sites it hosted."""
-    sites = server.hosted_sites()
-    server.crash()
-    server.restart(site_ids=sites)
+    sites = sorted(server.core.states)
+    server.core.crash()
+    server.core.restart(site_ids=sites)
 
 
 def test_torn_commit_applies_the_prepared_ops_once():

@@ -364,7 +364,7 @@ def test_reconfiguration_with_stale_proxy_tables():
     cluster.run(phase1())
     # Migrate every site hosted by dir server 0 to dir server 1.
     moved_any = False
-    for site in list(cluster.dir_servers[0].hosted_sites()):
+    for site in sorted(cluster.dir_servers[0].core.states):
         moved = cluster.move_dir_site(site, to_server=1)
         moved_any = moved_any or moved > 0
     assert moved_any
@@ -404,11 +404,11 @@ def test_remove_reclaims_data_everywhere():
     oid = object_id_for_fh(fh)
     assert all(oid not in node.store for node in cluster.storage_nodes)
     assert all(
-        not any(z.maps for z in s.zones.values()) or True
+        not any(z.maps for z in s.core.states.values()) or True
         for s in cluster.sf_servers
     )
     total_sf_maps = sum(
-        1 for s in cluster.sf_servers for z in s.zones.values()
+        1 for s in cluster.sf_servers for z in s.core.states.values()
         for fid in z.maps if fid == FHandle.unpack(fh).fileid
     )
     assert total_sf_maps == 0

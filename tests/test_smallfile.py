@@ -10,8 +10,10 @@ from repro.rpc import RpcClient
 from repro.sim import Simulator
 from repro.dirsvc.backing import BackingRegistry
 from repro.smallfile.alloc import FragmentAllocator, round_fragment
+from repro.nfs.errors import NFS3ERR_IO
 from repro.smallfile.server import (
     BLOCK,
+    SiteZone,
     SmallFileParams,
     SmallFileServer,
     sf_site_for,
@@ -196,9 +198,9 @@ def test_uncommitted_data_lost_on_crash():
     def run():
         wres = yield from sf_write(client, server, fh, 0, RealData(b"volatile"))
         verf1 = wres.verf
-        server.crash()
+        server.core.crash()
         yield sim.timeout(0.1)
-        server.restart(site_ids=[0, 1, 2, 3])
+        server.core.restart(site_ids=[0, 1, 2, 3])
         rres, body = yield from sf_read(client, server, fh, 0, 8)
         cres = yield from sf_commit(client, server, fh)
         return verf1, cres.verf, body.length
@@ -216,9 +218,9 @@ def test_committed_data_survives_crash():
     def run():
         yield from sf_write(client, server, fh, 0, payload)
         yield from sf_commit(client, server, fh)
-        server.crash()
+        server.core.crash()
         yield sim.timeout(0.1)
-        server.restart(site_ids=[0, 1, 2, 3])
+        server.core.restart(site_ids=[0, 1, 2, 3])
         rres, body = yield from sf_read(client, server, fh, 0, 20000)
         return body
 
@@ -255,7 +257,7 @@ def test_file_growth_reallocates_final_fragment():
 
     body = sim.run_process(run())
     assert body == b"x" * 100 + b"y" * 5000
-    zone = server.zones[sf_site_for(47, 4)]
+    zone = server.core.states[sf_site_for(47, 4)]
     rec = zone.maps[47]
     assert rec.extents[0][1] == 8192  # grew from 128 to a full block
 
@@ -268,9 +270,9 @@ def test_syncer_stabilizes_pending_writes():
     def run():
         yield from sf_write(client, server, fh, 0, RealData(b"lazy data"))
         yield sim.timeout(2.0)
-        server.crash()
+        server.core.crash()
         yield sim.timeout(0.1)
-        server.restart(site_ids=[0, 1, 2, 3])
+        server.core.restart(site_ids=[0, 1, 2, 3])
         rres, body = yield from sf_read(client, server, fh, 0, 9)
         return body.to_bytes()
 
@@ -283,7 +285,7 @@ def test_ctrl_remove_frees_space():
 
     def run():
         yield from sf_write(client, server, fh, 0, PatternData(10000, seed=2), stable=FILE_SYNC)
-        zone = server.zones[sf_site_for(49, 4)]
+        zone = server.core.states[sf_site_for(49, 4)]
         allocated_before = zone.alloc.allocated_bytes
         dec, _ = yield from client.call(
             server.address, ctrlproto.SLICE_CTRL_PROGRAM, 1,
@@ -322,8 +324,8 @@ def test_ctrl_truncate_shrinks():
 def test_misdirected_smallfile_request():
     sim, net, client, server, nodes, backing = build(num_sites=8)
     # Unload a site so a request routed there is misdirected.
-    victim = server.hosted_sites()[0]
-    server.unload_site(victim)
+    victim = sorted(server.core.states)[0]
+    server.core.unload(victim)
     fileid = next(
         fid for fid in range(1, 500) if sf_site_for(fid, 8) == victim
     )
@@ -349,9 +351,153 @@ def test_create_batching_lays_out_sequentially():
             )
 
     sim.run_process(run())
-    zone = server.zones[0]
+    zone = server.core.states[0]
     offsets = [zone.maps[fid].extents[0][0] for fid in range(100, 110)]
     assert offsets == sorted(offsets)
     # Dense packing: ten 4 KB files round to 8 KB fragments each... actually
     # 4096-byte requests round to 4096; layout is gapless.
     assert offsets[-1] - offsets[0] == 9 * 4096
+
+
+# -- durability: crashes, flushes in progress and backing timeouts -------------
+
+
+def replayed(backing, site):
+    """A site as checkpoint plus replay of its stable records gives it."""
+    site_backing = backing.site("sf", site)
+    return SiteZone.recover(site_backing.snapshot,
+                            site_backing.log.stable_records(), site)
+
+
+def test_flush_begun_before_a_crash_journals_nothing_after_restart():
+    """A COMMIT's flush is writing fragments when the server crashes; its
+    storage replies arrive after the restart.  It must not journal then:
+    the new boot's allocator treats those fragments as free."""
+    sim, net, client, server, nodes, backing = build()
+    fh = make_fh(42)
+    site = sf_site_for(42, 4)
+
+    def run():
+        yield from sf_write(client, server, fh, 0, PatternData(20000, seed=5))
+        commit = sim.process(sf_commit(client, server, fh))
+        yield sim.timeout(0.0005)
+        server.core.crash()
+        yield sim.timeout(0.01)
+        server.core.restart(site_ids=[0, 1, 2, 3])
+        yield commit
+        yield sim.timeout(1.0)
+
+    sim.run_process(run())
+    live = server.core.states[site]
+    assert 42 not in live.maps
+    assert replayed(backing, site).maps == live.maps
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.00025, 0.0005, 0.00075, 0.001])
+def test_read_during_a_flush_returns_one_version(delay):
+    """A READ that arrives while a COMMIT flushes an overwrite returns the
+    new bytes, not new blocks mixed with old ones."""
+    sim, net, client, server, nodes, backing = build()
+    fh = make_fh(43)
+    old, new = PatternData(20000, seed=1), PatternData(20000, seed=2)
+
+    def run():
+        yield from sf_write(client, server, fh, 0, old, stable=FILE_SYNC)
+        yield from sf_write(client, server, fh, 0, new)
+        commit = sim.process(sf_commit(client, server, fh))
+        yield sim.timeout(delay)
+        rres, body = yield from sf_read(client, server, fh, 0, 20000)
+        yield commit
+        return rres, body
+
+    rres, body = sim.run_process(run())
+    assert rres.status == 0
+    assert body == new
+
+
+def test_write_with_a_storage_node_down_answers_io():
+    """A FILE_SYNC write whose fragments cannot reach the array fails with
+    NFS3ERR_IO, journals nothing and leaves the live maps as replay has
+    them; after a restart the file reads back empty, not other bytes."""
+    sim, net, client, server, nodes, backing = build()
+    fh = make_fh(42)
+    site = sf_site_for(42, 4)
+
+    def run():
+        nodes[0].crash()
+        wres = yield from sf_write(client, server, fh, 0,
+                                   PatternData(20000, seed=3), stable=FILE_SYNC)
+        live = server.core.states[site]
+        assert replayed(backing, site).maps == live.maps
+        assert live.alloc.allocated_bytes == 0
+        server.core.crash()
+        nodes[0].restart()
+        server.core.restart(site_ids=[0, 1, 2, 3])
+        rres, body = yield from sf_read(client, server, fh, 0, 20000)
+        return wres, rres, body
+
+    wres, rres, body = sim.run_process(run())
+    assert wres.status == NFS3ERR_IO
+    assert rres.status == 0 and rres.attr.size == 0 and body.length == 0
+
+
+def test_read_with_a_storage_node_down_answers_io_and_caches_nothing():
+    """After a restart emptied the cache, a READ that cannot reach the
+    array fails with NFS3ERR_IO; once the node is back the bytes are
+    right (nothing was cached as resident)."""
+    sim, net, client, server, nodes, backing = build()
+    fh = make_fh(42)
+    payload = PatternData(20000, seed=4)
+
+    def run():
+        yield from sf_write(client, server, fh, 0, payload, stable=FILE_SYNC)
+        server.core.crash()
+        server.core.restart(site_ids=[0, 1, 2, 3])
+        nodes[0].crash()
+        down, _ = yield from sf_read(client, server, fh, 0, 20000)
+        nodes[0].restart()
+        up, body = yield from sf_read(client, server, fh, 0, 20000)
+        return down, up, body
+
+    down, up, body = sim.run_process(run())
+    assert down.status == NFS3ERR_IO
+    assert up.status == 0
+    assert body == payload
+
+
+def test_remove_waiting_out_a_flush_is_dropped_if_the_site_is_lost():
+    """A REMOVE that waits out a COMMIT's flush of the same file, while
+    the server crashes and restarts, must not free or journal on the old
+    boot's state: it is dropped, and its retransmission removes the file
+    on the new boot."""
+    sim, net, client, server, nodes, backing = build()
+    fh = make_fh(42)
+    site = sf_site_for(42, 4)
+
+    def remove():
+        dec, _ = yield from client.call(
+            server.address, ctrlproto.SLICE_CTRL_PROGRAM, 1,
+            ctrlproto.CTRL_OBJ_REMOVE, ctrlproto.ObjArgs(fh).encode(),
+        )
+        return ctrlproto.StatusRes.decode(dec).status
+
+    def run():
+        yield from sf_write(client, server, fh, 0, PatternData(20000, seed=6),
+                            stable=FILE_SYNC)
+        yield from sf_write(client, server, fh, 0, PatternData(20000, seed=7))
+        commit = sim.process(sf_commit(client, server, fh))
+        yield sim.timeout(0.0003)
+        removed = sim.process(remove())
+        yield sim.timeout(0.0003)
+        assert server._flushing
+        server.core.crash()
+        yield sim.timeout(0.01)
+        server.core.restart(site_ids=[0, 1, 2, 3])
+        yield commit
+        return (yield removed)
+
+    assert sim.run_process(run()) == 0
+    live = server.core.states[site]
+    assert 42 not in live.maps
+    assert replayed(backing, site).maps == live.maps
+    assert live.alloc.allocated_bytes == 0

@@ -87,7 +87,6 @@ def test_ablation_threshold_offset(benchmark):
                 dir_logical_sites=8, sf_logical_sites=8,
             )
             params.io = IoPolicy(threshold=threshold)
-            params.smallfile.threshold = threshold
             cluster = SliceCluster(params=params)
             client, _proxy = cluster.add_client()
 

@@ -4,7 +4,7 @@ The paper's §2.2 pitch is incremental scaling: add a storage node and
 aggregate bandwidth grows, *without* unmounting clients.  This benchmark
 measures that end to end through the reconfiguration machinery:
 
-1. build a Slice ensemble from a declarative :class:`repro.api.ClusterSpec`
+1. build a Slice ensemble from a :class:`repro.ensemble.params.ClusterParams`
    and write a striped file per client;
 2. measure aggregate cold-read bandwidth on the initial array;
 3. repeatedly ``cluster.add_storage_node()`` + ``cluster.rebalance(plan)``
@@ -21,8 +21,10 @@ import json
 import math
 from pathlib import Path
 
-from repro.api import ClusterSpec, build
+from repro.ensemble.cluster import SliceCluster
+from repro.ensemble.params import ClusterParams
 from repro.metrics.report import format_table
+from repro.net import NetParams
 from repro.workloads.bulkio import dd_read, dd_write
 
 from conftest import SCALE, run_once, scaled
@@ -64,14 +66,15 @@ def _read_bandwidth(cluster, clients, handles):
 
 
 def scaleout_experiment():
-    spec = ClusterSpec(
-        storage_nodes=NODES_START,
-        dir_servers=1,
-        sf_servers=1,
-        storage_sites=STORAGE_SITES,
-        verify_checksums=False,  # checksum offload, as on the paper's NICs
+    params = ClusterParams(
+        num_storage_nodes=NODES_START,
+        num_dir_servers=1,
+        num_sf_servers=1,
+        storage_logical_sites=STORAGE_SITES,
+        # checksum offload, as on the paper's NICs
+        net=NetParams(verify_checksums=False),
     )
-    cluster = build(spec)
+    cluster = SliceCluster(params=params)
     sim = cluster.sim
     clients = [
         cluster.add_client(f"c{i}", port=700 + i)[0]

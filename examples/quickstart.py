@@ -10,17 +10,17 @@ directories, small files, a large striped file, rename, readdir.
 Run:  python examples/quickstart.py
 """
 
-from repro.api import ClusterSpec, build
+from repro import ClusterParams, SliceCluster
 from repro.util.bytesim import PatternData, RealData
 
 
 def main():
-    spec = ClusterSpec(
-        storage_nodes=4,
-        dir_servers=2,
-        sf_servers=2,
+    params = ClusterParams(
+        num_storage_nodes=4,
+        num_dir_servers=2,
+        num_sf_servers=2,
     )
-    cluster = build(spec)
+    cluster = SliceCluster(params=params)
     client, proxy = cluster.add_client("workstation")
     root = cluster.root_fh
 

@@ -25,7 +25,6 @@ Quickstart::
     cluster.run(session())
 """
 
-from repro.api import ClusterSpec
 from repro.core import CostModel, IoPolicy, ProxyParams, RoutingTable, UProxy
 from repro.dirsvc import MKDIR_SWITCHING, NAME_HASHING, NameConfig
 from repro.ensemble.baseline import BaselineParams, MonolithicServer
@@ -41,7 +40,6 @@ __all__ = [
     "BaselineParams",
     "ClientParams",
     "ClusterParams",
-    "ClusterSpec",
     "CostModel",
     "IoPolicy",
     "MKDIR_SWITCHING",

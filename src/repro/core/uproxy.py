@@ -50,6 +50,7 @@ from repro.rpc.messages import CALL, CallHeader, ReplyHeader
 from repro.rpc.xdr import Decoder, XdrError
 from repro.smallfile.server import sf_site_for
 from repro.storage import coordproto as cp
+from repro.storage.coordinator import coordinator_for
 from repro.util.bytesim import EMPTY, Data, ZeroData, concat
 from repro.util.hashing import md5_u64
 from .attrcache import AttrCache
@@ -302,14 +303,6 @@ class UProxy(PacketFilter):
             if addr not in targets:
                 targets.append(addr)
         return targets
-
-    def _coordinator_for(self, fileid: int) -> Optional[Address]:
-        if not self.coordinators:
-            return None
-        return self.coordinators[
-            md5_u64(b"coord:" + fileid.to_bytes(8, "big"))
-            % len(self.coordinators)
-        ]
 
     def _sf_addr(self, fileid: int) -> Address:
         site = sf_site_for(fileid, self.sf_table.num_sites)
@@ -744,7 +737,7 @@ class UProxy(PacketFilter):
     def _fetch_map_and_resend(self, pkt: Packet, fh: FHandle, block: int):
         """Block map miss: fetch a fragment from the coordinator, then
         re-inject the original packet (it will now hit the cache)."""
-        coord = self._coordinator_for(fh.fileid)
+        coord = coordinator_for(fh.fileid, self.coordinators)
 
         def fetch():
             if coord is not None:
@@ -785,7 +778,7 @@ class UProxy(PacketFilter):
             if self.sf_table is not None:
                 sites.add(self._sf_addr(fileid))
         targets = sorted(sites)
-        coord = self._coordinator_for(fileid)
+        coord = coordinator_for(fileid, self.coordinators)
         op_id = (self.proxy_id << 32) | next(self._op_counter)
         if tracer is not None:
             tracer.route(client_addr, xid, self.host.clock(),

@@ -72,13 +72,14 @@ class ManagerCore:
     site_id)``, changed only by its ``play(record)`` (live and at replay
     alike) and saved by its ``snapshot()``.  Hooks: ``on_load(site_id,
     state)`` after a load, ``on_play(result)`` with what each played record
-    returned, and ``on_crash()`` after a crash.
+    returned, ``on_unload(site_id)`` after an unload and ``on_crash()``
+    after a crash.
     """
 
     def __init__(self, sim: Simulator, server, backing: BackingRegistry,
                  kind: str, state_class, site_ids: List[int], *,
                  checkpoint_interval: float = CHECKPOINT_INTERVAL,
-                 on_load=None, on_play=None, on_crash=None):
+                 on_load=None, on_play=None, on_unload=None, on_crash=None):
         self.sim = sim
         self.server = server  # the manager's RpcServer
         self.host = host = server.host
@@ -87,12 +88,15 @@ class ManagerCore:
         self.state_class = state_class
         self.on_load = on_load
         self.on_play = on_play
+        self.on_unload = on_unload
         self.on_crash = on_crash
         # The manager's own log spindle: every hosted site's log appends
         # to its one sequential stream.
         self.log_device = LogDevice(sim)
         self.states: Dict[int, object] = {}
-        # Bumped by every crash: work begun before it must not go on.
+        # Bumped by every crash: work begun before it must not go on.  (A
+        # small-file server also bumps it when an unload drops unstable
+        # writes: its write verifier is derived from it.)
         self.boots = 0
         for site_id in site_ids:
             self.load(site_id)
@@ -121,6 +125,8 @@ class ManagerCore:
         state = self.states.pop(site_id, None)
         if state is not None:
             self.backing.site(self.kind, site_id).checkpoint(state.snapshot())
+            if self.on_unload is not None:
+                self.on_unload(site_id)
         return state
 
     def crash(self) -> None:

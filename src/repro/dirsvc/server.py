@@ -61,6 +61,7 @@ from repro.rpc import RpcAcceptError, RpcClient, RpcServer, RpcTimeout
 from repro.rpc.messages import PROC_UNAVAIL
 from repro.rpc.xdr import Decoder
 from repro.storage import coordproto as cp
+from repro.storage.coordinator import coordinator_for
 from repro.util.bytesim import EMPTY
 from . import peerproto as pp
 from .backing import CHECKPOINT_INTERVAL, BackingRegistry, ManagerCore
@@ -141,7 +142,7 @@ class DirectoryServer:
         site_ids: List[int],
         *,
         peer_lookup: Callable[[int], Address],
-        coordinator: Optional[Address] = None,
+        coordinators: Optional[List[Address]] = None,
         params: Optional[DirServerParams] = None,
         volume: int = 1,
         port: int = DIR_PORT,
@@ -152,7 +153,7 @@ class DirectoryServer:
         self.host = host
         self.config = config
         self.peer_lookup = peer_lookup
-        self.coordinator = coordinator
+        self.coordinators = list(coordinators or [])
         self.params = params or DirServerParams()
         self.volume = volume
         self.port = port
@@ -256,7 +257,7 @@ class DirectoryServer:
         """Reclaim the data of the files a played record left with no
         links."""
         for cell in cells:
-            if cell.ftype == NF3REG and self.coordinator is not None:
+            if cell.ftype == NF3REG and self.coordinators:
                 self.sim.process(self._reclaim(cell.to_fh(self.volume)),
                                  name=f"reclaim:{self.host.name}")
 
@@ -488,14 +489,15 @@ class DirectoryServer:
         cell.ctime = now
         yield from self.core.journal(
             [(fh.home_site, group_record([pp.PutAttr(cell)]))])
-        if truncating and self.coordinator is not None:
+        if truncating and self.coordinators:
             yield from self._reclaim(fh, truncate_to=sattr.size, remove=False)
         return proto.SetattrRes(NFS3_OK, cell.to_fattr())
 
     def _reclaim(self, fh: FHandle, truncate_to: int = 0, remove: bool = True):
         try:
             yield from self.client.call(
-                self.coordinator, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
+                coordinator_for(fh.fileid, self.coordinators),
+                cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
                 cp.COORD_RECLAIM,
                 cp.ReclaimArgs(fh.pack(), remove, truncate_to).encode(),
             )

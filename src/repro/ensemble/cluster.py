@@ -106,7 +106,7 @@ class SliceCluster:
             server = DirectoryServer(
                 self.sim, host, self.name_config, self.backing, sites,
                 peer_lookup=self._dir_addr_for_site,
-                coordinator=self.coordinator_addrs[0] if self.coordinators else None,
+                coordinators=self.coordinator_addrs,
                 params=p.dirsvc,
                 mirror_files=p.mirror_files,
                 tracer=tracer,
@@ -303,13 +303,6 @@ class SliceCluster:
 
     # -- reconfiguration ------------------------------------------------------
 
-    @classmethod
-    def from_spec(cls, spec) -> "SliceCluster":
-        """Build a cluster from a declarative :class:`repro.api.ClusterSpec`."""
-        from repro.api import build
-
-        return build(spec, cluster_cls=cls)
-
     def add_storage_node(self):
         """Elastic scale-out: bring up one more storage node.
 
@@ -362,7 +355,7 @@ class SliceCluster:
         server = DirectoryServer(
             self.sim, host, self.name_config, self.backing, [],
             peer_lookup=self._dir_addr_for_site,
-            coordinator=self.coordinator_addrs[0] if self.coordinators else None,
+            coordinators=self.coordinator_addrs,
             params=p.dirsvc,
             mirror_files=p.mirror_files,
             tracer=self.tracer,

@@ -120,7 +120,6 @@ class SmallFileParams:
     cpu_per_byte: float = 2e-9
     sync_interval: float = 1.0
     stripe: int = 64 << 10  # backing-object striping unit over storage nodes
-    threshold: int = 64 << 10
     map_records_per_block: int = 64
     peer_retrans_timeout: float = 0.5
     peer_max_tries: int = 4
@@ -164,6 +163,8 @@ class SmallFileServer:
         )
         from repro.storage.cache import BufferCache
 
+        # Keys ("z" or "m", zone, block) name the zone instance, so a site
+        # reloaded here starts cold even if I/O of its old zone lands late.
         self.cache = BufferCache(self.params.cache_bytes)
         # (site, fileid) -> unstable overlay of file content
         self.pending: Dict[Tuple[int, int], ExtentMap] = {}
@@ -179,7 +180,8 @@ class SmallFileServer:
         self.backing_reads = 0
         self.backing_writes = 0
         self.core = ManagerCore(sim, self.server, backing, "sf", SiteZone,
-                                site_ids, on_crash=self._on_crash)
+                                site_ids, on_unload=self._on_unload,
+                                on_crash=self._on_crash)
         self.verf = self._new_verf()
         sim.process(self._syncer(), name=f"sf-syncer:{host.name}")
 
@@ -218,6 +220,18 @@ class SmallFileServer:
         ).digest()
         return int.from_bytes(digest[:8], "big")
 
+    def _on_unload(self, site_id: int) -> None:
+        """The site's unstable writes, pending or claimed by a flush, are
+        not made stable here any more: drop them and, as a crash does,
+        answer with a new write verifier so that their clients write them
+        again.  (Its cached blocks are keyed by the zone, which is gone.)"""
+        lost = [key for key in self.pending if key[0] == site_id]
+        if lost or any(key[0] == site_id for key in self._flushing):
+            for key in lost:
+                del self.pending[key]
+            self.core.boots += 1
+            self.verf = self._new_verf()
+
     def _on_crash(self) -> None:
         """Unstable data and caches are lost; the next boot answers with a
         new write verifier."""
@@ -251,7 +265,7 @@ class SmallFileServer:
         # one RPC (split at stripe boundaries by the node mapping).
         runs: List[List[int]] = []
         for block in range(first, last + 1):
-            if self.cache.lookup(("z", zone.site_id, block)):
+            if self.cache.lookup(("z", zone, block)):
                 continue
             if runs and runs[-1][1] == block:
                 runs[-1][1] += 1
@@ -267,7 +281,7 @@ class SmallFileServer:
                 if data.length:
                     zone.mirror.write(pos, data)
             for block in range(start, stop):
-                self._cache_insert(("z", zone.site_id, block))
+                self._cache_insert(("z", zone, block))
         return zone.mirror.read(offset, length)
 
     def _cache_insert(self, key) -> None:
@@ -292,16 +306,16 @@ class SmallFileServer:
             except RpcTimeout:
                 # The mirror holds bytes the array may not: read it again.
                 for block in blocks:
-                    self.cache.discard(("z", zone.site_id, block))
+                    self.cache.discard(("z", zone, block))
                 raise
             self.backing_writes += 1
         for block in blocks:
-            self._cache_insert(("z", zone.site_id, block))
+            self._cache_insert(("z", zone, block))
 
     def _load_map(self, zone: SiteZone, fileid: int):
         """Generator: charge a map-array read if the record's block is cold;
         the authoritative record comes from the journaled state."""
-        key = ("m", zone.site_id, fileid // self.params.map_records_per_block)
+        key = ("m", zone, fileid // self.params.map_records_per_block)
         if not self.cache.lookup(key):
             fh = _zone_fh(MAP_VOLUME, zone.site_id)
             offset = (fileid // self.params.map_records_per_block) * BLOCK
@@ -462,7 +476,8 @@ class SmallFileServer:
         under any newer ones, for a later flush; it raises RpcTimeout.
         """
         key = (zone.site_id, fileid)
-        yield from self._settle(zone, key)
+        if not (yield from self._settle(zone, key)):
+            raise _SiteLost(zone.site_id)
         overlay = self.pending.pop(key, None)
         if overlay is None or not overlay.extents():
             return

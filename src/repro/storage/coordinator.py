@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net import Address, Host
 from repro.nfs import proto
 from repro.rpc import RpcClient, RpcServer, RpcTimeout
 from repro.rpc.xdr import Decoder
 from repro.util.bytesim import EMPTY
+from repro.util.hashing import md5_u64
 from repro.wal import WriteAheadLog
 from . import coordproto as cp
 from . import ctrlproto
 from .node import object_id_for_fh
 
-__all__ = ["Coordinator", "CoordinatorParams", "COORD_PORT"]
+__all__ = ["Coordinator", "CoordinatorParams", "COORD_PORT", "coordinator_for"]
 
 COORD_PORT = 4049
 
@@ -40,8 +41,15 @@ class CoordinatorParams:
     intent_timeout: float = 10.0
 
 
-def _file_key(fh: bytes) -> bytes:
-    return object_id_for_fh(fh)
+def coordinator_for(fileid: int,
+                    coordinators: Sequence[Address]) -> Optional[Address]:
+    """The coordinator that holds ``fileid``'s block map and reclaims its
+    data (None when the ensemble runs none)."""
+    if not coordinators:
+        return None
+    return coordinators[
+        md5_u64(b"coord:" + fileid.to_bytes(8, "big")) % len(coordinators)
+    ]
 
 
 class Coordinator:
@@ -111,7 +119,7 @@ class Coordinator:
     def place_block(self, fh: bytes, block: int) -> int:
         """Default dynamic placement: hash the file onto a starting site and
         stripe blocks round-robin from there."""
-        base = int.from_bytes(hashlib.md5(_file_key(fh)).digest()[:4], "big")
+        base = int.from_bytes(hashlib.md5(object_id_for_fh(fh)).digest()[:4], "big")
         return (base + block) % self.num_storage_sites
 
     # -- RPC service -----------------------------------------------------
@@ -121,15 +129,7 @@ class Coordinator:
         if proc == cp.COORD_PING:
             return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == cp.COORD_INTENT:
-            intent = cp.Intent.decode(dec)
-            self.pending[intent.op_id] = intent
-            self.intents_logged += 1
-            if self.tracer is not None:
-                self.tracer.intent_logged(intent.op_id, intent.kind,
-                                          self.sim.now)
-            yield from self.log.append_sync(
-                {"type": "intent", **intent._asdict(), "at": self.sim.now}
-            )
+            yield from self._log_intent(cp.Intent.decode(dec))
             return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == cp.COORD_COMPLETE:
             op_id = cp.CompleteArgs.decode(dec).op_id
@@ -156,35 +156,38 @@ class Coordinator:
                 0,
                 [(a.host, a.port) for a in self.data_sites],
             )
-            self.pending[intent.op_id] = intent
-            self.intents_logged += 1
-            if self.tracer is not None:
-                self.tracer.intent_logged(intent.op_id, intent.kind,
-                                          self.sim.now)
-            yield from self.log.append_sync(
-                {"type": "intent", **intent._asdict(), "at": self.sim.now}
-            )
+            yield from self._log_intent(intent)
             yield from self._execute_reclaim(intent)
             self.pending.pop(intent.op_id, None)
             self.log.append({"type": "complete", "op_id": intent.op_id})
             if self.tracer is not None:
                 self.tracer.intent_completed(intent.op_id, self.sim.now)
             if args.remove:
-                self.block_maps.pop(_file_key(args.fh), None)
+                self.block_maps.pop(object_id_for_fh(args.fh), None)
             return ctrlproto.StatusRes(0).encode(), EMPTY
         from repro.rpc.endpoint import RpcAcceptError
         from repro.rpc.messages import PROC_UNAVAIL
 
         raise RpcAcceptError(PROC_UNAVAIL)
 
+    def _log_intent(self, intent: cp.Intent):
+        """Hold ``intent`` pending and make it durable before answering."""
+        self.pending[intent.op_id] = intent
+        self.intents_logged += 1
+        if self.tracer is not None:
+            self.tracer.intent_logged(intent.op_id, intent.kind, self.sim.now)
+        yield from self.log.append_sync(
+            {"type": "intent", **intent._asdict(), "at": self.sim.now}
+        )
+
     def _internal_op_id(self, fh: bytes, salt: int) -> int:
         digest = hashlib.md5(
-            _file_key(fh) + salt.to_bytes(8, "big") + str(self.sim.now).encode()
+            object_id_for_fh(fh) + salt.to_bytes(8, "big") + str(self.sim.now).encode()
         ).digest()
         return int.from_bytes(digest[:8], "big")
 
     def _map_lookup(self, args: cp.GetMapArgs) -> Tuple[List[int], bool]:
-        key = _file_key(args.fh)
+        key = object_id_for_fh(args.fh)
         fmap = self.block_maps.setdefault(key, {})
         sites: List[int] = []
         allocated = False

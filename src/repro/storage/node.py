@@ -349,13 +349,8 @@ class StorageNode:
             dirty.discard(block)
             if not dirty:
                 del self._dirty[oid]
-        if obj is None:
-            return
-        phys = self.store.phys_for_block(obj, block)
-        yield from self.array.access(phys, BLOCK_SIZE, write=True)
-        # Once on disk the data is stable (the server may commit any time).
-        obj.commit(block * BLOCK_SIZE, BLOCK_SIZE)
-        self.cache.mark_clean(key)
+        if obj is not None:
+            yield from self._flush_one(obj, key)
 
     def _flush_object(self, oid: bytes, offset: int = 0, count: Optional[int] = None):
         """Generator: write back dirty blocks of an object (coalesced)."""
@@ -387,6 +382,7 @@ class StorageNode:
         oid, block = key
         phys = self.store.phys_for_block(obj, block)
         yield from self.array.access(phys, BLOCK_SIZE, write=True)
+        # Once on disk the data is stable (the server may commit any time).
         obj.commit(block * BLOCK_SIZE, BLOCK_SIZE)
         self.cache.mark_clean(key)
 

@@ -33,7 +33,6 @@ class DirHarness:
         mode: str = "mkdir-switching",
         num_sites: int = 8,
         mkdir_p: float = 0.25,
-        coordinator: Optional[Address] = None,
         sim: Optional[Simulator] = None,
         net: Optional[Network] = None,
         params: Optional[DirServerParams] = None,
@@ -61,7 +60,6 @@ class DirHarness:
                 DirectoryServer(
                     self.sim, host, self.config, self.backing, sites,
                     peer_lookup=self.address_of_site,
-                    coordinator=coordinator,
                     params=params,
                 )
             )

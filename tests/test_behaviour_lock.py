@@ -8,8 +8,8 @@ Three kinds of value are pinned:
   with the dir-peer traffic lossy.  The digest covers span timestamps and attributes,
   injected faults, coordinator intents and the WAL crash ledger.
 - An untraced fingerprint of small workload runs: small untar, bulk and
-  SPECsfs-mix runs on Slice ensembles built with :mod:`repro.api`, and an
-  untar plus a short SFS mix plus one pass over every procedure the
+  SPECsfs-mix runs on Slice ensembles built as ``SliceCluster(params=...)``,
+  and an untar plus a short SFS mix plus one pass over every procedure the
   monolithic baseline serves, in ``mfs`` and ``ffs`` mode.  It hashes the
   ``repr`` of every NFS call latency, the final ``sim.now``, and the
   request, packet, byte and WAL-record counts of every component.
@@ -54,11 +54,11 @@ import hashlib
 
 import pytest
 
-from repro.api import ClusterSpec, build
 from repro.core.cost import CostModel
 from repro.dirsvc import peerproto as pp
 from repro.dirsvc.config import MKDIR_SWITCHING, NAME_HASHING
 from repro.ensemble.baseline import BaselineParams, MonolithicServer
+from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
 from repro.faults import (
     BulkIOChaosScenario,
@@ -264,10 +264,10 @@ def _slice_state(cluster, latencies: list) -> tuple:
 
 
 def _slice_cluster(clients: int, name_mode: str = MKDIR_SWITCHING):
-    params = ClusterSpec(storage_nodes=4, dir_servers=2,
-                         sf_servers=2).to_params()
-    params.name_mode = name_mode
-    cluster = build(ClusterSpec(params=params))
+    cluster = SliceCluster(params=ClusterParams(
+        num_storage_nodes=4, num_dir_servers=2, num_sf_servers=2,
+        name_mode=name_mode,
+    ))
     latencies: list = []
     nfs = []
     for i in range(clients):

@@ -88,22 +88,34 @@ def test_block_maps_survive_coordinator_restart():
     assert cluster.run(run()) == payload
 
 
-def test_reclaim_drops_block_maps():
-    cluster = map_cluster()
+@pytest.mark.parametrize("coordinators", [1, 2])
+def test_reclaim_drops_block_maps(coordinators):
+    """Files spread over the coordinators by fileid; the directory server
+    reclaims each through the one that holds its block map."""
+    cluster = map_cluster(num_coordinators=coordinators)
     client, _proxy = cluster.add_client()
+    names = [f"gone{i}.bin" for i in range(6)]
 
     def run():
-        created = yield from client.create(cluster.root_fh, "gone.bin")
-        yield from client.write_file(created.fh, PatternData(256 << 10, seed=2))
-        yield from client.remove(cluster.root_fh, "gone.bin")
+        fhs = []
+        for i, name in enumerate(names):
+            created = yield from client.create(cluster.root_fh, name)
+            yield from client.write_file(created.fh,
+                                         PatternData(256 << 10, seed=i))
+            fhs.append(created.fh)
+        held = [len(c.block_maps) for c in cluster.coordinators]
+        for name in names:
+            yield from client.remove(cluster.root_fh, name)
         yield cluster.sim.timeout(2.0)
-        return created.fh
+        return fhs, held
 
-    fh = cluster.run(run())
-    coord = cluster.coordinators[0]
-    key = object_id_for_fh(fh)
-    assert key not in coord.block_maps
-    assert all(object_id_for_fh(fh) not in n.store for n in cluster.storage_nodes)
+    fhs, held = cluster.run(run())
+    assert min(held) > 0  # every coordinator held some of the maps
+    keys = {object_id_for_fh(fh) for fh in fhs}
+    for coord in cluster.coordinators:
+        assert keys.isdisjoint(coord.block_maps)
+    for node in cluster.storage_nodes:
+        assert all(key not in node.store for key in keys)
 
 
 def test_config_service_serves_tables():

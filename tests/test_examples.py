@@ -7,7 +7,7 @@ a second each) also run ``main()`` end to end.  ``bandwidth_scaling`` and
 are only imported.
 """
 
-import importlib.util
+import runpy
 from pathlib import Path
 
 import pytest
@@ -19,12 +19,9 @@ RUN = ("quickstart", "failure_recovery")
 
 
 def load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"examples_{name}", EXAMPLES / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """The example's globals, run as a module (its ``main()`` not called)."""
+    return runpy.run_path(str(EXAMPLES / f"{name}.py"),
+                          run_name=f"examples_{name}")
 
 
 def test_every_example_is_covered():
@@ -33,10 +30,10 @@ def test_every_example_is_covered():
 
 @pytest.mark.parametrize("name", ALL)
 def test_example_imports(name):
-    assert callable(load(name).main)
+    assert callable(load(name)["main"])
 
 
 @pytest.mark.parametrize("name", RUN)
 def test_example_runs(name, capsys):
-    load(name).main()
+    load(name)["main"]()
     assert "simulated time" in capsys.readouterr().out

@@ -10,7 +10,6 @@ import re
 
 import pytest
 
-from repro.api import ClusterSpec, build
 from repro.dirsvc.config import NAME_HASHING
 from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
@@ -18,6 +17,7 @@ from repro.net import Host, NetParams
 from repro.nfs.errors import NFS3_OK
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import Sattr3
+from repro.smallfile.server import sf_site_for
 from repro.util.bytesim import PatternData, RealData
 from repro.workloads.bulkio import dd_read, dd_write
 
@@ -172,9 +172,6 @@ def test_replies_returned_matches_ops_sent_and_tracer():
 
 
 def _checksum_cluster(switch):
-    if switch == "cluster-spec":
-        return build(ClusterSpec(storage_nodes=2, dir_servers=1, sf_servers=1,
-                                 verify_checksums=False))
     shape = dict(num_storage_nodes=2, num_dir_servers=1, num_sf_servers=1,
                  dir_logical_sites=8, sf_logical_sites=8)
     if switch == "net-params":
@@ -186,7 +183,7 @@ def _checksum_cluster(switch):
 
 
 @pytest.mark.parametrize("switch", ["default", "net-params",
-                                    "set-after-build", "cluster-spec"])
+                                    "set-after-build"])
 def test_one_checksum_switch_covers_every_packet_source(switch, monkeypatch):
     """``NetParams.verify_checksums`` alone decides whether packets carry a
     checksum, for every server class and for µproxy-synthesized replies."""
@@ -269,6 +266,45 @@ def test_storage_node_reboot_forces_redrive():
 
     data = cluster.run(run())
     assert data == payload
+
+
+@pytest.mark.parametrize("same_server", [False, True],
+                         ids=["moved-away", "reloaded-here"])
+def test_unstable_writes_survive_an_sf_site_unload(same_server):
+    """Unload a small file's site between its unstable writes and the
+    COMMIT: reload it on the same server, or move it to the other one.
+    The commit answers a changed verifier (the client writes again) or
+    finds the writes flushed: either way the read-back returns them."""
+    cluster = small_cluster()
+    client, _proxy = cluster.add_client()
+    payload = PatternData(12000, seed=2)
+    held = []
+    commit = client.commit
+
+    def commit_after_unload(fh, *args):
+        if not held:
+            site = sf_site_for(FHandle.unpack(fh).fileid,
+                               cluster.params.sf_logical_sites)
+            old = next(s for s in cluster.sf_servers if site in s.core.states)
+            held.append(any(key[0] == site for key in old.pending))
+            old.core.unload(site)
+            if same_server:
+                old.core.load(site)
+            else:
+                new = next(s for s in cluster.sf_servers if s is not old)
+                new.core.load(site)
+                cluster.configsvc.rebind("sf", site, new.address)
+        return (yield from commit(fh, *args))
+
+    client.commit = commit_after_unload
+
+    def run():
+        created = yield from client.create(cluster.root_fh, "moved.txt")
+        yield from client.write_file(created.fh, payload)
+        return (yield from client.read_file(created.fh, payload.length))
+
+    assert cluster.run(run()) == payload
+    assert held == [True]
 
 
 def test_mirrored_file_survives_replica_failure():

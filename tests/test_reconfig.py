@@ -24,7 +24,6 @@ import math
 
 import pytest
 
-from repro.api import ClusterSpec, build
 from repro.core.routing import RoutingTable
 from repro.ensemble.configsvc import (
     CONFIG_GET,
@@ -34,11 +33,13 @@ from repro.ensemble.configsvc import (
     ConfigFetch,
     ConfigGetArgs,
 )
+from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
 from repro.net import Address
 from repro.nfs.errors import NFS3_OK
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import Fattr3, NF3REG
+from repro.obs import Tracer
 from repro.obs.checker import TraceChecker
 from repro.reconfig import plan_add_server, plan_remove_server
 from repro.rpc import RpcClient
@@ -58,7 +59,7 @@ def make_cluster(nodes=3, sites=24, trace=True, stripe_unit=None):
     )
     if stripe_unit is not None:
         params.io.stripe_unit = stripe_unit
-    return build(ClusterSpec(trace=trace, params=params))
+    return SliceCluster(params=params, tracer=Tracer() if trace else None)
 
 
 class Files:

@@ -501,3 +501,143 @@ def test_remove_waiting_out_a_flush_is_dropped_if_the_site_is_lost():
     assert 42 not in live.maps
     assert replayed(backing, site).maps == live.maps
     assert live.alloc.allocated_bytes == 0
+
+
+def test_unload_drops_the_sites_unstable_writes_and_changes_the_verifier():
+    """An unloaded site's unstable writes are never flushed here again, so
+    the server drops them and answers with a new verifier; another site's
+    writes stay pending."""
+    sim, net, client, server, nodes, backing = build()
+    site = sf_site_for(42, 4)
+    other = next(f for f in range(43, 100) if sf_site_for(f, 4) != site)
+
+    def run():
+        wres = yield from sf_write(client, server, make_fh(42), 0,
+                                   PatternData(5000, seed=1))
+        yield from sf_write(client, server, make_fh(other), 0,
+                            RealData(b"stays"))
+        server.core.unload(site)
+        yield sim.timeout(30.0)
+        return wres.verf
+
+    verf = sim.run_process(run())
+    assert (site, 42) not in server.pending
+    assert server.gauges()["pending_overlays"] == 0  # the syncer took other
+    assert server.verf != verf
+    assert sorted(server.core.states) == sorted({0, 1, 2, 3} - {site})
+
+
+def test_a_site_reloaded_here_reads_its_stable_bytes_under_the_same_verifier():
+    """An unload drops the site's cached blocks with its zone, so a reload
+    on the same server reads them from the array again; with no unstable
+    writes lost, the verifier stays."""
+    sim, net, client, server, nodes, backing = build()
+    site = sf_site_for(42, 4)
+
+    def run():
+        wres = yield from sf_write(client, server, make_fh(42), 0,
+                                   RealData(b"durable"), stable=FILE_SYNC)
+        server.core.unload(site)
+        server.core.load(site)
+        rres, body = yield from sf_read(client, server, make_fh(42), 0, 7)
+        return wres.verf, body.to_bytes()
+
+    verf, body = sim.run_process(run())
+    assert body == b"durable"
+    assert server.verf == verf
+
+
+def test_unload_during_a_flush_changes_the_verifier():
+    """A flush in progress when its site is unloaded drops the writes it
+    claimed, so the COMMIT's retransmission, answered by the reloaded
+    site, carries a new verifier."""
+    sim, net, client, server, nodes, backing = build()
+    fh = make_fh(42)
+    site = sf_site_for(42, 4)
+
+    def run():
+        wres = yield from sf_write(client, server, fh, 0,
+                                   PatternData(20000, seed=8))
+        commit = sim.process(sf_commit(client, server, fh))
+        yield sim.timeout(0.0003)
+        assert (site, 42) in server._flushing
+        server.core.unload(site)
+        server.core.load(site)
+        cres = yield commit
+        return wres.verf, cres.verf
+
+    write_verf, commit_verf = sim.run_process(run())
+    assert commit_verf != write_verf
+
+
+@pytest.mark.parametrize("write_to_new_zone", [False, True])
+def test_a_stable_write_waiting_out_a_flush_is_dropped_if_its_site_moves(
+        write_to_new_zone):
+    """A FILE_SYNC WRITE that waits out a COMMIT's flush of the same file,
+    while the site is unloaded and loaded again here, is not acknowledged
+    by the old zone: its retransmission makes the bytes stable in the new
+    zone.  An unstable WRITE the new zone took meanwhile stays pending for
+    it, so a COMMIT under the same verifier means its bytes read back."""
+    sim, net, client, server, nodes, backing = build()
+    fh = make_fh(42)
+    site = sf_site_for(42, 4)
+    stable, later = PatternData(3000, seed=9), PatternData(2000, seed=10)
+
+    def run():
+        yield from sf_write(client, server, fh, 0, PatternData(20000, seed=8))
+        commit = sim.process(sf_commit(client, server, fh))
+        yield sim.timeout(0.0003)
+        waiting = sim.process(sf_write(client, server, fh, 20000, stable,
+                                       stable=FILE_SYNC))
+        while (site, 42) not in server.pending:
+            yield sim.timeout(0.00001)
+        assert (site, 42) in server._flushing  # the WRITE waits it out
+        server.core.unload(site)
+        server.core.load(site)
+        write_verf = None
+        if write_to_new_zone:
+            unstable = yield from sf_write(client, server, fh, 40000, later)
+            write_verf = unstable.verf
+            assert (site, 42) in server._flushing  # the old flush goes on
+        wres = yield waiting
+        yield commit
+        cres = yield from sf_commit(client, server, fh)
+        _, stable_body = yield from sf_read(client, server, fh, 20000, 3000)
+        _, later_body = yield from sf_read(client, server, fh, 40000, 2000)
+        return wres, stable_body, write_verf, cres.verf, later_body
+
+    wres, stable_body, write_verf, commit_verf, later_body = sim.run_process(
+        run())
+    assert wres.status == 0 and wres.committed == FILE_SYNC
+    assert stable_body == stable
+    if write_to_new_zone:
+        assert commit_verf != write_verf or later_body == later
+
+
+def test_a_read_in_flight_across_a_reload_leaves_the_new_zone_cold():
+    """Backing reads of an unloaded zone that complete after a reload here
+    mark nothing of the new zone resident: a later READ fetches the bytes
+    from the array again."""
+    sim, net, client, server, nodes, backing = build()
+    fh = make_fh(42)
+    site = sf_site_for(42, 4)
+    payload = PatternData(20000, seed=11)
+
+    def run():
+        yield from sf_write(client, server, fh, 0, payload, stable=FILE_SYNC)
+        server.core.unload(site)
+        server.core.load(site)  # a cold zone
+        reads = server.backing_reads
+        first = sim.process(sf_read(client, server, fh, 0, 20000))
+        while server.backing_reads == reads:
+            yield sim.timeout(0.00001)
+        # The map block is in; the data blocks' read is in flight.
+        server.core.unload(site)
+        server.core.load(site)
+        yield first
+        rres, body = yield from sf_read(client, server, fh, 0, 20000)
+        return rres, body
+
+    rres, body = sim.run_process(run())
+    assert rres.status == 0
+    assert body == payload

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Reproduce everything: full test suite and the perfbench helper tests,
+# Reproduce everything: full test suite, the perfbench helper tests and
+# the behaviour lock's --diff,
 # then every paper table/figure.  Exits non-zero when any step fails.
 #
 #   --with-traces   attach a repro.obs tracer to every cluster
@@ -66,6 +67,10 @@ step() {
 set -x
 step test_output.txt pytest tests/
 step perfbench_test_output.txt python3 -m pytest perfbench -q
+# The behaviour lock's pinned values: prints each one that moved and
+# exits 1, so a changed simulated behaviour fails the script.
+step behaviour_lock_output.txt env PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+    python3 -m tests.test_behaviour_lock --diff
 if [ "$WITH_TELEMETRY" = "1" ]; then
     step telemetry_output.txt pytest tests/ -m telemetry
 fi

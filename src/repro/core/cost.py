@@ -21,18 +21,20 @@ __all__ = ["CostParams", "CostModel", "PHASES"]
 
 PHASES = ("intercept", "decode", "rewrite", "softstate")
 
+# Per-phase cycle costs (reference: 500 MHz Alpha 21264).
+INTERCEPT_CYCLES = 560.0  # filter hook + virtual-address match
+DECODE_FIXED = 760.0  # RPC header setup
+DECODE_PER_BYTE = 18.0  # XDR walking (variable-length fields)
+REWRITE_FIXED = 260.0  # address swap bookkeeping
+REWRITE_PER_BYTE = 32.0  # differential checksum per byte changed
+SOFTSTATE_OP = 1250.0  # pending-record / attr-cache operation
+
 
 @dataclass
 class CostParams:
-    """Per-phase cycle costs (reference: 500 MHz Alpha 21264)."""
+    """The reference CPU the cycles are a share of."""
 
     cpu_hz: float = 500e6
-    intercept_cycles: float = 560.0  # filter hook + virtual-address match
-    decode_fixed: float = 760.0  # RPC header setup
-    decode_per_byte: float = 18.0  # XDR walking (variable-length fields)
-    rewrite_fixed: float = 260.0  # address swap bookkeeping
-    rewrite_per_byte: float = 32.0  # differential checksum per byte changed
-    softstate_op: float = 1250.0  # pending-record / attr-cache operation
 
 
 class CostModel:
@@ -48,26 +50,22 @@ class CostModel:
         """Charge one packet interception (filter hook + address match)."""
         if self.enabled:
             self.packets += 1
-            self.cycles["intercept"] += self.params.intercept_cycles
+            self.cycles["intercept"] += INTERCEPT_CYCLES
 
     def decode(self, nbytes: int) -> None:
         """Charge decoding ``nbytes`` of RPC/NFS header."""
         if self.enabled:
-            self.cycles["decode"] += (
-                self.params.decode_fixed + self.params.decode_per_byte * nbytes
-            )
+            self.cycles["decode"] += DECODE_FIXED + DECODE_PER_BYTE * nbytes
 
     def rewrite(self, nbytes: int) -> None:
         """Charge rewriting ``nbytes`` with differential checksumming."""
         if self.enabled:
-            self.cycles["rewrite"] += (
-                self.params.rewrite_fixed + self.params.rewrite_per_byte * nbytes
-            )
+            self.cycles["rewrite"] += REWRITE_FIXED + REWRITE_PER_BYTE * nbytes
 
     def softstate(self, ops: int = 1) -> None:
         """Charge soft-state bookkeeping (pending records, caches)."""
         if self.enabled:
-            self.cycles["softstate"] += self.params.softstate_op * ops
+            self.cycles["softstate"] += SOFTSTATE_OP * ops
 
     # -- reporting -----------------------------------------------------------
 

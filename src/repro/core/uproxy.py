@@ -63,6 +63,13 @@ __all__ = ["UProxy", "ProxyParams"]
 
 COOKIE_SITE_SHIFT = 48
 
+# Bounds of the µproxy's soft state (the oldest entries go first), and
+# how often dirty cached attributes are written back.
+ATTR_CACHE_CAPACITY = 8192
+PENDING_CAPACITY = 8192
+DIRTY_SITES_CAPACITY = 4096
+ATTR_WRITEBACK_INTERVAL = 3.0  # the NFS "three second window"
+
 #: An XDR bool that is true, such as the eof word ending a READDIR reply.
 _XDR_TRUE = (1).to_bytes(4, "big")
 
@@ -127,10 +134,6 @@ def _site_cookie(site: int) -> int:
 @dataclass
 class ProxyParams:
     proxy_port: int = 901
-    attr_cache_capacity: int = 8192
-    pending_capacity: int = 8192
-    dirty_sites_capacity: int = 4096
-    attr_writeback_interval: float = 3.0  # the NFS "three second window"
     intent_sync: bool = True  # force the intent log before commit fan-out
 
 
@@ -204,7 +207,7 @@ class UProxy(PacketFilter):
             storage_table.epoch,
         )
         self.block_maps = BlockMapCache()
-        self.attr_cache = AttrCache(self.params.attr_cache_capacity)
+        self.attr_cache = AttrCache(ATTR_CACHE_CAPACITY)
         self.pending: "OrderedDict[Tuple[int, int], _Pending]" = OrderedDict()
         #: (client port, xid) of each split READ or WRITE whose scatter is
         #: running; a retransmission of one is dropped, not split again.
@@ -224,6 +227,9 @@ class UProxy(PacketFilter):
         self.commits_absorbed = 0
         self.misdirects_seen = 0
         self.synthesized = 0
+        #: replies to a pending request that did not decode; each is
+        #: dropped and the client's retransmission recovers.
+        self.replies_dropped = 0
         host.egress_filters.append(self)
         host.ingress_filters.append(self)
         sim.process(self._attr_flusher(), name=f"uproxy-attrflush:{host.name}")
@@ -253,6 +259,7 @@ class UProxy(PacketFilter):
             "synthesized": self.synthesized,
             "commits_absorbed": self.commits_absorbed,
             "misdirects_seen": self.misdirects_seen,
+            "replies_dropped": self.replies_dropped,
             "retransmissions": self.client.retransmissions,
             "attr_cache_hits": self.attr_cache.hits,
             "attr_cache_misses": self.attr_cache.misses,
@@ -316,13 +323,13 @@ class UProxy(PacketFilter):
         self.dirty_sites.move_to_end(fileid)
         sites.add(addr)
         self.cost.softstate()
-        while len(self.dirty_sites) > self.params.dirty_sites_capacity:
+        while len(self.dirty_sites) > DIRTY_SITES_CAPACITY:
             self.dirty_sites.popitem(last=False)
 
     def _remember(self, key, rec: _Pending) -> None:
         self.pending[key] = rec
         self.cost.softstate()
-        while len(self.pending) > self.params.pending_capacity:
+        while len(self.pending) > PENDING_CAPACITY:
             self.pending.popitem(last=False)
 
     @staticmethod
@@ -883,7 +890,11 @@ class UProxy(PacketFilter):
             del self.pending[key]
             self._misdirected(pkt.dst, xid)
             return ()
-        result = self._postprocess(pkt, key, rec, dec)
+        try:
+            result = self._postprocess(pkt, key, rec, dec)
+        except XdrError:
+            self.replies_dropped += 1
+            return ()
         self.cost.decode(dec.offset)
         return result
 
@@ -1145,10 +1156,9 @@ class UProxy(PacketFilter):
 
     def _attr_flusher(self):
         """Bound attribute drift with periodic write-backs (§4.1)."""
-        interval = self.params.attr_writeback_interval
         while True:
-            yield self.sim.timeout(interval)
-            cutoff = self.sim.now - interval
+            yield self.sim.timeout(ATTR_WRITEBACK_INTERVAL)
+            cutoff = self.sim.now - ATTR_WRITEBACK_INTERVAL
             for entry in self.attr_cache.dirty_entries(cutoff):
                 yield from self._writeback_entry(entry)
 

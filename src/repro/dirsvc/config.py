@@ -37,7 +37,6 @@ class NameConfig:
     mode: str = MKDIR_SWITCHING
     num_logical_sites: int = 64
     mkdir_p: float = 0.25  # redirection probability (mkdir switching)
-    hash_name: str = "md5"  # ablations may swap the digest
 
     def __post_init__(self):
         if self.mode not in (MKDIR_SWITCHING, NAME_HASHING):
@@ -52,9 +51,7 @@ class NameConfig:
     def entry_hash_site(self, parent_fileid: int, name: str) -> int:
         """The logical site that owns name entry (parent, name) under name
         hashing; also the target chosen for redirected mkdirs."""
-        from repro.util.hashing import HASHES
-
-        digest = HASHES[self.hash_name](
+        digest = md5_u64(
             parent_fileid.to_bytes(8, "big") + name.encode("utf-8")
         )
         return digest % self.num_logical_sites

@@ -81,19 +81,22 @@ DIR_PORT = 5049
 COOKIE_SITE_SHIFT = 48
 COOKIE_LOCAL_MASK = (1 << COOKIE_SITE_SHIFT) - 1
 
+CPU_PER_OP = 160e-6
+CPU_PER_ENTRY = 2e-6
+# A cross-site transaction that loses a lock race prepares again, up to
+# PREPARE_RETRIES times, after RETRY_BACKOFF times the attempt number.
+PREPARE_RETRIES = 10
+RETRY_BACKOFF = 0.015
+# Server-to-server calls use a short bounded retry; the end client's
+# own NFS retransmission provides the unbounded outer loop.
+PEER_RETRANS_TIMEOUT = 0.5
+PEER_MAX_TRIES = 4
+
 
 @dataclass
 class DirServerParams:
-    cpu_per_op: float = 160e-6
-    cpu_per_entry: float = 2e-6
     readdir_max_entries: int = 128
     checkpoint_interval: float = CHECKPOINT_INTERVAL
-    prepare_retries: int = 10
-    retry_backoff: float = 0.015
-    # Server-to-server calls use a short bounded retry; the end client's
-    # own NFS retransmission provides the unbounded outer loop.
-    peer_retrans_timeout: float = 0.5
-    peer_max_tries: int = 4
 
 
 class _Misdirected(Exception):
@@ -166,8 +169,8 @@ class DirectoryServer:
         self.server.register(pp.SLICE_PEER_PROGRAM, self._peer_service)
         self.client = RpcClient(
             host, port + 1,
-            retrans_timeout=self.params.peer_retrans_timeout,
-            max_tries=self.params.peer_max_tries,
+            retrans_timeout=PEER_RETRANS_TIMEOUT,
+            max_tries=PEER_MAX_TRIES,
         )
         self.locks: Dict[int, KeyLocks] = {}
         # Numbered per server, so a run's txids (and message sizes) do not
@@ -281,7 +284,7 @@ class DirectoryServer:
         if procnum >= len(proto.PROCS):
             raise RpcAcceptError(PROC_UNAVAIL)
         handler = self._HANDLERS.get(procnum)
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        yield from self.host.cpu_work(CPU_PER_OP)
         if procnum == proto.PROC_NULL:
             return b"", EMPTY
         proc = proto.PROCS[procnum]
@@ -444,7 +447,7 @@ class DirectoryServer:
                         attr = target_cell.to_fattr()
                 fh = target_fh.pack()
             add(cell.target_fileid, cell.name, entry_cookie, attr, fh)
-        yield from self.host.cpu_work(self.params.cpu_per_entry * len(entries))
+        yield from self.host.cpu_work(CPU_PER_ENTRY * len(entries))
         # eof for THIS site: nothing hosted here follows the last cookie we
         # emitted (the µproxy chains sites for name-hashed directories).
         last_local = (
@@ -821,7 +824,7 @@ class DirectoryServer:
         tx = _Tx()
         boot = self.core.boots
         try:
-            for attempt in range(self.params.prepare_retries):
+            for attempt in range(PREPARE_RETRIES):
                 for key_site, key in keys:
                     locks = self.locks[key_site]
                     yield from locks.acquire(key, tx)
@@ -840,7 +843,7 @@ class DirectoryServer:
                     return value
                 if status != _CONFLICT:
                     raise _OpError(status)
-                yield self.sim.timeout(self.params.retry_backoff * (attempt + 1))
+                yield self.sim.timeout(RETRY_BACKOFF * (attempt + 1))
                 if self.core.boots != boot:
                     break  # crashed while backing off: retry nothing
             raise _OpError(NFS3ERR_JUKEBOX)
@@ -975,7 +978,7 @@ class DirectoryServer:
     # ------------------------------------------------------------------
 
     def _peer_service(self, procnum: int, dec: Decoder, body, src):
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        yield from self.host.cpu_work(CPU_PER_OP)
         if procnum == pp.PEER_GET_ATTRS:
             args = pp.KeyArgs.decode(dec)
             state = self.sites.get(args.site)
@@ -1081,13 +1084,13 @@ class DirectoryServer:
         retransmission schedule, then a backoff after each conflict.  A
         participant waits this long before it asks, so a transaction that
         commits as usual costs no extra message."""
-        p, client = self.params, self.client
+        client = self.client
         schedule = sum(
-            min(p.peer_retrans_timeout * client.backoff ** i,
+            min(PEER_RETRANS_TIMEOUT * client.backoff ** i,
                 client.max_retrans_timeout)
-            for i in range(p.peer_max_tries)
+            for i in range(PEER_MAX_TRIES)
         )
-        backoffs = p.retry_backoff * p.prepare_retries * (p.prepare_retries + 1) / 2
+        backoffs = RETRY_BACKOFF * PREPARE_RETRIES * (PREPARE_RETRIES + 1) / 2
         return schedule * (1 + client.jitter) + backoffs
 
     def _resolve(self, txid: str, site: int, coord_site: int, wait: float):

@@ -39,18 +39,19 @@ __all__ = ["MonolithicServer", "BaselineParams", "BASE_PORT"]
 BASE_PORT = 2049
 BLOCK = 8 << 10
 
+CPU_PER_OP = 170e-6
+CPU_PER_BYTE = 2.5e-9
+METADATA_WRITES_PER_UPDATE = 2  # FFS synchronous metadata updates
+SYNC_INTERVAL = 1.0
+
 
 @dataclass
 class BaselineParams:
     mode: str = "ffs"  # "ffs" (disk-backed) or "mfs" (memory file system)
-    cpu_per_op: float = 170e-6
-    cpu_per_byte: float = 2.5e-9
     num_disks: int = 8
     disk: DiskParams = field(default_factory=DiskParams)
     channel_bandwidth: float = 72e6
     cache_bytes: int = 200 << 20
-    metadata_writes_per_update: int = 2  # FFS synchronous metadata updates
-    sync_interval: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("ffs", "mfs"):
@@ -216,13 +217,13 @@ class MonolithicServer:
 
     def _metadata_write(self):
         """FFS-style synchronous metadata update (random small write)."""
-        for _ in range(self.params.metadata_writes_per_update):
+        for _ in range(METADATA_WRITES_PER_UPDATE):
             self._meta_ptr = (self._meta_ptr + 7919 * BLOCK) % (1 << 36)
             yield from self.array.access(self._meta_ptr, BLOCK, write=True)
 
     def _syncer(self):
         while True:
-            yield self.sim.timeout(self.params.sync_interval)
+            yield self.sim.timeout(SYNC_INTERVAL)
             if not self.host.up:
                 continue
             for key in list(self._dirty):
@@ -234,7 +235,7 @@ class MonolithicServer:
     def _service(self, procnum: int, dec: Decoder, body, src):
         if procnum >= len(proto.PROCS):
             raise RpcAcceptError(PROC_UNAVAIL)
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        yield from self.host.cpu_work(CPU_PER_OP)
         now = self.host.clock()
         self.ops_served += 1
         if procnum == proto.PROC_NULL:
@@ -254,14 +255,14 @@ class MonolithicServer:
         return res.encode(), EMPTY
 
     def _read(self, args, body, now):
-        yield from self.host.cpu_work(self.params.cpu_per_byte * args.count)
+        yield from self.host.cpu_work(CPU_PER_BYTE * args.count)
         if self.on_disk:
             yield from self._inode_read(args.fh)
             yield from self._read_blocks(args.fh, args.offset, args.count)
         return self.fs.read(args.fh, args.offset, args.count, now)
 
     def _write(self, args, body, now):
-        yield from self.host.cpu_work(self.params.cpu_per_byte * args.count)
+        yield from self.host.cpu_work(CPU_PER_BYTE * args.count)
         res = self.fs.write(
             args.fh, args.offset, body.slice(0, args.count),
             args.stable, self.verf, now,

@@ -90,7 +90,7 @@ class SliceCluster:
             self.coordinators.append(
                 Coordinator(
                     self.sim, host, data_sites, p.num_storage_nodes,
-                    p.coordinator, tracer=tracer,
+                    tracer=tracer,
                 )
             )
         self.coordinator_addrs = [c.address for c in self.coordinators]
@@ -107,7 +107,6 @@ class SliceCluster:
                 self.sim, host, self.name_config, self.backing, sites,
                 peer_lookup=self._dir_addr_for_site,
                 coordinators=self.coordinator_addrs,
-                params=p.dirsvc,
                 mirror_files=p.mirror_files,
                 tracer=tracer,
             )
@@ -356,7 +355,6 @@ class SliceCluster:
             self.sim, host, self.name_config, self.backing, [],
             peer_lookup=self._dir_addr_for_site,
             coordinators=self.coordinator_addrs,
-            params=p.dirsvc,
             mirror_files=p.mirror_files,
             tracer=self.tracer,
         )

@@ -13,11 +13,9 @@ from typing import Optional
 
 from repro.core.placement import IoPolicy
 from repro.dirsvc.config import MKDIR_SWITCHING, NameConfig
-from repro.dirsvc.server import DirServerParams
 from repro.net.network import NetParams
 from repro.nfs.client import ClientParams
 from repro.smallfile.server import SmallFileParams
-from repro.storage.coordinator import CoordinatorParams
 from repro.storage.node import StorageNodeParams
 
 __all__ = ["ClusterParams"]
@@ -41,9 +39,7 @@ class ClusterParams:
     io: IoPolicy = field(default_factory=IoPolicy)
     net: NetParams = field(default_factory=NetParams)
     storage: StorageNodeParams = field(default_factory=StorageNodeParams)
-    dirsvc: DirServerParams = field(default_factory=DirServerParams)
     smallfile: SmallFileParams = field(default_factory=SmallFileParams)
-    coordinator: CoordinatorParams = field(default_factory=CoordinatorParams)
     client: ClientParams = field(default_factory=ClientParams)
 
     def name_config(self) -> NameConfig:

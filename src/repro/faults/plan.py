@@ -5,7 +5,7 @@ adversarial run does to a Slice cluster: packet loss / duplication /
 reordering / extra delay (per link and per RPC program), link partitions
 between host groups, timed crash/restart windows for any component, slow
 disks, and torn-tail WAL writes at crash.  Plans are plain data — they can
-be printed, serialized, diffed, and (most importantly) replayed: the same
+be printed, compared, and (most importantly) replayed: the same
 plan with the same seed produces the *identical* simulated run, byte for
 byte (see ``tests/test_chaos.py::test_chaos_runs_are_deterministic``).
 
@@ -26,8 +26,8 @@ schedule and vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Tuple
 
 __all__ = [
     "PacketFaultRule",
@@ -226,27 +226,7 @@ class FaultPlan:
 
     def with_seed(self, seed: int) -> "FaultPlan":
         """A copy of this plan under a different seed (seed-matrix runs)."""
-        return FaultPlan.from_dict({**self.to_dict(), "seed": seed})
-
-    # -- (de)serialization --------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        """Plain-data export (JSON-safe apart from ``inf`` end times)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "FaultPlan":
-        return cls(
-            seed=doc.get("seed", 0),
-            packet_faults=[
-                PacketFaultRule(**d) for d in doc.get("packet_faults", [])
-            ],
-            partitions=[Partition(**d) for d in doc.get("partitions", [])],
-            crashes=[CrashWindow(**d) for d in doc.get("crashes", [])],
-            slow_disks=[
-                SlowDiskWindow(**d) for d in doc.get("slow_disks", [])
-            ],
-        )
+        return replace(self, seed=seed)
 
     def describe(self) -> str:
         """One line per fault source — goes into failure reports."""

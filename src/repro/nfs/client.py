@@ -5,7 +5,7 @@ retransmission underneath, block-sized transfers with a bounded read-ahead
 window and asynchronous write-behind on top, and a CPU cost model per
 operation and per byte.  Single-client bandwidth in Table 2 is limited by
 exactly these costs (writes saturate the client CPU; zero-copy reads are
-bounded by the read-ahead depth), so they are explicit parameters.
+bounded by the read-ahead depth), so they are named module constants.
 """
 
 from __future__ import annotations
@@ -25,19 +25,22 @@ from .types import Sattr3, UNSTABLE
 __all__ = ["NfsClient", "ClientParams"]
 
 
+# Client stack behaviour and costs: the paper's 450 MHz PCs, 32 KB NFS
+# blocks, read-ahead of four blocks.
+RSIZE = 32 << 10
+WSIZE = 32 << 10
+READAHEAD = 4  # blocks read ahead => READAHEAD+1 outstanding
+WRITE_WINDOW = 8  # outstanding asynchronous writes
+CPU_PER_OP = 55e-6
+READ_CPU_PER_BYTE = 14e-9  # zero-copy receive path
+WRITE_CPU_PER_BYTE = 22e-9
+MIRROR_WRITE_CPU_PER_BYTE = 7e-9  # µproxy duplication, on-client
+
+
 @dataclass
 class ClientParams:
-    """Client stack behaviour and costs (defaults: the paper's 450 MHz PCs,
-    32 KB NFS blocks, read-ahead of four blocks)."""
+    """The client's RPC retransmission policy."""
 
-    rsize: int = 32 << 10
-    wsize: int = 32 << 10
-    readahead: int = 4  # blocks read ahead => readahead+1 outstanding
-    write_window: int = 8  # outstanding asynchronous writes
-    cpu_per_op: float = 55e-6
-    read_cpu_per_byte: float = 14e-9  # zero-copy receive path
-    write_cpu_per_byte: float = 22e-9
-    mirror_write_cpu_per_byte: float = 7e-9  # µproxy duplication, on-client
     retrans_timeout: float = 0.7
     max_tries: int = 10
 
@@ -85,7 +88,7 @@ class NfsClient:
 
         payload = body if body is not None else EMPTY
         for attempt in range(self.JUKEBOX_RETRIES + 1):
-            yield from self.host.cpu_work(self.params.cpu_per_op)
+            yield from self.host.cpu_work(CPU_PER_OP)
             self.ops_sent += 1
             dec, reply_body = yield from self.rpc.call(
                 self.server, proto.NFS_PROGRAM, proto.NFS_V3, procnum, args,
@@ -231,19 +234,15 @@ class NfsClient:
         )
         res = proto.ReadRes.decode(dec)
         if res.status == 0:
-            yield from self.host.cpu_work(
-                self.params.read_cpu_per_byte * body.length
-            )
+            yield from self.host.cpu_work(READ_CPU_PER_BYTE * body.length)
             self.bytes_read += body.length
         return res, body
 
     def write(self, fh: bytes, offset: int, data: Data, stable: int = UNSTABLE):
-        yield from self.host.cpu_work(
-            self.params.write_cpu_per_byte * data.length
-        )
+        yield from self.host.cpu_work(WRITE_CPU_PER_BYTE * data.length)
         if self._is_mirrored(fh):
             yield from self.host.cpu_work(
-                self.params.mirror_write_cpu_per_byte * data.length
+                MIRROR_WRITE_CPU_PER_BYTE * data.length
             )
         dec, _ = yield from self._call(
             proto.PROC_WRITE,
@@ -267,12 +266,10 @@ class NfsClient:
     def read_file(self, fh: bytes, length: int, offset: int = 0) -> Data:
         """Generator: sequential read with a bounded read-ahead window;
         returns the file content as Data."""
-        rsize = self.params.rsize
-        window = self.params.readahead + 1
         chunks: List[Tuple[int, int]] = []
         pos = offset
         while pos < offset + length:
-            step = min(rsize, offset + length - pos)
+            step = min(RSIZE, offset + length - pos)
             chunks.append((pos, step))
             pos += step
         results: dict = {}
@@ -295,7 +292,7 @@ class NfsClient:
 
         workers = [
             self.sim.process(worker(), name=f"nfs-read:{self.host.name}")
-            for _ in range(min(window, len(chunks)))
+            for _ in range(min(READAHEAD + 1, len(chunks)))
         ]
         if workers:
             yield self.sim.all_of(workers)
@@ -307,11 +304,10 @@ class NfsClient:
         """Generator: windowed write-behind plus commit, re-sending the data
         if the server's write verifier proves a reboot lost unstable writes.
         Returns the number of bytes durably written."""
-        wsize = self.params.wsize
         chunks: List[Tuple[int, int]] = []
         pos = 0
         while pos < data.length:
-            step = min(wsize, data.length - pos)
+            step = min(WSIZE, data.length - pos)
             chunks.append((pos, step))
             pos += step
         for attempt in range(max_redrives + 1):
@@ -335,7 +331,7 @@ class NfsClient:
 
             workers = [
                 self.sim.process(worker(), name=f"nfs-write:{self.host.name}")
-                for _ in range(min(self.params.write_window, len(chunks)))
+                for _ in range(min(WRITE_WINDOW, len(chunks)))
             ]
             if workers:
                 yield self.sim.all_of(workers)

@@ -51,6 +51,14 @@ BLOCK = 8 << 10
 ZONE_VOLUME = 0xFFFE
 MAP_VOLUME = 0xFFFC
 
+CPU_PER_OP = 60e-6
+CPU_PER_BYTE = 2e-9
+STRIPE = 64 << 10  # backing-object striping unit over storage nodes
+MAP_RECORDS_PER_BLOCK = 64
+# Retransmission policy of the server's own calls to the storage nodes.
+PEER_RETRANS_TIMEOUT = 0.5
+PEER_MAX_TRIES = 4
+
 
 def sf_site_for(fileid: int, num_sites: int) -> int:
     """Logical small-file site for a file (µproxy and servers agree)."""
@@ -116,13 +124,7 @@ class SiteZone:
 @dataclass
 class SmallFileParams:
     cache_bytes: int = 450 << 20  # of a 512 MB server
-    cpu_per_op: float = 60e-6
-    cpu_per_byte: float = 2e-9
     sync_interval: float = 1.0
-    stripe: int = 64 << 10  # backing-object striping unit over storage nodes
-    map_records_per_block: int = 64
-    peer_retrans_timeout: float = 0.5
-    peer_max_tries: int = 4
 
 
 class _SiteLost(Exception):
@@ -158,8 +160,8 @@ class SmallFileServer:
         self.server.register(ctrlproto.SLICE_CTRL_PROGRAM, self._ctrl_service)
         self.client = RpcClient(
             host, port + 1,
-            retrans_timeout=self.params.peer_retrans_timeout,
-            max_tries=self.params.peer_max_tries,
+            retrans_timeout=PEER_RETRANS_TIMEOUT,
+            max_tries=PEER_MAX_TRIES,
         )
         from repro.storage.cache import BufferCache
 
@@ -245,13 +247,13 @@ class SmallFileServer:
     # and caches nothing; the request fails with NFS3ERR_IO.
 
     def _node_for(self, offset: int) -> Address:
-        index = (offset // self.params.stripe) % len(self.storage_nodes)
+        index = (offset // STRIPE) % len(self.storage_nodes)
         return self.storage_nodes[index]
 
     def _stripes(self, pos: int, end: int):
         """(offset, length) of each piece of [pos, end) one stripe holds."""
         while pos < end:
-            step = min(self.params.stripe - pos % self.params.stripe, end - pos)
+            step = min(STRIPE - pos % STRIPE, end - pos)
             yield pos, step
             pos += step
 
@@ -315,10 +317,10 @@ class SmallFileServer:
     def _load_map(self, zone: SiteZone, fileid: int):
         """Generator: charge a map-array read if the record's block is cold;
         the authoritative record comes from the journaled state."""
-        key = ("m", zone, fileid // self.params.map_records_per_block)
+        key = ("m", zone, fileid // MAP_RECORDS_PER_BLOCK)
         if not self.cache.lookup(key):
             fh = _zone_fh(MAP_VOLUME, zone.site_id)
-            offset = (fileid // self.params.map_records_per_block) * BLOCK
+            offset = (fileid // MAP_RECORDS_PER_BLOCK) * BLOCK
             yield from self.client.call(
                 self._node_for(offset), proto.NFS_PROGRAM, proto.NFS_V3,
                 proto.PROC_READ, proto.ReadArgs(fh, offset, BLOCK).encode(),
@@ -370,7 +372,7 @@ class SmallFileServer:
         fh = FHandle.unpack(args.fh)
         count = args.count if procnum in (proto.PROC_READ, proto.PROC_WRITE) else 0
         yield from self.host.cpu_work(
-            self.params.cpu_per_op + self.params.cpu_per_byte * count)
+            CPU_PER_OP + CPU_PER_BYTE * count)
         zone = self._site_of(fh)
         if zone is None:
             return proc.result(SLICEERR_MISDIRECTED).encode(), EMPTY
@@ -574,7 +576,7 @@ class SmallFileServer:
     # -- control service ---------------------------------------------------
 
     def _ctrl_service(self, procnum: int, dec: Decoder, body, src):
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        yield from self.host.cpu_work(CPU_PER_OP)
         if procnum == ctrlproto.CTRL_PING:
             return ctrlproto.StatusRes(0).encode(), EMPTY
         if procnum == ctrlproto.CTRL_OBJ_REMOVE:

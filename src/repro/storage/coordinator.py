@@ -32,11 +32,11 @@ from .node import object_id_for_fh
 __all__ = ["Coordinator", "CoordinatorParams", "COORD_PORT", "coordinator_for"]
 
 COORD_PORT = 4049
+CPU_PER_OP = 20e-6
 
 
 @dataclass
 class CoordinatorParams:
-    cpu_per_op: float = 20e-6
     probe_interval: float = 5.0
     intent_timeout: float = 10.0
 
@@ -63,7 +63,6 @@ class Coordinator:
         data_sites: List[Address],
         num_storage_sites: int,
         params: Optional[CoordinatorParams] = None,
-        log_write_cost=None,
         port: int = COORD_PORT,
         tracer=None,
     ):
@@ -77,13 +76,14 @@ class Coordinator:
         self.data_sites = list(data_sites)
         self.num_storage_sites = num_storage_sites
         self.tracer = tracer
-        self.log = WriteAheadLog(sim, write_cost=log_write_cost)
+        self.log = WriteAheadLog(sim)
         self.server = RpcServer(host, port)
         self.server.tracer = tracer
         self.server.trace_component = f"coord:{host.name}"
         self.server.register(cp.SLICE_COORD_PROGRAM, self._service)
         self.client = RpcClient(host, port + 1)
-        self.pending: Dict[int, cp.Intent] = {}
+        #: op_id -> (intent, when it was logged) of every open intention.
+        self.pending: Dict[int, Tuple[cp.Intent, float]] = {}
         self.block_maps: Dict[bytes, Dict[int, int]] = {}
         self.recoveries = 0
         self.intents_logged = 0
@@ -125,7 +125,7 @@ class Coordinator:
     # -- RPC service -----------------------------------------------------
 
     def _service(self, proc: int, dec: Decoder, body, src):
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        yield from self.host.cpu_work(CPU_PER_OP)
         if proc == cp.COORD_PING:
             return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == cp.COORD_INTENT:
@@ -172,12 +172,13 @@ class Coordinator:
 
     def _log_intent(self, intent: cp.Intent):
         """Hold ``intent`` pending and make it durable before answering."""
-        self.pending[intent.op_id] = intent
+        now = self.sim.now
+        self.pending[intent.op_id] = (intent, now)
         self.intents_logged += 1
         if self.tracer is not None:
-            self.tracer.intent_logged(intent.op_id, intent.kind, self.sim.now)
+            self.tracer.intent_logged(intent.op_id, intent.kind, now)
         yield from self.log.append_sync(
-            {"type": "intent", **intent._asdict(), "at": self.sim.now}
+            {"type": "intent", **intent._asdict(), "at": now}
         )
 
     def _internal_op_id(self, fh: bytes, salt: int) -> int:
@@ -209,7 +210,8 @@ class Coordinator:
     # -- reclaim / recovery execution ------------------------------------
 
     def _execute_reclaim(self, intent: cp.Intent):
-        """Fan the remove/truncate out to every data site (idempotent)."""
+        """Fan the remove/truncate out to every data site (idempotent);
+        returns whether every site answered."""
         procs = []
         for host, port in intent.sites:
             procs.append(
@@ -217,6 +219,7 @@ class Coordinator:
             )
         if procs:
             yield self.sim.all_of(procs)
+        return all(proc.value for proc in procs)
 
     def _reclaim_one(self, site: Address, intent: cp.Intent):
         try:
@@ -232,25 +235,32 @@ class Coordinator:
                     ctrlproto.TruncateArgs(intent.fh, intent.offset).encode(),
                 )
         except RpcTimeout:
-            pass  # site down: the watchdog retries on the next pass
+            return False  # site down
+        return True
 
     def _recover_intent(self, intent: cp.Intent):
-        """Finish or repair an overdue/orphaned multi-site operation."""
+        """Finish or repair an overdue/orphaned multi-site operation.
+
+        Each step returns whether it finished; a site that timed out means
+        it did not, and the intent stays pending for the next pass."""
         self.recoveries += 1
         if self.tracer is not None:
             self.tracer.intent_recovered(intent.op_id, self.sim.now)
+        finished = True
         if intent.kind in (cp.K_REMOVE, cp.K_TRUNCATE):
-            yield from self._execute_reclaim(intent)
+            finished = yield from self._execute_reclaim(intent)
         elif intent.kind == cp.K_COMMIT:
-            yield from self._recover_commit(intent)
+            finished = yield from self._recover_commit(intent)
         elif intent.kind == cp.K_MIRROR_WRITE:
-            yield from self._recover_mirror_write(intent)
+            finished = yield from self._recover_mirror_write(intent)
         elif intent.kind == cp.K_MIGRATE:
-            yield from self._recover_migrate(intent)
-        self.pending.pop(intent.op_id, None)
-        self.log.append({"type": "complete", "op_id": intent.op_id})
+            finished = yield from self._recover_migrate(intent)
+        if finished:
+            self.pending.pop(intent.op_id, None)
+            self.log.append({"type": "complete", "op_id": intent.op_id})
 
     def _recover_commit(self, intent: cp.Intent):
+        finished = True
         for host, port in intent.sites:
             try:
                 yield from self.client.call(
@@ -259,7 +269,8 @@ class Coordinator:
                     proto.CommitArgs(intent.fh, 0, 0).encode(),
                 )
             except RpcTimeout:
-                pass
+                finished = False
+        return finished
 
     def _recover_mirror_write(self, intent: cp.Intent):
         """Make mirrors agree on [offset, offset+count): copy from the first
@@ -276,22 +287,29 @@ class Coordinator:
                 stats.append((addr, ctrlproto.ObjStat.decode(dec)))
             except RpcTimeout:
                 stats.append((addr, None))
+        finished = all(stat is not None for _addr, stat in stats)
         donors = [a for a, s in stats if s is not None and s.exists and s.size >= end]
         if not donors:
-            return  # no replica completed: the client will retransmit
+            # No replica that answered completed: the client will retransmit.
+            return finished
         donor = donors[0]
         # Repair traffic travels the ctrl plane (CTRL_OBJ_READ /
         # CTRL_MIGRATE_WRITE): it must reach the replica that physically
         # holds the bytes even while a reconfiguration is redrawing the
         # hosted-site map, so it bypasses site checks and barriers.
-        dec, data = yield from self.client.call(
-            donor, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-            ctrlproto.CTRL_OBJ_READ,
-            ctrlproto.RangeArgs(intent.fh, intent.offset, intent.count).encode(),
-        )
+        try:
+            dec, data = yield from self.client.call(
+                donor, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
+                ctrlproto.CTRL_OBJ_READ,
+                ctrlproto.RangeArgs(
+                    intent.fh, intent.offset, intent.count
+                ).encode(),
+            )
+        except RpcTimeout:
+            return False  # the donor went down after its STAT
         read = ctrlproto.ReadRes.decode(dec)
         if not read.exists:
-            return
+            return finished
         for addr, stat in stats:
             if addr == donor:
                 continue
@@ -307,7 +325,8 @@ class Coordinator:
                     data,
                 )
             except RpcTimeout:
-                pass
+                finished = False
+        return finished
 
     def _recover_migrate(self, intent: cp.Intent):
         """Finish a torn object migration: re-copy [offset, offset+count)
@@ -317,7 +336,7 @@ class Coordinator:
         the source has since discarded the object the destination copy
         already landed (the rebalancer removes only after completion)."""
         if len(intent.sites) < 2:
-            return
+            return True
         src = Address(*intent.sites[0])
         dst = Address(*intent.sites[1])
         try:
@@ -329,10 +348,10 @@ class Coordinator:
                 ).encode(),
             )
         except RpcTimeout:
-            return  # source down: the watchdog retries on the next pass
+            return False  # source down
         read = ctrlproto.ReadRes.decode(dec)
         if not read.exists or data.length == 0:
-            return  # source already dropped it: copy must have completed
+            return True  # source already dropped it: copy must have completed
         try:
             yield from self.client.call(
                 dst, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
@@ -343,7 +362,8 @@ class Coordinator:
                 data,
             )
         except RpcTimeout:
-            pass
+            return False
+        return True
 
     def _watchdog(self):
         while True:
@@ -353,18 +373,12 @@ class Coordinator:
             now = self.sim.now
             overdue = [
                 intent
-                for intent in self.pending.values()
-                if now - self._intent_time(intent) > self.params.intent_timeout
+                for intent, logged_at in self.pending.values()
+                if now - logged_at > self.params.intent_timeout
             ]
             for intent in overdue:
                 if intent.op_id in self.pending:
                     yield from self._recover_intent(intent)
-
-    def _intent_time(self, intent: cp.Intent) -> float:
-        for rec in reversed(self.log.records):
-            if rec.get("type") == "intent" and rec.get("op_id") == intent.op_id:
-                return rec.get("at", 0.0)
-        return 0.0
 
     # -- crash / restart -----------------------------------------------------
 
@@ -378,14 +392,14 @@ class Coordinator:
     def restart(self) -> None:
         """Recover state from the stable log, then resume service."""
         completed = set()
-        intents: Dict[int, cp.Intent] = {}
+        intents: Dict[int, Tuple[cp.Intent, float]] = {}
         for rec in self.log.stable_records():
             kind = rec.get("type")
             if kind == "intent":
-                intents[rec["op_id"]] = cp.Intent(
+                intents[rec["op_id"]] = (cp.Intent(
                     rec["op_id"], rec["kind"], rec["fh"], rec["offset"],
                     rec["count"], [tuple(s) for s in rec["sites"]],
-                )
+                ), rec["at"])
             elif kind == "complete":
                 completed.add(rec["op_id"])
             elif kind == "map":
@@ -399,6 +413,6 @@ class Coordinator:
         self.sim.process(self._recover_all(), name=f"coord-recover:{self.host.name}")
 
     def _recover_all(self):
-        for intent in list(self.pending.values()):
+        for intent, _logged_at in list(self.pending.values()):
             if intent.op_id in self.pending:
                 yield from self._recover_intent(intent)

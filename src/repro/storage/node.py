@@ -54,6 +54,18 @@ STORE_PORT = 3049
 # policy, never the cluster routing table's, so site checks exempt them.
 PSEUDO_VOLUME_BASE = 0xFF00
 
+# CPU and cache-policy calibration of a Dell 4400 of the paper.  The read
+# path (buffer copy + transmit) costs more CPU than the receive path; these
+# bound a node at roughly the paper's 55 MB/s source / 60 MB/s sink.
+CPU_PER_OP = 25e-6
+CPU_READ_PER_BYTE = 20e-9
+CPU_WRITE_PER_BYTE = 10e-9
+PREFETCH_BYTES = 256 << 10
+NEAR_SEQ_WINDOW = 128 << 10
+# FFS write clustering: once this many dirty blocks accumulate for one
+# object, the node starts writing them back without waiting for commit.
+WRITE_BEHIND_BLOCKS = 16
+
 
 def object_id_for_fh(fh: bytes) -> bytes:
     """Map an NFS file handle to a storage object identifier.
@@ -70,24 +82,13 @@ def object_id_for_fh(fh: bytes) -> bytes:
 
 @dataclass
 class StorageNodeParams:
-    """Capacity/cost knobs (defaults approximate a Dell 4400 of the paper)."""
+    """Capacity knobs (defaults approximate a Dell 4400 of the paper)."""
 
     num_disks: int = 8
     disk: DiskParams = field(default_factory=DiskParams)
     channel_bandwidth: float = 72e6
     cache_bytes: int = 200 << 20  # of the node's 256 MB RAM
-    cpu_per_op: float = 25e-6
-    # Read path (buffer copy + transmit) costs more CPU than the receive
-    # path; these bound a node at roughly the paper's 55 MB/s source /
-    # 60 MB/s sink.
-    cpu_read_per_byte: float = 20e-9
-    cpu_write_per_byte: float = 10e-9
-    prefetch_bytes: int = 256 << 10
-    near_seq_window: int = 128 << 10
     sync_interval: float = 1.0
-    # FFS write clustering: once this many dirty blocks accumulate for one
-    # object, the node starts writing them back without waiting for commit.
-    write_behind_blocks: int = 16
 
 
 class StorageNode:
@@ -425,7 +426,7 @@ class StorageNode:
 
     def _do_getattr(self, args, body):
         obj = self.store.get(object_id_for_fh(args.fh))
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        yield from self.host.cpu_work(CPU_PER_OP)
         if obj is None:
             return proto.GetattrRes(NFS3ERR_NOENT).encode(), EMPTY
         return proto.GetattrRes(NFS3_OK, self._attrs(args.fh, obj)).encode(), EMPTY
@@ -434,11 +435,11 @@ class StorageNode:
         oid = object_id_for_fh(args.fh)
         misdirected, my_sites = self._hosted_check(args.fh, args.offset)
         if misdirected:
-            yield from self.host.cpu_work(self.params.cpu_per_op)
+            yield from self.host.cpu_work(CPU_PER_OP)
             return proto.ReadRes(SLICEERR_MISDIRECTED).encode(), EMPTY
         yield from self._await_barriers(my_sites)
         yield from self.host.cpu_work(
-            self.params.cpu_per_op + self.params.cpu_read_per_byte * args.count
+            CPU_PER_OP + CPU_READ_PER_BYTE * args.count
         )
         obj = self.store.get(oid)
         request_end = args.offset + args.count
@@ -456,7 +457,7 @@ class StorageNode:
                 if previous is None and first_local <= 1:
                     previous = first_local - 1  # stream starting at the head
                 self._last_local[oid] = last_local
-                window = max(1, self.params.near_seq_window // BLOCK_SIZE)
+                window = max(1, NEAR_SEQ_WINDOW // BLOCK_SIZE)
                 if previous is not None and 0 <= first_local - previous <= window:
                     self._start_prefetch(oid, obj, previous + 1, last_local)
         # Bring the requested blocks in (holes cost nothing).
@@ -487,7 +488,7 @@ class StorageNode:
         amortizes its seek over a long run instead of chasing the reader
         four blocks at a time.
         """
-        depth = max(1, self.params.prefetch_bytes // BLOCK_SIZE)
+        depth = max(1, PREFETCH_BYTES // BLOCK_SIZE)
         prefetched = self._prefetched_local.get(oid, -1)
         ahead = prefetched - last_local
         if ahead >= depth // 2:
@@ -518,11 +519,11 @@ class StorageNode:
         oid = object_id_for_fh(args.fh)
         misdirected, my_sites = self._hosted_check(args.fh, args.offset)
         if misdirected:
-            yield from self.host.cpu_work(self.params.cpu_per_op)
+            yield from self.host.cpu_work(CPU_PER_OP)
             return proto.WriteRes(SLICEERR_MISDIRECTED).encode(), EMPTY
         yield from self._await_barriers(my_sites)
         yield from self.host.cpu_work(
-            self.params.cpu_per_op + self.params.cpu_write_per_byte * args.count
+            CPU_PER_OP + CPU_WRITE_PER_BYTE * args.count
         )
         # Re-check after the yields above: a reconfiguration may have
         # relinquished the target site while this request was waiting on a
@@ -549,7 +550,7 @@ class StorageNode:
         # Write clustering: start flushing early so a later commit only
         # waits for the tail of the stream.
         dirty = self._dirty.get(oid)
-        if dirty is not None and len(dirty) >= self.params.write_behind_blocks:
+        if dirty is not None and len(dirty) >= WRITE_BEHIND_BLOCKS:
             self.sim.process(
                 self._flush_object(oid), name=f"wb-cluster:{self.host.name}"
             )
@@ -571,7 +572,7 @@ class StorageNode:
 
     def _do_commit(self, args, body):
         oid = object_id_for_fh(args.fh)
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        yield from self.host.cpu_work(CPU_PER_OP)
         obj = self.store.get(oid)
         if obj is not None:
             count = None if args.count == 0 else args.count
@@ -596,7 +597,7 @@ class StorageNode:
     # -- control service ---------------------------------------------------
 
     def _ctrl_service(self, proc: int, dec: Decoder, body, src):
-        yield from self.host.cpu_work(self.params.cpu_per_op)
+        yield from self.host.cpu_work(CPU_PER_OP)
         if proc == ctrlproto.CTRL_PING:
             return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == ctrlproto.CTRL_OBJ_REMOVE:
@@ -642,9 +643,7 @@ class StorageNode:
             # not yet committed still travel with the object.
             args = ctrlproto.RangeArgs.decode(dec)
             oid = object_id_for_fh(args.fh)
-            yield from self.host.cpu_work(
-                self.params.cpu_read_per_byte * args.count
-            )
+            yield from self.host.cpu_work(CPU_READ_PER_BYTE * args.count)
             obj = self.store.get(oid)
             if obj is None:
                 return ctrlproto.ReadRes(False, 0).encode(), EMPTY
@@ -666,9 +665,7 @@ class StorageNode:
             # these writes land.  FILE_SYNC semantics: durable on reply.
             args = ctrlproto.RangeArgs.decode(dec)
             oid = object_id_for_fh(args.fh)
-            yield from self.host.cpu_work(
-                self.params.cpu_write_per_byte * args.count
-            )
+            yield from self.host.cpu_work(CPU_WRITE_PER_BYTE * args.count)
             obj = self.store.get(oid, create=True)
             self.fh_of[oid] = args.fh
             data = body.slice(0, args.count)

@@ -46,6 +46,9 @@ _WEIGHTS = [w for _n, w in SFS97_MIX]
 # I/O transfer size distribution (bytes, weight): mostly small transfers.
 _XFER_SIZES = [(8 << 10, 40), (16 << 10, 30), (32 << 10, 30)]
 
+# The self-scaling file set: bytes per op/s of offered load.
+FILESET_BYTES_PER_IOPS = 1 << 20
+
 
 @dataclass
 class SfsConfig:
@@ -54,14 +57,13 @@ class SfsConfig:
     warmup: float = 2.0
     window: float = 8.0
     fileset: Optional[FilesetSpec] = None
-    fileset_bytes_per_iops: float = 1 << 20  # self-scaling knob
     seed: int = 0
 
     def resolved_fileset(self) -> FilesetSpec:
         if self.fileset is not None:
             return self.fileset
         return FilesetSpec.for_bytes(
-            int(self.offered_load * self.fileset_bytes_per_iops),
+            int(self.offered_load * FILESET_BYTES_PER_IOPS),
             seed=self.seed,
         )
 

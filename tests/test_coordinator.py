@@ -366,3 +366,43 @@ def test_mirror_write_recovery_with_no_donor_is_noop():
     assert coord.recoveries == 1
     oid = object_id_for_fh(fh)
     assert all(oid not in node.store for node in nodes)
+
+
+def test_watchdog_survives_a_donor_that_crashes_mid_repair():
+    """The donor of a mirror-write repair answers its STAT and crashes
+    before the copy: the read's timeout leaves the intention pending, the
+    watchdog lives on, and a later pass repairs the lagging replica once
+    the donor is back."""
+    sim, net, client, coord, nodes = build(num_nodes=2)
+    fh = make_fh(16)
+    donor = nodes[0]
+    serve_ctrl = donor._ctrl_service
+
+    def crash_after_stat(proc, dec, body, src):
+        result = yield from serve_ctrl(proc, dec, body, src)
+        if proc == ctrlproto.CTRL_OBJ_STAT and donor.host.up:
+            sim.call_at(sim.now, donor.crash)  # once the reply is sent
+        return result
+
+    donor.server.register(ctrlproto.SLICE_CTRL_PROGRAM, crash_after_stat)
+
+    def run():
+        yield from write_to_node(
+            client, donor, fh, 0, RealData(b"mirrored"), stable=FILE_SYNC
+        )
+        intent = cp.Intent(
+            99, cp.K_MIRROR_WRITE, fh, 0, 8,
+            [(n.address.host, n.address.port) for n in nodes],
+        )
+        yield from coord_call(client, coord, cp.COORD_INTENT, intent.encode())
+        yield sim.timeout(60 - sim.now)
+        donor.server.register(ctrlproto.SLICE_CTRL_PROGRAM, serve_ctrl)
+        donor.restart()
+        yield sim.timeout(60)
+        dec, body = yield from read_from_node(client, nodes[1], fh, 0, 8)
+        return body.to_bytes()
+
+    assert sim.run_process(run()) == b"mirrored"
+    assert sim.crashed_processes == []
+    assert coord.recoveries == 2  # the failed pass, then the repair
+    assert coord.pending == {}

@@ -214,9 +214,9 @@ _SCOPED_COUNTERS = {
                "absorb.commit"},
     "uproxy:client0": {
         "requests_routed", "replies_returned", "synthesized",
-        "commits_absorbed", "misdirects_seen", "retransmissions",
-        "attr_cache_hits", "attr_cache_misses", "block_map_hits",
-        "block_map_misses",
+        "commits_absorbed", "misdirects_seen", "replies_dropped",
+        "retransmissions", "attr_cache_hits", "attr_cache_misses",
+        "block_map_hits", "block_map_misses",
     },
 }
 for _sf in ("sf:sf0", "sf:sf1"):

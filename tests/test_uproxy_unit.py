@@ -403,6 +403,43 @@ def test_synthesized_getattr_reply_arrives_when_it_did():
         "0.008889090424242421", "0.00894409042424242")
 
 
+class _CutFirstGetattrReply:
+    """Ingress filter ahead of the µproxy: cuts the first reply to a
+    pending GETATTR to 48 header bytes (its status and 20 bytes of its
+    fattr3)."""
+
+    def __init__(self, proxy):
+        self.proxy = proxy
+        self.cut_from = []
+
+    def inbound(self, pkt):
+        xid = int.from_bytes(pkt.header[:4], "big")
+        rec = self.proxy.pending.get((pkt.dst.port, xid))
+        if not self.cut_from and rec is not None \
+                and rec.proc == proto.PROC_GETATTR:
+            self.cut_from.append(len(pkt.header))
+            pkt.header = pkt.header[:48]
+        return (pkt,)
+
+
+def test_undecodable_reply_is_dropped_and_the_retransmission_recovers():
+    """The µproxy holding the pending record drops and counts a reply it
+    cannot decode, and the client's retransmission gets the whole reply."""
+    cluster = small_cluster()
+    client, proxy = cluster.add_client()
+    cutter = _CutFirstGetattrReply(proxy)
+    client.host.ingress_filters.insert(0, cutter)
+
+    def run():
+        res = yield from client.getattr(cluster.root_fh)
+        return res.status
+
+    assert cluster.run(run()) == NFS3_OK
+    assert cutter.cut_from == [112]
+    assert proxy.counters()["replies_dropped"] == 1
+    assert cluster.sim.crashed_processes == []
+
+
 # -- every procedure's route ----------------------------------------------------
 
 #: (procedure, the µproxy tracer counts its request adds, by one each)

@@ -366,7 +366,7 @@ class UProxy(PacketFilter):
     def _route_call(self, pkt: Packet, call: CallHeader, dec: Decoder):
         proc = call.proc
         key = (pkt.src.port, call.xid)
-        now = self.host.clock()
+        now = self.sim.now
         tracer = self.tracer
         if tracer is not None:
             pkt.trace_id = tracer.call_intercepted(
@@ -492,7 +492,7 @@ class UProxy(PacketFilter):
         self.cost.rewrite(6)
         self.requests_routed += 1
         if self.tracer is not None:
-            self.tracer.route(pkt.src, key[1], self.host.clock(), dst, reason,
+            self.tracer.route(pkt.src, key[1], self.sim.now, dst, reason,
                               site=rec.site, **attrs)
             self.tracer.rewrite_check(pkt, check)
         return (pkt,)
@@ -515,7 +515,7 @@ class UProxy(PacketFilter):
         self.replies_returned += 1
         if self.tracer is not None:
             reply.trace_id = self.tracer.trace_id_of(client_addr, xid)
-            self.tracer.reply_sent(client_addr, xid, self.host.clock(),
+            self.tracer.reply_sent(client_addr, xid, self.sim.now,
                                    synthesized=True, **trace_attrs)
         self.host.loopback(reply)
 
@@ -579,7 +579,7 @@ class UProxy(PacketFilter):
                 pass
             statuses.append(NFS3ERR_IO if res is None else res.status)
             if tracer is not None:
-                tracer.segment(client_addr, xid, self.host.clock(),
+                tracer.segment(client_addr, xid, self.sim.now,
                                seg_off, seg_len, addr,
                                -1 if res is None else res.status)
             return res, body
@@ -624,7 +624,7 @@ class UProxy(PacketFilter):
         else:
             size = entry.attrs.size
             attrs = entry.attrs.copy()
-            self.attr_cache.note_read(fh, self.host.clock())
+            self.attr_cache.note_read(fh, self.sim.now)
         start = segments[0][0]
         want = min(sum(length for _o, length in segments),
                    max(0, size - start))
@@ -788,7 +788,7 @@ class UProxy(PacketFilter):
         coord = coordinator_for(fileid, self.coordinators)
         op_id = (self.proxy_id << 32) | next(self._op_counter)
         if tracer is not None:
-            tracer.route(client_addr, xid, self.host.clock(),
+            tracer.route(client_addr, xid, self.sim.now,
                          targets[0] if targets else "-", "commit-fanout",
                          fanout=len(targets), op_id=op_id)
         if coord is not None and len(targets) > 1:
@@ -904,7 +904,7 @@ class UProxy(PacketFilter):
         re-routes via the new tables."""
         self.misdirects_seen += 1
         if self.tracer is not None:
-            self.tracer.misdirected(client_addr, xid, self.host.clock())
+            self.tracer.misdirected(client_addr, xid, self.sim.now)
         self._refresh_tables()
 
     def _finish(self, pkt: Packet, key) -> Tuple[Packet, ...]:
@@ -913,7 +913,7 @@ class UProxy(PacketFilter):
         self.cost.rewrite(6)
         self.replies_returned += 1
         if self.tracer is not None:
-            self.tracer.reply_sent(pkt.dst, key[1], self.host.clock())
+            self.tracer.reply_sent(pkt.dst, key[1], self.sim.now)
             self.tracer.rewrite_check(pkt, "finish")
         return (pkt,)
 
@@ -967,7 +967,7 @@ class UProxy(PacketFilter):
                 name=f"uproxy-readfix:{self.host.name}",
             )
             return ()
-        self.attr_cache.note_read(fh, self.host.clock())
+        self.attr_cache.note_read(fh, self.sim.now)
         self.cost.softstate()
         size = entry.attrs.size
         expected = min(rec.count, max(0, size - rec.offset))
@@ -1150,7 +1150,7 @@ class UProxy(PacketFilter):
         except RpcTimeout:
             return
         if res.status == NFS3_OK:
-            self.attr_cache.mark_clean(fh.fileid, self.host.clock())
+            self.attr_cache.mark_clean(fh.fileid, self.sim.now)
         else:
             self.attr_cache.drop(fh.fileid)  # stale handle etc.
 

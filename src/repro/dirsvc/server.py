@@ -264,9 +264,6 @@ class DirectoryServer:
                 self.sim.process(self._reclaim(cell.to_fh(self.volume)),
                                  name=f"reclaim:{self.host.name}")
 
-    def _now(self) -> float:
-        return self.host.clock()
-
     def _fh(self, raw: bytes) -> FHandle:
         try:
             return FHandle.unpack(raw)
@@ -469,7 +466,7 @@ class DirectoryServer:
             return proto.SetattrRes(NFS3ERR_STALE)
         if args.guard_ctime is not None and abs(cell.ctime - args.guard_ctime) > 1e-6:
             return proto.SetattrRes(NFS3ERR_NOT_SYNC)
-        now = self._now()
+        now = self.sim.now
         sattr = args.sattr
         cell = AttrCell(**vars(cell))
         if sattr.mode is not None:
@@ -538,7 +535,7 @@ class DirectoryServer:
                     existing.target_site, target_fh.key
                 )
                 return None, (target_fh, attr)
-            now = self._now()
+            now = self.sim.now
             flags = FLAG_MIRRORED if ftype == NF3REG and self.mirror_files else 0
             cell = AttrCell(
                 fileid=state.alloc_fileid(), ftype=ftype,
@@ -584,7 +581,7 @@ class DirectoryServer:
         site = self.config.mkdir_site(dir_fh, args.name)
         entry_site = self.config.entry_site(dir_fh, args.name)
         state = self._state(site)
-        now = self._now()
+        now = self.sim.now
         cell = AttrCell(
             fileid=state.alloc_fileid(), ftype=NF3DIR,
             mode=args.sattr.mode if args.sattr.mode is not None else 0o755,
@@ -626,7 +623,7 @@ class DirectoryServer:
             raise _OpError(NFS3ERR_NOTDIR)
         site = self.config.entry_site(dir_fh, name)
         state = self._state(site)
-        now = self._now()
+        now = self.sim.now
 
         def build():
             cell = state.get_name_cell(dir_fh.fileid, name)
@@ -689,7 +686,7 @@ class DirectoryServer:
             raise _OpError(NFS3ERR_ISDIR)
         site = self.config.entry_site(dir_fh, args.name)
         self._state(site)
-        now = self._now()
+        now = self.sim.now
         name_cell = NameCell(
             dir_fh.fileid, args.name, file_fh.fileid, file_fh.ftype,
             file_fh.flags, file_fh.home_site,
@@ -719,7 +716,7 @@ class DirectoryServer:
         to_site = self.config.entry_site(to_dir, args.to_name)
         from_site = self.config.entry_site(from_dir, args.from_name)
         state = self._state(to_site)
-        now = self._now()
+        now = self.sim.now
         keys = {(to_site, name_key_for(to_dir.fileid, args.to_name))}
         if from_site in self.sites:
             keys.add((from_site, name_key_for(from_dir.fileid, args.from_name)))

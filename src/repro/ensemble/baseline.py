@@ -236,7 +236,7 @@ class MonolithicServer:
         if procnum >= len(proto.PROCS):
             raise RpcAcceptError(PROC_UNAVAIL)
         yield from self.host.cpu_work(CPU_PER_OP)
-        now = self.host.clock()
+        now = self.sim.now
         self.ops_served += 1
         if procnum == proto.PROC_NULL:
             return b"", EMPTY

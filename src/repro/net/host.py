@@ -8,7 +8,7 @@ the powers the Slice µproxy is granted (§2.1 of the paper).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List
 
 from repro.sim import Link, Resource, Simulator
 from .address import Address
@@ -41,18 +41,13 @@ class Host:
         sim: Simulator,
         name: str,
         network: "Network",
-        cpu_cores: int = 1,
         cpu_speedup: float = 1.0,
-        link_bandwidth: Optional[float] = None,
-        clock_skew: float = 0.0,
     ):
         self.sim = sim
         self.name = name
         self.network = network
-        self.cpu = Resource(sim, cpu_cores)
+        self.cpu = Resource(sim, 1)
         self.cpu_speedup = cpu_speedup
-        self.link_bandwidth = link_bandwidth  # None: network default
-        self.clock_skew = clock_skew
         self.up = True
         self.handlers: Dict[int, Callable[[Packet], None]] = {}
         self.egress_filters: List[PacketFilter] = []
@@ -63,11 +58,7 @@ class Host:
         self.packets_received = 0
         self.packets_dropped = 0
 
-    # -- time ------------------------------------------------------------
-
-    def clock(self) -> float:
-        """Local wall-clock (NTP-synchronized up to a bounded skew)."""
-        return self.sim.now + self.clock_skew
+    # -- CPU ---------------------------------------------------------------
 
     def cpu_work(self, seconds: float):
         """Generator: occupy one CPU core for ``seconds`` of reference work.

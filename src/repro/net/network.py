@@ -86,22 +86,11 @@ class Network:
     def add_host(
         self,
         name: str,
-        cpu_cores: int = 1,
         cpu_speedup: float = 1.0,
-        link_bandwidth: Optional[float] = None,
-        clock_skew: float = 0.0,
     ) -> Host:
         if name in self.hosts:
             raise ValueError(f"duplicate host name: {name}")
-        host = Host(
-            self.sim,
-            name,
-            self,
-            cpu_cores=cpu_cores,
-            cpu_speedup=cpu_speedup,
-            link_bandwidth=link_bandwidth,
-            clock_skew=clock_skew,
-        )
+        host = Host(self.sim, name, self, cpu_speedup=cpu_speedup)
         self.hosts[name] = host
         self._output_ports[name] = Link(self.sim)
         return host
@@ -131,9 +120,6 @@ class Network:
         """Serialization time for ``size`` payload bytes incl. framing."""
         frames = max(1, math.ceil(size / self.params.mtu))
         return (size + frames * self.params.frame_overhead) / bandwidth
-
-    def _link_bw(self, host: Host) -> float:
-        return host.link_bandwidth or self.params.bandwidth
 
     # -- data path ---------------------------------------------------------
 
@@ -182,7 +168,7 @@ class Network:
         the receiver, after propagation and fabric latency."""
         params = self.params
         depart = src_host.nic_tx.reserve(
-            self.wire_time(packet.size, self._link_bw(src_host)), sent)
+            self.wire_time(packet.size, params.bandwidth), sent)
         when = depart + (params.propagation + params.fabric_latency)
         if src_host is dst_host:
             # Same-host traffic short-circuits the switch output port.
@@ -196,7 +182,7 @@ class Network:
         propagation.  The port is booked here, not at send time, so packets
         from different NICs take it in the order they reach it."""
         depart = self._output_ports[dst_host.name].reserve(
-            self.wire_time(packet.size, self._link_bw(dst_host)), sent)
+            self.wire_time(packet.size, self.params.bandwidth), sent)
         self.sim.call_at(depart + self.params.propagation, self._arrive,
                          dst_host, packet)
 

@@ -15,9 +15,9 @@ The rebalancer executes the storage moves of a
    live in a moved site's stripe blocks are copied, over the ctrl-plane
    ``CTRL_OBJ_READ`` / ``CTRL_MIGRATE_WRITE`` procs (which merge the
    unstable overlay and bypass site checks and barriers by construction).
-   Each unit is guarded by a ``K_MIGRATE`` intention at a coordinator, so
-   a crashed rebalancer or node leaves a recoverable record instead of a
-   stranded placement.
+   Each unit is guarded by a ``K_MIGRATE`` intention at the coordinator
+   that holds the file (``coordinator_for``), so a crashed rebalancer or
+   node leaves a recoverable record instead of a stranded placement.
 4. As each site finishes, its **barrier drops** and queued client requests
    proceed against the fully-populated new binding.
 
@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.net import Address
 from repro.nfs.fhandle import FHandle
-from repro.rpc import RpcClient, RpcTimeout
+from repro.rpc import RpcClient
 from repro.storage import coordproto as cp
-from repro.storage import ctrlproto
+from repro.storage.coordinator import call_or_none, coordinator_for, copy_range
 from repro.storage.node import PSEUDO_VOLUME_BASE
 
 from .plan import RebindPlan, SiteMove
@@ -217,52 +218,44 @@ class Rebalancer:
                 unit.object_id, unit.site, unit.src, unit.dst, self.sim.now
             )
         op_id = (0xEB << 40) | next(self._op_counter)
-        yield from self._log_intent(unit, op_id)
-        moved = yield from self._copy_ranges(unit)
-        if moved is None:
-            return  # gave up: leave the intention (and the trace) open
-        yield from self._complete_intent(op_id)
-        report.units_moved += 1
-        report.bytes_moved += moved
-        if tracer is not None:
-            tracer.migration_finished(unit.object_id, unit.site, self.sim.now)
-
-    def _coordinator(self) -> Optional[Address]:
-        addrs = getattr(self.cluster, "coordinator_addrs", None)
-        return addrs[0] if addrs else None
-
-    def _log_intent(self, unit: MigrationUnit, op_id: int):
-        coord = self._coordinator()
-        if coord is None:
-            return
+        coord = coordinator_for(FHandle.unpack(unit.fh).fileid,
+                                self.cluster.coordinator_addrs)
         lo, hi = unit.span
         intent = cp.Intent(
             op_id, cp.K_MIGRATE, unit.fh, lo, hi - lo,
             [(unit.src.host, unit.src.port), (unit.dst.host, unit.dst.port)],
         )
-        for _ in range(self.MAX_RETRIES):
-            try:
-                yield from self.client.call(
-                    coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                    cp.COORD_INTENT, intent.encode(),
-                )
-                return
-            except RpcTimeout:
-                yield self.sim.timeout(self.RETRY_DELAY)
+        yield from self._tell(coord, cp.COORD_INTENT, intent.encode())
+        moved = yield from self._copy_ranges(unit)
+        if moved is None:
+            return  # gave up: leave the intention (and the trace) open
+        yield from self._tell(
+            coord, cp.COORD_COMPLETE, cp.CompleteArgs(op_id).encode()
+        )
+        report.units_moved += 1
+        report.bytes_moved += moved
+        if tracer is not None:
+            tracer.migration_finished(unit.object_id, unit.site, self.sim.now)
 
-    def _complete_intent(self, op_id: int):
-        coord = self._coordinator()
+    def _retry(self, attempt):
+        """Generator: run the call ``attempt()`` until it returns a value,
+        pausing RETRY_DELAY after each try that returns None or times out;
+        None on give-up."""
+        for _ in range(self.MAX_RETRIES):
+            result = yield from call_or_none(attempt())
+            if result is not None:
+                return result
+            yield self.sim.timeout(self.RETRY_DELAY)
+        return None
+
+    def _tell(self, coord: Optional[Address], proc: int, args: bytes):
+        """Send one intention-log call to ``coord`` (if any), retried."""
         if coord is None:
             return
-        for _ in range(self.MAX_RETRIES):
-            try:
-                yield from self.client.call(
-                    coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
-                    cp.COORD_COMPLETE, cp.CompleteArgs(op_id).encode(),
-                )
-                return
-            except RpcTimeout:
-                yield self.sim.timeout(self.RETRY_DELAY)
+        yield from self._retry(partial(
+            self.client.call, coord, cp.SLICE_COORD_PROGRAM, cp.COORD_V1,
+            proc, args,
+        ))
 
     def _copy_ranges(self, unit: MigrationUnit):
         """Copy every chunk; returns bytes moved, or None on give-up."""
@@ -271,39 +264,15 @@ class Rebalancer:
             pos = lo
             while pos < hi:
                 stop = min(hi, pos + self.CHUNK)
-                copied = yield from self._copy_chunk(unit, pos, stop - pos)
+                copied = yield from self._retry(partial(
+                    copy_range, self.client, unit.src, [unit.dst], unit.fh,
+                    pos, stop - pos,
+                ))
                 if copied is None:
                     return None
                 moved += copied
                 pos = stop
         return moved
-
-    def _copy_chunk(self, unit: MigrationUnit, offset: int, count: int):
-        """One ctrl-plane read/write round trip, retried across crashes."""
-        for _ in range(self.MAX_RETRIES):
-            try:
-                dec, data = yield from self.client.call(
-                    unit.src, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                    ctrlproto.CTRL_OBJ_READ,
-                    ctrlproto.RangeArgs(unit.fh, offset, count).encode(),
-                )
-            except RpcTimeout:
-                yield self.sim.timeout(self.RETRY_DELAY)
-                continue
-            res = ctrlproto.ReadRes.decode(dec)
-            if not res.exists or data.length == 0:
-                return 0  # hole (or the object vanished): nothing to copy
-            try:
-                yield from self.client.call(
-                    unit.dst, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                    ctrlproto.CTRL_MIGRATE_WRITE,
-                    ctrlproto.RangeArgs(unit.fh, offset, data.length).encode(),
-                    data,
-                )
-                return data.length
-            except RpcTimeout:
-                yield self.sim.timeout(self.RETRY_DELAY)
-        return None
 
 
 def _merge_ranges(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:

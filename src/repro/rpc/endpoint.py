@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.net import Address, Host, Packet
 from repro.util.bytesim import EMPTY, Data
@@ -42,14 +42,15 @@ class RpcAcceptError(Exception):
 
 class _Pending:
     """One outstanding call: where its reply must come from, the event its
-    current attempt waits on, and the reply once it came."""
+    current attempt waits on, and the reply once it came: its accept
+    status, a decoder positioned at its results, and its body."""
 
     __slots__ = ("dst", "wake", "reply")
 
     def __init__(self, dst: Address):
         self.dst = dst
         self.wake = None
-        self.reply: Optional[Packet] = None
+        self.reply: Optional[Tuple[int, Decoder, Data]] = None
 
 
 def _expire(wake) -> None:
@@ -95,6 +96,7 @@ class RpcClient:
         self._pending: Dict[int, _Pending] = {}
         self.retransmissions = 0
         self.calls_completed = 0
+        self.replies_dropped = 0
         host.bind(port, self._on_packet)
 
     @property
@@ -112,8 +114,15 @@ class RpcClient:
             return  # late duplicate
         if pkt.src != pending.dst:
             return  # reply from an unexpected server: ignore
+        dec = Decoder(pkt.header)
+        try:
+            accept_stat = ReplyHeader.decode(dec).accept_stat
+        except XdrError:
+            # Undecodable: a lost reply, the retransmission recovers.
+            self.replies_dropped += 1
+            return
         del self._pending[xid]
-        pending.reply = pkt
+        pending.reply = (accept_stat, dec, pkt.body)
         if not pending.wake.triggered:
             pending.wake.succeed()
 
@@ -178,13 +187,11 @@ class RpcClient:
                 )
         finally:
             self._pending.pop(xid, None)
-        reply_pkt: Packet = pending.reply
-        dec = Decoder(reply_pkt.header)
-        reply = ReplyHeader.decode(dec)
-        if reply.accept_stat != SUCCESS:
-            raise RpcAcceptError(reply.accept_stat)
+        accept_stat, dec, body = pending.reply
+        if accept_stat != SUCCESS:
+            raise RpcAcceptError(accept_stat)
         self.calls_completed += 1
-        return dec, reply_pkt.body
+        return dec, body
 
 
 class RpcServer:
@@ -282,7 +289,7 @@ class RpcServer:
         if tracer is not None:
             if key in self._executed:
                 tracer.duplicate_execution(
-                    self.trace_component, key, self.host.clock()
+                    self.trace_component, key, self.host.sim.now
                 )
             else:
                 self._executed[key] = True
@@ -290,7 +297,7 @@ class RpcServer:
                     self._executed.popitem(last=False)
             span = tracer.server_begin(
                 self.trace_component, pkt.trace_id, call.proc,
-                self.host.clock(),
+                self.host.sim.now,
             )
         try:
             gen = service(call.proc, dec, pkt.body, pkt.src)
@@ -314,14 +321,14 @@ class RpcServer:
             self._drc.pop(key, None)
             self._executed.pop(key, None)
             if tracer is not None:
-                tracer.server_end(span, self.host.clock(), dropped=True)
+                tracer.server_end(span, self.host.sim.now, dropped=True)
             return
         result_bytes, reply_body = result
         header = ReplyHeader(call.xid).encode().to_bytes() + result_bytes
         self._drc_put(key, (header, reply_body))
         self.requests_handled += 1
         if tracer is not None:
-            tracer.server_end(span, self.host.clock())
+            tracer.server_end(span, self.host.sim.now)
         self.host.send(
             self._reply_packet(pkt.src, header, reply_body, pkt.trace_id)
         )
@@ -332,7 +339,7 @@ class RpcServer:
         header = ReplyHeader(xid, accept_stat).encode().to_bytes()
         self._drc_put(key, (header, EMPTY))
         if self.tracer is not None:
-            self.tracer.server_end(span, self.host.clock(),
+            self.tracer.server_end(span, self.host.sim.now,
                                    accept_stat=accept_stat)
         self.host.send(
             self._reply_packet(pkt.src, header, EMPTY, pkt.trace_id)

@@ -336,7 +336,7 @@ class SmallFileServer:
         return self.core.states.get(site)
 
     def _attrs(self, fh: FHandle, size: int) -> Fattr3:
-        now = self.host.clock()
+        now = self.sim.now
         return Fattr3(
             ftype=NF3REG, size=size, used=size, fileid=fh.fileid,
             atime=now, mtime=now, ctime=now,

@@ -5,8 +5,11 @@ storage sites.  The basic protocol, as in the paper: the requester sends an
 *intention* before starting the operation; the coordinator logs it to stable
 storage; on completion the requester sends a *completion*, asynchronously
 clearing the intention.  A watchdog probes overdue intentions and finishes
-or repairs the operation; a crashed coordinator recovers by scanning its
-intention log.
+or repairs the operation; a crashed coordinator recovers by playing its
+stable log through the same ``_play`` the live paths use, then running
+what the log left open.  Every intention runs one way (``_run_intent``),
+whether a reclaim runs it live, the watchdog, or recovery, and closes only
+once its run finished.
 
 It also manages optional per-file block maps used by dynamic I/O routing
 policies: the µproxies fetch and cache map fragments as they route bulk I/O.
@@ -29,7 +32,10 @@ from . import coordproto as cp
 from . import ctrlproto
 from .node import object_id_for_fh
 
-__all__ = ["Coordinator", "CoordinatorParams", "COORD_PORT", "coordinator_for"]
+__all__ = [
+    "Coordinator", "CoordinatorParams", "COORD_PORT", "call_or_none",
+    "coordinator_for", "copy_range",
+]
 
 COORD_PORT = 4049
 CPU_PER_OP = 20e-6
@@ -50,6 +56,50 @@ def coordinator_for(fileid: int,
     return coordinators[
         md5_u64(b"coord:" + fileid.to_bytes(8, "big")) % len(coordinators)
     ]
+
+
+def call_or_none(call):
+    """Generator: run the RPC generator ``call``; returns its reply, or
+    None when the callee never answered (it is down)."""
+    try:
+        return (yield from call)
+    except RpcTimeout:
+        return None
+
+
+def copy_range(client: RpcClient, src: Address, dsts: Sequence[Address],
+               fh: bytes, offset: int, count: int):
+    """Generator: copy ``fh``'s bytes [offset, offset+count) from ``src``
+    to every address in ``dsts``.
+
+    The copy travels the ctrl plane (CTRL_OBJ_READ / CTRL_MIGRATE_WRITE):
+    it must reach the node that physically holds the bytes even while a
+    reconfiguration is redrawing the hosted-site map, so it bypasses site
+    checks and barriers.  Returns the bytes copied (0 when ``src`` holds
+    none of them), or None when ``src`` or a destination did not answer;
+    every write is stable and idempotent, so the caller may simply retry.
+    """
+    reply = yield from call_or_none(client.call(
+        src, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
+        ctrlproto.CTRL_OBJ_READ,
+        ctrlproto.RangeArgs(fh, offset, count).encode(),
+    ))
+    if reply is None:
+        return None
+    dec, data = reply
+    if not ctrlproto.ReadRes.decode(dec).exists or data.length == 0:
+        return 0
+    copied = data.length
+    for dst in dsts:
+        written = yield from call_or_none(client.call(
+            dst, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
+            ctrlproto.CTRL_MIGRATE_WRITE,
+            ctrlproto.RangeArgs(fh, offset, data.length).encode(),
+            data,
+        ))
+        if written is None:
+            copied = None
+    return copied
 
 
 class Coordinator:
@@ -132,12 +182,7 @@ class Coordinator:
             yield from self._log_intent(cp.Intent.decode(dec))
             return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == cp.COORD_COMPLETE:
-            op_id = cp.CompleteArgs.decode(dec).op_id
-            self.pending.pop(op_id, None)
-            # Completions clear intentions asynchronously (no sync stall).
-            self.log.append({"type": "complete", "op_id": op_id})
-            if self.tracer is not None:
-                self.tracer.intent_completed(op_id, self.sim.now)
+            self._complete(cp.CompleteArgs.decode(dec).op_id)
             return ctrlproto.StatusRes(0).encode(), EMPTY
         if proc == cp.COORD_GET_MAP:
             args = cp.GetMapArgs.decode(dec)
@@ -157,29 +202,53 @@ class Coordinator:
                 [(a.host, a.port) for a in self.data_sites],
             )
             yield from self._log_intent(intent)
-            yield from self._execute_reclaim(intent)
-            self.pending.pop(intent.op_id, None)
-            self.log.append({"type": "complete", "op_id": intent.op_id})
-            if self.tracer is not None:
-                self.tracer.intent_completed(intent.op_id, self.sim.now)
-            if args.remove:
-                self.block_maps.pop(object_id_for_fh(args.fh), None)
+            if (yield from self._run_intent(intent)):
+                self._complete(intent.op_id)
+            # else a site is down: the watchdog retries the intention.
             return ctrlproto.StatusRes(0).encode(), EMPTY
         from repro.rpc.endpoint import RpcAcceptError
         from repro.rpc.messages import PROC_UNAVAIL
 
         raise RpcAcceptError(PROC_UNAVAIL)
 
+    # -- the intention log ------------------------------------------------
+
+    def _play(self, rec: Dict) -> None:
+        """Apply one log record: the only code that changes ``pending`` or
+        ``block_maps``, live and at replay.  The completion of a remove
+        drops the removed file's block map."""
+        kind = rec["type"]
+        if kind == "intent":
+            intent = rec["intent"]
+            self.pending[intent.op_id] = (intent, rec["at"])
+        elif kind == "complete":
+            entry = self.pending.pop(rec["op_id"], None)
+            if entry is not None and entry[0].kind == cp.K_REMOVE:
+                self.block_maps.pop(object_id_for_fh(entry[0].fh), None)
+        else:  # "map"
+            self.block_maps.setdefault(rec["key"], {})[rec["block"]] = rec["site"]
+
+    def _record(self, rec: Dict) -> None:
+        """Play ``rec`` and append it to the log (volatile until a sync)."""
+        self._play(rec)
+        self.log.append(rec)
+
     def _log_intent(self, intent: cp.Intent):
         """Hold ``intent`` pending and make it durable before answering."""
         now = self.sim.now
-        self.pending[intent.op_id] = (intent, now)
+        self._record({"type": "intent", "intent": intent, "at": now})
         self.intents_logged += 1
         if self.tracer is not None:
             self.tracer.intent_logged(intent.op_id, intent.kind, now)
-        yield from self.log.append_sync(
-            {"type": "intent", **intent._asdict(), "at": now}
-        )
+        yield from self.log.sync()
+
+    def _complete(self, op_id: int) -> None:
+        """Close ``op_id``.  Completions clear intentions asynchronously
+        (no sync stall): a completion lost to a crash re-runs the
+        intention, which is idempotent."""
+        self._record({"type": "complete", "op_id": op_id})
+        if self.tracer is not None:
+            self.tracer.intent_completed(op_id, self.sim.now)
 
     def _internal_op_id(self, fh: bytes, salt: int) -> int:
         digest = hashlib.md5(
@@ -189,181 +258,114 @@ class Coordinator:
 
     def _map_lookup(self, args: cp.GetMapArgs) -> Tuple[List[int], bool]:
         key = object_id_for_fh(args.fh)
-        fmap = self.block_maps.setdefault(key, {})
         sites: List[int] = []
         allocated = False
         for block in range(args.first_block, args.first_block + args.count):
-            site = fmap.get(block)
+            site = self.block_maps.get(key, {}).get(block)
             if site is None:
                 if not args.allocate:
                     sites.append(-1)
                     continue
                 site = self.place_block(args.fh, block)
-                fmap[block] = site
-                self.log.append(
+                self._record(
                     {"type": "map", "key": key, "block": block, "site": site}
                 )
                 allocated = True
             sites.append(site)
         return sites, allocated
 
-    # -- reclaim / recovery execution ------------------------------------
+    # -- running intentions -------------------------------------------------
 
-    def _execute_reclaim(self, intent: cp.Intent):
-        """Fan the remove/truncate out to every data site (idempotent);
-        returns whether every site answered."""
-        procs = []
-        for host, port in intent.sites:
-            procs.append(
-                self.sim.process(self._reclaim_one(Address(host, port), intent))
-            )
-        if procs:
-            yield self.sim.all_of(procs)
-        return all(proc.value for proc in procs)
-
-    def _reclaim_one(self, site: Address, intent: cp.Intent):
-        try:
-            if intent.kind == cp.K_REMOVE:
-                yield from self.client.call(
-                    site, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                    ctrlproto.CTRL_OBJ_REMOVE, ctrlproto.ObjArgs(intent.fh).encode(),
-                )
-            else:
-                yield from self.client.call(
-                    site, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                    ctrlproto.CTRL_OBJ_TRUNCATE,
-                    ctrlproto.TruncateArgs(intent.fh, intent.offset).encode(),
-                )
-        except RpcTimeout:
-            return False  # site down
+    def _run_intent(self, intent: cp.Intent):
+        """Generator: carry out ``intent``'s action (idempotent, so it may
+        run again); returns whether it finished.  A site that did not
+        answer means it did not, and the intention stays pending."""
+        if intent.kind in (cp.K_REMOVE, cp.K_TRUNCATE):
+            return (yield from self._reclaim(intent))
+        if intent.kind == cp.K_COMMIT:
+            return (yield from self._commit(intent))
+        if intent.kind == cp.K_MIRROR_WRITE:
+            return (yield from self._repair_mirrors(intent))
+        if intent.kind == cp.K_MIGRATE:
+            return (yield from self._finish_migration(intent))
         return True
 
-    def _recover_intent(self, intent: cp.Intent):
-        """Finish or repair an overdue/orphaned multi-site operation.
+    def _reclaim(self, intent: cp.Intent):
+        """Fan the remove/truncate out to every data site at once."""
+        if intent.kind == cp.K_REMOVE:
+            proc = ctrlproto.CTRL_OBJ_REMOVE
+            args = ctrlproto.ObjArgs(intent.fh).encode()
+        else:
+            proc = ctrlproto.CTRL_OBJ_TRUNCATE
+            args = ctrlproto.TruncateArgs(intent.fh, intent.offset).encode()
+        procs = [
+            self.sim.process(call_or_none(self.client.call(
+                Address(host, port), ctrlproto.SLICE_CTRL_PROGRAM,
+                ctrlproto.CTRL_V1, proc, args,
+            )))
+            for host, port in intent.sites
+        ]
+        if procs:
+            yield self.sim.all_of(procs)
+        return all(proc.value is not None for proc in procs)
 
-        Each step returns whether it finished; a site that timed out means
-        it did not, and the intent stays pending for the next pass."""
-        self.recoveries += 1
-        if self.tracer is not None:
-            self.tracer.intent_recovered(intent.op_id, self.sim.now)
-        finished = True
-        if intent.kind in (cp.K_REMOVE, cp.K_TRUNCATE):
-            finished = yield from self._execute_reclaim(intent)
-        elif intent.kind == cp.K_COMMIT:
-            finished = yield from self._recover_commit(intent)
-        elif intent.kind == cp.K_MIRROR_WRITE:
-            finished = yield from self._recover_mirror_write(intent)
-        elif intent.kind == cp.K_MIGRATE:
-            finished = yield from self._recover_migrate(intent)
-        if finished:
-            self.pending.pop(intent.op_id, None)
-            self.log.append({"type": "complete", "op_id": intent.op_id})
-
-    def _recover_commit(self, intent: cp.Intent):
+    def _commit(self, intent: cp.Intent):
         finished = True
         for host, port in intent.sites:
-            try:
-                yield from self.client.call(
-                    Address(host, port), proto.NFS_PROGRAM, proto.NFS_V3,
-                    proto.PROC_COMMIT,
-                    proto.CommitArgs(intent.fh, 0, 0).encode(),
-                )
-            except RpcTimeout:
-                finished = False
+            reply = yield from call_or_none(self.client.call(
+                Address(host, port), proto.NFS_PROGRAM, proto.NFS_V3,
+                proto.PROC_COMMIT, proto.CommitArgs(intent.fh, 0, 0).encode(),
+            ))
+            finished = finished and reply is not None
         return finished
 
-    def _recover_mirror_write(self, intent: cp.Intent):
+    def _repair_mirrors(self, intent: cp.Intent):
         """Make mirrors agree on [offset, offset+count): copy from the first
-        replica that holds the range to any replica that does not."""
+        replica that holds the range to every replica that does not."""
         end = intent.offset + intent.count
         stats = []
         for host, port in intent.sites:
             addr = Address(host, port)
-            try:
-                dec, _ = yield from self.client.call(
-                    addr, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                    ctrlproto.CTRL_OBJ_STAT, ctrlproto.ObjArgs(intent.fh).encode(),
-                )
-                stats.append((addr, ctrlproto.ObjStat.decode(dec)))
-            except RpcTimeout:
-                stats.append((addr, None))
+            reply = yield from call_or_none(self.client.call(
+                addr, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
+                ctrlproto.CTRL_OBJ_STAT, ctrlproto.ObjArgs(intent.fh).encode(),
+            ))
+            stats.append((addr, None if reply is None
+                          else ctrlproto.ObjStat.decode(reply[0])))
         finished = all(stat is not None for _addr, stat in stats)
-        donors = [a for a, s in stats if s is not None and s.exists and s.size >= end]
-        if not donors:
+        holders = [a for a, s in stats
+                   if s is not None and s.exists and s.size >= end]
+        if not holders:
             # No replica that answered completed: the client will retransmit.
             return finished
-        donor = donors[0]
-        # Repair traffic travels the ctrl plane (CTRL_OBJ_READ /
-        # CTRL_MIGRATE_WRITE): it must reach the replica that physically
-        # holds the bytes even while a reconfiguration is redrawing the
-        # hosted-site map, so it bypasses site checks and barriers.
-        try:
-            dec, data = yield from self.client.call(
-                donor, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                ctrlproto.CTRL_OBJ_READ,
-                ctrlproto.RangeArgs(
-                    intent.fh, intent.offset, intent.count
-                ).encode(),
-            )
-        except RpcTimeout:
-            return False  # the donor went down after its STAT
-        read = ctrlproto.ReadRes.decode(dec)
-        if not read.exists:
-            return finished
-        for addr, stat in stats:
-            if addr == donor:
-                continue
-            if stat is not None and stat.exists and stat.size >= end:
-                continue
-            try:
-                yield from self.client.call(
-                    addr, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                    ctrlproto.CTRL_MIGRATE_WRITE,
-                    ctrlproto.RangeArgs(
-                        intent.fh, intent.offset, data.length
-                    ).encode(),
-                    data,
-                )
-            except RpcTimeout:
-                finished = False
-        return finished
+        copied = yield from copy_range(
+            self.client, holders[0], [a for a, _s in stats if a not in holders],
+            intent.fh, intent.offset, intent.count,
+        )
+        return finished and copied is not None
 
-    def _recover_migrate(self, intent: cp.Intent):
+    def _finish_migration(self, intent: cp.Intent):
         """Finish a torn object migration: re-copy [offset, offset+count)
         from the old binding (``sites[0]``) to the new one (``sites[1]``).
 
-        Idempotent — re-writing identical stable bytes is harmless, and if
-        the source has since discarded the object the destination copy
+        If the source has since discarded the object, the destination copy
         already landed (the rebalancer removes only after completion)."""
         if len(intent.sites) < 2:
             return True
-        src = Address(*intent.sites[0])
-        dst = Address(*intent.sites[1])
-        try:
-            dec, data = yield from self.client.call(
-                src, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                ctrlproto.CTRL_OBJ_READ,
-                ctrlproto.RangeArgs(
-                    intent.fh, intent.offset, intent.count
-                ).encode(),
-            )
-        except RpcTimeout:
-            return False  # source down
-        read = ctrlproto.ReadRes.decode(dec)
-        if not read.exists or data.length == 0:
-            return True  # source already dropped it: copy must have completed
-        try:
-            yield from self.client.call(
-                dst, ctrlproto.SLICE_CTRL_PROGRAM, ctrlproto.CTRL_V1,
-                ctrlproto.CTRL_MIGRATE_WRITE,
-                ctrlproto.RangeArgs(
-                    intent.fh, intent.offset, data.length
-                ).encode(),
-                data,
-            )
-        except RpcTimeout:
-            return False
-        return True
+        copied = yield from copy_range(
+            self.client, Address(*intent.sites[0]), [Address(*intent.sites[1])],
+            intent.fh, intent.offset, intent.count,
+        )
+        return copied is not None
+
+    def _recover_intent(self, intent: cp.Intent):
+        """Finish or repair an overdue or orphaned intention; it closes only
+        if the run finished, else the next watchdog pass tries again."""
+        self.recoveries += 1
+        if self.tracer is not None:
+            self.tracer.intent_recovered(intent.op_id, self.sim.now)
+        if (yield from self._run_intent(intent)):
+            self._record({"type": "complete", "op_id": intent.op_id})
 
     def _watchdog(self):
         while True:
@@ -390,25 +392,12 @@ class Coordinator:
         self.server.clear_duplicate_cache()
 
     def restart(self) -> None:
-        """Recover state from the stable log, then resume service."""
-        completed = set()
-        intents: Dict[int, Tuple[cp.Intent, float]] = {}
+        """Rebuild ``pending`` and ``block_maps`` by playing the stable log,
+        resume service, and run every intention the log left open."""
+        self.pending.clear()
+        self.block_maps.clear()
         for rec in self.log.stable_records():
-            kind = rec.get("type")
-            if kind == "intent":
-                intents[rec["op_id"]] = (cp.Intent(
-                    rec["op_id"], rec["kind"], rec["fh"], rec["offset"],
-                    rec["count"], [tuple(s) for s in rec["sites"]],
-                ), rec["at"])
-            elif kind == "complete":
-                completed.add(rec["op_id"])
-            elif kind == "map":
-                self.block_maps.setdefault(rec["key"], {})[rec["block"]] = rec["site"]
-        self.pending = {
-            op_id: intent
-            for op_id, intent in intents.items()
-            if op_id not in completed
-        }
+            self._play(rec)
         self.host.restart()
         self.sim.process(self._recover_all(), name=f"coord-recover:{self.host.name}")
 

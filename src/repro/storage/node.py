@@ -404,7 +404,7 @@ class StorageNode:
         except ValueError:
             fileid = int.from_bytes(object_id_for_fh(fh)[:8], "big")
         size = obj.size if obj else 0
-        now = self.host.clock()
+        now = self.sim.now
         return Fattr3(
             ftype=NF3REG, size=size, used=obj.stored_bytes() if obj else 0,
             fileid=fileid, atime=now, mtime=now, ctime=now,

@@ -406,3 +406,143 @@ def test_watchdog_survives_a_donor_that_crashes_mid_repair():
     assert sim.crashed_processes == []
     assert coord.recoveries == 2  # the failed pass, then the repair
     assert coord.pending == {}
+
+
+def test_removed_files_block_map_stays_gone_after_restart():
+    """Replaying the log rebuilds the state the live coordinator had: a
+    reclaim's completion drops the removed file's block map at replay too,
+    not only live."""
+    sim, net, client, coord, nodes = build()
+    fh = make_fh(17)
+    oid = object_id_for_fh(fh)
+
+    def run():
+        yield from coord_call(client, coord, cp.COORD_GET_MAP,
+                              cp.GetMapArgs(fh, 0, 4, allocate=True).encode())
+        yield from coord_call(client, coord, cp.COORD_RECLAIM,
+                              cp.ReclaimArgs(fh).encode())
+        live = oid in coord.block_maps
+        # Another file's placement syncs the log past the completion.
+        yield from coord_call(
+            client, coord, cp.COORD_GET_MAP,
+            cp.GetMapArgs(make_fh(18), 0, 1, allocate=True).encode())
+        coord.crash()
+        yield sim.timeout(0.5)
+        coord.restart()
+        return live, oid in coord.block_maps, dict(coord.pending)
+
+    assert sim.run_process(run()) == (False, False, {})
+
+
+def test_reclaim_with_a_site_down_is_retried_by_the_watchdog():
+    """A remove whose fan-out cannot reach a crashed node leaves its
+    intention pending; once the node is back a watchdog pass removes the
+    object there and closes the intention."""
+    sim, net, client, coord, nodes = build(num_nodes=2)
+    fh = make_fh(19)
+    oid = object_id_for_fh(fh)
+
+    def run():
+        for node in nodes:
+            yield from write_to_node(client, node, fh, 0, RealData(b"doomed"),
+                                     stable=FILE_SYNC)
+        nodes[1].crash()
+        yield from coord_call(client, coord, cp.COORD_RECLAIM,
+                              cp.ReclaimArgs(fh).encode())
+        answered = sim.now
+        assert oid not in nodes[0].store
+        assert len(coord.pending) == 1  # not closed: node 1 never answered
+        nodes[1].restart()
+        assert oid in nodes[1].store
+        recoveries = coord.recoveries
+        yield sim.timeout(60)
+        return answered, coord.recoveries > recoveries
+
+    answered, retried = sim.run_process(run())
+    assert answered > 40  # the fan-out waited out node 1's retransmissions
+    assert retried
+    assert oid not in nodes[1].store
+    assert coord.pending == {}
+
+
+def _replayed(records):
+    """``pending`` and ``block_maps`` of a fresh coordinator that played
+    ``records``."""
+    from types import SimpleNamespace
+
+    shadow = SimpleNamespace(pending={}, block_maps={})
+    for rec in records:
+        Coordinator._play(shadow, rec)
+    return shadow.pending, shadow.block_maps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_playing_the_held_log_gives_the_live_state(seed):
+    """Random GET_MAP/INTENT/COMPLETE/RECLAIM calls, coordinator and node
+    crashes: at random instants while the coordinator is up, playing every
+    record its log holds yields exactly its live ``pending`` and
+    ``block_maps``."""
+    import random
+
+    from repro.rpc import RpcTimeout
+
+    rng = random.Random(seed)
+    sim, net, _client, coord, nodes = build(num_nodes=2)
+    sites = [(n.address.host, n.address.port) for n in nodes]
+    fhs = [make_fh(40 + i) for i in range(4)]
+    op_ids = list(range(1, 9))
+    checks = []
+
+    def caller(port):
+        client = RpcClient(net.add_host(f"caller{port}"), port,
+                           retrans_timeout=0.3, max_tries=3)
+        for _ in range(25):
+            yield sim.timeout(rng.uniform(0.0, 1.5))
+            fh = rng.choice(fhs)
+            pick = rng.randrange(4)
+            if pick == 0:
+                proc = cp.COORD_GET_MAP
+                args = cp.GetMapArgs(fh, rng.randrange(4), rng.randrange(1, 4),
+                                     allocate=rng.random() < 0.7).encode()
+            elif pick == 1:
+                proc = cp.COORD_INTENT
+                kind = rng.choice([cp.K_REMOVE, cp.K_TRUNCATE, cp.K_COMMIT])
+                args = cp.Intent(rng.choice(op_ids), kind, fh, 3, 0,
+                                 sites).encode()
+            elif pick == 2:
+                proc = cp.COORD_COMPLETE
+                args = cp.CompleteArgs(rng.choice(op_ids)).encode()
+            else:
+                proc = cp.COORD_RECLAIM
+                args = cp.ReclaimArgs(fh, rng.random() < 0.5, 2).encode()
+            try:
+                yield from coord_call(client, coord, proc, args)
+            except RpcTimeout:
+                pass  # the coordinator is down
+
+    def crasher():
+        for _ in range(4):
+            yield sim.timeout(rng.uniform(2.0, 8.0))
+            victim = rng.choice([coord] + nodes)
+            victim.crash()
+            yield sim.timeout(rng.uniform(0.1, 3.0))
+            victim.restart()
+
+    def checker():
+        for _ in range(60):
+            yield sim.timeout(rng.uniform(0.0, 1.0))
+            if coord.host.up:
+                assert _replayed(coord.log.records) == (
+                    coord.pending, coord.block_maps)
+                checks.append(sim.now)
+
+    procs = [sim.process(caller(800 + i)) for i in range(3)]
+    procs += [sim.process(crasher()), sim.process(checker())]
+    sim.run_process(_wait_all(sim, procs))
+    assert sim.crashed_processes == []
+    assert len(checks) > 20
+    assert coord.intents_logged > 0 and coord.block_maps
+
+
+def _wait_all(sim, procs):
+    yield sim.all_of(procs)

@@ -62,13 +62,13 @@ class ProcessJourneyNetwork(Network):
         if launch_delay > 0:
             yield self.sim.timeout(launch_delay)
         yield from src_host.nic_tx.use(
-            self.wire_time(size, self._link_bw(src_host)))
+            self.wire_time(size, params.bandwidth))
         yield self.sim.timeout(params.propagation + params.fabric_latency)
         if src_host is dst_host:
             self._arrive(dst_host, packet)
             return
         port = self._output_ports[dst_host.name]
-        yield from port.use(self.wire_time(size, self._link_bw(dst_host)))
+        yield from port.use(self.wire_time(size, params.bandwidth))
         yield self.sim.timeout(params.propagation)
         self._arrive(dst_host, packet)
 

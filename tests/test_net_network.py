@@ -236,19 +236,6 @@ def test_same_host_traffic_short_circuits():
     assert len(got) == 1
 
 
-def test_clock_skew():
-    sim = Simulator()
-    net = Network(sim)
-    h = net.add_host("skewed", clock_skew=0.25)
-    assert h.clock() == 0.25
-
-    def advance():
-        yield sim.timeout(10)
-
-    sim.run_process(advance())
-    assert h.clock() == 10.25
-
-
 def test_cpu_speedup_scales_work():
     sim = Simulator()
     net = Network(sim)

@@ -1,15 +1,19 @@
-"""The benchmark's layer timers still find every entry point they wrap.
+"""The benchmark's layer timers still find every entry point they wrap,
+and its per-layer counters still find every attribute they read.
 
 ``perfbench/layers.py`` patches named methods and functions of the program
 (``Simulator.step``, ``Decoder.u32``, ``CallHeader.decode``,
 ``Network.transmit``, ...) and counts simulator steps by wrapping
 ``Simulator.step``, while ``perfbench/run.py`` counts them as
-``sim._eid - len(sim._heap)``.  A renamed or deleted wrap point, or a
-kernel path that steps events without ``step``, fails here rather than in
-a benchmark run.
+``sim._eid - len(sim._heap)``.  ``perfbench/perlayer.py`` reads counters
+straight off the cluster (``coord.log``, ``intents_logged``,
+``net.packets_dropped``, ``dir_log_devices``, ``backing``, ...).  A renamed
+or deleted wrap point or counter, or a kernel path that steps events
+without ``step``, fails here rather than in a benchmark run.
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +32,13 @@ def layers(monkeypatch):
     import layers
 
     return layers
+
+
+@pytest.fixture
+def perlayer(layers):
+    import perlayer
+
+    return perlayer
 
 
 def drive_nfs_ops():
@@ -72,3 +83,18 @@ def test_layer_timers_install_count_every_step_and_remove(layers):
     for layer in ("sim", "rpc.xdr", "rpc", "nfs.codec", "nfs.client", "net",
                   "core", "dirsvc"):
         assert clock.self_s[layer] > 0, layer
+
+
+def test_per_layer_counters_read_the_cluster(layers, perlayer):
+    cluster = drive_nfs_ops()
+    workload = SimpleNamespace(cluster=cluster)
+    instr = layers.Instrumentation(layers.LayerClock())
+    perlayer.classify(workload, instr)
+    snap = perlayer.snapshot(workload, instr)
+    assert instr.resource_kind
+    assert all(isinstance(value, (int, float)) for value in snap.values())
+    assert snap["coord.intents_logged"] == sum(
+        coord.intents_logged for coord in cluster.coordinators)
+    assert snap["net.packets_dropped"] == cluster.net.packets_dropped
+    assert snap["wal.syncs"] > 0 and snap["nfs.ops_sent"] > 0
+    assert any(key.startswith("log:") for key in snap)

@@ -468,3 +468,43 @@ def test_call_whose_every_reply_is_lost_times_out():
     assert server.duplicates_replayed == 2
     assert client.calls_completed == 0
     assert client._pending == {}
+
+
+@pytest.mark.parametrize("real_reply_at", [0.02, None])
+def test_undecodable_reply_is_dropped_as_a_lost_reply(real_reply_at):
+    """An 8-byte reply from the called server cannot hold a reply header:
+    the client drops it and keeps waiting, for the real reply 10 ms later,
+    or else for its retransmit timer, whose retry gets answered."""
+    sim = Simulator()
+    net = Network(sim, NetParams())
+    client_host, server_host = net.add_host("client"), net.add_host("server")
+    client = RpcClient(client_host, 700, retrans_timeout=0.7, jitter=0.0)
+    attempts = []
+
+    def on_call(xid):
+        attempts.append(sim.now)
+        if len(attempts) == 1:
+            cut = Packet(server_host.address(2049), client_host.address(700),
+                         ReplyHeader(xid).encode().to_bytes()[:8])
+            sim.call_at(0.01, client_host.deliver, cut)
+            if real_reply_at is not None:
+                answer_at(sim, client_host, server_host, xid, real_reply_at)
+        else:
+            answer_at(sim, client_host, server_host, xid, sim.now + 0.01)
+
+    raw_server(net, server_host, on_call)
+
+    def run():
+        dec, _ = yield from client.call(server_host.address(2049), PROG, 1, 0,
+                                        Encoder().u32(21).to_bytes())
+        return dec.u32(), sim.now
+
+    value, done_at = sim.run_process(run())
+    assert value == 42
+    assert client.replies_dropped == 1
+    assert client.calls_completed == 1
+    assert client._pending == {}
+    if real_reply_at is not None:
+        assert (done_at, client.retransmissions) == (real_reply_at, 0)
+    else:
+        assert client.retransmissions == 1 and done_at > 0.7
